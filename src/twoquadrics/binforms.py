@@ -3,10 +3,9 @@ gcds, and exact root extraction for degree <= 2."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cyclo import CycNum, ONE, ZERO, cyc_sqrt, lcm
 from .errors import NotARoot, NotClosed, UnsupportedCase
+from .matrices import Mat
 
 
 class BinaryForm:
@@ -90,28 +89,6 @@ class BinaryForm:
         return BinaryForm(d - 1, [k * self.coeffs[k] for k in range(1, d + 1)])
 
 
-def _det(rows):
-    """Determinant by fraction-full Gaussian elimination over the field."""
-    n = len(rows)
-    rows = [list(r) for r in rows]
-    det = ONE
-    for c in range(n):
-        pr = next((i for i in range(c, n) if not rows[i][c].is_zero()), None)
-        if pr is None:
-            return ZERO
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            det = -det
-        piv = rows[c][c]
-        det = det * piv
-        inv = piv.inverse()
-        for i in range(c + 1, n):
-            f = rows[i][c] * inv
-            if not f.is_zero():
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return det
-
-
 def resultant(f: BinaryForm, g: BinaryForm) -> CycNum:
     """Sylvester resultant of two binary forms at their allocated degrees."""
     m, n = f.degree, g.degree
@@ -132,7 +109,7 @@ def resultant(f: BinaryForm, g: BinaryForm) -> CycNum:
         for k, c in enumerate(g.coeffs):
             row[i + k] = c
         rows.append(row)
-    return _det(rows)
+    return Mat(rows).det()
 
 
 def bform_discriminant(f: BinaryForm) -> CycNum:

@@ -45,7 +45,7 @@ from .jsonio import (
 from .matrices import Mat, contragredient
 from .pencils import (
     branch_permutation,
-    degeneracy_form,
+    canonical_signs,
     equivariance,
     fixed_points_on_X,
     invariant_lines_abelian,
@@ -126,15 +126,30 @@ def _sign_vector(m: Mat):
     return tuple(signs)
 
 
-def _branch_perms(job, max_closure):
-    """Branch permutations for every generator, matrix or moebius-only."""
+def _sign_elements(pg, g):
+    """(word, sign vector, canonical minus-count) for each element of the
+    point group that is a nonscalar diagonal sign matrix up to scalar."""
+    for m, word in pg.element_words:
+        signs = _sign_vector(m)
+        if signs is not None and len(set(signs)) > 1:
+            yield word, signs, canonical_signs(signs, g)[1]
+
+
+def _symmetries(job):
+    """The PencilSymmetry of each matrix generator, by label."""
+    if job.group is None:
+        return {}
+    return {lab: equivariance(job.pencil, m) for lab, m in job.group.generators}
+
+
+def _branch_perms(job, syms):
+    """Branch permutations for every generator, matrix or moebius-only;
+    `syms` holds the matrix generators' symmetries (see _symmetries)."""
     perms = {}
     if job.branch is None:
         return perms
-    if job.group is not None:
-        for lab, m in job.group.generators:
-            sym = equivariance(job.pencil, m)
-            perms[lab] = branch_permutation(job.pencil, sym, job.branch)
+    for lab, sym in syms.items():
+        perms[lab] = branch_permutation(job.pencil, sym, job.branch)
     for lab, mo in job.moebius_generators:
         perms[lab] = bform_root_action(job.branch.form, job.branch.roots, mo)
     return perms
@@ -159,17 +174,16 @@ def run_report(job, max_closure=10000):
 
     # stage 2: equivariance and branch permutations
     stage2 = []
-    if job.group is not None:
-        for lab, m in job.group.generators:
-            sym = equivariance(pencil, m)
-            (a, b), (c, d) = sym.action2x2
-            stage2.append(
-                {
-                    "label": lab,
-                    "action2x2": [[repr(a), repr(b)], [repr(c), repr(d)]],
-                }
-            )
-    perms = _branch_perms(job, max_closure)
+    syms = _symmetries(job)
+    for lab, sym in syms.items():
+        (a, b), (c, d) = sym.action2x2
+        stage2.append(
+            {
+                "label": lab,
+                "action2x2": [[repr(a), repr(b)], [repr(c), repr(d)]],
+            }
+        )
+    perms = _branch_perms(job, syms)
     for lab, p in perms.items():
         for entry in stage2:
             if entry["label"] == lab:
@@ -266,13 +280,7 @@ def run_report(job, max_closure=10000):
     if not diag_ok:
         evidence.append({"stage": 4, "skipped": "pencil not diagonal"})
     elif pg is not None:
-        for m, word in pg.element_words:
-            signs = _sign_vector(m)
-            if signs is None or len(set(signs)) == 1:
-                continue
-            k = signs.count(-1)
-            if k > pencil.g + 1:
-                k = len(signs) - k
+        for word, signs, k in _sign_elements(pg, pencil.g):
             if k == 2:
                 evidence.append(
                     {
@@ -295,16 +303,10 @@ def run_report(job, max_closure=10000):
     # stage 5: theta obstruction (needs an iota-lift among the elements)
     iota_lift = None
     if diag_ok and pg is not None:
-        for m, word in pg.element_words:
-            signs = _sign_vector(m)
-            if signs is None or len(set(signs)) == 1:
-                continue
-            k = signs.count(-1)
-            if k > pencil.g + 1:
-                k = len(signs) - k
-            if k % 2 == 1:
-                iota_lift = (word, signs)
-                break
+        iota_lift = next(
+            ((word, signs) for word, signs, k in _sign_elements(pg, pencil.g) if k % 2),
+            None,
+        )
     if iota_lift is not None and job.branch is not None and perms:
         fixed = fixed_classes(list(perms.values()), "odd", pencil.g)
         evidence.append(
@@ -364,13 +366,12 @@ def _cmd_report(args):
 
 def _cmd_branch(args):
     job = parse_job(_read_input(args))
-    f = degeneracy_form(job.pencil)
     out = {
-        "degeneracy_form": repr(f),
+        "degeneracy_form": repr(job.pencil.det_form),
         "smooth": is_smooth(job.pencil),
         "permutations": {
             lab: _perm_cycles(p)
-            for lab, p in _branch_perms(job, args.max_closure).items()
+            for lab, p in _branch_perms(job, _symmetries(job)).items()
         },
     }
     print(json.dumps(out, indent=2) if args.format == "json" else
@@ -416,7 +417,7 @@ def _cmd_invariant_lines(args):
 
 def _cmd_theta(args):
     job = parse_job(_read_input(args))
-    perms = _branch_perms(job, args.max_closure)
+    perms = _branch_perms(job, _symmetries(job))
     if not perms:
         raise SchemaError("job has no branch data")
     fixed = fixed_classes(list(perms.values()), "odd", job.pencil.g)

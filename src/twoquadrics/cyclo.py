@@ -15,8 +15,6 @@ import mpmath
 
 from .errors import IncompatibleOrder, UnsupportedCase
 
-Rational = Fraction
-
 
 def lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
@@ -226,6 +224,9 @@ class CycNum:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
 
@@ -256,6 +257,8 @@ class CycNum:
 
     def _descend(self, m):
         """Express the value in Q(zeta_m) (m | order) if possible."""
+        from .matrices import solve  # matrices imports this module
+
         n = self.order
         phi_m = euler_phi(m)
         step = n // m
@@ -265,7 +268,7 @@ class CycNum:
             poly = [Fraction(0)] * (j * step + 1)
             poly[j * step] = Fraction(1)
             cols.append(_reduce_mod_cyclotomic(poly, n))
-        sol = _solve_rational(cols, self.coeffs)
+        sol = solve(cols, self.coeffs)
         if sol is None:
             return None
         return CycNum(m, sol)
@@ -288,17 +291,7 @@ class CycNum:
         c = self.canonical()
         return (c.order, c.coeffs)
 
-    # -- numerics and display --------------------------------------------
-    def numeric(self) -> "mpmath.mpc":
-        z = mpmath.exp(2j * mpmath.pi / self.order)
-        total = mpmath.mpc(0)
-        zp = mpmath.mpc(1)
-        for c in self.coeffs:
-            if c:
-                total += mpmath.mpf(c.numerator) / c.denominator * zp
-            zp *= z
-        return total
-
+    # -- display ---------------------------------------------------------
     def __repr__(self):
         c = self.canonical()
         if c.is_rational():
@@ -333,42 +326,6 @@ def _poly_divmod(num, den):
     return q, rem
 
 
-def _solve_rational(cols, target):
-    """Solve sum_j x_j * cols[j] = target over Q; returns tuple or None."""
-    rows = len(target)
-    ncols = len(cols)
-    aug = [[cols[j][i] for j in range(ncols)] + [target[i]] for i in range(rows)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, rows) if aug[i][c]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    # consistency
-    for i in range(r, rows):
-        if aug[i][ncols]:
-            return None
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][ncols]
-    # columns without pivots must not be needed; verify
-    for i in range(rows):
-        if sum(cols[j][i] * sol[j] for j in range(ncols)) != target[i]:
-            return None
-    return tuple(sol)
-
-
 def zeta(n: int, k: int = 1) -> CycNum:
     """The root of unity zeta_n^k."""
     k %= n
@@ -383,18 +340,6 @@ ONE = CycNum.from_rational(1)
 
 def imaginary_unit() -> CycNum:
     return zeta(4)
-
-
-def cyc_mul(a, b) -> CycNum:
-    return CycNum._coerce(a) * CycNum._coerce(b)
-
-
-def cyc_inverse(a) -> CycNum:
-    return CycNum._coerce(a).inverse()
-
-
-def cyc_embed(a, m: int) -> CycNum:
-    return CycNum._coerce(a).embed(m)
 
 
 _MAX_SQRT_PHI = 10

@@ -14,7 +14,7 @@ from .errors import (
     NonScalarDiscrepancy,
     RelationsFailProjectively,
 )
-from .matrices import Mat, Subspace, contragredient, eigenspaces_finite_order, kronecker
+from .matrices import Mat, Subspace, eigenspaces_finite_order, kronecker
 
 
 @dataclass(frozen=True)
@@ -77,9 +77,6 @@ class MatrixGroup:
         for label, exp in word:
             result = result * (self.generator(label) ** exp)
         return result
-
-    def has_closure(self):
-        return self._closure is not None
 
     @property
     def elements(self):
@@ -297,12 +294,6 @@ def tensor_rep(a: MatrixGroup, b: MatrixGroup) -> MatrixGroup:
         for name, m in a.named.items()
         if name in b.named
     }
-    return MatrixGroup(gens, named=named)
-
-
-def contragredient_group(group: MatrixGroup) -> MatrixGroup:
-    gens = [(lab, contragredient(m)) for lab, m in group.generators]
-    named = {name: contragredient(m) for name, m in group.named.items()}
     return MatrixGroup(gens, named=named)
 
 

@@ -19,7 +19,7 @@ from .cyclo import CycNum, euler_phi
 from .errors import DimensionMismatch, SchemaError
 from .groups import MatrixGroup, Relation
 from .matrices import Mat, Quadric
-from .pencils import BranchConfig, Pencil, degeneracy_form
+from .pencils import BranchConfig, Pencil
 
 
 def _expect(cond, message, path):
@@ -79,6 +79,11 @@ def mat_from_json(obj, path="$"):
     for k in ("rows", "cols", "entries"):
         _expect(k in obj, f"missing '{k}'", path)
     rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
+    _expect(
+        isinstance(rows, int) and isinstance(cols, int) and rows > 0 and cols > 0,
+        "'rows' and 'cols' must be positive integers",
+        path,
+    )
     _expect(
         isinstance(entries, list) and len(entries) == rows,
         f"'entries' must have {rows} rows",
@@ -177,7 +182,6 @@ class JobSpec:
     moebius_generators: tuple  # (label, 2x2 tuple) acting on (t1, t2) only
     relations: tuple
     branch: BranchConfig | None
-    checks: tuple
 
 
 def parse_job(text_or_obj, path="$"):
@@ -193,12 +197,19 @@ def parse_job(text_or_obj, path="$"):
     pencil = pencil_from_json(obj["pencil"], path + ".pencil")
     gens = []
     moebius = []
+    labels = set()
     for k, g in enumerate(obj.get("generators", [])):
         p = f"{path}.generators[{k}]"
-        _expect(isinstance(g, dict) and "label" in g, "generator needs 'label'", p)
+        _expect(
+            isinstance(g, dict) and isinstance(g.get("label"), str),
+            "generator needs a string 'label'",
+            p,
+        )
         label = g["label"]
+        _expect(label not in labels, f"generator label {label!r} is used twice", p + ".label")
+        labels.add(label)
         if "matrix" in g:
-            gens.append((label, mat_from_json(g["matrix"], p + ".matrix")))
+            gens.append((label, _symmetry_from_json(g["matrix"], pencil, p + ".matrix")))
         elif "moebius" in g:
             rows = g["moebius"]
             _expect(
@@ -216,7 +227,7 @@ def parse_job(text_or_obj, path="$"):
             raise SchemaError("generator needs 'matrix' or 'moebius'", p)
     named = {}
     for name, m in obj.get("named", {}).items():
-        named[name] = mat_from_json(m, f"{path}.named.{name}")
+        named[name] = _symmetry_from_json(m, pencil, f"{path}.named.{name}")
     group = MatrixGroup(gens, named=named) if gens else None
     relations = tuple(
         relation_from_json(r, f"{path}.relations[{k}]")
@@ -241,11 +252,18 @@ def parse_job(text_or_obj, path="$"):
                 )
             )
         try:
-            branch = BranchConfig(degeneracy_form(pencil), tuple(roots))
+            branch = BranchConfig(pencil.det_form, tuple(roots))
         except ValueError as exc:
             raise SchemaError(str(exc), p) from exc
-    checks = tuple(obj.get("checks", []))
-    return JobSpec(pencil, group, tuple(moebius), relations, branch, checks)
+    return JobSpec(pencil, group, tuple(moebius), relations, branch)
+
+
+def _symmetry_from_json(obj, pencil, path):
+    """A matrix that acts on the pencil's coordinates: square of its size."""
+    m = mat_from_json(obj, path)
+    n = pencil.size
+    _expect(m.rows == m.cols == n, f"matrix must be {n}x{n}, the pencil size", path)
+    return m
 
 
 def signedperm_from_json(obj, path="$"):
@@ -261,10 +279,3 @@ def signedperm_from_json(obj, path="$"):
     except ValueError as exc:
         raise SchemaError(str(exc), path) from exc
 
-
-def verdict_to_json(verdict):
-    return {
-        "status": verdict["status"],
-        "evidence": verdict["evidence"],
-        "soundness_conditions": verdict["soundness_conditions"],
-    }

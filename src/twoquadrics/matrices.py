@@ -149,45 +149,22 @@ class Mat:
     def det(self) -> CycNum:
         if self.rows != self.cols:
             raise DimensionMismatch("determinant of nonsquare matrix")
-        rows = [list(r) for r in self.entries]
-        n = self.rows
-        det = ONE
-        for c in range(n):
-            pr = next((i for i in range(c, n) if not rows[i][c].is_zero()), None)
-            if pr is None:
-                return ZERO
-            if pr != c:
-                rows[c], rows[pr] = rows[pr], rows[c]
-                det = -det
-            piv = rows[c][c]
-            det = det * piv
-            inv = piv.inverse()
-            for i in range(c + 1, n):
-                f = rows[i][c] * inv
-                if not f.is_zero():
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-        return det
+        pivots, det = _echelon([list(r) for r in self.entries])
+        return det if len(pivots) == self.rows else ZERO
 
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of nonsquare matrix")
         n = self.rows
-        work = [list(r) + list(Mat.identity(n).entries[i]) for i, r in enumerate(self.entries)]
-        for c in range(n):
-            pr = next((i for i in range(c, n) if not work[i][c].is_zero()), None)
-            if pr is None:
-                raise Singular("matrix is singular")
-            work[c], work[pr] = work[pr], work[c]
-            inv = work[c][c].inverse()
-            work[c] = [x * inv for x in work[c]]
-            for i in range(n):
-                if i != c and not work[i][c].is_zero():
-                    f = work[i][c]
-                    work[i] = [x - f * y for x, y in zip(work[i], work[c])]
-        return Mat([row[n:] for row in work])
+        rows, pivots = _rref(
+            [list(r) + list(e) for r, e in zip(self.entries, Mat.identity(n).entries)]
+        )
+        if pivots != list(range(n)):
+            raise Singular("matrix is singular")
+        return Mat([row[n:] for row in rows])
 
     def rank(self) -> int:
-        return len(_rref([list(r) for r in self.entries])[1])
+        return len(_echelon([list(r) for r in self.entries])[0])
 
     def is_scalar(self):
         """Return the scalar c when the matrix equals c*I, else None."""
@@ -206,29 +183,68 @@ class Mat:
         return c is not None and c.is_one()
 
 
-def _rref(rows):
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    r = 0
+def _echelon(rows):
+    """Forward elimination in place, to row echelon form with unit pivots.
+
+    Entries may come from any field whose elements are false exactly at zero
+    and invert as ``1 / x`` (CycNum, Fraction).  The pivot is the first
+    nonzero entry at or below the current row.  Returns (pivot columns, d),
+    where d is the product of the pivots times the sign of the row swaps:
+    the determinant of a square matrix of full rank."""
     pivots = []
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
+    det = 1
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        if r == len(rows):
+            break
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pr is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c].inverse()
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            det = -det
+        det = det * rows[r][c]
+        inv = 1 / rows[r][c]
         rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c]
+            if f:
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
-        if r == len(rows):
-            break
+    return pivots, det
+
+
+def _rref(rows):
+    """In-place reduced row echelon form; returns (rows, pivot columns).
+
+    The forward pass of _echelon, then elimination above each pivot."""
+    pivots, _ = _echelon(rows)
+    for r, c in enumerate(pivots):
+        for i in range(r):
+            f = rows[i][c]
+            if f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
     return rows, pivots
+
+
+def solve(cols, target):
+    """The coefficients x with sum_j x[j] * cols[j] == target, or None.
+
+    Works over the fields _echelon accepts; unknowns the system leaves free
+    are set to zero.  The solution is checked against every equation before
+    it is returned."""
+    n = len(cols)
+    rows, pivots = _rref([[col[i] for col in cols] + [t] for i, t in enumerate(target)])
+    if n in pivots:
+        return None
+    sol = [target[0] * 0] * n  # zero of the entries' field
+    for r, c in enumerate(pivots):
+        sol[c] = rows[r][n]
+    for i, t in enumerate(target):
+        if sum(x * col[i] for x, col in zip(sol, cols)) != t:
+            return None
+    return tuple(sol)
 
 
 class Subspace:
@@ -282,8 +298,7 @@ class Subspace:
     def contains_vector(self, vec) -> bool:
         vec = [CycNum._coerce(v) for v in vec]
         rows = [list(r) for r in self.basis] + [vec]
-        _, pivots = _rref(rows)
-        return len(pivots) == self.dim
+        return len(_echelon(rows)[0]) == self.dim
 
     def contains_subspace(self, other) -> bool:
         return all(self.contains_vector(v) for v in other.basis)
@@ -446,18 +461,6 @@ class Quadric:
 
     def is_zero(self) -> bool:
         return all(x.is_zero() for row in self.gram.entries for x in row)
-
-
-def quadric_eval(q: Quadric, v) -> CycNum:
-    return q.evaluate(v)
-
-
-def quadric_polar(q: Quadric, u, v) -> CycNum:
-    return q.polar(u, v)
-
-
-def gram_restrict(q: Quadric, s: Subspace):
-    return q.restrict(s)
 
 
 def contragredient(m: Mat) -> Mat:

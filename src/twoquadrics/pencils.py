@@ -7,8 +7,8 @@ the diagonal involution classification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
+from functools import cached_property
 
 from .binforms import (
     BinaryForm,
@@ -18,7 +18,7 @@ from .binforms import (
     proj_equal,
     quadratic_roots,
 )
-from .cyclo import CycNum, ONE, ZERO
+from .cyclo import CycNum
 from .errors import (
     DimensionMismatch,
     NotAbelian,
@@ -30,9 +30,9 @@ from .matrices import (
     Mat,
     Quadric,
     Subspace,
-    _rref,
     contragredient,
     eigenspaces_finite_order,
+    solve,
 )
 
 
@@ -56,6 +56,11 @@ class Pencil:
     @classmethod
     def from_diagonals(cls, g, d1, d2):
         return cls(g, Quadric.from_diagonal(d1), Quadric.from_diagonal(d2))
+
+    @cached_property
+    def det_form(self) -> BinaryForm:
+        """The degeneracy form, computed on first use and then kept."""
+        return degeneracy_form(self)
 
 
 @dataclass(frozen=True)
@@ -109,36 +114,33 @@ class LineOnX:
         return self.plane == Subspace(self.plane.ambient_dim, [p, q])
 
 
-def degeneracy_form(pencil: Pencil) -> BinaryForm:
-    """det(t1 Q1 + t2 Q2) as a binary form of degree 2g+2.
+def pencil_det_form(g1: Mat, g2: Mat) -> BinaryForm:
+    """det(t1 G1 + t2 G2) as a binary form of degree n for n x n Grams.
 
     Computed by interpolation: the dehomogenized determinant det(G1 + x G2)
-    is sampled at 2g+3 rational points and the coefficients recovered by
+    is sampled at n+1 integer points and the coefficients recovered by
     solving the Vandermonde system exactly."""
-    d = pencil.size
-    samples = []
-    for k in range(d + 1):
-        x = CycNum.from_rational(Fraction(k))
-        m = pencil.q1.gram + x * pencil.q2.gram
-        samples.append((x, m.det()))
-    # solve sum_j c_j x^j = det sample for each node
-    rows = []
-    for x, val in samples:
-        rows.append([x**j for j in range(d + 1)] + [val])
-    rows, pivots = _rref(rows)
-    coeffs = [ZERO] * (d + 1)
-    for i, p in enumerate(pivots):
-        if p == d + 1:
-            raise ValueError("interpolation failed")
-        coeffs[p] = rows[i][d + 1]
+    d = g1.rows
+    nodes = range(d + 1)
+    coeffs = solve(
+        [[CycNum.from_rational(x**j) for x in nodes] for j in range(d + 1)],
+        [(g1 + x * g2).det() for x in nodes],
+    )
+    if coeffs is None:
+        raise ValueError("interpolation failed")
     # coeff of x^j goes with t1^(d-j) t2^j
     return BinaryForm(d, coeffs)
+
+
+def degeneracy_form(pencil: Pencil) -> BinaryForm:
+    """det(t1 Q1 + t2 Q2) as a binary form of degree 2g+2."""
+    return pencil_det_form(pencil.q1.gram, pencil.q2.gram)
 
 
 def is_smooth(pencil: Pencil) -> bool:
     """Distinct-roots criterion: the degeneracy form has 2g+2 distinct
     projective roots."""
-    f = degeneracy_form(pencil)
+    f = pencil.det_form
     return not f.is_zero() and not bform_discriminant(f).is_zero()
 
 
@@ -162,31 +164,8 @@ def equivariance(pencil: Pencil, h: Mat) -> PencilSymmetry:
 
 def _in_span(target: Mat, g1: Mat, g2: Mat):
     """Solve target = a·g1 + b·g2 entrywise; None when unsolvable."""
-    n = g1.rows
-    a = b = None
-    # pick two equations that pin (a, b), then verify all entries
-    sys_rows = []
-    for i in range(n):
-        for j in range(n):
-            sys_rows.append(
-                [g1.entries[i][j], g2.entries[i][j], target.entries[i][j]]
-            )
-    reduced, pivots = _rref([list(r) for r in sys_rows])
-    if 2 in pivots:
-        return None  # inconsistent
-    a = ZERO
-    b = ZERO
-    for r, p in zip(reduced, pivots):
-        if p == 0:
-            a = r[2]
-        elif p == 1:
-            b = r[2]
-    for i in range(n):
-        for j in range(n):
-            want = a * g1.entries[i][j] + b * g2.entries[i][j]
-            if want != target.entries[i][j]:
-                return None
-    return (a, b)
+    cols = [[x for row in m.entries for x in row] for m in (g1, g2, target)]
+    return solve(cols[:2], cols[2])
 
 
 def branch_permutation(pencil: Pencil, sym: PencilSymmetry, branch: BranchConfig):
@@ -434,7 +413,7 @@ def invariant_lines_abelian(pencil: Pencil, group: MatrixGroup) -> LineSearchRep
                 f"{space.dim}",
             }
             if pencil.g == 2 and space.dim == 5:
-                f = _quintic_degeneracy(r1.gram, r2.gram)
+                f = pencil_det_form(r1.gram, r2.gram)
                 if not f.is_zero() and not bform_discriminant(f).is_zero():
                     fam["count"] = 16
                     fam["reason"] = (
@@ -526,22 +505,16 @@ def _point_side(pencil: Pencil, space: Subspace, p):
     return ("points", [])
 
 
-def _quintic_degeneracy(g1: Mat, g2: Mat) -> BinaryForm:
-    """det(t1 A + t2 B) for the restricted 5x5 Gram pair, by interpolation."""
-    d = g1.rows
-    rows = []
-    for k in range(d + 1):
-        x = CycNum.from_rational(Fraction(k))
-        rows.append(
-            [x**j for j in range(d + 1)] + [(g1 + x * g2).det()]
-        )
-    reduced, pivots = _rref(rows)
-    coeffs = [ZERO] * (d + 1)
-    for i, p in enumerate(pivots):
-        if p == d + 1:
-            raise ValueError("interpolation failed")
-        coeffs[p] = reduced[i][d + 1]
-    return BinaryForm(d, coeffs)
+def canonical_signs(signs, g):
+    """A +-1 vector of length 2g+2 up to a global flip, and its minus-count.
+
+    The flip is taken when it lowers the minus-count to at most g+1, so the
+    count k is the class invariant: k = 2 marks translations by two-torsion,
+    odd k the lifts of the hyperelliptic involution."""
+    k = signs.count(-1)
+    if k > g + 1:
+        return tuple(-s for s in signs), len(signs) - k
+    return tuple(signs), k
 
 
 @dataclass(frozen=True)
@@ -570,12 +543,9 @@ def classify_diagonal_involution(signs, pencil: Pencil) -> InvolutionClass:
     signs = [int(s) for s in signs]
     if len(signs) != n or any(s not in (1, -1) for s in signs):
         raise ValueError("signs must be a vector of +-1 of length 2g+2")
-    k = signs.count(-1)
-    if k in (0, n):
+    if signs.count(-1) in (0, n):
         raise ValueError("all signs equal: trivial projective action")
-    if k > pencil.g + 1:
-        signs = [-s for s in signs]
-        k = n - k
+    signs, k = canonical_signs(signs, pencil.g)
     det = 1 if k % 2 == 0 else -1
     plus = tuple(i for i, s in enumerate(signs) if s == 1)
     minus = tuple(i for i, s in enumerate(signs) if s == -1)

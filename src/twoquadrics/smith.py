@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .matrices import solve
+
 
 class IntMatrix:
     """Dense rectangular matrix with arbitrary-precision integer entries."""
@@ -254,30 +256,7 @@ def solve_in_lattice_basis(basis, vec):
     """
     if not basis:
         return None if any(vec) else ()
-    n = len(vec)
-    cols = len(basis)
-    aug = [[Fraction(basis[j][i]) for j in range(cols)] + [Fraction(vec[i])] for i in range(n)]
-    r = 0
-    pivots = []
-    for c in range(cols):
-        pr = next((i for i in range(r, n) if aug[i][c]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, n):
-        if aug[i][cols]:
-            return None
-    sol = [Fraction(0)] * cols
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][cols]
-    if any(s.denominator != 1 for s in sol):
+    sol = solve([[Fraction(x) for x in b] for b in basis], [Fraction(x) for x in vec])
+    if sol is None or any(s.denominator != 1 for s in sol):
         return None
     return tuple(int(s) for s in sol)

@@ -131,13 +131,35 @@ def test_run_report_verdicts():
     assert any(e.get("free_two_torsion") for e in stage4["evidence"])
 
 
-def test_cli_exit_codes(capsys):
+def test_cli_exit_codes(capsys, tmp_path):
     assert main(["report", "--fixture", "example_7_5.json"]) == 0
     out = capsys.readouterr().out
     assert "LINEARIZABLE_CERTIFIED" in out
     assert main(["report", "--fixture", "no_such.json"]) == 2
     assert main(["report", "/nonexistent/path.json"]) == 2
     assert main(["report"]) == 2
+    capsys.readouterr()
+
+    full = json.loads(fixture_text("example_7_5_full.json"))
+    gamma, tau = full["generators"]
+    twice = dict(full, generators=[gamma, dict(gamma)])
+    moebius_reuses = dict(full, generators=[gamma, dict(tau, label="gamma")])
+    small = dict(full, generators=[{"label": "s", "matrix": {"rows": 2, "cols": 2, "entries": [[1, 0], [0, 1]]}}])
+    empty = dict(full, generators=[{"label": "e", "matrix": {"rows": 0, "cols": 0, "entries": []}}])
+    named = dict(full, named={"iota": {"rows": 1, "cols": 1, "entries": [[1]]}})
+    cases = [
+        (twice, "$.generators[1].label"),
+        (moebius_reuses, "$.generators[1].label"),
+        (small, "$.generators[0].matrix"),
+        (empty, "$.generators[0].matrix"),
+        (named, "$.named.iota"),
+    ]
+    for k, (job, where) in enumerate(cases):
+        path = tmp_path / f"job{k}.json"
+        path.write_text(json.dumps(job))
+        assert main(["report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {where}:"), err
 
 
 def test_cli_json_format(capsys):

@@ -1,0 +1,8 @@
+"""``python -m twoquadrics <subcommand> ...``: the twoquadrics command."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,23 +1,25 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-Elements are stored in the power basis 1, z, ..., z^(phi(N)-1) modulo the
-N-th cyclotomic polynomial, with arbitrary-precision rational coefficients
-(fractions.Fraction).  Values are immutable; all operations are pure.
+An element is (order, num, den) with value (sum_j num[j] z^j) / den, z =
+zeta_N: num holds phi(N) ints, den > 0 and gcd(den, *num) = 1, so a value
+has one form per order and equality at one order compares tuples.  Products
+are schoolbook int products whose terms of degree phi..2phi-2 fold back
+through a table of x^k mod Phi_N built on first use; the same table embeds
+Q(zeta_d) in Q(zeta_N) for d | N (Cohen, GTM 138, 4.2).  Each element keeps
+its own order: a rational (order 1) operand scales the other, and only
+operands of two different orders meet in the lcm field.  Values are
+immutable; all operations are pure.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt, lcm
 
 import mpmath
 
 from .errors import IncompatibleOrder, UnsupportedCase
-
-
-def lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 @lru_cache(maxsize=None)
@@ -63,56 +65,106 @@ def cyclotomic_poly(n: int):
     return tuple(poly)
 
 
-def _reduce_mod_cyclotomic(coeffs, n):
-    """Reduce a Fraction coefficient list modulo Phi_n; returns tuple of
-    length phi(n)."""
+@lru_cache(maxsize=None)
+def power_table(n: int):
+    """x^k mod Phi_n for 0 <= k < max(n, 2 phi(n) - 1), as the (index,
+    coefficient) pairs of each row's nonzero entries.  Rows phi..2phi-2 fold
+    products; row k is zeta_n^k, which gives embeddings and conjugates."""
     phi = euler_phi(n)
     mod = cyclotomic_poly(n)
-    work = list(coeffs)
-    for i in range(len(work) - 1, phi - 1, -1):
-        c = work[i]
-        if c:
-            for j in range(phi + 1):
-                work[i - phi + j] -= c * mod[j]
-        work.pop()
-    while len(work) < phi:
-        work.append(Fraction(0))
-    return tuple(Fraction(c) for c in work)
+    cur = [1] + [0] * (phi - 1)
+    rows = []
+    for _ in range(max(n, 2 * phi - 1)):
+        rows.append(tuple((j, c) for j, c in enumerate(cur) if c))
+        top = cur[-1]  # multiply by x, then replace x^phi by x^phi - Phi_n
+        cur = [0] + cur[:-1]
+        for j in range(phi):
+            cur[j] -= top * mod[j]
+    return tuple(rows)
 
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+def _mul_num(n, a, b):
+    """Product of two int coefficient vectors of Q(zeta_n)."""
+    phi = len(a)
+    prod = [0] * (2 * phi - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
+            for k, y in enumerate(b, i):
+                prod[k] += x * y
+    out = prod[:phi]
+    table = power_table(n)
+    for k in range(phi, 2 * phi - 1):
+        c = prod[k]
+        if c:
+            for j, t in table[k]:
+                out[j] += c * t
     return out
 
 
+def _map_num(n, num, step):
+    """sum_i num[i] * zeta_n^(i*step) as an int vector of length phi(n)."""
+    table = power_table(n)
+    out = [0] * euler_phi(n)
+    for i, c in enumerate(num):
+        if c:
+            for j, t in table[i * step % n]:
+                out[j] += c * t
+    return out
+
+
+def _power(n, k):
+    """zeta_n^k as a dense int vector of length phi(n)."""
+    out = [0] * euler_phi(n)
+    for j, c in power_table(n)[k % n]:
+        out[j] = c
+    return out
+
+
+def _make(order, num, den):
+    """The element num / den of Q(zeta_order), brought to its normal form."""
+    g = gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g != 1:
+        num = [x // g for x in num]
+        den //= g
+    x = _alloc(CycNum)
+    _set_order(x, order)
+    _set_num(x, tuple(num))
+    _set_den(x, den)
+    return x
+
+
 class CycNum:
-    """An element of Q(zeta_N) in the power basis modulo Phi_N."""
+    """An element of Q(zeta_N): int numerators over one denominator."""
 
-    __slots__ = ("order", "coeffs", "_canon")
+    __slots__ = ("order", "num", "den", "_canon")
 
-    def __init__(self, order, coeffs):
+    def __new__(cls, order, coeffs):
         phi = euler_phi(order)
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != phi:
             raise ValueError(
                 f"need {phi} coefficients for order {order}, got {len(coeffs)}"
             )
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_canon", None)
+        den = lcm(*(c.denominator for c in coeffs))
+        return _make(order, [c.numerator * (den // c.denominator) for c in coeffs], den)
 
     def __setattr__(self, *a):
         raise AttributeError("CycNum is immutable")
 
+    @property
+    def coeffs(self):
+        """The power-basis coefficients as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
+
     # -- construction helpers -------------------------------------------
     @classmethod
     def from_rational(cls, q) -> "CycNum":
-        return cls(1, (Fraction(q),))
+        if isinstance(q, int):
+            return _make(1, (q,), 1)
+        q = Fraction(q)
+        return _make(1, (q.numerator,), q.denominator)
 
     @classmethod
     def _coerce(cls, x) -> "CycNum":
@@ -128,16 +180,14 @@ class CycNum:
             raise IncompatibleOrder(f"order {self.order} does not divide {m}")
         if m == self.order:
             return self
-        step = m // self.order
-        out = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * step] += c
-        return CycNum(m, _reduce_mod_cyclotomic(out, m))
+        return _make(m, _map_num(m, self.num, m // self.order), self.den)
 
     @staticmethod
     def _pair(a, b):
         a = CycNum._coerce(a)
         b = CycNum._coerce(b)
+        if a.order == b.order:
+            return a, b
         m = lcm(a.order, b.order)
         return a.embed(m), b.embed(m)
 
@@ -147,59 +197,60 @@ class CycNum:
             a, b = CycNum._pair(self, other)
         except TypeError:
             return NotImplemented
-        return CycNum(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        da, db = a.den, b.den
+        return _make(a.order, [x * db + y * da for x, y in zip(a.num, b.num)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum(self.order, tuple(-c for c in self.coeffs))
+        return _make(self.order, [-c for c in self.num], self.den)
 
     def __sub__(self, other):
         try:
             a, b = CycNum._pair(self, other)
         except TypeError:
             return NotImplemented
-        return CycNum(a.order, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        da, db = a.den, b.den
+        return _make(a.order, [x * db - y * da for x, y in zip(a.num, b.num)], da * db)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         try:
-            a, b = CycNum._pair(self, other)
+            b = CycNum._coerce(other)
         except TypeError:
             return NotImplemented
-        prod = _poly_mul(a.coeffs, b.coeffs)
-        return CycNum(a.order, _reduce_mod_cyclotomic(prod, a.order))
+        a = self
+        if a.order == 1:
+            a, b = b, a
+        if b.order == 1:  # a rational factor scales the coefficients
+            c = b.num[0]
+            return _make(a.order, [x * c for x in a.num], a.den * b.den)
+        if a.order != b.order:
+            a, b = CycNum._pair(a, b)
+        return _make(a.order, _mul_num(a.order, a.num, b.num), a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNum":
-        """Multiplicative inverse; raises ZeroDivisionError on zero."""
+        """Multiplicative inverse; raises ZeroDivisionError on zero.
+
+        1 / (num / den) = den * P / N, where P is the product of the Galois
+        conjugates of num other than num itself and N = num * P is the norm
+        of num, an integer."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        n = self.order
-        mod = [Fraction(c) for c in cyclotomic_poly(n)]
-        # extended Euclid: find u with u*self = gcd = nonzero constant mod Phi_n
-        r0, r1 = mod, list(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            while r1 and not r1[-1]:
-                r1.pop()
-            if len(r1) == 1:
-                break
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            qs1 = _poly_mul(q, s1)
-            new_s = [Fraction(0)] * max(len(s0), len(qs1))
-            for i, c in enumerate(s0):
-                new_s[i] += c
-            for i, c in enumerate(qs1):
-                new_s[i] -= c
-            s0, s1 = s1, new_s
-        c = r1[0]
-        inv = [x / c for x in s1]
-        return CycNum(n, _reduce_mod_cyclotomic(inv, n))
+        n, num = self.order, self.num
+        if len(num) == 1:
+            return _make(n, (self.den,), num[0])
+        prod = None
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                conj = _map_num(n, num, k)
+                prod = conj if prod is None else _mul_num(n, prod, conj)
+        norm = _mul_num(n, num, prod)[0]
+        return _make(n, [self.den * x for x in prod], norm)
 
     def __truediv__(self, other):
         other = CycNum._coerce(other)
@@ -222,27 +273,28 @@ class CycNum:
 
     # -- predicates ------------------------------------------------------
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def is_one(self) -> bool:
-        return self.is_rational() and self.coeffs[0] == 1
+        return self.den == 1 and self.num[0] == 1 and self.is_rational()
 
     # -- canonical form, equality, hashing ------------------------------
     def canonical(self) -> "CycNum":
         """The same value expressed in Q(zeta_M) for the smallest M | order."""
-        if self._canon is not None:
-            return self._canon
+        best = getattr(self, "_canon", None)
+        if best is not None:
+            return best
         n = self.order
         best = self
         for m in sorted(d for d in range(1, n) if n % d == 0):
@@ -250,9 +302,9 @@ class CycNum:
             if desc is not None:
                 best = desc
                 break
-        object.__setattr__(self, "_canon", best)
+        _set_canon(self, best)
         if best is not self:
-            object.__setattr__(best, "_canon", best)
+            _set_canon(best, best)
         return best
 
     def _descend(self, m):
@@ -260,42 +312,32 @@ class CycNum:
         from .matrices import solve  # matrices imports this module
 
         n = self.order
-        phi_m = euler_phi(m)
-        step = n // m
         # columns: embeddings of zeta_m^j into order n; solve for coefficients
-        cols = []
-        for j in range(phi_m):
-            poly = [Fraction(0)] * (j * step + 1)
-            poly[j * step] = Fraction(1)
-            cols.append(_reduce_mod_cyclotomic(poly, n))
+        cols = [[Fraction(c) for c in _power(n, j * (n // m))] for j in range(euler_phi(m))]
         sol = solve(cols, self.coeffs)
         if sol is None:
             return None
         return CycNum(m, sol)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycNum.from_rational(other)
-        elif not isinstance(other, CycNum):
+        try:
+            a, b = CycNum._pair(self, other)
+        except TypeError:
             return NotImplemented
-        if self.order == other.order:
-            return self.coeffs == other.coeffs
-        a, b = CycNum._pair(self, other)
-        return a.coeffs == b.coeffs
+        return a.num == b.num and a.den == b.den
 
     def __hash__(self):
-        c = self.canonical()
-        return hash((c.order, c.coeffs))
+        return hash(self.key())
 
     def key(self):
         c = self.canonical()
-        return (c.order, c.coeffs)
+        return (c.order, c.num, c.den)
 
     # -- display ---------------------------------------------------------
     def __repr__(self):
         c = self.canonical()
         if c.is_rational():
-            return str(c.coeffs[0])
+            return str(c.as_rational())
         terms = []
         for i, x in enumerate(c.coeffs):
             if not x:
@@ -308,30 +350,16 @@ class CycNum:
         return " + ".join(terms)
 
 
-def _poly_divmod(num, den):
-    """Polynomial division with remainder over Fraction coefficients."""
-    num = list(num)
-    while den and not den[-1]:
-        den = den[:-1]
-    if len(num) < len(den):
-        return [Fraction(0)], num
-    q = [Fraction(0)] * (len(num) - len(den) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        c = num[i + len(den) - 1] / den[-1]
-        q[i] = c
-        if c:
-            for j, d in enumerate(den):
-                num[i + j] -= c * d
-    rem = num[: len(den) - 1]
-    return q, rem
+_alloc = object.__new__
+_set_order = CycNum.order.__set__
+_set_num = CycNum.num.__set__
+_set_den = CycNum.den.__set__
+_set_canon = CycNum._canon.__set__
 
 
 def zeta(n: int, k: int = 1) -> CycNum:
     """The root of unity zeta_n^k."""
-    k %= n
-    poly = [Fraction(0)] * (k + 1)
-    poly[k] = Fraction(1)
-    return CycNum(n, _reduce_mod_cyclotomic(poly, n))
+    return _make(n, _power(n, k), 1)
 
 
 ZERO = CycNum.from_rational(0)
@@ -357,16 +385,13 @@ def cyc_sqrt(a, field_order: int | None = None) -> CycNum | None:
     if a.is_zero():
         return ZERO
     if a.is_rational():
-        q = a.as_rational()
-        for sgn, mul in ((1, ONE), (-1, imaginary_unit())):
-            v = sgn * q
-            if v > 0:
-                rn = _isqrt_exact(v.numerator)
-                rd = _isqrt_exact(v.denominator)
-                if rn is not None and rd is not None:
-                    root = mul * Fraction(rn, rd)
-                    if field_order is None or field_order % root.order == 0:
-                        return root
+        # num and den are coprime: a is a square up to sign iff both are
+        n, d = abs(a.num[0]), a.den
+        rn, rd = isqrt(n), isqrt(d)
+        if rn * rn == n and rd * rd == d:
+            root = (ONE if a.num[0] > 0 else imaginary_unit()) * Fraction(rn, rd)
+            if field_order is None or field_order % root.order == 0:
+                return root
     m = field_order if field_order is not None else lcm(a.order, 24)
     if m % a.order != 0:
         raise IncompatibleOrder(f"order {a.order} does not divide {m}")
@@ -374,13 +399,6 @@ def cyc_sqrt(a, field_order: int | None = None) -> CycNum | None:
     if phi > _MAX_SQRT_PHI:
         raise UnsupportedCase(f"square-root search not supported for phi({m}) = {phi}")
     return _sqrt_by_embeddings(a.embed(m))
-
-
-def _isqrt_exact(n: int) -> int | None:
-    from math import isqrt
-
-    r = isqrt(n)
-    return r if r * r == n else None
 
 
 def _sqrt_by_embeddings(a: CycNum) -> CycNum | None:
@@ -429,7 +447,7 @@ def _sqrt_by_embeddings(a: CycNum) -> CycNum | None:
                 coeffs.append(Fraction(scaled, 10**30).limit_denominator(10**12))
             if not ok:
                 continue
-            cand = CycNum(m, _reduce_mod_cyclotomic(coeffs, m))
+            cand = CycNum(m, coeffs)
             if cand * cand == a:
                 return cand
     return None

@@ -13,6 +13,7 @@ from .errors import (
     LabelMismatch,
     NonScalarDiscrepancy,
     RelationsFailProjectively,
+    Singular,
 )
 from .matrices import Mat, Subspace, eigenspaces_finite_order, kronecker
 
@@ -52,7 +53,8 @@ class MatrixGroup:
         for label, m in gens:
             if m.rows != m.cols or m.rows != n:
                 raise ValueError("generators must be square of equal size")
-            m.inverse()  # raises Singular if not invertible
+            if m.rank() < n:
+                raise Singular(f"generator {label!r} is singular")
         self.dimension = n
         self.generators = tuple(gens)
         self.named = dict(named or {})
@@ -218,7 +220,7 @@ def projective_fixed_locus(group: MatrixGroup, cap: int = 360) -> FixedLocus:
         if any(s == t for t, _ in maximal):
             continue
         maximal.append((s, ch))
-    maximal.sort(key=lambda pair: (-pair[0].dim, pair[0].__hash__() & 0xFFFF))
+    maximal.sort(key=lambda pair: (-pair[0].dim, [[x.key() for x in v] for v in pair[0].basis]))
     return FixedLocus(
         tuple(s for s, _ in maximal), tuple(ch for _, ch in maximal)
     )

@@ -27,6 +27,12 @@ def _expect(cond, message, path):
         raise SchemaError(message, path)
 
 
+def _expect_keys(obj, allowed, path):
+    """Reject any key of a JSON object outside `allowed`, at its path."""
+    for key in obj:
+        _expect(key in allowed, f"unknown key; allowed: {', '.join(allowed)}", f"{path}.{key}")
+
+
 def cycnum_from_json(obj, path="$"):
     if isinstance(obj, bool):
         raise SchemaError("expected a number, got a boolean", path)
@@ -193,6 +199,7 @@ def parse_job(text_or_obj, path="$"):
     else:
         obj = text_or_obj
     _expect(isinstance(obj, dict), "job must be an object", path)
+    _expect_keys(obj, ("pencil", "generators", "named", "relations", "branch", "description"), path)
     _expect("pencil" in obj, "missing 'pencil'", path)
     pencil = pencil_from_json(obj["pencil"], path + ".pencil")
     gens = []
@@ -205,6 +212,7 @@ def parse_job(text_or_obj, path="$"):
             "generator needs a string 'label'",
             p,
         )
+        _expect_keys(g, ("label", "matrix", "moebius"), p)
         label = g["label"]
         _expect(label not in labels, f"generator label {label!r} is used twice", p + ".label")
         labels.add(label)

@@ -7,6 +7,8 @@ operators, and quadratic forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, mul
 
 from .cyclo import CycNum, ONE, ZERO, lcm, zeta
 from .errors import (
@@ -20,7 +22,7 @@ from .errors import (
 class Mat:
     """Rectangular matrix of CycNum entries, reconciled to a common order."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_contra")
 
     def __init__(self, entries):
         entries = [[CycNum._coerce(x) for x in row] for row in entries]
@@ -28,11 +30,11 @@ class Mat:
             raise ValueError("matrix must be nonempty")
         if any(len(r) != len(entries[0]) for r in entries):
             raise ValueError("ragged rows")
-        order = 1
-        for row in entries:
-            for x in row:
-                order = lcm(order, x.order)
-        entries = tuple(tuple(x.embed(order) for x in row) for row in entries)
+        order = lcm(*{x.order for row in entries for x in row})
+        entries = tuple(
+            tuple(x if x.order == order else x.embed(order) for x in row)
+            for row in entries
+        )
         object.__setattr__(self, "rows", len(entries))
         object.__setattr__(self, "cols", len(entries[0]))
         object.__setattr__(self, "entries", entries)
@@ -52,23 +54,13 @@ class Mat:
             [[values[i] if i == j else ZERO for j in range(n)] for i in range(n)]
         )
 
-    @classmethod
-    def zero(cls, rows, cols):
-        return cls([[ZERO] * cols for _ in range(rows)])
-
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        if self.rows != other.rows or self.cols != other.cols:
-            return False
-        return all(
-            a == b for r1, r2 in zip(self.entries, other.entries) for a, b in zip(r1, r2)
-        )
+        return self.entries == other.entries
 
     def __hash__(self):
-        return hash(
-            tuple(tuple(x.key() for x in row) for row in self.entries)
-        )
+        return hash(self.key())
 
     def key(self):
         return tuple(tuple(x.key() for x in row) for row in self.entries)
@@ -83,17 +75,9 @@ class Mat:
         if isinstance(other, Mat):
             if self.cols != other.rows:
                 raise DimensionMismatch("matrix product shape mismatch")
+            cols = list(zip(*other.entries))
             return Mat(
-                [
-                    [
-                        sum(
-                            (self.entries[i][k] * other.entries[k][j] for k in range(self.cols)),
-                            ZERO,
-                        )
-                        for j in range(other.cols)
-                    ]
-                    for i in range(self.rows)
-                ]
+                [[reduce(add, map(mul, row, col)) for col in cols] for row in self.entries]
             )
         c = CycNum._coerce(other)
         return Mat([[c * x for x in row] for row in self.entries])
@@ -141,10 +125,7 @@ class Mat:
         vec = [CycNum._coerce(v) for v in vec]
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length mismatch")
-        return tuple(
-            sum((self.entries[i][j] * vec[j] for j in range(self.cols)), ZERO)
-            for i in range(self.rows)
-        )
+        return tuple(reduce(add, map(mul, row, vec)) for row in self.entries)
 
     def det(self) -> CycNum:
         if self.rows != self.cols:
@@ -281,10 +262,7 @@ class Subspace:
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.dim == other.dim
-            and all(
-                a == b for r1, r2 in zip(self.basis, other.basis) for a, b in zip(r1, r2)
-            )
+            and self.basis == other.basis
         )
 
     def __hash__(self):
@@ -322,9 +300,7 @@ class Subspace:
         vectors = []
         for coef in ker.basis:
             u = coef[: len(a)]
-            vec = [
-                sum((u[j] * a[j][i] for j in range(len(a))), ZERO) for i in range(n)
-            ]
+            vec = [reduce(add, (u[j] * a[j][i] for j in range(len(a)))) for i in range(n)]
             vectors.append(vec)
         return Subspace(n, vectors)
 
@@ -440,7 +416,7 @@ class Quadric:
         if len(u) != self.size or len(v) != self.size:
             raise DimensionMismatch("vector length mismatch")
         gv = self.gram.apply(v)
-        return sum((a * b for a, b in zip(u, gv)), ZERO)
+        return reduce(add, map(mul, u, gv))
 
     def restrict(self, s: Subspace) -> "Quadric | None":
         """Gram matrix of the form restricted to the basis of s.
@@ -464,8 +440,15 @@ class Quadric:
 
 
 def contragredient(m: Mat) -> Mat:
-    """Inverse transpose: the action on points dual to one on coordinates."""
-    return m.inverse().transpose()
+    """Inverse transpose: the action on points dual to one on coordinates.
+
+    The map is an involution, so the result keeps m: taking the
+    contragredient of a contragredient inverts nothing."""
+    c = getattr(m, "_contra", None)
+    if c is None:
+        c = m.inverse().transpose()
+        object.__setattr__(c, "_contra", m)
+    return c
 
 
 def kronecker(a: Mat, b: Mat) -> Mat:

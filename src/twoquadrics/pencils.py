@@ -185,15 +185,12 @@ def membership(pencil: Pencil, v) -> bool:
 
 def _check_symmetries(pencil: Pencil, group: MatrixGroup):
     """Each generator acts on points; its contragredient must be a pencil
-    symmetry.  Returns the list of PencilSymmetry objects."""
-    syms = []
+    symmetry (NotASymmetry otherwise)."""
     for label, a in group.generators:
-        h = contragredient(a)
         try:
-            syms.append((label, equivariance(pencil, h)))
+            equivariance(pencil, contragredient(a))
         except NotASymmetry as exc:
             raise NotASymmetry(f"generator {label!r}: {exc}") from exc
-    return syms
 
 
 def _restricted_binary_quadric(q: Quadric, plane: Subspace) -> BinaryForm:

@@ -99,69 +99,35 @@ def smith_normal_form(a: IntMatrix):
     each invariant factor dividing the next.  Diagonal entries are
     nonnegative."""
     m, n = a.rows, a.cols
-    d = [list(r) for r in a.entries]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, f):
-        d[dst] = [x + f * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x + f * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, f):
-        for row in d:
-            row[dst] += f * row[src]
-        for row in v:
-            row[dst] += f * row[src]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-
+    r = _Reduction(a)
+    d = r.d
     t = 0
     while t < min(m, n):
-        # find pivot of minimal absolute value in the remaining block
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = abs(d[i][j])
-                if x and (best is None or x < best):
-                    best = x
-                    pivot = (i, j)
+        pivot = r.min_pivot(t)
         if pivot is None:
             break
         pi, pj = pivot
-        swap_rows(t, pi)
-        swap_cols(t, pj)
+        r.swap_rows(t, pi)
+        r.swap_cols(t, pj)
         dirty = True
         while dirty:
             dirty = False
             for i in range(t + 1, m):
                 if d[i][t]:
                     q = d[i][t] // d[t][t]
-                    add_row(t, i, -q)
+                    r.add_row(t, i, -q)
                     if d[i][t]:
-                        swap_rows(t, i)
+                        r.swap_rows(t, i)
                         dirty = True
             for j in range(t + 1, n):
                 if d[t][j]:
                     q = d[t][j] // d[t][t]
-                    add_col(t, j, -q)
+                    r.add_col(t, j, -q)
                     if d[t][j]:
-                        swap_cols(t, j)
+                        r.swap_cols(t, j)
                         dirty = True
         if d[t][t] < 0:
-            negate_row(t)
+            r.negate_row(t)
         t += 1
 
     # enforce divisibility chain
@@ -172,65 +138,80 @@ def smith_normal_form(a: IntMatrix):
             a_, b_ = d[i][i], d[i + 1][i + 1]
             if b_ % (a_ if a_ else 1) != 0 or (a_ == 0 and b_ != 0):
                 # fold entry (i+1, i+1) into the block and re-reduce
-                add_col(i + 1, i, 1)
-                _rediagonalize(d, u, v, i)
+                r.add_col(i + 1, i, 1)
+                _rediagonalize(r, i)
                 changed = True
     for i in range(min(m, n)):
         if d[i][i] < 0:
-            negate_row(i)
-    return IntMatrix(d), IntMatrix(u), IntMatrix(v)
+            r.negate_row(i)
+    return IntMatrix(d), IntMatrix(r.u), IntMatrix(r.v)
 
 
-def _rediagonalize(d, u, v, t):
+class _Reduction:
+    """Working copy d of a matrix A with unimodular u, v, kept so that
+    u * A * v = d after every row and column operation."""
+
+    def __init__(self, a: IntMatrix):
+        self.d = [list(r) for r in a.entries]
+        self.u = [list(r) for r in IntMatrix.identity(a.rows).entries]
+        self.v = [list(r) for r in IntMatrix.identity(a.cols).entries]
+
+    def swap_rows(self, i, j):
+        for w in (self.d, self.u):
+            w[i], w[j] = w[j], w[i]
+
+    def swap_cols(self, i, j):
+        for row in self.d + self.v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(self, src, dst, f):
+        for w in (self.d, self.u):
+            w[dst] = [x + f * y for x, y in zip(w[dst], w[src])]
+
+    def add_col(self, src, dst, f):
+        for row in self.d + self.v:
+            row[dst] += f * row[src]
+
+    def negate_row(self, i):
+        for w in (self.d, self.u):
+            w[i] = [-x for x in w[i]]
+
+    def min_pivot(self, t):
+        """Position of an entry of least nonzero absolute value in the block
+        from (t, t) down and right, or None when the block is zero."""
+        d = self.d
+        pivot = None
+        best = None
+        for i in range(t, len(d)):
+            for j in range(t, len(d[0])):
+                x = abs(d[i][j])
+                if x and (best is None or x < best):
+                    best = x
+                    pivot = (i, j)
+        return pivot
+
+
+def _rediagonalize(r: _Reduction, t):
     """Clear the 2x2 block starting at t after a column fold (helper for the
     divisibility pass)."""
+    d = r.d
     m, n = len(d), len(d[0])
-
-    def add_row(src, dst, f):
-        d[dst] = [x + f * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x + f * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, f):
-        for row in d:
-            row[dst] += f * row[src]
-        for row in v:
-            row[dst] += f * row[src]
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
     while True:
         if all(d[i][t] == 0 for i in range(t + 1, m)) and all(
             d[t][j] == 0 for j in range(t + 1, n)
         ):
             break
-        # minimal pivot into position t
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = abs(d[i][j])
-                if x and (best is None or x < best):
-                    best = x
-                    pivot = (i, j)
-        pi, pj = pivot
+        pi, pj = r.min_pivot(t)
         if pi != t:
-            swap_rows(t, pi)
+            r.swap_rows(t, pi)
         if pj != t:
-            swap_cols(t, pj)
+            r.swap_cols(t, pj)
         for i in range(t + 1, m):
             if d[i][t]:
-                add_row(t, i, -(d[i][t] // d[t][t]))
+                r.add_row(t, i, -(d[i][t] // d[t][t]))
         for j in range(t + 1, n):
             if d[t][j]:
-                add_col(t, j, -(d[t][j] // d[t][t]))
+                r.add_col(t, j, -(d[t][j] // d[t][t]))
 
 
 def invariant_factors(a: IntMatrix):

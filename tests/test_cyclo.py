@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from twoquadrics.cyclo import (
     cyclotomic_poly,
     euler_phi,
     imaginary_unit,
+    power_table,
     zeta,
 )
 from twoquadrics.errors import IncompatibleOrder
@@ -117,3 +120,100 @@ def test_sqrt_examples():
 def test_rational_detection():
     assert (zeta(3) + zeta(3, 2)).as_rational() == Fraction(-1)
     assert not zeta(8).is_rational()
+
+
+# -- the integer-vector representation against a Fraction-tuple reference ----
+
+
+def _ref_reduce(poly, n):
+    """Fraction coefficients of a polynomial modulo Phi_n, by long division."""
+    mod = cyclotomic_poly(n)
+    phi = len(mod) - 1
+    work = [Fraction(c) for c in poly] + [Fraction(0)] * phi
+    for k in range(len(work) - 1, phi - 1, -1):
+        c = work[k]
+        if c:
+            for j, m in enumerate(mod):
+                work[k - phi + j] -= c * m
+    return tuple(work[:phi])
+
+
+def _ref_embed(order, coeffs, n):
+    step = n // order
+    poly = [Fraction(0)] * ((len(coeffs) - 1) * step + 1)
+    for i, c in enumerate(coeffs):
+        poly[i * step] = c
+    return _ref_reduce(poly, n)
+
+
+def _ref_mul(a, b, n):
+    poly = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            poly[i + j] += x * y
+    return _ref_reduce(poly, n)
+
+
+def _assert_normal(x):
+    assert len(x.num) == euler_phi(x.order)
+    assert all(isinstance(c, int) for c in x.num)
+    assert x.den > 0 and gcd(x.den, *x.num) == 1
+
+
+def test_power_table_matches_long_division():
+    for n in range(1, 61):
+        table = power_table(n)
+        phi = euler_phi(n)
+        assert len(table) == max(n, 2 * phi - 1)
+        for k, row in enumerate(table):
+            dense = [0] * phi
+            for j, c in row:
+                dense[j] = c
+            assert tuple(dense) == _ref_reduce([0] * k + [1], n), (n, k)
+
+
+def test_embed_from_every_divisor():
+    # includes Q(zeta_5) -> Q(zeta_60): degree 3 * 12 = 36 > 2 * phi(60) - 2
+    rng = random.Random(5)
+    for n in range(1, 61):
+        for d in (d for d in range(1, n + 1) if n % d == 0):
+            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(euler_phi(d))]
+            x = CycNum(d, coeffs)
+            y = x.embed(n)
+            _assert_normal(y)
+            assert y.order == n and y.coeffs == _ref_embed(d, x.coeffs, n), (d, n)
+            assert y == x and hash(y) == hash(x)
+
+
+DIFF_ORDERS = [1, 2, 3, 4, 5, 8, 12, 15, 24]
+
+
+def _random_cycnum(rng):
+    order = rng.choice(DIFF_ORDERS)
+    coeffs = [
+        Fraction(rng.randint(-9, 9), rng.randint(1, 9)) if rng.random() < 0.7 else Fraction(0)
+        for _ in range(euler_phi(order))
+    ]
+    return CycNum(order, coeffs)
+
+
+def test_arithmetic_matches_fraction_reference():
+    rng = random.Random(11)
+    for _ in range(300):
+        a, b = _random_cycnum(rng), _random_cycnum(rng)
+        m = lcm(a.order, b.order)
+        ra, rb = _ref_embed(a.order, a.coeffs, m), _ref_embed(b.order, b.coeffs, m)
+        total, prod = a + b, a * b
+        for r in (a, b, total, prod, a - b, -a):
+            _assert_normal(r)
+        assert total.order == prod.order == m
+        assert total.coeffs == tuple(x + y for x, y in zip(ra, rb))
+        assert prod.coeffs == _ref_mul(ra, rb, m)
+        assert (a == b) == (ra == rb)
+        assert a == CycNum(m, ra) and hash(a) == hash(CycNum(m, ra))
+        assert hash(a) == hash(a.embed(a.order * 6))
+        if not a.is_zero():
+            inv = a.inverse()
+            _assert_normal(inv)
+            assert inv.order == a.order
+            assert _ref_mul(inv.coeffs, a.coeffs, a.order) == _ref_reduce([1], a.order)

@@ -153,6 +153,9 @@ def test_cli_exit_codes(capsys, tmp_path):
         (small, "$.generators[0].matrix"),
         (empty, "$.generators[0].matrix"),
         (named, "$.named.iota"),
+        (dict(full, checks=[]), "$.checks"),
+        (dict(full, generator=full["generators"]), "$.generator"),
+        (dict(full, generators=[dict(gamma, moebus=tau["moebius"]), tau]), "$.generators[0].moebus"),
     ]
     for k, (job, where) in enumerate(cases):
         path = tmp_path / f"job{k}.json"
@@ -188,3 +191,22 @@ def test_cli_lift(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["V"]["lift"] is not None and not out["V"]["obstructed"]
     assert out["W"]["lift"] is None and out["W"]["obstructed"]
+
+
+def test_python_m_runs_the_cli():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import twoquadrics
+
+    src = str(Path(twoquadrics.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "twoquadrics", "identities", "--g-max", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["section_count"][0]["equal"]

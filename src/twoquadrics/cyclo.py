@@ -7,8 +7,12 @@ are schoolbook int products whose terms of degree phi..2phi-2 fold back
 through a table of x^k mod Phi_N built on first use; the same table embeds
 Q(zeta_d) in Q(zeta_N) for d | N (Cohen, GTM 138, 4.2).  Each element keeps
 its own order: a rational (order 1) operand scales the other, and only
-operands of two different orders meet in the lcm field.  Values are
-immutable; all operations are pure.
+operands of two different orders meet in the lcm field.  Products and
+embeddings skip zero coefficients, and a matrix with zero entries costs only
+its nonzero terms (see matrices).  Descent to a subfield, behind canonical
+forms and hashing, is an int product with a cached left inverse of the
+embedding, checked exactly by embedding back.  Values are immutable; all
+operations are pure.
 """
 
 from __future__ import annotations
@@ -118,6 +122,23 @@ def _power(n, k):
     for j, c in power_table(n)[k % n]:
         out[j] = c
     return out
+
+
+@lru_cache(maxsize=None)
+def _descent_map(n, m):
+    """(coordinates, A, d) for m | n: A / d inverts the embedding of Q(zeta_m)
+    in Q(zeta_n) restricted to phi(m) independent coordinates of Q(zeta_n)."""
+    from .matrices import _rref  # matrices imports this module
+
+    phi = euler_phi(m)
+    # the rref of [E^T | I] is S^-T [E^T | I], S = E on the pivot coordinates
+    rows, coords = _rref([
+        [Fraction(x) for x in _power(n, j * (n // m))] + [int(i == j) for i in range(phi)]
+        for j in range(phi)
+    ])
+    inv = [[row[i - phi] for row in rows] for i in range(phi)]
+    d = lcm(*(x.denominator for row in inv for x in row))
+    return tuple(coords), tuple(tuple(int(x * d) for x in row) for row in inv), d
 
 
 def _make(order, num, den):
@@ -308,16 +329,15 @@ class CycNum:
         return best
 
     def _descend(self, m):
-        """Express the value in Q(zeta_m) (m | order) if possible."""
-        from .matrices import solve  # matrices imports this module
-
+        """Express the value in Q(zeta_m) (m | order) if possible: the
+        candidate from _descent_map is the value iff it embeds back to it."""
         n = self.order
-        # columns: embeddings of zeta_m^j into order n; solve for coefficients
-        cols = [[Fraction(c) for c in _power(n, j * (n // m))] for j in range(euler_phi(m))]
-        sol = solve(cols, self.coeffs)
-        if sol is None:
+        coords, inv, d = _descent_map(n, m)
+        picked = [self.num[i] for i in coords]
+        cand = [sum(a * x for a, x in zip(row, picked)) for row in inv]
+        if _map_num(n, cand, n // m) != [d * x for x in self.num]:
             return None
-        return CycNum(m, sol)
+        return _make(m, cand, d * self.den)
 
     def __eq__(self, other):
         try:
@@ -403,51 +423,36 @@ def cyc_sqrt(a, field_order: int | None = None) -> CycNum | None:
 
 def _sqrt_by_embeddings(a: CycNum) -> CycNum | None:
     m = a.order
-    units = [k for k in range(1, m) if gcd(k, m) == 1]
-    if m <= 2:
-        half = units
-        pairs = {}
-    else:
-        half = [k for k in units if k <= m // 2]
-        pairs = {k: m - k for k in half}
+    units = [k for k in range(1, m + 1) if gcd(k, m) == 1]
+    half = [k for k in units if 2 * k <= m] or units  # one k of each pair k, m - k
     with mpmath.workdps(60):
         omega = mpmath.exp(2j * mpmath.pi / m)
         phi = euler_phi(m)
         # embedding matrix: row per unit k, column per power j
         embaps = {k: [omega ** (j * k) for j in range(phi)] for k in units}
-        targets = {
-            k: mpmath.sqrt(sum(
-                mpmath.mpf(c.numerator) / c.denominator * embaps[k][j]
-                for j, c in enumerate(a.coeffs)
-            ))
-            for k in half
-        }
-        nfree = len(half) - 1
-        for mask in range(1 << max(nfree, 0)):
-            vals = {}
-            for idx, k in enumerate(half):
-                sgn = 1 if idx == 0 or not (mask >> (idx - 1)) & 1 else -1
-                vals[k] = sgn * targets[k]
-                if k in pairs and pairs[k] != k:
-                    vals[pairs[k]] = mpmath.conj(vals[k])
-            rows = [embaps[k] for k in units]
-            rhs = [vals[k] for k in units]
+        coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in a.coeffs]
+        targets = [mpmath.sqrt(sum(c * e for c, e in zip(coeffs, embaps[k]))) for k in half]
+        # the matrix does not depend on the signs: factor it once, with the
+        # 10 guard bits of mpmath.lu_solve
+        with mpmath.extraprec(10):
             try:
-                sol = mpmath.lu_solve(mpmath.matrix(rows), mpmath.matrix(rhs))
+                lu, perm = mpmath.mp.LU_decomp(mpmath.matrix([embaps[k] for k in units]))
             except ZeroDivisionError:
-                continue
-            coeffs = []
-            ok = True
+                return None
+        for mask in range(1 << (len(half) - 1)):  # the first sign stays +
+            vals = {k: -t if mask << 1 >> i & 1 else t for i, (k, t) in enumerate(zip(half, targets))}
+            with mpmath.extraprec(10):
+                rhs = mpmath.matrix([vals[k] if k in vals else mpmath.conj(vals[m - k]) for k in units])
+                sol = mpmath.mp.U_solve(lu, mpmath.mp.L_solve(lu, rhs, perm))
+            cand = []
             for j in range(phi):
                 x = sol[j]
                 if abs(mpmath.im(x)) > mpmath.mpf(10) ** -20:
-                    ok = False
                     break
                 scaled = int(mpmath.floor(mpmath.re(x) * 10**30 + mpmath.mpf("0.5")))
-                coeffs.append(Fraction(scaled, 10**30).limit_denominator(10**12))
-            if not ok:
-                continue
-            cand = CycNum(m, coeffs)
-            if cand * cand == a:
-                return cand
+                cand.append(Fraction(scaled, 10**30).limit_denominator(10**12))
+            else:
+                cand = CycNum(m, cand)
+                if cand * cand == a:
+                    return cand
     return None

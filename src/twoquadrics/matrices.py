@@ -1,14 +1,17 @@
-"""Dense exact linear algebra over cyclotomic fields.
+"""Exact linear algebra over cyclotomic fields.
 
 Matrices, canonical row-echelon subspaces, eigenspaces of finite-order
-operators, and quadratic forms.
+operators, and quadratic forms.  The kernels skip zeros: products sum only
+terms with two nonzero factors (an empty sum is ZERO, stored at order 1),
+and elimination updates only the pivot row's nonzero columns, since
+x - f*0 = x.  Values, equality and keys do not depend on a zero's order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import add, mul
+from operator import add
 
 from .cyclo import CycNum, ONE, ZERO, lcm, zeta
 from .errors import (
@@ -75,10 +78,8 @@ class Mat:
         if isinstance(other, Mat):
             if self.cols != other.rows:
                 raise DimensionMismatch("matrix product shape mismatch")
-            cols = list(zip(*other.entries))
-            return Mat(
-                [[reduce(add, map(mul, row, col)) for col in cols] for row in self.entries]
-            )
+            cols = [_times(self.entries, col) for col in zip(*other.entries)]
+            return Mat(list(zip(*cols)))
         c = CycNum._coerce(other)
         return Mat([[c * x for x in row] for row in self.entries])
 
@@ -125,7 +126,7 @@ class Mat:
         vec = [CycNum._coerce(v) for v in vec]
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length mismatch")
-        return tuple(reduce(add, map(mul, row, vec)) for row in self.entries)
+        return tuple(_times(self.entries, vec))
 
     def det(self) -> CycNum:
         if self.rows != self.cols:
@@ -164,14 +165,27 @@ class Mat:
         return c is not None and c.is_one()
 
 
+def _times(rows, vec):
+    """The products of the rows with a column vector.  The vector's nonzero
+    entries are listed once; each row sums only the terms where its entry is
+    nonzero too, and an empty sum is ZERO."""
+    nz = [(k, y) for k, y in enumerate(vec) if y]
+    out = []
+    for row in rows:
+        terms = [row[k] * y for k, y in nz if row[k]]
+        out.append(reduce(add, terms) if terms else ZERO)
+    return out
+
+
 def _echelon(rows):
     """Forward elimination in place, to row echelon form with unit pivots.
 
     Entries may come from any field whose elements are false exactly at zero
     and invert as ``1 / x`` (CycNum, Fraction).  The pivot is the first
-    nonzero entry at or below the current row.  Returns (pivot columns, d),
-    where d is the product of the pivots times the sign of the row swaps:
-    the determinant of a square matrix of full rank."""
+    nonzero entry at or below the current row; rows change in place.
+    Returns (pivot columns, d), where d is the product of the pivots times
+    the sign of the row swaps: the determinant of a square matrix of full
+    rank."""
     pivots = []
     det = 1
     r = 0
@@ -184,13 +198,13 @@ def _echelon(rows):
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
             det = -det
-        det = det * rows[r][c]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(r + 1, len(rows)):
-            f = rows[i][c]
-            if f:
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        piv = rows[r]
+        det = det * piv[c]
+        inv = 1 / piv[c]
+        for j in range(c, len(piv)):
+            if piv[j]:
+                piv[j] = piv[j] * inv
+        _clear_column(rows, r, c, range(r + 1, len(rows)))
         pivots.append(c)
         r += 1
     return pivots, det
@@ -202,11 +216,22 @@ def _rref(rows):
     The forward pass of _echelon, then elimination above each pivot."""
     pivots, _ = _echelon(rows)
     for r, c in enumerate(pivots):
-        for i in range(r):
-            f = rows[i][c]
-            if f:
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        _clear_column(rows, r, c, range(r))
     return rows, pivots
+
+
+def _clear_column(rows, r, c, targets):
+    """rows[i] -= rows[i][c] * rows[r] in place for i in targets, where
+    rows[r] has its pivot 1 at column c and zeros before it.  Only the pivot
+    row's nonzero columns change, since x - f*0 = x."""
+    piv = rows[r]
+    nz = [j for j in range(c, len(piv)) if piv[j]]
+    for i in targets:
+        row = rows[i]
+        f = row[c]
+        if f:
+            for j in nz:
+                row[j] = row[j] - f * piv[j]
 
 
 def solve(cols, target):
@@ -287,22 +312,9 @@ class Subspace:
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ambient_dim)
         # solve A^T u = B^T w: kernel of [A^T | -B^T]
-        n = self.ambient_dim
-        a, b = self.basis, other.basis
-        stacked = Mat(
-            [
-                [a[j][i] for j in range(len(a))]
-                + [-b[j][i] for j in range(len(b))]
-                for i in range(n)
-            ]
-        )
-        ker = kernel(stacked)
-        vectors = []
-        for coef in ker.basis:
-            u = coef[: len(a)]
-            vec = [reduce(add, (u[j] * a[j][i] for j in range(len(a)))) for i in range(n)]
-            vectors.append(vec)
-        return Subspace(n, vectors)
+        at, bt = list(zip(*self.basis)), list(zip(*other.basis))
+        ker = kernel(Mat([list(x) + [-y for y in w] for x, w in zip(at, bt)]))
+        return Subspace(self.ambient_dim, [_times(at, u[: self.dim]) for u in ker.basis])
 
     def image_under(self, m: Mat) -> "Subspace":
         return Subspace(m.rows, [m.apply(v) for v in self.basis])
@@ -416,7 +428,7 @@ class Quadric:
         if len(u) != self.size or len(v) != self.size:
             raise DimensionMismatch("vector length mismatch")
         gv = self.gram.apply(v)
-        return reduce(add, map(mul, u, gv))
+        return _times([u], gv)[0]
 
     def restrict(self, s: Subspace) -> "Quadric | None":
         """Gram matrix of the form restricted to the basis of s.

@@ -101,34 +101,13 @@ def smith_normal_form(a: IntMatrix):
     m, n = a.rows, a.cols
     r = _Reduction(a)
     d = r.d
-    t = 0
-    while t < min(m, n):
+    for t in range(min(m, n)):
         pivot = r.min_pivot(t)
         if pivot is None:
             break
-        pi, pj = pivot
-        r.swap_rows(t, pi)
-        r.swap_cols(t, pj)
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, m):
-                if d[i][t]:
-                    q = d[i][t] // d[t][t]
-                    r.add_row(t, i, -q)
-                    if d[i][t]:
-                        r.swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, n):
-                if d[t][j]:
-                    q = d[t][j] // d[t][t]
-                    r.add_col(t, j, -q)
-                    if d[t][j]:
-                        r.swap_cols(t, j)
-                        dirty = True
-        if d[t][t] < 0:
-            r.negate_row(t)
-        t += 1
+        r.swap_rows(t, pivot[0])
+        r.swap_cols(t, pivot[1])
+        _clear(r, t)
 
     # enforce divisibility chain
     changed = True
@@ -136,10 +115,10 @@ def smith_normal_form(a: IntMatrix):
         changed = False
         for i in range(min(m, n) - 1):
             a_, b_ = d[i][i], d[i + 1][i + 1]
-            if b_ % (a_ if a_ else 1) != 0 or (a_ == 0 and b_ != 0):
-                # fold entry (i+1, i+1) into the block and re-reduce
+            if b_ % a_ if a_ else b_:
+                # fold entry (i+1, i+1) into column i and clear again
                 r.add_col(i + 1, i, 1)
-                _rediagonalize(r, i)
+                _clear(r, i)
                 changed = True
     for i in range(min(m, n)):
         if d[i][i] < 0:
@@ -191,27 +170,28 @@ class _Reduction:
         return pivot
 
 
-def _rediagonalize(r: _Reduction, t):
-    """Clear the 2x2 block starting at t after a column fold (helper for the
-    divisibility pass)."""
+def _clear(r: _Reduction, t):
+    """Make row t and column t zero off the diagonal.  Each sweep moves an
+    entry of least nonzero absolute value in row t or column t to (t, t) and
+    reduces the rest of that row and column by it; the remainders are smaller
+    than the pivot, so the pivot shrinks until they all vanish."""
     d = r.d
     m, n = len(d), len(d[0])
     while True:
-        if all(d[i][t] == 0 for i in range(t + 1, m)) and all(
-            d[t][j] == 0 for j in range(t + 1, n)
-        ):
-            break
-        pi, pj = r.min_pivot(t)
-        if pi != t:
-            r.swap_rows(t, pi)
-        if pj != t:
-            r.swap_cols(t, pj)
+        line = [(abs(d[i][t]), i, t) for i in range(t, m) if d[i][t]]
+        line += [(abs(d[t][j]), t, j) for j in range(t + 1, n) if d[t][j]]
+        _, pi, pj = min(line)
+        r.swap_rows(t, pi)
+        r.swap_cols(t, pj)
+        p = d[t][t]
         for i in range(t + 1, m):
             if d[i][t]:
-                r.add_row(t, i, -(d[i][t] // d[t][t]))
+                r.add_row(t, i, -(d[i][t] // p))
         for j in range(t + 1, n):
             if d[t][j]:
-                r.add_col(t, j, -(d[t][j] // d[t][t]))
+                r.add_col(t, j, -(d[t][j] // p))
+        if not any(d[i][t] for i in range(t + 1, m)) and not any(d[t][j] for j in range(t + 1, n)):
+            return
 
 
 def invariant_factors(a: IntMatrix):

@@ -17,6 +17,7 @@ from twoquadrics.cyclo import (
     zeta,
 )
 from twoquadrics.errors import IncompatibleOrder
+from twoquadrics.matrices import solve
 
 
 ORDERS = [1, 2, 3, 4, 6, 8, 12]
@@ -107,6 +108,10 @@ def test_sqrt_of_square(a):
 
 def test_sqrt_failures():
     assert cyc_sqrt(ONE + imaginary_unit()) is None
+    # inside Q itself (field order 1) a non-square has no root
+    assert cyc_sqrt(CycNum.from_rational(2), 1) is None
+    assert cyc_sqrt(CycNum.from_rational(-4), 1) is None
+    assert cyc_sqrt(CycNum.from_rational(4), 1) == 2
 
 
 def test_sqrt_examples():
@@ -183,6 +188,36 @@ def test_embed_from_every_divisor():
             _assert_normal(y)
             assert y.order == n and y.coeffs == _ref_embed(d, x.coeffs, n), (d, n)
             assert y == x and hash(y) == hash(x)
+
+
+def _ref_canonical(x):
+    """(m, coefficients) for the least m | order with x in Q(zeta_m), by a
+    Fraction solve against the embedded power basis of each divisor."""
+    n = x.order
+    for m in (m for m in range(1, n + 1) if n % m == 0):
+        basis = [_ref_embed(m, [Fraction(int(i == j)) for i in range(euler_phi(m))], n) for j in range(euler_phi(m))]
+        sol = solve(basis, x.coeffs)
+        if sol is not None:
+            return m, sol
+
+
+def test_canonical_matches_fraction_solve():
+    rng = random.Random(17)
+    for n in range(1, 61):
+        for d in (d for d in range(1, n + 1) if n % d == 0):
+            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) if rng.random() < 0.7 else 0 for _ in range(euler_phi(d))]
+            x = CycNum(d, coeffs).embed(n)
+            c = x.canonical()
+            assert (c.order, c.coeffs) == _ref_canonical(x), (d, n)
+            assert hash(x) == hash(c) == hash(CycNum(d, coeffs))
+
+
+def test_element_of_no_proper_subfield_keeps_its_order():
+    rng = random.Random(19)
+    for n in (n for n in range(3, 61) if n % 4 != 2):  # Q(zeta_2k) = Q(zeta_k) for odd k
+        x = zeta(n) + Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        assert x.canonical().order == n and x.key()[0] == n
+        assert hash(x) == hash(x.embed(2 * n))
 
 
 DIFF_ORDERS = [1, 2, 3, 4, 5, 8, 12, 15, 24]

@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from twoquadrics.cyclo import CycNum, ZERO
+from twoquadrics.cyclo import CycNum, ONE, ZERO, zeta
 from twoquadrics.errors import Singular
-from twoquadrics.matrices import Mat, Quadric, kernel, solve
+from twoquadrics.matrices import Mat, Quadric, Subspace, kernel, solve
 from twoquadrics.pencils import Pencil, degeneracy_form
 
 
@@ -97,6 +97,104 @@ def test_canonical_descends_from_order_24(small):
         c = CycNum(24, x.embed(24).coeffs).canonical()
         assert c.coeffs == x.canonical().coeffs
         assert c.order == (small if x.coeffs[1] else 1)
+
+
+# -- zero skipping: sparse matrices, zeros stored at different orders ------
+
+_ZEROS = (ZERO, CycNum(8, [0] * 4), CycNum(24, [0] * 8), 0)
+
+
+def _sparse_entry(rng):
+    """About 80% zeros (stored at orders 1, 8 and 24); otherwise +-1, a
+    small rational or a power of zeta8 or zeta24."""
+    if rng.random() < 0.8:
+        return rng.choice(_ZEROS)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.choice((1, -1))
+    if kind == 1:
+        return _rational(rng)
+    if kind == 2:
+        return zeta(8, rng.randrange(8))
+    return _rational(rng) * zeta(24, rng.randrange(24))
+
+
+def _sparse_matrix(rng, n=6):
+    rows = [[_sparse_entry(rng) for _ in range(n)] for _ in range(n)]
+    if rng.random() < 0.5:  # a scaled permutation on top: mostly invertible
+        perm = list(range(n))
+        rng.shuffle(perm)
+        for i, j in enumerate(perm):
+            rows[i][j] = rng.choice((1, -1, 2, zeta(8), zeta(24, 5)))
+    return Mat(rows)
+
+
+def _dense_product(a, b):
+    return Mat([[sum((x * y for x, y in zip(row, col)), ZERO) for col in zip(*b.entries)] for row in a.entries])
+
+
+def _dense_apply(a, vec):
+    return [sum((x * CycNum._coerce(y) for x, y in zip(row, vec)), ZERO) for row in a.entries]
+
+
+def _laplace_det(rows):
+    """Cofactor expansion along the first row, over its nonzero entries."""
+    if not rows:
+        return ONE
+    return sum(
+        ((-1) ** j * x * _laplace_det([r[:j] + r[j + 1:] for r in rows[1:]]) for j, x in enumerate(rows[0]) if x),
+        ZERO,
+    )
+
+
+def test_sparse_product_and_apply_match_dense_sums():
+    rng = random.Random(41)
+    for _ in range(40):
+        a, b = _sparse_matrix(rng), _sparse_matrix(rng)
+        assert a * b == _dense_product(a, b)
+        vec = [_sparse_entry(rng) for _ in range(6)]
+        assert list(a.apply(vec)) == _dense_apply(a, vec)
+        q = Quadric(a + a.transpose())
+        w = [_sparse_entry(rng) for _ in range(6)]
+        assert q.polar(vec, w) == sum((x * CycNum._coerce(y) for x, y in zip(vec, _dense_apply(q.gram, w))), ZERO)
+
+
+def test_sparse_det_inverse_rank_kernel_identities():
+    rng = random.Random(42)
+    invertible = singular = 0
+    for _ in range(30):
+        a = _sparse_matrix(rng)
+        det = a.det()
+        assert det == _laplace_det([list(r) for r in a.entries])
+        assert a.rank() == a.transpose().rank()
+        k = kernel(a)
+        assert k.dim == 6 - a.rank()
+        for v in k.basis:
+            assert all(x.is_zero() for x in a.apply(v))
+        if det:
+            invertible += 1
+            assert a.rank() == 6
+            assert (a * a.inverse()).is_identity() and (a.inverse() * a).is_identity()
+        else:
+            singular += 1
+            with pytest.raises(Singular):
+                a.inverse()
+    assert invertible and singular
+
+
+def test_zero_storage_order_is_invisible():
+    z8 = CycNum(8, [0] * 4)
+    a, b = Mat([[ZERO, 1], [2, ZERO]]), Mat([[z8, 1], [2, z8]])
+    assert a == b and a.key() == b.key() and hash(a) == hash(b)
+    # an all-zero product is stored at order 1, the same matrix at order 8
+    zero = Mat([[zeta(8), 0], [0, 0]]) * Mat([[0, 0], [0, 1]])
+    for z in (Mat([[z8, z8], [z8, z8]]), Mat([[0, 0], [0, 0]])):
+        assert zero == z and zero.key() == z.key() and hash(zero) == hash(z)
+    # rows whose zeros are stored at orders 1, 8 and 24 span the same spaces
+    vecs = [[ZERO, z8, zeta(8), 1], [CycNum(24, [0] * 8), 1, ZERO, z8]]
+    same = [[z8, z8, zeta(8), ONE], [z8, ONE, z8, z8]]
+    assert Subspace(4, vecs) == Subspace(4, same)
+    assert hash(Subspace(4, vecs)) == hash(Subspace(4, same))
 
 
 def _sympy_matrix(sympy, m):

@@ -84,3 +84,36 @@ def test_matrix_algebra():
     assert a**0 == ident
     assert a**2 == a * a
     assert a.transpose().transpose() == a
+
+
+def test_snf_without_entry_growth():
+    """A 6x6 matrix on which reducing the whole pivot column before its row
+    once let entries grow to hundreds of thousands of bits."""
+    from time import perf_counter
+
+    from twoquadrics.matrices import Mat
+
+    a = IntMatrix(
+        [
+            [-42, 0, 17, 0, 0, 32],
+            [-16, 46, 8, -50, 0, 34],
+            [0, -31, -17, 28, -39, -40],
+            [6, 33, -25, 12, 14, 23],
+            [-48, -16, 14, -23, 34, 20],
+            [0, 0, -37, 4, 16, 30],
+        ]
+    )
+    start = perf_counter()
+    d, u, v = smith_normal_form(a)
+    assert perf_counter() - start < 1.0
+    assert u * a * v == d
+    assert abs(Mat(u.entries).det().as_rational()) == 1
+    assert abs(Mat(v.entries).det().as_rational()) == 1
+    diag = [d.entries[i][i] for i in range(6)]
+    assert all(x > 0 for x in diag)
+    assert all(diag[i + 1] % diag[i] == 0 for i in range(5))
+    prod = 1
+    for x in diag:
+        prod *= x
+    assert prod == abs(Mat(a.entries).det().as_rational())
+    assert all(d.entries[i][j] == 0 for i in range(6) for j in range(6) if i != j)

@@ -222,7 +222,7 @@ def bform_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     return BinaryForm(deg, coeffs)
 
 
-def quadratic_roots(a, b, c, field_order=None):
+def quadratic_roots(a, b, c):
     """Projective roots of a u^2 + b uv + c v^2 as (u, v) pairs.
 
     Returns ('all', None) when the form vanishes identically, otherwise
@@ -244,8 +244,7 @@ def quadratic_roots(a, b, c, field_order=None):
             roots.append((c, -b))
         return ("points", roots)
     disc = b * b - 4 * a * c
-    if field_order is None:
-        field_order = lcm(lcm(a.order, lcm(b.order, c.order)), 24)
+    field_order = lcm(a.order, b.order, c.order, 24)
     s = cyc_sqrt(disc, field_order)
     if s is None:
         raise UnsupportedCase(

@@ -13,13 +13,10 @@ import sys
 from importlib import resources
 
 from .binforms import bform_root_action
-from .cyclo import CycNum
 from .dp4 import (
-    SignedPerm,
     conjugate_in_WD5,
     invariant_lines,
     lattice_h1,
-    line_permutation,
     orbits,
     pic_action,
 )
@@ -37,12 +34,11 @@ from .groups import (
 )
 from .jsonio import (
     cycnum_to_json,
-    mat_from_json,
+    dp4_input_from_json,
+    lift_input_from_json,
     parse_job,
-    relation_from_json,
-    signedperm_from_json,
 )
-from .matrices import Mat, contragredient
+from .matrices import contragredient
 from .pencils import (
     branch_permutation,
     canonical_signs,
@@ -51,7 +47,6 @@ from .pencils import (
     invariant_lines_abelian,
     is_smooth,
 )
-from .smith import IntMatrix
 from .torsion import fixed_classes
 
 
@@ -95,44 +90,32 @@ def _point_group(job, max_closure):
     generators."""
     if job.group is None:
         return None
-    gens = [(lab, contragredient(m)) for lab, m in job.group.generators]
-    named = {k: contragredient(m) for k, m in job.group.named.items()}
-    g = MatrixGroup(gens, named=named)
+    g = MatrixGroup([(lab, contragredient(m)) for lab, m in job.group.generators])
     closure(g, max_closure)
     return g
 
 
-def _sign_vector(m: Mat):
-    """Canonical +-1 sign vector of a diagonal sign matrix up to scalar,
-    or None."""
-    n = m.rows
-    for i in range(n):
-        for j in range(n):
-            if i != j and not m.entries[i][j].is_zero():
-                return None
-    lead = m.entries[0][0]
-    if lead.is_zero():
-        return None
-    inv = lead.inverse()
-    signs = []
-    for i in range(n):
-        x = m.entries[i][i] * inv
-        if x.is_one():
-            signs.append(1)
-        elif (-x).is_one():
-            signs.append(-1)
-        else:
-            return None
-    return tuple(signs)
-
-
 def _sign_elements(pg, g):
     """(word, sign vector, canonical minus-count) for each element of the
-    point group that is a nonscalar diagonal sign matrix up to scalar."""
+    point group that is a nonscalar diagonal sign matrix up to scalar; the
+    sign vector is the diagonal divided by its first entry."""
     for m, word in pg.element_words:
-        signs = _sign_vector(m)
-        if signs is not None and len(set(signs)) > 1:
-            yield word, signs, canonical_signs(signs, g)[1]
+        lead = m.entries[0][0]
+        if not m.is_diagonal() or lead.is_zero():
+            continue
+        inv = lead.inverse()
+        signs = []
+        for i in range(m.rows):
+            x = m.entries[i][i] * inv
+            if x.is_one():
+                signs.append(1)
+            elif (-x).is_one():
+                signs.append(-1)
+            else:
+                break
+        else:
+            if len(set(signs)) > 1:
+                yield word, tuple(signs), canonical_signs(signs, g)[1]
 
 
 def _symmetries(job):
@@ -155,6 +138,10 @@ def _branch_perms(job, syms):
     return perms
 
 
+def _verdict(status, evidence, soundness):
+    return {"status": status, "evidence": evidence, "soundness_conditions": soundness}
+
+
 def run_report(job, max_closure=10000):
     """The verdict pipeline; returns a dict with status, evidence, and
     soundness conditions."""
@@ -166,35 +153,21 @@ def run_report(job, max_closure=10000):
     smooth = is_smooth(pencil)
     evidence.append({"stage": 1, "smooth": smooth})
     if not smooth:
-        return {
-            "status": "INCONCLUSIVE",
-            "evidence": evidence,
-            "soundness_conditions": ["pencil is not smooth; theory not applicable"],
-        }
+        return _verdict(
+            "INCONCLUSIVE", evidence, ["pencil is not smooth; theory not applicable"]
+        )
 
     # stage 2: equivariance and branch permutations
-    stage2 = []
     syms = _symmetries(job)
-    for lab, sym in syms.items():
-        (a, b), (c, d) = sym.action2x2
-        stage2.append(
-            {
-                "label": lab,
-                "action2x2": [[repr(a), repr(b)], [repr(c), repr(d)]],
-            }
-        )
+    stage2 = {
+        lab: {"label": lab, "action2x2": [[repr(x) for x in row] for row in sym.action2x2]}
+        for lab, sym in syms.items()
+    }
     perms = _branch_perms(job, syms)
     for lab, p in perms.items():
-        for entry in stage2:
-            if entry["label"] == lab:
-                entry["branch_permutation"] = _perm_cycles(p)
-                break
-        else:
-            stage2.append(
-                {"label": lab, "moebius_only": True,
-                 "branch_permutation": _perm_cycles(p)}
-            )
-    evidence.append({"stage": 2, "generators": stage2})
+        entry = stage2.setdefault(lab, {"label": lab, "moebius_only": True})
+        entry["branch_permutation"] = _perm_cycles(p)
+    evidence.append({"stage": 2, "generators": list(stage2.values())})
     if job.moebius_generators:
         soundness.append(
             "generators given only by their pencil-parameter action cannot "
@@ -203,11 +176,7 @@ def run_report(job, max_closure=10000):
 
     if pencil.g != 2:
         evidence.append({"stage": 3, "skipped": "full verdict chain needs g = 2"})
-        return {
-            "status": "INCONCLUSIVE",
-            "evidence": evidence,
-            "soundness_conditions": soundness,
-        }
+        return _verdict("INCONCLUSIVE", evidence, soundness)
 
     pg = _point_group(job, max_closure)
 
@@ -225,13 +194,10 @@ def run_report(job, max_closure=10000):
             if not rep.complete:
                 continue
             search_complete = True
-            kept = []
-            for line in rep.lines:
-                if all(
-                    line.plane.image_under(b) == line.plane
-                    for _, b in pg.generators
-                ):
-                    kept.append(line)
+            kept = [
+                line for line in rep.lines
+                if all(line.plane.image_under(b) == line.plane for _, b in pg.generators)
+            ]
             evidence.append(
                 {
                     "stage": 3,
@@ -252,11 +218,7 @@ def run_report(job, max_closure=10000):
                 "linearizability via the invariant-line criterion for "
                 "threefold intersections of two quadrics"
             )
-            return {
-                "status": "LINEARIZABLE_CERTIFIED",
-                "evidence": evidence,
-                "soundness_conditions": soundness,
-            }
+            return _verdict("LINEARIZABLE_CERTIFIED", evidence, soundness)
         if search_complete and certified_lines and job.moebius_generators:
             soundness.append(
                 "invariant lines found for the matrix generators only; "
@@ -269,15 +231,10 @@ def run_report(job, max_closure=10000):
             {"stage": 3, "incomplete": "no cyclic subgroup bounded the search"}
         )
 
-    # stage 4: free two-torsion translations (diagonal sign elements, k = 2)
-    diag_ok = all(
-        pencil.q1.gram.entries[i][j].is_zero()
-        and pencil.q2.gram.entries[i][j].is_zero()
-        for i in range(pencil.size)
-        for j in range(pencil.size)
-        if i != j
-    )
-    if not diag_ok:
+    # stage 4: free two-torsion translations (diagonal sign elements, k = 2);
+    # the same scan records the first odd-k element, the iota-lift of stage 5
+    iota_lift = None
+    if not (pencil.q1.gram.is_diagonal() and pencil.q2.gram.is_diagonal()):
         evidence.append({"stage": 4, "skipped": "pencil not diagonal"})
     elif pg is not None:
         for word, signs, k in _sign_elements(pg, pencil.g):
@@ -294,25 +251,17 @@ def run_report(job, max_closure=10000):
                     "sign-change elements of translation type act freely on "
                     "the variety of lines"
                 )
-                return {
-                    "status": "OBSTRUCTED",
-                    "evidence": evidence,
-                    "soundness_conditions": soundness,
-                }
+                return _verdict("OBSTRUCTED", evidence, soundness)
+            if k % 2 and iota_lift is None:
+                iota_lift = word
 
     # stage 5: theta obstruction (needs an iota-lift among the elements)
-    iota_lift = None
-    if diag_ok and pg is not None:
-        iota_lift = next(
-            ((word, signs) for word, signs, k in _sign_elements(pg, pencil.g) if k % 2),
-            None,
-        )
     if iota_lift is not None and job.branch is not None and perms:
         fixed = fixed_classes(list(perms.values()), "odd", pencil.g)
         evidence.append(
             {
                 "stage": 5,
-                "iota_lift_word": list(iota_lift[0]) or ["identity"],
+                "iota_lift_word": list(iota_lift) or ["identity"],
                 "branch_permutations": {
                     lab: _perm_cycles(p) for lab, p in perms.items()
                 },
@@ -325,21 +274,12 @@ def run_report(job, max_closure=10000):
             "among the 16 two-torsion classes"
         )
         if not fixed:
-            return {
-                "status": "OBSTRUCTED",
-                "evidence": evidence,
-                "soundness_conditions": soundness,
-            }
+            return _verdict("OBSTRUCTED", evidence, soundness)
     elif iota_lift is None:
         evidence.append({"stage": 5, "skipped": "no iota-lift found"})
     else:
         evidence.append({"stage": 5, "skipped": "no branch data"})
-
-    return {
-        "status": "INCONCLUSIVE",
-        "evidence": evidence,
-        "soundness_conditions": soundness,
-    }
+    return _verdict("INCONCLUSIVE", evidence, soundness)
 
 
 def emit(verdict, fmt="human"):
@@ -379,11 +319,16 @@ def _cmd_branch(args):
     return 0
 
 
-def _cmd_fixed_points(args):
+def _job_and_point_group(args):
     job = parse_job(_read_input(args))
     pg = _point_group(job, args.max_closure)
     if pg is None:
         raise SchemaError("no matrix generators")
+    return job, pg
+
+
+def _cmd_fixed_points(args):
+    job, pg = _job_and_point_group(args)
     fx = fixed_points_on_X(job.pencil, pg)
     out = {
         "points": [[repr(x) for x in p] for p in fx.points],
@@ -399,10 +344,7 @@ def _cmd_fixed_points(args):
 
 
 def _cmd_invariant_lines(args):
-    job = parse_job(_read_input(args))
-    pg = _point_group(job, args.max_closure)
-    if pg is None:
-        raise SchemaError("no matrix generators")
+    job, pg = _job_and_point_group(args)
     rep = invariant_lines_abelian(job.pencil, pg)
     out = {
         "lines": [
@@ -431,12 +373,9 @@ def _cmd_theta(args):
 
 
 def _cmd_dp4(args):
-    obj = json.loads(_read_input(args))
+    elements, pairs, regressions = dp4_input_from_json(_read_input(args))
     out = {}
-    elements = {}
-    for name, sp in obj.get("elements", {}).items():
-        s = signedperm_from_json(sp, f"$.elements.{name}")
-        elements[name] = s
+    for name, s in elements.items():
         a = pic_action(s)
         out[name] = {
             "order": s.order(),
@@ -446,7 +385,7 @@ def _cmd_dp4(args):
             "orbit_sizes": sorted(len(o) for o in orbits([s])),
             "lattice_h1": list(lattice_h1(a, s.order())),
         }
-    for pair in obj.get("conjugacy", []):
+    for pair in pairs:
         a, b = elements[pair[0]], elements[pair[1]]
         ok, wit = conjugate_in_WD5(a, b)
         out.setdefault("conjugacy", []).append(
@@ -458,15 +397,12 @@ def _cmd_dp4(args):
                 else None,
             }
         )
-    for name, mat in obj.get("regressions", {}).items():
-        m = IntMatrix(mat["matrix"])
-        power = m ** mat.get("power", 4)
+    for name, (m, k, expected) in regressions.items():
+        power = m ** k
+        diagonal = [power.entries[i][i] for i in range(power.rows)]
         out.setdefault("regressions", {})[name] = {
-            "power_diagonal": [power.entries[i][i] for i in range(power.rows)],
-            "matches_expected": [
-                power.entries[i][i] for i in range(power.rows)
-            ]
-            == mat.get("expected_diagonal"),
+            "power_diagonal": diagonal,
+            "matches_expected": diagonal == expected,
         }
     print(json.dumps(out, indent=2))
     return 0
@@ -495,20 +431,9 @@ def _cmd_identities(args):
 
 
 def _cmd_lift(args):
-    obj = json.loads(_read_input(args))
-    rels_json = obj.get("relations", [])
+    rels, groups = lift_input_from_json(_read_input(args))
     out = {}
-    for name, repdata in obj.get("representations", {}).items():
-        gens = [
-            (g["label"], mat_from_json(g["matrix"], f"$.{name}.generators"))
-            for g in repdata["generators"]
-        ]
-        named = {
-            k: mat_from_json(m, f"$.{name}.named.{k}")
-            for k, m in repdata.get("named", {}).items()
-        }
-        group = MatrixGroup(gens, named=named)
-        rels = [relation_from_json(r, "$.relations") for r in rels_json]
+    for name, group in groups.items():
         closure(group, args.max_closure)
         reports = verify_relations(group, rels, mode="up_to_scalar")
         res = scalar_lift_search(group, rels, args.scalar_order)

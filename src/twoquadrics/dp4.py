@@ -15,7 +15,6 @@ from .smith import (
     IntMatrix,
     integer_kernel_basis,
     invariant_factors,
-    smith_normal_form,
     solve_in_lattice_basis,
 )
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .cyclo import CycNum, ONE, zeta
+from .cyclo import CycNum, zeta
 from .errors import (
     CapExceeded,
     ClosureMissing,
@@ -178,26 +178,12 @@ def verify_relations(group: MatrixGroup, relations, mode: str = "exact"):
     return reports
 
 
-@dataclass(frozen=True)
-class FixedLocus:
-    """Union of projective linear subspaces, given by maximal components."""
+def character_spaces(group: MatrixGroup, cap: int = 360):
+    """Joint eigenspaces of the generators as (subspace, character) pairs,
+    the character holding one eigenvalue per generator.
 
-    components: tuple  # of Subspace
-    characters: tuple  # matching tuple of eigenvalue tuples, one per generator
-
-    def is_empty(self):
-        return not self.components
-
-    def dims(self):
-        return tuple(s.dim - 1 for s in self.components)  # projective dims
-
-
-def projective_fixed_locus(group: MatrixGroup, cap: int = 360) -> FixedLocus:
-    """Points of P^{n-1} fixed by every generator.
-
-    Iterates generators, refining a list of (subspace, character) pairs by
-    intersecting with each eigenspace of the next generator.
-    """
+    Iterates generators, refining the list by intersecting each subspace
+    with each eigenspace of the next generator."""
     current = [(Subspace.full(group.dimension), ())]
     for _, g in group.generators:
         eig = eigenspaces_finite_order(g, cap)
@@ -208,22 +194,36 @@ def projective_fixed_locus(group: MatrixGroup, cap: int = 360) -> FixedLocus:
                 if meet.dim:
                     refined.append((meet, char + (lam,)))
         current = refined
+    return current
+
+
+@dataclass(frozen=True)
+class FixedLocus:
+    """Union of projective linear subspaces, given by maximal components."""
+
+    components: tuple  # of Subspace
+
+    def is_empty(self):
+        return not self.components
+
+    def dims(self):
+        return tuple(s.dim - 1 for s in self.components)  # projective dims
+
+
+def projective_fixed_locus(group: MatrixGroup, cap: int = 360) -> FixedLocus:
+    """Points of P^{n-1} fixed by every generator: the maximal joint
+    eigenspaces."""
+    spaces = [s for s, _ in character_spaces(group, cap)]
     # drop components contained in others (distinct characters can still nest
     # when an earlier scalar ambiguity splits one space)
     maximal = []
-    for i, (s, ch) in enumerate(current):
-        if any(
-            j != i and other.contains_subspace(s) and other.dim > s.dim
-            for j, (other, _) in enumerate(current)
-        ):
+    for s in spaces:
+        if any(other.dim > s.dim and other.contains_subspace(s) for other in spaces):
             continue
-        if any(s == t for t, _ in maximal):
-            continue
-        maximal.append((s, ch))
-    maximal.sort(key=lambda pair: (-pair[0].dim, [[x.key() for x in v] for v in pair[0].basis]))
-    return FixedLocus(
-        tuple(s for s, _ in maximal), tuple(ch for _, ch in maximal)
-    )
+        if s not in maximal:
+            maximal.append(s)
+    maximal.sort(key=lambda s: (-s.dim, [[x.key() for x in v] for v in s.basis]))
+    return FixedLocus(tuple(maximal))
 
 
 def scalar_lift_search(group: MatrixGroup, relations, scalar_order_bound: int):

@@ -7,6 +7,11 @@ Generators: {"label": str, "matrix": Mat} or {"label": str,
 "moebius": 2x2 entries} for symmetries known only on the pencil parameter.
 Relations: {"word": [["sigma", 6]], "target": "identity" | "scalar" |
 {"central": "iota"}}.
+dp4 input: {"elements": {name: {"perm": [...], "signs": [...]}},
+"conjugacy": [[name, name]], "regressions": {name: {"matrix": int rows,
+"power": k, "expected_diagonal": [...]}}}.
+lift input: {"relations": [Relation], "representations": {name:
+{"generators": [{"label": str, "matrix": Mat}], "named": {name: Mat}}}}.
 """
 
 from __future__ import annotations
@@ -16,10 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclo import CycNum, euler_phi
+from .dp4 import SignedPerm
 from .errors import DimensionMismatch, SchemaError
 from .groups import MatrixGroup, Relation
 from .matrices import Mat, Quadric
 from .pencils import BranchConfig, Pencil
+from .smith import IntMatrix
 
 
 def _expect(cond, message, path):
@@ -190,32 +197,25 @@ class JobSpec:
     branch: BranchConfig | None
 
 
+def _decode(text_or_obj, path):
+    """The JSON value in a text, or the argument itself when not a text."""
+    if not isinstance(text_or_obj, (str, bytes)):
+        return text_or_obj
+    try:
+        return json.loads(text_or_obj)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON: {exc}", path) from exc
+
+
 def parse_job(text_or_obj, path="$"):
-    if isinstance(text_or_obj, (str, bytes)):
-        try:
-            obj = json.loads(text_or_obj)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON: {exc}", path) from exc
-    else:
-        obj = text_or_obj
+    obj = _decode(text_or_obj, path)
     _expect(isinstance(obj, dict), "job must be an object", path)
     _expect_keys(obj, ("pencil", "generators", "named", "relations", "branch", "description"), path)
     _expect("pencil" in obj, "missing 'pencil'", path)
     pencil = pencil_from_json(obj["pencil"], path + ".pencil")
     gens = []
     moebius = []
-    labels = set()
-    for k, g in enumerate(obj.get("generators", [])):
-        p = f"{path}.generators[{k}]"
-        _expect(
-            isinstance(g, dict) and isinstance(g.get("label"), str),
-            "generator needs a string 'label'",
-            p,
-        )
-        _expect_keys(g, ("label", "matrix", "moebius"), p)
-        label = g["label"]
-        _expect(label not in labels, f"generator label {label!r} is used twice", p + ".label")
-        labels.add(label)
+    for p, label, g in _generators(obj, ("label", "matrix", "moebius"), path):
         if "matrix" in g:
             gens.append((label, _symmetry_from_json(g["matrix"], pencil, p + ".matrix")))
         elif "moebius" in g:
@@ -234,12 +234,12 @@ def parse_job(text_or_obj, path="$"):
         else:
             raise SchemaError("generator needs 'matrix' or 'moebius'", p)
     named = {}
-    for name, m in obj.get("named", {}).items():
+    for name, m in _member(obj, "named", dict, path).items():
         named[name] = _symmetry_from_json(m, pencil, f"{path}.named.{name}")
     group = MatrixGroup(gens, named=named) if gens else None
     relations = tuple(
         relation_from_json(r, f"{path}.relations[{k}]")
-        for k, r in enumerate(obj.get("relations", []))
+        for k, r in enumerate(_member(obj, "relations", list, path))
     )
     branch = None
     if "branch" in obj:
@@ -266,24 +266,114 @@ def parse_job(text_or_obj, path="$"):
     return JobSpec(pencil, group, tuple(moebius), relations, branch)
 
 
+def _generators(obj, keys, path):
+    """(path, label, object) for each entry of obj["generators"]: an object
+    with a string 'label' used once and no key outside `keys`."""
+    labels = set()
+    for k, g in enumerate(_member(obj, "generators", list, path)):
+        p = f"{path}.generators[{k}]"
+        _expect(isinstance(g, dict) and isinstance(g.get("label"), str), "generator needs a string 'label'", p)
+        _expect_keys(g, keys, p)
+        _expect(g["label"] not in labels, f"generator label {g['label']!r} is used twice", p + ".label")
+        labels.add(g["label"])
+        yield p, g["label"], g
+
+
 def _symmetry_from_json(obj, pencil, path):
-    """A matrix that acts on the pencil's coordinates: square of its size."""
-    m = mat_from_json(obj, path)
-    n = pencil.size
-    _expect(m.rows == m.cols == n, f"matrix must be {n}x{n}, the pencil size", path)
+    """A matrix that acts on the pencil's coordinates: invertible and square
+    of its size."""
+    return _invertible(mat_from_json(obj, path), pencil.size, "the pencil size", path)
+
+
+def _invertible(m, n, size_name, path):
+    """m itself, once it is checked to be n x n and invertible."""
+    _expect(m.rows == m.cols == n, f"matrix must be {n}x{n}, {size_name}", path)
+    _expect(m.rank() == n, "matrix is singular", path)
     return m
 
 
-def signedperm_from_json(obj, path="$"):
-    from .dp4 import SignedPerm
+def _member(obj, key, kind, path):
+    """obj[key] (empty when absent), checked to be a dict or a list."""
+    value = obj.get(key, kind())
+    what = "an object" if kind is dict else "an array"
+    _expect(isinstance(value, kind), f"'{key}' must be {what}", f"{path}.{key}")
+    return value
 
+
+def _ints(obj):
+    return isinstance(obj, list) and all(isinstance(x, int) and not isinstance(x, bool) for x in obj)
+
+
+def signedperm_from_json(obj, path="$"):
     _expect(
-        isinstance(obj, dict) and "perm" in obj and "signs" in obj,
-        "expected {\"perm\": [...], \"signs\": [...]}",
+        isinstance(obj, dict) and _ints(obj.get("perm")) and _ints(obj.get("signs")),
+        "expected {\"perm\": [ints], \"signs\": [ints]}",
         path,
     )
     try:
         return SignedPerm(tuple(obj["perm"]), tuple(obj["signs"]))
     except ValueError as exc:
         raise SchemaError(str(exc), path) from exc
+
+
+def dp4_input_from_json(text_or_obj, path="$"):
+    """The dp4 subcommand's input as (elements by name, conjugacy pairs of
+    element names, regressions by name as (IntMatrix, power, expected
+    diagonal))."""
+    obj = _decode(text_or_obj, path)
+    _expect(isinstance(obj, dict), "dp4 input must be an object", path)
+    elements = {
+        name: signedperm_from_json(sp, f"{path}.elements.{name}")
+        for name, sp in _member(obj, "elements", dict, path).items()
+    }
+    pairs = _member(obj, "conjugacy", list, path)
+    for k, pair in enumerate(pairs):
+        _expect(
+            isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, str) and x in elements for x in pair),
+            "a conjugacy entry is a pair of element names",
+            f"{path}.conjugacy[{k}]",
+        )
+    regressions = {}
+    for name, reg in _member(obj, "regressions", dict, path).items():
+        p = f"{path}.regressions.{name}"
+        _expect(isinstance(reg, dict), "regression must be an object", p)
+        rows = reg.get("matrix")
+        _expect(
+            isinstance(rows, list) and rows and all(_ints(r) and len(r) == len(rows) for r in rows),
+            "'matrix' must be a nonempty square array of integer rows",
+            p + ".matrix",
+        )
+        power = reg.get("power", 4)
+        _expect(_ints([power]) and power >= 0, "'power' must be a nonnegative integer", p + ".power")
+        regressions[name] = (IntMatrix(rows), power, reg.get("expected_diagonal"))
+    return elements, pairs, regressions
+
+
+def lift_input_from_json(text_or_obj, path="$"):
+    """The lift subcommand's input as (relations, MatrixGroup by
+    representation name); within a representation the generators are
+    invertible, of one size, and have distinct string labels."""
+    obj = _decode(text_or_obj, path)
+    _expect(isinstance(obj, dict), "lift input must be an object", path)
+    relations = [
+        relation_from_json(r, f"{path}.relations[{k}]")
+        for k, r in enumerate(_member(obj, "relations", list, path))
+    ]
+    groups = {}
+    for name, rep in _member(obj, "representations", dict, path).items():
+        p = f"{path}.representations.{name}"
+        _expect(isinstance(rep, dict), "representation must be an object", p)
+        gens = []
+        for q, label, g in _generators(rep, ("label", "matrix"), p):
+            _expect("matrix" in g, "generator needs a 'matrix'", q)
+            m = mat_from_json(g["matrix"], q + ".matrix")
+            n = gens[0][1].rows if gens else m.rows
+            gens.append((label, _invertible(m, n, "the generators' size", q + ".matrix")))
+        _expect(gens, "representation needs a generator", p + ".generators")
+        named = {
+            k: _invertible(mat_from_json(m, f"{p}.named.{k}"), n, "the generators' size", f"{p}.named.{k}")
+            for k, m in _member(rep, "named", dict, p).items()
+        }
+        groups[name] = MatrixGroup(gens, named=named)
+    return relations, groups
 

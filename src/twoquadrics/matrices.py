@@ -148,17 +148,21 @@ class Mat:
     def rank(self) -> int:
         return len(_echelon([list(r) for r in self.entries])[0])
 
+    def is_diagonal(self) -> bool:
+        """Whether every entry off the main diagonal is zero."""
+        return all(
+            x.is_zero()
+            for i, row in enumerate(self.entries)
+            for j, x in enumerate(row)
+            if i != j
+        )
+
     def is_scalar(self):
         """Return the scalar c when the matrix equals c*I, else None."""
-        if self.rows != self.cols:
+        if self.rows != self.cols or not self.is_diagonal():
             return None
         c = self.entries[0][0]
-        for i in range(self.rows):
-            for j in range(self.cols):
-                want = c if i == j else ZERO
-                if self.entries[i][j] != want:
-                    return None
-        return c
+        return c if all(row[i] == c for i, row in enumerate(self.entries)) else None
 
     def is_identity(self) -> bool:
         c = self.is_scalar()

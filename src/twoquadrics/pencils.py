@@ -2,7 +2,10 @@
 
 Degeneracy binary form, smoothness, equivariance data, induced branch
 permutations, fixed points on X, invariant lines for abelian actions, and
-the diagonal involution classification.
+the diagonal involution classification.  Fixed points and invariant lines
+meet X through one routine, `_isotropic_points`: the points of a projective
+point or line that lie on X (polar to given points, if any), or None when
+the whole line does.
 """
 
 from __future__ import annotations
@@ -25,13 +28,12 @@ from .errors import (
     NotASymmetry,
     NotDiagonal,
 )
-from .groups import MatrixGroup, projective_fixed_locus
+from .groups import MatrixGroup, character_spaces, projective_fixed_locus
 from .matrices import (
     Mat,
     Quadric,
     Subspace,
     contragredient,
-    eigenspaces_finite_order,
     solve,
 )
 
@@ -201,36 +203,53 @@ def _restricted_binary_quadric(q: Quadric, plane: Subspace) -> BinaryForm:
     )
 
 
-def _line_points(pencil: Pencil, plane: Subspace):
-    """Intersection of X with a projective line.
+def _isotropic_points(pencil: Pencil, space: Subspace, extra_points=()):
+    """Points of P(space), for dim space <= 2, that lie on X and are polar
+    to each extra point under both quadrics.
 
-    Returns ("points", [pts]) for finitely many intersection points or
-    ("contained", None) when the line lies on X."""
-    f1 = _restricted_binary_quadric(pencil.q1, plane)
-    f2 = _restricted_binary_quadric(pencil.q2, plane)
-    if f1.is_zero() and f2.is_zero():
-        return ("contained", None)
-    if f1.is_zero() or f2.is_zero():
-        f = f2 if f1.is_zero() else f1
-        kind, roots = quadratic_roots(*f.coeffs)
-        pairs = roots
-    else:
-        gcd = bform_gcd(f1, f2)
-        if gcd.degree == 0:
-            return ("points", [])
-        if gcd.degree == 1:
-            # root of a*u + b*v: (u, v) = (b, -a)
-            a, b = gcd.coeffs
-            pairs = [(b, -a)]
+    Returns a list of vectors, or None when every point of the projective
+    line P(space) qualifies (with no extra points: the line lies on X)."""
+    quadrics = (pencil.q1, pencil.q2)
+    if space.dim == 1:
+        v = space.basis[0]
+        conds = [q.evaluate(v) for q in quadrics]
+        conds += [q.polar(p, v) for p in extra_points for q in quadrics]
+        return [v] if all(c.is_zero() for c in conds) else []
+    b1, b2 = space.basis
+    candidates = None  # None = unconstrained so far
+    for p in extra_points:
+        for q in quadrics:
+            a, b = q.polar(p, b1), q.polar(p, b2)
+            if a.is_zero() and b.is_zero():
+                continue
+            root = (b, -a)  # root of a*u + b*v
+            if candidates is None:
+                candidates = [root]
+            else:
+                candidates = [r for r in candidates if proj_equal(r, root)]
+    quadratics = [
+        f for f in (_restricted_binary_quadric(q, space) for q in quadrics)
+        if not f.is_zero()
+    ]
+    if candidates is None:
+        if not quadratics:
+            return None
+        # a nonzero quadratic, or the gcd of two: its roots are the candidates
+        f = bform_gcd(*quadratics) if len(quadratics) == 2 else quadratics[0]
+        if f.degree == 0:
+            return []
+        if f.degree == 1:
+            a, b = f.coeffs
+            candidates = [(b, -a)]
         else:
-            kind, pairs = quadratic_roots(*gcd.coeffs)
-    b1, b2 = plane.basis
+            _, candidates = quadratic_roots(*f.coeffs)
     pts = []
-    for u, v in pairs:
-        pt = tuple(u * x + v * y for x, y in zip(b1, b2))
-        if not any(proj_point_equal(pt, q) for q in pts):
-            pts.append(pt)
-    return ("points", pts)
+    for u, v in candidates:
+        if all(f.evaluate(u, v).is_zero() for f in quadratics):
+            pt = tuple(u * x + v * y for x, y in zip(b1, b2))
+            if not any(proj_point_equal(pt, q) for q in pts):
+                pts.append(pt)
+    return pts
 
 
 def proj_point_equal(p, q) -> bool:
@@ -255,103 +274,27 @@ class FixedOnX:
 def fixed_points_on_X(pencil: Pencil, group: MatrixGroup) -> FixedOnX:
     """Intersect the projective fixed locus of a point action with X.
 
-    Components of projective dimension 0 are tested for membership; lines
-    are intersected with X exactly; higher-dimensional components are
-    reported symbolically with the pair of restricted Gram matrices."""
+    Points and lines are intersected with X exactly; higher-dimensional
+    components are reported symbolically with the pair of restricted Gram
+    matrices."""
     _check_symmetries(pencil, group)
-    locus = projective_fixed_locus(group)
     points = []
     curves = []
     lines = []
-    for comp in locus.components:
-        if comp.dim == 1:
-            v = comp.basis[0]
-            if membership(pencil, v):
-                points.append(v)
-        elif comp.dim == 2:
-            kind, pts = _line_points(pencil, comp)
-            if kind == "contained":
-                lines.append(LineOnX(comp))
-            else:
-                points.extend(
-                    p for p in pts
-                    if not any(proj_point_equal(p, q) for q in points)
-                )
-        else:
+    for comp in projective_fixed_locus(group).components:
+        if comp.dim > 2:
             curves.append(
                 (comp, (pencil.q1.restrict(comp), pencil.q2.restrict(comp)))
             )
-    return FixedOnX(tuple(points), tuple(curves), tuple(lines))
-
-
-def _joint_characters(pencil: Pencil, group: MatrixGroup):
-    """Simultaneous character decomposition for a commuting point action."""
-    for i, (la, a) in enumerate(group.generators):
-        for lb, b in group.generators[i + 1 :]:
-            if a * b != b * a:
-                raise NotAbelian(f"generators {la!r} and {lb!r} do not commute")
-    _check_symmetries(pencil, group)
-    current = [(Subspace.full(pencil.size), ())]
-    for _, g in group.generators:
-        eig = eigenspaces_finite_order(g)
-        refined = []
-        for space, char in current:
-            for lam, espace in eig:
-                meet = space.intersect(espace)
-                if meet.dim:
-                    refined.append((meet, char + (lam,)))
-        current = refined
-    return current
-
-
-def _isotropic_directions(pencil: Pencil, plane: Subspace, extra_points=()):
-    """Directions l = u b1 + v b2 in a 2-dim character space with
-    Q1(l) = Q2(l) = 0 and polar conditions against each extra point.
-
-    Returns ("all", None) when every direction works, else ("points", list
-    of vectors)."""
-    f1 = _restricted_binary_quadric(pencil.q1, plane)
-    f2 = _restricted_binary_quadric(pencil.q2, plane)
-    b1, b2 = plane.basis
-    linear = []
-    for p in extra_points:
-        for q in (pencil.q1, pencil.q2):
-            linear.append((q.polar(p, b1), q.polar(p, b2)))
-    candidates = None  # None = unconstrained so far
-    for a, b in linear:
-        if a.is_zero() and b.is_zero():
             continue
-        root = (b, -a)
-        if candidates is None:
-            candidates = [root]
+        pts = _isotropic_points(pencil, comp)
+        if pts is None:
+            lines.append(LineOnX(comp))
         else:
-            candidates = [r for r in candidates if proj_equal(r, root)]
-    quadratics = [f for f in (f1, f2) if not f.is_zero()]
-    if candidates is None:
-        if not quadratics:
-            return ("all", None)
-        f = quadratics[0]
-        if len(quadratics) == 2:
-            f = bform_gcd(quadratics[0], quadratics[1])
-            if f.degree == 0:
-                return ("points", [])
-            if f.degree == 1:
-                a, b = f.coeffs
-                candidates = [(b, -a)]
-        if candidates is None:
-            kind, candidates = quadratic_roots(*f.coeffs)
-            if kind == "all":
-                return ("all", None)
-    surviving = []
-    for u, v in candidates:
-        if all(f.evaluate(u, v).is_zero() for f in quadratics):
-            surviving.append((u, v))
-    pts = []
-    for u, v in surviving:
-        pt = tuple(u * x + v * y for x, y in zip(b1, b2))
-        if not any(proj_point_equal(pt, q) for q in pts):
-            pts.append(pt)
-    return ("points", pts)
+            points.extend(
+                p for p in pts if not any(proj_point_equal(p, q) for q in points)
+            )
+    return FixedOnX(tuple(points), tuple(curves), tuple(lines))
 
 
 @dataclass(frozen=True)
@@ -379,127 +322,68 @@ def invariant_lines_abelian(pencil: Pencil, group: MatrixGroup) -> LineSearchRep
     3 or more yield family reports instead of enumeration, except that a
     dimension-5 space cutting out a smooth quartic del Pezzo surface is
     reported with the classical line count 16."""
-    spaces = _joint_characters(pencil, group)
+    for i, (la, a) in enumerate(group.generators):
+        for lb, b in group.generators[i + 1 :]:
+            if a * b != b * a:
+                raise NotAbelian(f"generators {la!r} and {lb!r} do not commute")
+    _check_symmetries(pencil, group)
+    spaces = character_spaces(group)
     lines = []
     families = []
 
     def add_line(plane):
-        if plane.dim != 2:
-            return
-        f1 = _restricted_binary_quadric(pencil.q1, plane)
-        f2 = _restricted_binary_quadric(pencil.q2, plane)
-        if f1.is_zero() and f2.is_zero():
+        if plane.dim == 2 and all(
+            _restricted_binary_quadric(q, plane).is_zero() for q in (pencil.q1, pencil.q2)
+        ):
             line = LineOnX(plane)
             if line not in lines:
                 lines.append(line)
 
     # case (i): inside one character space
     for space, char in spaces:
-        if space.dim < 2:
-            continue
         if space.dim == 2:
             add_line(space)
-        elif space.dim == pencil.size - 1:
-            r1 = pencil.q1.restrict(space)
-            r2 = pencil.q2.restrict(space)
+        elif space.dim > 2:
             fam = {
                 "character": char,
                 "dimension": space.dim,
                 "enumerated": False,
-                "reason": "lines inside one character space of dimension "
-                f"{space.dim}",
+                "reason": f"lines inside one character space of dimension {space.dim}",
             }
             if pencil.g == 2 and space.dim == 5:
-                f = pencil_det_form(r1.gram, r2.gram)
+                f = pencil_det_form(
+                    pencil.q1.restrict(space).gram, pencil.q2.restrict(space).gram
+                )
                 if not f.is_zero() and not bform_discriminant(f).is_zero():
                     fam["count"] = 16
-                    fam["reason"] = (
-                        "smooth quartic del Pezzo section: 16 lines"
-                    )
+                    fam["reason"] = "smooth quartic del Pezzo section: 16 lines"
             families.append(fam)
-        else:
-            families.append(
-                {
-                    "character": char,
-                    "dimension": space.dim,
-                    "enumerated": False,
-                    "reason": "lines inside one character space of dimension "
-                    f"{space.dim}",
-                }
-            )
 
     # case (ii): one eigenline from each of two characters
+    def pair_family(c1, c2, reason):
+        families.append({"characters": (c1, c2), "enumerated": False, "reason": reason})
+
     for i, (s1, c1) in enumerate(spaces):
         for s2, c2 in spaces[i + 1 :]:
             # a 1-dim side whose point is off X contributes nothing,
             # whatever the other side looks like
-            if any(
-                s.dim == 1 and not _side_candidates(pencil, s)
-                for s in (s1, s2)
-            ):
+            if any(s.dim == 1 and not _isotropic_points(pencil, s) for s in (s1, s2)):
                 continue
             if s1.dim > 2 or s2.dim > 2:
-                families.append(
-                    {
-                        "characters": (c1, c2),
-                        "enumerated": False,
-                        "reason": "parameter dimension exceeds 2",
-                    }
-                )
+                pair_family(c1, c2, "parameter dimension exceeds 2")
                 continue
-            lefts = _side_candidates(pencil, s1)
-            if lefts == "all":
-                families.append(
-                    {
-                        "characters": (c1, c2),
-                        "enumerated": False,
-                        "reason": "isotropic directions form a family",
-                    }
-                )
+            lefts = _isotropic_points(pencil, s1)
+            if lefts is None:
+                pair_family(c1, c2, "isotropic directions form a family")
                 continue
             for p in lefts:
-                kind, rights = _isotropic_directions(
-                    pencil, s2, extra_points=(p,)
-                ) if s2.dim == 2 else _point_side(pencil, s2, p)
-                if kind == "all":
-                    families.append(
-                        {
-                            "characters": (c1, c2),
-                            "enumerated": False,
-                            "reason": "isotropic directions form a family",
-                        }
-                    )
+                rights = _isotropic_points(pencil, s2, extra_points=(p,))
+                if rights is None:
+                    pair_family(c1, c2, "isotropic directions form a family")
                     continue
                 for q in rights:
                     add_line(Subspace(pencil.size, [p, q]))
     return LineSearchReport(tuple(lines), tuple(families))
-
-
-def _side_candidates(pencil: Pencil, space: Subspace):
-    """Directions in a character space of dim <= 2 lying on both quadrics."""
-    if space.dim == 1:
-        v = space.basis[0]
-        if pencil.q1.evaluate(v).is_zero() and pencil.q2.evaluate(v).is_zero():
-            return [v]
-        return []
-    kind, pts = _isotropic_directions(pencil, space)
-    if kind == "all":
-        return "all"
-    return pts
-
-
-def _point_side(pencil: Pencil, space: Subspace, p):
-    """Candidates in a 1-dim space paired against a fixed point p."""
-    v = space.basis[0]
-    conds = [
-        pencil.q1.evaluate(v),
-        pencil.q2.evaluate(v),
-        pencil.q1.polar(p, v),
-        pencil.q2.polar(p, v),
-    ]
-    if all(c.is_zero() for c in conds):
-        return ("points", [v])
-    return ("points", [])
 
 
 def canonical_signs(signs, g):
@@ -532,11 +416,8 @@ def classify_diagonal_involution(signs, pencil: Pencil) -> InvolutionClass:
     k = 1 fixes a hyperplane section (a quartic del Pezzo surface for
     g = 2)."""
     n = pencil.size
-    for q in (pencil.q1, pencil.q2):
-        for i in range(n):
-            for j in range(n):
-                if i != j and not q.gram.entries[i][j].is_zero():
-                    raise NotDiagonal("pencil is not diagonal")
+    if not (pencil.q1.gram.is_diagonal() and pencil.q2.gram.is_diagonal()):
+        raise NotDiagonal("pencil is not diagonal")
     signs = [int(s) for s in signs]
     if len(signs) != n or any(s not in (1, -1) for s in signs):
         raise ValueError("signs must be a vector of +-1 of length 2g+2")

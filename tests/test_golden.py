@@ -24,6 +24,8 @@ CASES = {
         for cmd in ("branch", "fixed-points", "invariant-lines", "theta")
         for tag in ("7_5", "7_5_full")
     },
+    "fixed_points_7_3": ["fixed-points", "--fixture", "example_7_3.json", "--format", "json"],
+    "invariant_lines_7_3": ["invariant-lines", "--fixture", "example_7_3.json", "--format", "json"],
     "dp4_involutions": ["dp4", "--fixture", "example_dp4_involutions.json"],
     "lift_7_4_order8": ["lift", "--fixture", "example_7_4.json", "--scalar-order", "8"],
     "lift_7_4_order24": ["lift", "--fixture", "example_7_4.json", "--scalar-order", "24"],

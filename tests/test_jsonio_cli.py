@@ -147,6 +147,9 @@ def test_cli_exit_codes(capsys, tmp_path):
     small = dict(full, generators=[{"label": "s", "matrix": {"rows": 2, "cols": 2, "entries": [[1, 0], [0, 1]]}}])
     empty = dict(full, generators=[{"label": "e", "matrix": {"rows": 0, "cols": 0, "entries": []}}])
     named = dict(full, named={"iota": {"rows": 1, "cols": 1, "entries": [[1]]}})
+    zero6 = {"rows": 6, "cols": 6, "entries": [[0] * 6 for _ in range(6)]}
+    singular = dict(full, generators=[{"label": "z", "matrix": zero6}])
+    singular_named = dict(full, named={"iota": zero6})
     cases = [
         (twice, "$.generators[1].label"),
         (moebius_reuses, "$.generators[1].label"),
@@ -156,6 +159,8 @@ def test_cli_exit_codes(capsys, tmp_path):
         (dict(full, checks=[]), "$.checks"),
         (dict(full, generator=full["generators"]), "$.generator"),
         (dict(full, generators=[dict(gamma, moebus=tau["moebius"]), tau]), "$.generators[0].moebus"),
+        (singular, "$.generators[0].matrix"),
+        (singular_named, "$.named.iota"),
     ]
     for k, (job, where) in enumerate(cases):
         path = tmp_path / f"job{k}.json"
@@ -163,6 +168,35 @@ def test_cli_exit_codes(capsys, tmp_path):
         assert main(["report", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"input error: {where}:"), err
+    for job, where in ((singular, "$.generators[0].matrix"), (singular_named, "$.named.iota")):
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps(job))
+        assert main(["fixed-points", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {where}:"), err
+
+
+def test_dp4_and_lift_input_errors(capsys, tmp_path):
+    lift = json.loads(fixture_text("example_7_4.json"))
+    rep = lift["representations"]["V"]
+    twice = dict(rep, generators=[rep["generators"][0], dict(rep["generators"][1], label=rep["generators"][0]["label"])])
+    cases = [
+        ("dp4", {"conjugacy": [["a", "b"]]}, "$.conjugacy[0]"),
+        ("dp4", [], "$"),
+        ("dp4", {"regressions": {"x": {"matrix": [[1, 2], [3]]}}}, "$.regressions.x.matrix"),
+        ("dp4", {"elements": {"m": {"perm": 5, "signs": [1, 1, 1, 1, 1]}}}, "$.elements.m"),
+        ("lift", dict(lift, representations={"V": twice}), "$.representations.V.generators[1].label"),
+    ]
+    for k, (cmd, obj, where) in enumerate(cases):
+        path = tmp_path / f"input{k}.json"
+        path.write_text(json.dumps(obj))
+        assert main([cmd, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {where}:"), err
+    path = tmp_path / "truncated.json"
+    path.write_text("{")
+    assert main(["dp4", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("input error: $: invalid JSON")
 
 
 def test_cli_json_format(capsys):

@@ -150,3 +150,47 @@ def test_free_element_maps_case_ii_lines_without_fixing_points():
             proj_point_equal(tuple(v), tuple(m.apply(v))) for v in line.plane.basis
         )
         assert not fixed_pointwise
+
+
+def _rotation_pencil_and_group():
+    # J+J+I with J = [[0, -1], [1, 0]]: eigenvalue 1 on span(e4, e5), +-i on
+    # one isotropic plane each
+    p = Pencil.from_diagonals(2, [1] * 6, [1, 1, 2, 2, 3, 3])
+    m = [[O] * 6 for _ in range(6)]
+    for a in (0, 2):
+        m[a][a + 1] = -I1
+        m[a + 1][a] = I1
+    m[4][4] = m[5][5] = I1
+    return p, MatrixGroup([("r", Mat(m))])
+
+
+def test_fixed_points_of_rotation_pair():
+    p, g = _rotation_pencil_and_group()
+    fx = fixed_points_on_X(p, g)
+    assert not fx.curves
+    assert len(fx.lines_on_x) == 2
+    assert len(fx.points) == 2
+    for sign in (ONE, -ONE):
+        e = (O, O, O, O, I1, sign * i)
+        assert sum(proj_point_equal(e, pt) for pt in fx.points) == 1
+    for line in fx.lines_on_x:
+        for v in line.plane.basis:
+            assert membership(p, v)
+
+
+def test_invariant_lines_of_rotation_pair():
+    p, g = _rotation_pencil_and_group()
+    rep = invariant_lines_abelian(p, g)
+    assert len(rep.lines) == 2
+    assert len(rep.families) == 5
+    assert all(f["reason"] == "isotropic directions form a family" for f in rep.families)
+    assert not rep.complete
+
+
+def test_reflection_character_space_is_a_del_pezzo_section():
+    p = generic_diagonal()
+    g = MatrixGroup([("s", Mat.diagonal([1, 1, 1, 1, 1, -1]))])
+    rep = invariant_lines_abelian(p, g)
+    assert not rep.lines
+    assert [f.get("count") for f in rep.families] == [16]
+    assert rep.families[0]["dimension"] == 5

@@ -1,17 +1,22 @@
 """JSON (de)serialization for jobs, fixtures, and reports.
 
-CycNum: {"order": N, "coeffs": [[num, den], ...]} with phi(N) pairs.
-Mat: {"rows": r, "cols": c, "entries": [[CycNum or int or [num,den]]]}.
-Pencil: {"g": 2, "Q1": Mat, "Q2": Mat} or {"diag1": [...], "diag2": [...]}.
-Generators: {"label": str, "matrix": Mat} or {"label": str,
-"moebius": 2x2 entries} for symmetries known only on the pencil parameter.
-Relations: {"word": [["sigma", 6]], "target": "identity" | "scalar" |
-{"central": "iota"}}.
-dp4 input: {"elements": {name: {"perm": [...], "signs": [...]}},
-"conjugacy": [[name, name]], "regressions": {name: {"matrix": int rows,
-"power": k, "expected_diagonal": [...]}}}.
-lift input: {"relations": [Relation], "representations": {name:
-{"generators": [{"label": str, "matrix": Mat}], "named": {name: Mat}}}}.
+SCHEMA below is the one description of every JSON input. Each reader first
+checks the decoded value against its entry with `_walk`, which raises
+SchemaError at the JSON path of the first mismatch, and only then converts it,
+keeping the checks a type cannot state (coefficient counts, nonzero
+denominators, matrix sizes, invertibility, distinct labels, names that refer
+to elements). An entry of the table reads as follows:
+
+- `int`: a JSON integer; `true`, `false` and floats are not integers.
+- `str`: a string; a set of strings: one of those strings.
+- `[s]`: an array whose every entry matches `s`.
+- `(s1, s2)`: an array of exactly these entries, in this order.
+- `{str: s}`: an object with any keys, whose every value matches `s`.
+- `{"key": s, "other?": s}`: an object with no key outside those listed; a
+  key ending in `?` may be left out, every other key is required.
+- `_OneOf(s1, s2)`: the first alternative of the value's JSON kind; among
+  objects, the first alternative whose first key the value has.
+- a string: the table entry of that name.
 """
 
 from __future__ import annotations
@@ -29,54 +34,147 @@ from .pencils import BranchConfig, Pencil
 from .smith import IntMatrix
 
 
+class _OneOf:
+    """Alternative schemas for one value; `_choose` picks the one it is checked against."""
+
+    def __init__(self, *options):
+        self.options = options
+
+
+_CYCNUM_PAIR = ("cycnum", "cycnum")
+
+SCHEMA = {
+    # an integer, [numerator, denominator], or phi(order) power-basis coefficients in Q(zeta_order)
+    "cycnum": _OneOf(int, (int, int), {"order": int, "coeffs": [(int, int)]}),
+    "mat": {"rows": int, "cols": int, "entries": [["cycnum"]]},
+    "pencil": _OneOf(
+        {"diag1": ["cycnum"], "diag2": ["cycnum"], "g?": int},
+        {"Q1": "mat", "Q2": "mat", "g": int},
+    ),
+    # "moebius" is a symmetry known only by its action on the pencil parameter (t1, t2)
+    "generator": _OneOf(
+        {"matrix": "mat", "label": str},
+        {"moebius": (_CYCNUM_PAIR, _CYCNUM_PAIR), "label": str},
+    ),
+    "relation": {"word": [(str, int)], "target?": _OneOf({"identity", "scalar"}, {"central": str})},
+    # the labeled roots (t1, t2) of the degeneracy form, label k + 1 for roots[k]
+    "branch": {"roots": [_CYCNUM_PAIR]},
+    "job": {
+        "pencil": "pencil",
+        "generators?": ["generator"],
+        "named?": {str: "mat"},
+        "relations?": ["relation"],
+        "branch?": "branch",
+        "description?": str,
+    },
+    "signed perm": {"perm": [int], "signs": [int]},
+    "regression": {"matrix": [[int]], "power?": int, "expected_diagonal?": [int]},
+    "dp4 input": {
+        "elements?": {str: "signed perm"},
+        "conjugacy?": [(str, str)],
+        "regressions?": {str: "regression"},
+        "description?": str,
+    },
+    "representation": {"generators": [{"label": str, "matrix": "mat"}], "named?": {str: "mat"}},
+    "lift input": {"relations?": ["relation"], "representations?": {str: "representation"}, "description?": str},
+}
+
+_JSON_KIND = {list: list, tuple: list, dict: dict, set: str}
+_NAMES = {int: "an integer", str: "a string", list: "an array", dict: "an object"}
+
+
 def _expect(cond, message, path):
     if not cond:
         raise SchemaError(message, path)
 
 
-def _expect_keys(obj, allowed, path):
-    """Reject any key of a JSON object outside `allowed`, at its path."""
-    for key in obj:
-        _expect(key in allowed, f"unknown key; allowed: {', '.join(allowed)}", f"{path}.{key}")
+def _kind(schema):
+    """The Python type of the JSON values that schema describes."""
+    return schema if schema in (int, str) else _JSON_KIND[type(schema)]
 
 
-def cycnum_from_json(obj, path="$"):
-    if isinstance(obj, bool):
-        raise SchemaError("expected a number, got a boolean", path)
-    if isinstance(obj, int):
+def _walk(value, schema, path):
+    """Check value against a schema of the table, down to its leaves."""
+    if type(schema) is str:
+        schema = SCHEMA[schema]
+    if type(schema) is _OneOf:
+        schema = _choose(value, schema.options, path)
+    kind = _kind(schema)
+    if type(value) is not kind:
+        raise SchemaError(f"expected {_NAMES[kind]}", path)
+    shape = type(schema)
+    if shape is set:
+        _expect(value in schema, "expected one of " + ", ".join(map(repr, sorted(schema))), path)
+    elif shape is list:
+        for k, x in enumerate(value):
+            _walk(x, schema[0], f"{path}[{k}]")
+    elif shape is tuple:
+        _expect(len(value) == len(schema), f"expected an array of {len(schema)} entries", path)
+        for k, x in enumerate(value):
+            _walk(x, schema[k], f"{path}[{k}]")
+    elif shape is dict and str in schema:
+        for key, x in value.items():
+            _walk(x, schema[str], f"{path}.{key}")
+    elif shape is dict:
+        for key in schema:
+            _expect(key[-1] == "?" or key in value, f"missing '{key}'", path)
+        for key, x in value.items():
+            # '?' marks an optional key of the table, never of the input
+            sub = None if key[-1:] == "?" else schema.get(key) or schema.get(key + "?")
+            if sub is None:
+                allowed = ", ".join(k.rstrip("?") for k in schema)
+                raise SchemaError(f"unknown key; allowed: {allowed}", f"{path}.{key}")
+            _walk(x, sub, f"{path}.{key}")
+
+
+def _choose(value, options, path):
+    """The alternative that value is checked against (see the module docstring)."""
+    for option in options:
+        kind = _kind(option)
+        if type(value) is kind and (kind is not dict or next(iter(option)) in value):
+            return option
+    what = [f"an object with '{next(iter(o))}'" if type(o) is dict else _NAMES[_kind(o)] for o in options]
+    raise SchemaError("expected " + " or ".join(what), path)
+
+
+def _checked(text_or_obj, kind, path):
+    """The JSON value in a text (or the value itself), checked against SCHEMA[kind]."""
+    obj = text_or_obj
+    if isinstance(obj, (str, bytes)):
+        try:
+            obj = json.loads(obj)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"invalid JSON: {exc}", path) from exc
+    _walk(obj, kind, path)
+    return obj
+
+
+def _reader(kind, convert):
+    """The public reader of one kind: check against the table, then convert."""
+    def from_json(obj, path="$"):
+        _walk(obj, kind, path)
+        return convert(obj, path)
+    return from_json
+
+
+def _fraction(pair, path):
+    _expect(pair[1] != 0, "zero denominator", path)
+    return Fraction(pair[0], pair[1])
+
+
+def _cycnum(obj, path):
+    if type(obj) is int:
         return CycNum.from_rational(obj)
-    if isinstance(obj, list):
-        _expect(
-            len(obj) == 2 and all(isinstance(x, int) for x in obj),
-            "rational shorthand must be [numerator, denominator]",
-            path,
-        )
-        _expect(obj[1] != 0, "zero denominator", path)
-        return CycNum.from_rational(Fraction(obj[0], obj[1]))
-    _expect(isinstance(obj, dict), "expected CycNum object", path)
-    _expect("order" in obj, "missing 'order'", path)
-    _expect("coeffs" in obj, "missing 'coeffs'", path)
-    order = obj["order"]
-    _expect(isinstance(order, int) and order >= 1, "'order' must be a positive integer", path + ".order")
-    coeffs = obj["coeffs"]
+    if type(obj) is list:
+        return CycNum.from_rational(_fraction(obj, path))
+    order, coeffs = obj["order"], obj["coeffs"]
+    _expect(order >= 1, "'order' must be a positive integer", path + ".order")
+    # n <= 2 phi(n)^2 for every n >= 1, so this rejects no valid entry and
+    # spares euler_phi's trial division an order far too large for the coefficients
+    _expect(order <= 2 * len(coeffs) ** 2, f"too few coefficients for order {order}", path + ".coeffs")
     phi = euler_phi(order)
-    _expect(
-        isinstance(coeffs, list) and len(coeffs) == phi,
-        f"'coeffs' must be an array of {phi} entries for order {order}",
-        path + ".coeffs",
-    )
-    fracs = []
-    for k, pair in enumerate(coeffs):
-        p = f"{path}.coeffs[{k}]"
-        _expect(
-            isinstance(pair, list) and len(pair) == 2
-            and all(isinstance(x, int) for x in pair),
-            "coefficient must be [numerator, denominator]",
-            p,
-        )
-        _expect(pair[1] != 0, "zero denominator", p)
-        fracs.append(Fraction(pair[0], pair[1]))
-    return CycNum(order, fracs)
+    _expect(len(coeffs) == phi, f"'coeffs' must be an array of {phi} entries for order {order}", path + ".coeffs")
+    return CycNum(order, [_fraction(c, f"{path}.coeffs[{k}]") for k, c in enumerate(coeffs)])
 
 
 def cycnum_to_json(x: CycNum):
@@ -87,32 +185,13 @@ def cycnum_to_json(x: CycNum):
     }
 
 
-def mat_from_json(obj, path="$"):
-    _expect(isinstance(obj, dict), "expected Mat object", path)
-    for k in ("rows", "cols", "entries"):
-        _expect(k in obj, f"missing '{k}'", path)
+def _mat(obj, path):
     rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
-    _expect(
-        isinstance(rows, int) and isinstance(cols, int) and rows > 0 and cols > 0,
-        "'rows' and 'cols' must be positive integers",
-        path,
-    )
-    _expect(
-        isinstance(entries, list) and len(entries) == rows,
-        f"'entries' must have {rows} rows",
-        path + ".entries",
-    )
-    parsed = []
+    _expect(rows > 0 and cols > 0, "'rows' and 'cols' must be positive integers", path)
+    _expect(len(entries) == rows, f"'entries' must have {rows} rows", path + ".entries")
     for i, row in enumerate(entries):
-        _expect(
-            isinstance(row, list) and len(row) == cols,
-            f"row must have {cols} entries",
-            f"{path}.entries[{i}]",
-        )
-        parsed.append(
-            [cycnum_from_json(x, f"{path}.entries[{i}][{j}]") for j, x in enumerate(row)]
-        )
-    return Mat(parsed)
+        _expect(len(row) == cols, f"row must have {cols} entries", f"{path}.entries[{i}]")
+    return Mat([[_cycnum(x, f"{path}.entries[{i}][{j}]") for j, x in enumerate(row)] for i, row in enumerate(entries)])
 
 
 def mat_to_json(m: Mat):
@@ -123,23 +202,18 @@ def mat_to_json(m: Mat):
     }
 
 
-def pencil_from_json(obj, path="$"):
-    _expect(isinstance(obj, dict), "expected Pencil object", path)
-    if "diag1" in obj or "diag2" in obj:
-        for k in ("diag1", "diag2"):
-            _expect(k in obj, f"missing '{k}'", path)
-        d1 = [cycnum_from_json(x, f"{path}.diag1[{i}]") for i, x in enumerate(obj["diag1"])]
-        d2 = [cycnum_from_json(x, f"{path}.diag2[{i}]") for i, x in enumerate(obj["diag2"])]
+def _pencil(obj, path):
+    if "diag1" in obj:
+        d1 = [_cycnum(x, f"{path}.diag1[{i}]") for i, x in enumerate(obj["diag1"])]
+        d2 = [_cycnum(x, f"{path}.diag2[{i}]") for i, x in enumerate(obj["diag2"])]
         _expect(len(d1) == len(d2), "diagonals must have equal length", path)
         n = len(d1)
         _expect(n >= 4 and n % 2 == 0, "size must be even and at least 4", path)
         g = obj.get("g", (n - 2) // 2)
         _expect(2 * g + 2 == n, "'g' inconsistent with diagonal length", path)
         return Pencil.from_diagonals(g, d1, d2)
-    for k in ("g", "Q1", "Q2"):
-        _expect(k in obj, f"missing '{k}'", path)
-    q1 = mat_from_json(obj["Q1"], path + ".Q1")
-    q2 = mat_from_json(obj["Q2"], path + ".Q2")
+    q1 = _mat(obj["Q1"], path + ".Q1")
+    q2 = _mat(obj["Q2"], path + ".Q2")
     try:
         return Pencil(obj["g"], Quadric(q1), Quadric(q2))
     except (ValueError, DimensionMismatch) as exc:
@@ -154,31 +228,12 @@ def pencil_to_json(p: Pencil):
     }
 
 
-def relation_from_json(obj, path="$"):
-    _expect(isinstance(obj, dict) and "word" in obj, "expected relation with 'word'", path)
-    word = obj["word"]
-    _expect(isinstance(word, list) and word, "'word' must be a nonempty array", path + ".word")
-    pairs = []
-    for k, item in enumerate(word):
-        p = f"{path}.word[{k}]"
-        _expect(
-            isinstance(item, list) and len(item) == 2
-            and isinstance(item[0], str) and isinstance(item[1], int),
-            "word entries are [label, exponent]",
-            p,
-        )
-        pairs.append((item[0], item[1]))
+def _relation(obj, path):
+    _expect(obj["word"], "'word' must be a nonempty array", path + ".word")
     target = obj.get("target", "identity")
-    if isinstance(target, dict):
-        _expect(
-            set(target) == {"central"} and isinstance(target["central"], str),
-            "object target must be {\"central\": name}",
-            path + ".target",
-        )
+    if type(target) is dict:
         target = ("central", target["central"])
-    else:
-        _expect(target in ("identity", "scalar"), "bad relation target", path + ".target")
-    return Relation(tuple(pairs), target)
+    return Relation(tuple(map(tuple, obj["word"])), target)
 
 
 def relation_to_json(rel: Relation):
@@ -186,6 +241,20 @@ def relation_to_json(rel: Relation):
     if isinstance(target, tuple):
         target = {"central": target[1]}
     return {"word": [[lab, exp] for lab, exp in rel.word], "target": target}
+
+
+def _signedperm(obj, path):
+    try:
+        return SignedPerm(tuple(obj["perm"]), tuple(obj["signs"]))
+    except ValueError as exc:
+        raise SchemaError(str(exc), path) from exc
+
+
+cycnum_from_json = _reader("cycnum", _cycnum)
+mat_from_json = _reader("mat", _mat)
+pencil_from_json = _reader("pencil", _pencil)
+relation_from_json = _reader("relation", _relation)
+signedperm_from_json = _reader("signed perm", _signedperm)
 
 
 @dataclass
@@ -197,154 +266,74 @@ class JobSpec:
     branch: BranchConfig | None
 
 
-def _decode(text_or_obj, path):
-    """The JSON value in a text, or the argument itself when not a text."""
-    if not isinstance(text_or_obj, (str, bytes)):
-        return text_or_obj
-    try:
-        return json.loads(text_or_obj)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}", path) from exc
-
-
 def parse_job(text_or_obj, path="$"):
-    obj = _decode(text_or_obj, path)
-    _expect(isinstance(obj, dict), "job must be an object", path)
-    _expect_keys(obj, ("pencil", "generators", "named", "relations", "branch", "description"), path)
-    _expect("pencil" in obj, "missing 'pencil'", path)
-    pencil = pencil_from_json(obj["pencil"], path + ".pencil")
+    obj = _checked(text_or_obj, "job", path)
+    pencil = _pencil(obj["pencil"], path + ".pencil")
     gens = []
     moebius = []
-    for p, label, g in _generators(obj, ("label", "matrix", "moebius"), path):
+    for p, g in _labeled(obj.get("generators", ()), path + ".generators"):
         if "matrix" in g:
-            gens.append((label, _symmetry_from_json(g["matrix"], pencil, p + ".matrix")))
-        elif "moebius" in g:
-            rows = g["moebius"]
-            _expect(
-                isinstance(rows, list) and len(rows) == 2
-                and all(isinstance(r, list) and len(r) == 2 for r in rows),
-                "'moebius' must be a 2x2 array",
-                p + ".moebius",
-            )
-            mo = tuple(
-                tuple(cycnum_from_json(x, f"{p}.moebius[{i}][{j}]") for j, x in enumerate(r))
-                for i, r in enumerate(rows)
-            )
-            moebius.append((label, mo))
-        else:
-            raise SchemaError("generator needs 'matrix' or 'moebius'", p)
-    named = {}
-    for name, m in _member(obj, "named", dict, path).items():
-        named[name] = _symmetry_from_json(m, pencil, f"{path}.named.{name}")
+            gens.append((g["label"], _invertible(g["matrix"], pencil.size, "the pencil size", p + ".matrix")))
+            continue
+        (a, b), (c, d) = mo = tuple(
+            tuple(_cycnum(x, f"{p}.moebius[{i}][{j}]") for j, x in enumerate(r)) for i, r in enumerate(g["moebius"])
+        )
+        _expect(not (a * d - b * c).is_zero(), "moebius matrix is singular", p + ".moebius")
+        moebius.append((g["label"], mo))
+    named = {
+        name: _invertible(m, pencil.size, "the pencil size", f"{path}.named.{name}")
+        for name, m in obj.get("named", {}).items()
+    }
     group = MatrixGroup(gens, named=named) if gens else None
-    relations = tuple(
-        relation_from_json(r, f"{path}.relations[{k}]")
-        for k, r in enumerate(_member(obj, "relations", list, path))
-    )
+    relations = tuple(_relation(r, f"{path}.relations[{k}]") for k, r in enumerate(obj.get("relations", ())))
     branch = None
     if "branch" in obj:
-        b = obj["branch"]
         p = path + ".branch"
-        _expect(isinstance(b, dict) and "roots" in b, "'branch' needs 'roots'", p)
-        roots = []
-        for k, r in enumerate(b["roots"]):
-            _expect(
-                isinstance(r, list) and len(r) == 2,
-                "roots are [t1, t2] pairs",
-                f"{p}.roots[{k}]",
-            )
-            roots.append(
-                (
-                    cycnum_from_json(r[0], f"{p}.roots[{k}][0]"),
-                    cycnum_from_json(r[1], f"{p}.roots[{k}][1]"),
-                )
-            )
+        roots = tuple(
+            (_cycnum(u, f"{p}.roots[{k}][0]"), _cycnum(v, f"{p}.roots[{k}][1]"))
+            for k, (u, v) in enumerate(obj["branch"]["roots"])
+        )
         try:
-            branch = BranchConfig(pencil.det_form, tuple(roots))
+            branch = BranchConfig(pencil.det_form, roots)
         except ValueError as exc:
             raise SchemaError(str(exc), p) from exc
     return JobSpec(pencil, group, tuple(moebius), relations, branch)
 
 
-def _generators(obj, keys, path):
-    """(path, label, object) for each entry of obj["generators"]: an object
-    with a string 'label' used once and no key outside `keys`."""
+def _labeled(generators, path):
+    """(path, generator) for each generator, once its label is known to be new."""
     labels = set()
-    for k, g in enumerate(_member(obj, "generators", list, path)):
-        p = f"{path}.generators[{k}]"
-        _expect(isinstance(g, dict) and isinstance(g.get("label"), str), "generator needs a string 'label'", p)
-        _expect_keys(g, keys, p)
+    for k, g in enumerate(generators):
+        p = f"{path}[{k}]"
         _expect(g["label"] not in labels, f"generator label {g['label']!r} is used twice", p + ".label")
         labels.add(g["label"])
-        yield p, g["label"], g
+        yield p, g
 
 
-def _symmetry_from_json(obj, pencil, path):
-    """A matrix that acts on the pencil's coordinates: invertible and square
-    of its size."""
-    return _invertible(mat_from_json(obj, path), pencil.size, "the pencil size", path)
-
-
-def _invertible(m, n, size_name, path):
-    """m itself, once it is checked to be n x n and invertible."""
+def _invertible(obj, n, size_name, path):
+    """The matrix in obj, once it is checked to be n x n and invertible."""
+    m = _mat(obj, path)
     _expect(m.rows == m.cols == n, f"matrix must be {n}x{n}, {size_name}", path)
     _expect(m.rank() == n, "matrix is singular", path)
     return m
-
-
-def _member(obj, key, kind, path):
-    """obj[key] (empty when absent), checked to be a dict or a list."""
-    value = obj.get(key, kind())
-    what = "an object" if kind is dict else "an array"
-    _expect(isinstance(value, kind), f"'{key}' must be {what}", f"{path}.{key}")
-    return value
-
-
-def _ints(obj):
-    return isinstance(obj, list) and all(isinstance(x, int) and not isinstance(x, bool) for x in obj)
-
-
-def signedperm_from_json(obj, path="$"):
-    _expect(
-        isinstance(obj, dict) and _ints(obj.get("perm")) and _ints(obj.get("signs")),
-        "expected {\"perm\": [ints], \"signs\": [ints]}",
-        path,
-    )
-    try:
-        return SignedPerm(tuple(obj["perm"]), tuple(obj["signs"]))
-    except ValueError as exc:
-        raise SchemaError(str(exc), path) from exc
 
 
 def dp4_input_from_json(text_or_obj, path="$"):
     """The dp4 subcommand's input as (elements by name, conjugacy pairs of
     element names, regressions by name as (IntMatrix, power, expected
     diagonal))."""
-    obj = _decode(text_or_obj, path)
-    _expect(isinstance(obj, dict), "dp4 input must be an object", path)
-    elements = {
-        name: signedperm_from_json(sp, f"{path}.elements.{name}")
-        for name, sp in _member(obj, "elements", dict, path).items()
-    }
-    pairs = _member(obj, "conjugacy", list, path)
+    obj = _checked(text_or_obj, "dp4 input", path)
+    elements = {name: _signedperm(sp, f"{path}.elements.{name}") for name, sp in obj.get("elements", {}).items()}
+    pairs = obj.get("conjugacy", [])
     for k, pair in enumerate(pairs):
-        _expect(
-            isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, str) and x in elements for x in pair),
-            "a conjugacy entry is a pair of element names",
-            f"{path}.conjugacy[{k}]",
-        )
+        _expect(all(x in elements for x in pair), "conjugacy names must be element names", f"{path}.conjugacy[{k}]")
     regressions = {}
-    for name, reg in _member(obj, "regressions", dict, path).items():
+    for name, reg in obj.get("regressions", {}).items():
         p = f"{path}.regressions.{name}"
-        _expect(isinstance(reg, dict), "regression must be an object", p)
-        rows = reg.get("matrix")
-        _expect(
-            isinstance(rows, list) and rows and all(_ints(r) and len(r) == len(rows) for r in rows),
-            "'matrix' must be a nonempty square array of integer rows",
-            p + ".matrix",
-        )
+        rows = reg["matrix"]
+        _expect(rows and all(len(r) == len(rows) for r in rows), "'matrix' must be nonempty and square", p + ".matrix")
         power = reg.get("power", 4)
-        _expect(_ints([power]) and power >= 0, "'power' must be a nonnegative integer", p + ".power")
+        _expect(power >= 0, "'power' must be a nonnegative integer", p + ".power")
         regressions[name] = (IntMatrix(rows), power, reg.get("expected_diagonal"))
     return elements, pairs, regressions
 
@@ -353,27 +342,18 @@ def lift_input_from_json(text_or_obj, path="$"):
     """The lift subcommand's input as (relations, MatrixGroup by
     representation name); within a representation the generators are
     invertible, of one size, and have distinct string labels."""
-    obj = _decode(text_or_obj, path)
-    _expect(isinstance(obj, dict), "lift input must be an object", path)
-    relations = [
-        relation_from_json(r, f"{path}.relations[{k}]")
-        for k, r in enumerate(_member(obj, "relations", list, path))
-    ]
+    obj = _checked(text_or_obj, "lift input", path)
+    relations = [_relation(r, f"{path}.relations[{k}]") for k, r in enumerate(obj.get("relations", ()))]
     groups = {}
-    for name, rep in _member(obj, "representations", dict, path).items():
+    for name, rep in obj.get("representations", {}).items():
         p = f"{path}.representations.{name}"
-        _expect(isinstance(rep, dict), "representation must be an object", p)
-        gens = []
-        for q, label, g in _generators(rep, ("label", "matrix"), p):
-            _expect("matrix" in g, "generator needs a 'matrix'", q)
-            m = mat_from_json(g["matrix"], q + ".matrix")
-            n = gens[0][1].rows if gens else m.rows
-            gens.append((label, _invertible(m, n, "the generators' size", q + ".matrix")))
-        _expect(gens, "representation needs a generator", p + ".generators")
-        named = {
-            k: _invertible(mat_from_json(m, f"{p}.named.{k}"), n, "the generators' size", f"{p}.named.{k}")
-            for k, m in _member(rep, "named", dict, p).items()
-        }
+        _expect(rep["generators"], "representation needs a generator", p + ".generators")
+        n = rep["generators"][0]["matrix"]["rows"]
+        gens = [
+            (g["label"], _invertible(g["matrix"], n, "the generators' size", q + ".matrix"))
+            for q, g in _labeled(rep["generators"], p + ".generators")
+        ]
+        named = rep.get("named", {})
+        named = {k: _invertible(m, n, "the generators' size", f"{p}.named.{k}") for k, m in named.items()}
         groups[name] = MatrixGroup(gens, named=named)
     return relations, groups
-

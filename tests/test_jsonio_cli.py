@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -184,7 +185,7 @@ def test_dp4_and_lift_input_errors(capsys, tmp_path):
         ("dp4", {"conjugacy": [["a", "b"]]}, "$.conjugacy[0]"),
         ("dp4", [], "$"),
         ("dp4", {"regressions": {"x": {"matrix": [[1, 2], [3]]}}}, "$.regressions.x.matrix"),
-        ("dp4", {"elements": {"m": {"perm": 5, "signs": [1, 1, 1, 1, 1]}}}, "$.elements.m"),
+        ("dp4", {"elements": {"m": {"perm": 5, "signs": [1, 1, 1, 1, 1]}}}, "$.elements.m.perm"),
         ("lift", dict(lift, representations={"V": twice}), "$.representations.V.generators[1].label"),
     ]
     for k, (cmd, obj, where) in enumerate(cases):
@@ -197,6 +198,63 @@ def test_dp4_and_lift_input_errors(capsys, tmp_path):
     path.write_text("{")
     assert main(["dp4", str(path)]) == 2
     assert capsys.readouterr().err.startswith("input error: $: invalid JSON")
+
+
+def _malformed_inputs():
+    """(command, input, error path prefix) for inputs that once exited 1 with
+    a traceback, exited 0 with part of the input ignored, or hung."""
+    full = json.loads(fixture_text("example_7_5_full.json"))
+    gamma, tau = full["generators"]
+    diag = {"pencil": {"diag1": [1] * 6, "diag2": [0, 1, 2, 3, 4, 5]}}
+
+    def pencil(**changes):
+        return {"pencil": dict(diag["pencil"], **changes)}
+
+    def first_entry(x):
+        return pencil(diag1=[x] + [1] * 5)
+
+    eye = {"rows": 6, "cols": 6, "entries": [[int(i == j) for j in range(6)] for i in range(6)]}
+    q2 = dict(eye, entries=[[i if i == j else 0 for j in range(6)] for i in range(6)])
+    dp4 = json.loads(fixture_text("example_dp4_involutions.json"))
+    reg = dp4["regressions"]["gamma_tilde_fourth_power"]
+    lift = json.loads(fixture_text("example_7_4.json"))
+    reps = lift["representations"]
+    return [
+        ("report", pencil(diag1=5), "$.pencil.diag1"),
+        ("report", pencil(g="x"), "$.pencil.g"),
+        ("report", {"pencil": {"g": "2", "Q1": eye, "Q2": q2}}, "$.pencil.g"),
+        ("report", dict(full, branch={"roots": 5}), "$.branch.roots"),
+        ("report", dict(full, generators=[gamma, dict(tau, moebius=[[1, 0], [0, 0]])]), "$.generators[1].moebius"),
+        ("report", pencil(g=2.0), "$.pencil.g"),
+        ("report", {"pencil": {"g": True, "diag1": [1] * 4, "diag2": [0, 1, 2, 3]}}, "$.pencil.g"),
+        ("report", first_entry({"order": True, "coeffs": [[1, 1]]}), "$.pencil.diag1[0]"),
+        ("report", first_entry([True, 1]), "$.pencil.diag1[0]"),
+        ("report", pencil(Q1=3), "$.pencil.Q1"),
+        ("report", first_entry({"order": 1, "coeffs": [[1, 1]], "x": 0}), "$.pencil.diag1[0].x"),
+        ("report", dict(full, branch=dict(full["branch"], labels=[1, 2])), "$.branch.labels"),
+        ("report", dict(full, generators=[dict(gamma, matrix=dict(gamma["matrix"], det=1)), tau]),
+         "$.generators[0].matrix.det"),
+        ("report", dict(full, relations=[{"word": [["gamma", 8]], "note": "x"}]), "$.relations[0].note"),
+        ("report", dict(full, relations=[{"word": [["gamma", True]]}]), "$.relations[0].word[0]"),
+        ("report", dict(full, description=5), "$.description"),
+        ("dp4", dict(dp4, extra=1), "$.extra"),
+        ("dp4", dict(dp4, regressions={"gamma_tilde_fourth_power": dict(reg, expected_diagonal="x")}),
+         "$.regressions.gamma_tilde_fourth_power.expected_diagonal"),
+        ("lift", dict(lift, extra=1), "$.extra"),
+        ("lift", dict(lift, representations=dict(reps, V=dict(reps["V"], extra=1))), "$.representations.V.extra"),
+        ("report", first_entry({"order": 1000000000000000003, "coeffs": [[1, 1]]}), "$.pencil.diag1[0]"),
+    ]
+
+
+@pytest.mark.parametrize("cmd, obj, where", _malformed_inputs(), ids=list("abcdefghijklmnopqrstu"))
+def test_malformed_input_is_an_input_error(cmd, obj, where, capsys, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    start = time.perf_counter()
+    assert main([cmd, str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {where}"), err
 
 
 def test_cli_json_format(capsys):

@@ -52,12 +52,15 @@ class BinaryForm:
         return all(c.is_zero() for c in self.coeffs)
 
     def evaluate(self, t1, t2) -> CycNum:
+        """f(t1, t2) by Horner's rule in t1, building the powers of t2 up."""
         t1 = CycNum._coerce(t1)
         t2 = CycNum._coerce(t2)
-        total = ZERO
-        for k, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                total = total + c * t1 ** (self.degree - k) * t2**k
+        total, power = self.coeffs[0], ONE
+        for c in self.coeffs[1:]:
+            power = power * t2
+            total = total * t1
+            if c:
+                total = total + c * power
         return total
 
     def __mul__(self, other):

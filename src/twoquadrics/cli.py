@@ -42,7 +42,6 @@ from .matrices import contragredient
 from .pencils import (
     branch_permutation,
     canonical_signs,
-    equivariance,
     fixed_points_on_X,
     invariant_lines_abelian,
     is_smooth,
@@ -100,29 +99,16 @@ def _sign_elements(pg, g):
     point group that is a nonscalar diagonal sign matrix up to scalar; the
     sign vector is the diagonal divided by its first entry."""
     for m, word in pg.element_words:
-        lead = m.entries[0][0]
-        if not m.is_diagonal() or lead.is_zero():
-            continue
-        inv = lead.inverse()
-        signs = []
-        for i in range(m.rows):
-            x = m.entries[i][i] * inv
-            if x.is_one():
-                signs.append(1)
-            elif (-x).is_one():
-                signs.append(-1)
-            else:
-                break
-        else:
-            if len(set(signs)) > 1:
-                yield word, tuple(signs), canonical_signs(signs, g)[1]
+        signs = m.diagonal_signs()
+        if signs is not None and len(set(signs)) > 1:
+            yield word, signs, canonical_signs(signs, g)[1]
 
 
 def _symmetries(job):
     """The PencilSymmetry of each matrix generator, by label."""
     if job.group is None:
         return {}
-    return {lab: equivariance(job.pencil, m) for lab, m in job.group.generators}
+    return {lab: job.pencil.symmetry(m) for lab, m in job.group.generators}
 
 
 def _branch_perms(job, syms):

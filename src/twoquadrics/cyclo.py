@@ -1,18 +1,19 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-An element is (order, num, den) with value (sum_j num[j] z^j) / den, z =
-zeta_N: num holds phi(N) ints, den > 0 and gcd(den, *num) = 1, so a value
-has one form per order and equality at one order compares tuples.  Products
-are schoolbook int products whose terms of degree phi..2phi-2 fold back
-through a table of x^k mod Phi_N built on first use; the same table embeds
-Q(zeta_d) in Q(zeta_N) for d | N (Cohen, GTM 138, 4.2).  Each element keeps
-its own order: a rational (order 1) operand scales the other, and only
-operands of two different orders meet in the lcm field.  Products and
-embeddings skip zero coefficients, and a matrix with zero entries costs only
-its nonzero terms (see matrices).  Descent to a subfield, behind canonical
-forms and hashing, is an int product with a cached left inverse of the
-embedding, checked exactly by embedding back.  Values are immutable; all
-operations are pure.
+A CycNum, the scalar type, is (order, num, den) with value (sum_j num[j]
+z^j) / den, z = zeta_N: num holds phi(N) ints, den > 0 and gcd(den, *num) =
+1, so a value has one form per order and equality at one order compares
+tuples.  The arithmetic lives in helpers on bare int vectors, which the
+matrix kernels share without making a CycNum (see matrices): `_dot_num`
+(sums of products: schoolbook int products folded once through a table of
+x^k mod Phi_N built on first use), `_map_num` (embeddings of Q(zeta_d) in
+Q(zeta_N), d | N, and Galois conjugates, from the same table; Cohen, GTM
+138, 4.2), `_inverse_num` (a product of conjugates and the norm) and
+`_descend_num` (descent to a subfield, behind canonical forms and hashing:
+an int product with a cached left inverse of the embedding, checked exactly
+by embedding back).  Each CycNum keeps its own order: a rational (order 1)
+operand scales the other, and only operands of two different orders meet
+in the lcm field.  Values are immutable; all operations are pure.
 """
 
 from __future__ import annotations
@@ -87,14 +88,16 @@ def power_table(n: int):
     return tuple(rows)
 
 
-def _mul_num(n, a, b):
-    """Product of two int coefficient vectors of Q(zeta_n)."""
-    phi = len(a)
+def _dot_num(n, pairs):
+    """sum a*b over pairs of int coefficient vectors of Q(zeta_n), as a list:
+    one schoolbook accumulation for all pairs, folded once."""
+    phi = len(pairs[0][0])
     prod = [0] * (2 * phi - 1)
-    for i, x in enumerate(a):
-        if x:
-            for k, y in enumerate(b, i):
-                prod[k] += x * y
+    for a, b in pairs:
+        for i, x in enumerate(a):
+            if x:
+                for k, y in enumerate(b, i):
+                    prod[k] += x * y
     out = prod[:phi]
     table = power_table(n)
     for k in range(phi, 2 * phi - 1):
@@ -132,13 +135,38 @@ def _descent_map(n, m):
 
     phi = euler_phi(m)
     # the rref of [E^T | I] is S^-T [E^T | I], S = E on the pivot coordinates
-    rows, coords = _rref([
-        [Fraction(x) for x in _power(n, j * (n // m))] + [int(i == j) for i in range(phi)]
+    rows, coords, d = _rref(1, [
+        _power(n, j * (n // m)) + [int(i == j) for i in range(phi)]
         for j in range(phi)
     ])
-    inv = [[row[i - phi] for row in rows] for i in range(phi)]
-    d = lcm(*(x.denominator for row in inv for x in row))
-    return tuple(coords), tuple(tuple(int(x * d) for x in row) for row in inv), d
+    inv = tuple(tuple(row[i - phi] for row in rows) for i in range(phi))
+    return tuple(coords), inv, d
+
+
+def _descend_num(n, m, num):
+    """The element num of Q(zeta_n) in Q(zeta_m), m | n, as ints c over the
+    d of _descent_map(n, m), or None when it does not lie in Q(zeta_m): the
+    candidate is the value iff it embeds back to it."""
+    coords, inv, d = _descent_map(n, m)
+    picked = [num[i] for i in coords]
+    cand = [sum(a * x for a, x in zip(row, picked)) for row in inv]
+    if _map_num(n, cand, n // m) != [d * x for x in num]:
+        return None
+    return cand
+
+
+def _inverse_num(n, num):
+    """(P, N) with num * P = N, a nonzero int, for a nonzero int vector num
+    of Q(zeta_n): P is the product of the Galois conjugates of num other
+    than num itself, and N is the norm of num."""
+    if len(num) == 1:
+        return (1,), num[0]
+    prod = None
+    for k in range(2, n):
+        if gcd(k, n) == 1:
+            conj = _map_num(n, num, k)
+            prod = conj if prod is None else _dot_num(n, ((prod, conj),))
+    return prod, _dot_num(n, ((num, prod),))[0]
 
 
 def _make(order, num, den):
@@ -250,7 +278,7 @@ class CycNum:
             return _make(a.order, [x * c for x in a.num], a.den * b.den)
         if a.order != b.order:
             a, b = CycNum._pair(a, b)
-        return _make(a.order, _mul_num(a.order, a.num, b.num), a.den * b.den)
+        return _make(a.order, _dot_num(a.order, ((a.num, b.num),)), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -262,16 +290,8 @@ class CycNum:
         of num, an integer."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        n, num = self.order, self.num
-        if len(num) == 1:
-            return _make(n, (self.den,), num[0])
-        prod = None
-        for k in range(2, n):
-            if gcd(k, n) == 1:
-                conj = _map_num(n, num, k)
-                prod = conj if prod is None else _mul_num(n, prod, conj)
-        norm = _mul_num(n, num, prod)[0]
-        return _make(n, [self.den * x for x in prod], norm)
+        prod, norm = _inverse_num(self.order, self.num)
+        return _make(self.order, [self.den * x for x in prod], norm)
 
     def __truediv__(self, other):
         other = CycNum._coerce(other)
@@ -319,25 +339,14 @@ class CycNum:
         n = self.order
         best = self
         for m in sorted(d for d in range(1, n) if n % d == 0):
-            desc = self._descend(m)
-            if desc is not None:
-                best = desc
+            cand = _descend_num(n, m, self.num)
+            if cand is not None:
+                best = _make(m, cand, _descent_map(n, m)[2] * self.den)
                 break
         _set_canon(self, best)
         if best is not self:
             _set_canon(best, best)
         return best
-
-    def _descend(self, m):
-        """Express the value in Q(zeta_m) (m | order) if possible: the
-        candidate from _descent_map is the value iff it embeds back to it."""
-        n = self.order
-        coords, inv, d = _descent_map(n, m)
-        picked = [self.num[i] for i in coords]
-        cand = [sum(a * x for a, x in zip(row, picked)) for row in inv]
-        if _map_num(n, cand, n // m) != [d * x for x in self.num]:
-            return None
-        return _make(m, cand, d * self.den)
 
     def __eq__(self, other):
         try:

@@ -143,7 +143,7 @@ def _checked(text_or_obj, kind, path):
     if isinstance(obj, (str, bytes)):
         try:
             obj = json.loads(obj)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed, or an integer past Python's digit limit
             raise SchemaError(f"invalid JSON: {exc}", path) from exc
     _walk(obj, kind, path)
     return obj

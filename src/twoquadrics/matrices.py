@@ -1,72 +1,155 @@
 """Exact linear algebra over cyclotomic fields.
 
-Matrices, canonical row-echelon subspaces, eigenspaces of finite-order
-operators, and quadratic forms.  The kernels skip zeros: products sum only
-terms with two nonzero factors (an empty sum is ZERO, stored at order 1),
-and elimination updates only the pivot row's nonzero columns, since
-x - f*0 = x.  Values, equality and keys do not depend on a zero's order.
+A Mat holds one field order N, one positive denominator `den` and rows of
+integer entries: entry (i, j) is data[i][j] / den in Q(zeta_N).  At N = 1
+an entry is an int; above it, a tuple of phi(N) ints (power-basis
+coefficients, see cyclo) or the int 0 for zero.  A matrix is kept at the
+least N holding its entries (a rational matrix stays at 1) and in lowest
+terms, so equal matrices have equal (order, den, data) keys.  The kernels
+work on these ints and build no CycNum: `_times` (products), `_echelon`/
+`_rref` (the one elimination, fraction-free) and `_clear_column`.  Over Q
+they run Bareiss's elimination (Math. Comp. 22, 1968); over Q(zeta_N) each
+new row is divided by the gcd of its coefficients, and zero entries are
+skipped.  CycNum values are made only at the API boundary: `entries`,
+`Subspace.basis`, `det`, `trace`, `is_scalar`, `apply`, `Quadric.polar` and
+`solve`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
+from math import gcd, lcm
+from operator import floordiv, mul
 
-from .cyclo import CycNum, ONE, ZERO, lcm, zeta
-from .errors import (
-    DimensionMismatch,
-    NotFiniteOrder,
-    OrderExceedsCap,
-    Singular,
-)
+from .cyclo import CycNum, ZERO, _descend_num, _descent_map, _dot_num, _inverse_num, _make, _map_num
+from .cyclo import euler_phi, power_table, zeta
+from .errors import CapExceeded, DimensionMismatch, NotFiniteOrder, OrderExceedsCap, Singular
+
+MAX_POWER_BITS = 12000  # printed in decimal, such an integer stays under Python's 4300-digit limit
+
+
+def _rows_of(values):
+    """(order, den, rows of entries) for rows of CycNum, int or Fraction."""
+    rows = [[CycNum._coerce(x) for x in row] for row in values]
+    order = lcm(*(x.order for row in rows for x in row))
+    den = lcm(*(x.den for row in rows for x in row))
+
+    def entry(x):
+        s = den // x.den
+        if order == 1:
+            return x.num[0] * s
+        num = x.num if x.order == order else _map_num(order, x.num, order // x.order)
+        return tuple(c * s for c in num) if any(num) else 0
+
+    return order, den, [[entry(x) for x in row] for row in rows]
+
+
+def _int(order, k):
+    """The entry of the integer k."""
+    return k if order == 1 or not k else (k,) + (0,) * (euler_phi(order) - 1)
+
+
+def _cyc(order, x, den):
+    """The CycNum x / den."""
+    return _make(order, (x,) if order == 1 else x or (0,) * euler_phi(order), den)
+
+
+def _embed(order, data, to):
+    """Rows of entries at order, re-expressed at `to`, a multiple of it."""
+    if order == to:
+        return data
+    return [[tuple(_map_num(to, (x,) if order == 1 else x, to // order)) if x else 0 for x in row] for row in data]
+
+
+def _dot(order, pairs):
+    """The sum of a * b over pairs of entries; zero factors are skipped."""
+    if order == 1:
+        return sum([a * b for a, b in pairs])
+    pairs = [(a, b) for a, b in pairs if a and b]
+    t = _dot_num(order, pairs) if pairs else ()
+    return tuple(t) if any(t) else 0
+
+
+def _coefs(order, row, op, k):
+    """op(c, k) on every integer coefficient c of a row of entries."""
+    return [op(x, k) for x in row] if order == 1 else [tuple(op(c, k) for c in x) if x else 0 for x in row]
+
+
+def _coefficients(order, rows):
+    return [c for row in rows for x in row for c in ((x,) if order == 1 else x or ())]
+
+
+def _mat(order, den, data, cols, m):
+    """The matrix data / den at order, brought to the least order holding its
+    entries and to lowest terms; m is the class to make (Mat or a subclass)
+    or an instance to set up."""
+    data = [tuple(r) for r in data]
+    for d in (d for d in range(1, order) if order % d == 0):
+        low = []  # the entries at order d, over _descent_map(order, d)[2] * den
+        for x in (x for row in data for x in row):
+            c = _descend_num(order, d, x) if x else [0]
+            if c is None:
+                break
+            low.append(c[0] if d == 1 else tuple(c) if x else 0)
+        else:
+            data = [low[i : i + cols] for i in range(0, len(low), cols)]
+            order, den = d, den * _descent_map(order, d)[2]
+            break
+    g = gcd(den, *_coefficients(order, data))
+    if g != 1:
+        den //= g
+        data = [_coefs(order, row, floordiv, g) for row in data]
+    m = object.__new__(m) if isinstance(m, type) else m
+    for name, value in (("rows", len(data)), ("cols", cols), ("order", order), ("den", den)):
+        object.__setattr__(m, name, value)
+    object.__setattr__(m, "data", tuple(map(tuple, data)))
+    return m
 
 
 class Mat:
-    """Rectangular matrix of CycNum entries, reconciled to a common order."""
+    """Rectangular matrix over Q(zeta_order): int rows over one denominator."""
 
-    __slots__ = ("rows", "cols", "entries", "_contra")
+    __slots__ = ("rows", "cols", "order", "den", "data", "_entries", "_contra")
 
     def __init__(self, entries):
-        entries = [[CycNum._coerce(x) for x in row] for row in entries]
+        entries = [list(r) for r in entries]
         if not entries or not entries[0]:
             raise ValueError("matrix must be nonempty")
         if any(len(r) != len(entries[0]) for r in entries):
             raise ValueError("ragged rows")
-        order = lcm(*{x.order for row in entries for x in row})
-        entries = tuple(
-            tuple(x if x.order == order else x.embed(order) for x in row)
-            for row in entries
-        )
-        object.__setattr__(self, "rows", len(entries))
-        object.__setattr__(self, "cols", len(entries[0]))
-        object.__setattr__(self, "entries", entries)
+        _mat(*_rows_of(entries), len(entries[0]), self)
 
     def __setattr__(self, *a):
         raise AttributeError("Mat is immutable")
 
     @classmethod
     def identity(cls, n):
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return _mat(1, 1, [[int(i == j) for j in range(n)] for i in range(n)], n, cls)
 
     @classmethod
     def diagonal(cls, values):
-        values = [CycNum._coerce(v) for v in values]
-        n = len(values)
-        return cls(
-            [[values[i] if i == j else ZERO for j in range(n)] for i in range(n)]
-        )
+        values = list(values)
+        return cls([[x if i == j else 0 for j in range(len(values))] for i, x in enumerate(values)])
+
+    @property
+    def entries(self):
+        """The entries as CycNum, made on first use."""
+        e = getattr(self, "_entries", None)
+        if e is None:
+            e = tuple(tuple(_cyc(self.order, x, self.den) for x in row) for row in self.data)
+            object.__setattr__(self, "_entries", e)
+        return e
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        return self.entries == other.entries
+        return self.key() == other.key()
 
     def __hash__(self):
         return hash(self.key())
 
     def key(self):
-        return tuple(tuple(x.key() for x in row) for row in self.entries)
+        return (self.order, self.den, self.data)
 
     def __repr__(self):
         body = "; ".join(
@@ -78,10 +161,13 @@ class Mat:
         if isinstance(other, Mat):
             if self.cols != other.rows:
                 raise DimensionMismatch("matrix product shape mismatch")
-            cols = [_times(self.entries, col) for col in zip(*other.entries)]
-            return Mat(list(zip(*cols)))
-        c = CycNum._coerce(other)
-        return Mat([[c * x for x in row] for row in self.entries])
+            return _product(self, other)
+        corder, cden, ((c,),) = _rows_of([[other]])
+        order = lcm(self.order, corder)
+        c = _embed(corder, [[c]], order)[0][0]
+        rows = _embed(self.order, self.data, order)
+        data = [[x * c for x in r] for r in rows] if order == 1 else [[_dot(order, ((x, c),)) for x in r] for r in rows]
+        return _mat(order, self.den * cden, data, self.cols, type(self))
 
     def __rmul__(self, other):
         return self * other
@@ -89,226 +175,274 @@ class Mat:
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch("matrix sum shape mismatch")
-        return Mat(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ]
-        )
+        order = lcm(self.order, other.order)
+        da, db = _int(order, self.den), _int(order, other.den)
+        rows = zip(_embed(self.order, self.data, order), _embed(other.order, other.data, order))
+        if order == 1:
+            data = [[x * db + y * da for x, y in zip(r1, r2)] for r1, r2 in rows]
+        else:
+            data = [[_dot(order, ((x, db), (y, da))) for x, y in zip(r1, r2)] for r1, r2 in rows]
+        return _mat(order, self.den * other.den, data, self.cols, type(self))
 
     def __sub__(self, other):
-        return self + (other * CycNum.from_rational(-1))
+        return self + (-other)
 
     def __neg__(self):
-        return self * CycNum.from_rational(-1)
+        return _mat(self.order, self.den, [_coefs(self.order, r, mul, -1) for r in self.data], self.cols, type(self))
 
     def __pow__(self, k):
+        """M^k by repeated squaring.  Raises CapExceeded, instead of running
+        on, once an integer of the result or of a square in use passes
+        2^MAX_POWER_BITS: the powers of a matrix of infinite order grow
+        without bound."""
         if self.rows != self.cols:
             raise DimensionMismatch("power of nonsquare matrix")
         if k < 0:
             return self.inverse() ** (-k)
-        result = Mat.identity(self.rows)
+        result = self.identity(self.rows)
         base = self
         while k:
             if k & 1:
                 result = result * base
+            for m in (result, base):
+                if max(m.den, *map(abs, _coefficients(m.order, m.data))).bit_length() > MAX_POWER_BITS:
+                    raise CapExceeded(f"matrix power has entries beyond {MAX_POWER_BITS} bits")
             base = base * base
             k >>= 1
         return result
 
     def transpose(self):
-        return Mat(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
+        return _mat(self.order, self.den, zip(*self.data), self.rows, type(self))
 
     def apply(self, vec):
         """Matrix times column vector (a sequence of CycNum)."""
-        vec = [CycNum._coerce(v) for v in vec]
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length mismatch")
-        return tuple(_times(self.entries, vec))
+        return tuple(row[0] for row in _product(self, Mat([[x] for x in vec])).entries)
 
     def det(self) -> CycNum:
         if self.rows != self.cols:
             raise DimensionMismatch("determinant of nonsquare matrix")
-        pivots, det = _echelon([list(r) for r in self.entries])
-        return det if len(pivots) == self.rows else ZERO
+        pivots, (a, b) = _echelon(self.order, list(self.data))
+        if len(pivots) < self.rows:
+            return ZERO
+        return _cyc(self.order, a, self.den**self.rows) / _cyc(self.order, b, 1)
 
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of nonsquare matrix")
-        n = self.rows
-        rows, pivots = _rref(
-            [list(r) + list(e) for r, e in zip(self.entries, Mat.identity(n).entries)]
-        )
+        n, scaled = self.rows, _int(self.order, self.den)
+        # [A | den I] reduces to [I | (A / den)^-1]
+        rows = [r + tuple(scaled if i == j else 0 for j in range(n)) for i, r in enumerate(self.data)]
+        rows, pivots, den = _rref(self.order, rows)
         if pivots != list(range(n)):
             raise Singular("matrix is singular")
-        return Mat([row[n:] for row in rows])
+        return _mat(self.order, den, [row[n:] for row in rows], n, Mat)
 
     def rank(self) -> int:
-        return len(_echelon([list(r) for r in self.entries])[0])
+        return len(_echelon(self.order, list(self.data))[0])
+
+    def trace(self) -> CycNum:
+        one = _int(self.order, 1)
+        return _cyc(self.order, _dot(self.order, [(row[i], one) for i, row in enumerate(self.data)]), self.den)
 
     def is_diagonal(self) -> bool:
         """Whether every entry off the main diagonal is zero."""
-        return all(
-            x.is_zero()
-            for i, row in enumerate(self.entries)
-            for j, x in enumerate(row)
-            if i != j
-        )
+        return not any(x for i, row in enumerate(self.data) for j, x in enumerate(row) if i != j)
 
     def is_scalar(self):
         """Return the scalar c when the matrix equals c*I, else None."""
         if self.rows != self.cols or not self.is_diagonal():
             return None
-        c = self.entries[0][0]
-        return c if all(row[i] == c for i, row in enumerate(self.entries)) else None
+        c = self.data[0][0]
+        return _cyc(self.order, c, self.den) if all(row[i] == c for i, row in enumerate(self.data)) else None
 
     def is_identity(self) -> bool:
         c = self.is_scalar()
         return c is not None and c.is_one()
 
-
-def _times(rows, vec):
-    """The products of the rows with a column vector.  The vector's nonzero
-    entries are listed once; each row sums only the terms where its entry is
-    nonzero too, and an empty sum is ZERO."""
-    nz = [(k, y) for k, y in enumerate(vec) if y]
-    out = []
-    for row in rows:
-        terms = [row[k] * y for k, y in nz if row[k]]
-        out.append(reduce(add, terms) if terms else ZERO)
-    return out
+    def diagonal_signs(self):
+        """The diagonal divided by its first entry, when the matrix is
+        diagonal and that quotient is a vector of +-1; else None."""
+        lead = self.data[0][0]
+        if self.rows != self.cols or not lead or not self.is_diagonal():
+            return None
+        signs = {lead: 1, _coefs(self.order, [lead], mul, -1)[0]: -1}
+        out = tuple(signs.get(row[i]) for i, row in enumerate(self.data))
+        return None if None in out else out
 
 
-def _echelon(rows):
-    """Forward elimination in place, to row echelon form with unit pivots.
+def _times(order, rows, vec):
+    """The products of int rows with an int column vector, at one order."""
+    if order == 1:
+        return [sum(map(mul, row, vec)) for row in rows]
+    return [_dot(order, zip(row, vec)) for row in rows]
 
-    Entries may come from any field whose elements are false exactly at zero
-    and invert as ``1 / x`` (CycNum, Fraction).  The pivot is the first
-    nonzero entry at or below the current row; rows change in place.
-    Returns (pivot columns, d), where d is the product of the pivots times
-    the sign of the row swaps: the determinant of a square matrix of full
-    rank."""
+
+def _product(a, b):
+    order = lcm(a.order, b.order)
+    rows = _embed(a.order, a.data, order)
+    cols = [_times(order, rows, col) for col in zip(*_embed(b.order, b.data, order))]
+    return _mat(order, a.den * b.den, zip(*cols), b.cols, type(a))
+
+
+def _echelon(order, rows, reduced=False):
+    """Fraction-free elimination of int rows in place: to row echelon form,
+    or with `reduced` also clearing each pivot column above the pivot
+    (Gauss-Jordan), to reduced form up to one factor per row.
+
+    The pivot is the first nonzero entry at or below the current row; the
+    other rows change as _clear_column says.  Returns (pivots, (a, b)): for
+    square rows of full rank, a / b is their determinant."""
     pivots = []
-    det = 1
-    r = 0
+    a = b = _int(order, 1)
+    prev = 1
     for c in range(len(rows[0]) if rows else 0):
-        if r == len(rows):
-            break
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None) if r < len(rows) else None
         if pr is None:
             continue
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
-            det = -det
-        piv = rows[r]
-        det = det * piv[c]
-        inv = 1 / piv[c]
-        for j in range(c, len(piv)):
-            if piv[j]:
-                piv[j] = piv[j] * inv
-        _clear_column(rows, r, c, range(r + 1, len(rows)))
+            a = _coefs(order, [a], mul, -1)[0]
+        p = rows[r][c]
+        targets = [i for i in range(len(rows)) if i != r] if reduced else range(r + 1, len(rows))
+        pm, d = _clear_column(order, rows, r, c, targets, prev)
+        # the determinant gained the factor pm / d; the pivot joins the diagonal
+        a = _coefs(order, [_dot(order, ((a, p),))], mul, d)[0]
+        b = _dot(order, ((b, pm),))
+        prev = p
         pivots.append(c)
-        r += 1
-    return pivots, det
+    return pivots, (a, b)
 
 
-def _rref(rows):
-    """In-place reduced row echelon form; returns (rows, pivot columns).
+def _rref(order, rows):
+    """Reduced row echelon form in place: returns (rows, pivot columns, den)
+    with rows[k] / den the k-th row of the reduced form (pivot 1)."""
+    pivots, _ = _echelon(order, rows, reduced=True)
+    # (P, N) with pivot * P = N, an integer
+    invs = [(1, rows[k][c]) if order == 1 else _inverse_num(order, rows[k][c]) for k, c in enumerate(pivots)]
+    den = lcm(*(abs(norm) for _, norm in invs))
+    for k, (inv, norm) in enumerate(invs):
+        row = rows[k] if order == 1 else [_dot(order, ((x, tuple(inv)),)) for x in rows[k]]
+        rows[k] = _coefs(order, row, mul, den // norm)
+    return rows, pivots, den
 
-    The forward pass of _echelon, then elimination above each pivot."""
-    pivots, _ = _echelon(rows)
-    for r, c in enumerate(pivots):
-        _clear_column(rows, r, c, range(r))
-    return rows, pivots
 
+def _clear_column(order, rows, r, c, targets, prev):
+    """rows[i] becomes (p * rows[i] - f * rows[r]) / d for i in targets, with
+    p = rows[r][c] the pivot and f = rows[i][c].
 
-def _clear_column(rows, r, c, targets):
-    """rows[i] -= rows[i][c] * rows[r] in place for i in targets, where
-    rows[r] has its pivot 1 at column c and zeros before it.  Only the pivot
-    row's nonzero columns change, since x - f*0 = x."""
+    Over Q (Bareiss) d = prev, the previous pivot, and every target changes,
+    f = 0 or not, so that every entry is a minor of the input and the
+    division is exact.  Over Q(zeta_N) only targets with f != 0 change and
+    d is the gcd of the new row's integer coefficients.  Returns (pm, dm),
+    the products of the multipliers p and of the divisors d: the
+    determinant was multiplied by pm / dm."""
     piv = rows[r]
-    nz = [j for j in range(c, len(piv)) if piv[j]]
+    p = piv[c]
+    if order == 1:
+        for i in targets:
+            row, f = rows[i], rows[i][c]
+            if f or p != prev:
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, piv)]
+        return p ** len(targets), prev ** len(targets)
+    pm, dm = _int(order, 1), 1
     for i in targets:
-        row = rows[i]
-        f = row[c]
+        f = rows[i][c]
         if f:
-            for j in nz:
-                row[j] = row[j] - f * piv[j]
+            nf = _coefs(order, [f], mul, -1)[0]
+            new = [_dot(order, ((p, x), (nf, y))) for x, y in zip(rows[i], piv)]
+            g = gcd(*_coefficients(order, [new])) or 1
+            rows[i] = _coefs(order, new, floordiv, g)
+            pm, dm = _dot(order, ((pm, p),)), dm * g
+    return pm, dm
+
+
+def _solve(order, rows):
+    """The x with sum_j rows[i][j] x[j] == rows[i][-1] for every i, as
+    CycNum, or None; unknowns the system leaves free are set to zero.  The
+    rows are int entries at order, changed in place, and the solution is
+    checked against every equation before it is returned."""
+    n = len(rows[0]) - 1
+    eqs = list(rows)
+    rows, pivots, den = _rref(order, rows)
+    if n in pivots:
+        return None
+    sol = [0] * n
+    for r, c in enumerate(pivots):
+        sol[c] = rows[r][n]
+    if _times(order, [e[:n] for e in eqs], sol) != _coefs(order, [e[n] for e in eqs], mul, den):
+        return None
+    return tuple(_cyc(order, x, den) for x in sol)
 
 
 def solve(cols, target):
     """The coefficients x with sum_j x[j] * cols[j] == target, or None.
 
-    Works over the fields _echelon accepts; unknowns the system leaves free
-    are set to zero.  The solution is checked against every equation before
-    it is returned."""
-    n = len(cols)
-    rows, pivots = _rref([[col[i] for col in cols] + [t] for i, t in enumerate(target)])
-    if n in pivots:
-        return None
-    sol = [target[0] * 0] * n  # zero of the entries' field
-    for r, c in enumerate(pivots):
-        sol[c] = rows[r][n]
-    for i, t in enumerate(target):
-        if sum(x * col[i] for x, col in zip(sol, cols)) != t:
-            return None
-    return tuple(sol)
+    Entries may be CycNum, int or Fraction; the solution is CycNum."""
+    m = Mat([[col[i] for col in cols] + [t] for i, t in enumerate(target)])
+    return _solve(m.order, list(m.data))
+
+
+def span_coefficients(target: Mat, mats):
+    """The c with target == sum_k c[k] * mats[k] entrywise, or None."""
+    order = lcm(target.order, *(m.order for m in mats))
+    den = lcm(target.den, *(m.den for m in mats))
+    entries = [[x for row in _embed(m.order, m.data, order) for x in row] for m in (*mats, target)]
+    flat = [_coefs(order, xs, mul, den // m.den) for xs, m in zip(entries, (*mats, target))]
+    return _solve(order, [eq for eq in zip(*flat) if any(eq)])  # 0 = 0 says nothing
 
 
 class Subspace:
-    """Linear subspace given by a canonical reduced-row-echelon basis."""
+    """Linear subspace given by a canonical reduced-row-echelon basis, held
+    as the rows of a Mat."""
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "_rows")
 
     def __init__(self, ambient_dim, vectors):
-        rows = [[CycNum._coerce(x) for x in v] for v in vectors]
-        for v in rows:
-            if len(v) != ambient_dim:
-                raise DimensionMismatch("vector length != ambient dimension")
-        rows, pivots = _rref(rows)
-        rows = rows[: len(pivots)]
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", tuple(tuple(r) for r in rows))
+        vectors = [list(v) for v in vectors]
+        if any(len(v) != ambient_dim for v in vectors):
+            raise DimensionMismatch("vector length != ambient dimension")
+        # a vector's scale leaves the span alone, so the denominator is dropped
+        order, _, rows = _rows_of(vectors) if vectors else (1, 1, [])
+        _span(ambient_dim, order, rows, self)
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
 
     @classmethod
     def full(cls, n):
-        return cls(n, Mat.identity(n).entries)
+        return _span(n, 1, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def zero(cls, n):
         return cls(n, [])
 
     @property
+    def basis(self):
+        return self._rows.entries
+
+    @property
     def dim(self):
-        return len(self.basis)
+        return self._rows.rows
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
-        )
+        return isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim and self._rows == other._rows
 
     def __hash__(self):
-        return hash(
-            (self.ambient_dim, tuple(tuple(x.key() for x in r) for r in self.basis))
-        )
+        return hash((self.ambient_dim, self._rows.key()))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
 
     def contains_vector(self, vec) -> bool:
-        vec = [CycNum._coerce(v) for v in vec]
-        rows = [list(r) for r in self.basis] + [vec]
-        return len(_echelon(rows)[0]) == self.dim
+        return self.contains_subspace(Subspace(self.ambient_dim, [vec]))
 
     def contains_subspace(self, other) -> bool:
-        return all(self.contains_vector(v) for v in other.basis)
+        a, b = self._rows, other._rows
+        order = lcm(a.order, b.order)
+        return len(_echelon(order, [*_embed(a.order, a.data, order), *_embed(b.order, b.data, order)])[0]) == a.rows
 
     def intersect(self, other) -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
@@ -316,26 +450,42 @@ class Subspace:
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ambient_dim)
         # solve A^T u = B^T w: kernel of [A^T | -B^T]
-        at, bt = list(zip(*self.basis)), list(zip(*other.basis))
-        ker = kernel(Mat([list(x) + [-y for y in w] for x, w in zip(at, bt)]))
-        return Subspace(self.ambient_dim, [_times(at, u[: self.dim]) for u in ker.basis])
+        a, b = self._rows, other._rows
+        order = lcm(a.order, b.order)
+        at = list(zip(*_embed(a.order, a.data, order)))
+        bt = [tuple(_coefs(order, w, mul, -1)) for w in zip(*_embed(b.order, b.data, order))]
+        ker = kernel(_mat(order, 1, [x + w for x, w in zip(at, bt)], a.rows + b.rows, Mat))._rows
+        vecs = [_times(order, at, u[: a.rows]) for u in _embed(ker.order, ker.data, order)]
+        return _span(self.ambient_dim, order, vecs)
 
     def image_under(self, m: Mat) -> "Subspace":
-        return Subspace(m.rows, [m.apply(v) for v in self.basis])
+        s = self._rows
+        order = lcm(s.order, m.order)
+        rows = _embed(m.order, m.data, order)
+        return _span(m.rows, order, [_times(order, rows, v) for v in _embed(s.order, s.data, order)])
+
+
+def _span(n, order, rows, s=None):
+    """The span of int rows at order, as a Subspace (set up on s if given)."""
+    rows, pivots, den = _rref(order, list(rows))
+    s = object.__new__(Subspace) if s is None else s
+    object.__setattr__(s, "ambient_dim", n)
+    object.__setattr__(s, "_rows", _mat(order, den, rows[: len(pivots)], n, Mat))
+    return s
 
 
 def kernel(m: Mat) -> Subspace:
     """Right null space of a matrix."""
-    rows, pivots = _rref([list(r) for r in m.entries])
-    free = [c for c in range(m.cols) if c not in pivots]
+    rows, pivots, den = _rref(m.order, list(m.data))
+    one = _int(m.order, den)
     basis = []
-    for fc in free:
-        vec = [ZERO] * m.cols
-        vec[fc] = ONE
+    for fc in (c for c in range(m.cols) if c not in pivots):
+        vec = [0] * m.cols
+        vec[fc] = one
         for i, pc in enumerate(pivots):
-            vec[pc] = -rows[i][fc]
+            vec[pc] = _coefs(m.order, [rows[i][fc]], mul, -1)[0]
         basis.append(vec)
-    return Subspace(m.cols, basis)
+    return _span(m.cols, m.order, basis)
 
 
 @dataclass(frozen=True)
@@ -343,6 +493,7 @@ class OrderInfo:
     order: int  # least n with M^n = identity
     projective_order: int  # least n with M^n scalar
     scalar: CycNum  # the scalar at the projective order
+    traces: tuple  # tr(M^j) for 0 <= j < order
 
 
 def operator_order(m: Mat, cap: int = 360) -> OrderInfo:
@@ -352,6 +503,7 @@ def operator_order(m: Mat, cap: int = 360) -> OrderInfo:
     power = m
     proj = None
     proj_scalar = None
+    traces = [CycNum.from_rational(m.rows)]
     for n in range(1, cap + 1):
         c = power.is_scalar()
         if c is not None:
@@ -359,7 +511,8 @@ def operator_order(m: Mat, cap: int = 360) -> OrderInfo:
                 proj = n
                 proj_scalar = c
             if c.is_one():
-                return OrderInfo(n, proj, proj_scalar)
+                return OrderInfo(n, proj, proj_scalar, tuple(traces))
+        traces.append(power.trace())
         power = power * m
     raise OrderExceedsCap(f"no power up to {cap} is the identity")
 
@@ -367,23 +520,37 @@ def operator_order(m: Mat, cap: int = 360) -> OrderInfo:
 def eigenspaces_finite_order(m: Mat, cap: int = 360):
     """All nonzero eigenspaces of a finite-order operator.
 
-    Eigenvalue candidates are exactly the n-th roots of unity for n the
-    operator order; finite order over characteristic zero guarantees the
-    spaces sum to the ambient space.
+    For the operator order n the eigenvalues are n-th roots of unity, and
+    zeta_n^k has multiplicity (1/n) s_k, s_k = sum_j zeta_n^(-jk) tr(M^j)
+    (Serre, Linear Representations of Finite Groups, 2.6), from the powers
+    operator_order forms.  s_k is rational, so it is its coefficient of 1 in
+    the power basis of Q(zeta_L), L = lcm(n, the traces' orders): an int sum
+    over the powers of zeta_L.  A kernel is taken only where s_k != 0.
+    Finite order over characteristic zero guarantees the spaces sum to the
+    ambient space, which is checked.
     """
     try:
         info = operator_order(m, cap)
     except OrderExceedsCap as exc:
         raise NotFiniteOrder(str(exc)) from exc
-    n = info.order
+    n, traces = info.order, info.traces
+    big, den = lcm(n, *(t.order for t in traces)), lcm(*(t.den for t in traces))
+    const = [dict(row).get(0, 0) for row in power_table(big)[:big]]  # coefficient of 1 in zeta_L^e
+    terms = [
+        (i * (big // t.order), j * (big // n), c * (den // t.den))
+        for j, t in enumerate(traces)
+        for i, c in enumerate(t.num)
+        if c
+    ]
     spaces = []
     total = 0
     for k in range(n):
-        lam = zeta(n, k)
-        space = kernel(m - lam * Mat.identity(m.rows))
-        if space.dim:
-            spaces.append((lam, space))
-            total += space.dim
+        if sum(w * const[(e - s * k) % big] for e, s, w in terms):
+            lam = zeta(n, k)
+            space = kernel(m - Mat.identity(m.rows) * lam)
+            if space.dim:
+                spaces.append((lam, space))
+                total += space.dim
     if total != m.rows:
         raise NotFiniteOrder("eigenspaces do not exhaust the ambient space")
     return spaces
@@ -427,12 +594,14 @@ class Quadric:
         return self.polar(v, v)
 
     def polar(self, u, v) -> CycNum:
-        u = [CycNum._coerce(x) for x in u]
-        v = [CycNum._coerce(x) for x in v]
+        u, v = list(u), list(v)
         if len(u) != self.size or len(v) != self.size:
             raise DimensionMismatch("vector length mismatch")
-        gv = self.gram.apply(v)
-        return _times([u], gv)[0]
+        vorder, vden, uv = _rows_of([u, v])
+        g = self.gram
+        order = lcm(g.order, vorder)
+        u, v = _embed(vorder, uv, order)
+        return _cyc(order, _times(order, [u], _times(order, _embed(g.order, g.data, order), v))[0], g.den * vden**2)
 
     def restrict(self, s: Subspace) -> "Quadric | None":
         """Gram matrix of the form restricted to the basis of s.
@@ -442,17 +611,11 @@ class Quadric:
             raise DimensionMismatch("subspace ambient dimension mismatch")
         if s.dim == 0:
             return None
-        return Quadric(
-            Mat(
-                [
-                    [self.polar(s.basis[i], s.basis[j]) for j in range(s.dim)]
-                    for i in range(s.dim)
-                ]
-            )
-        )
+        b = s._rows
+        return Quadric(_product(_product(b, self.gram), b.transpose()))
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self.gram.entries for x in row)
+        return not any(x for row in self.gram.data for x in row)
 
 
 def contragredient(m: Mat) -> Mat:

@@ -35,6 +35,7 @@ from .matrices import (
     Subspace,
     contragredient,
     solve,
+    span_coefficients,
 )
 
 
@@ -63,6 +64,17 @@ class Pencil:
     def det_form(self) -> BinaryForm:
         """The degeneracy form, computed on first use and then kept."""
         return degeneracy_form(self)
+
+    @cached_property
+    def _symmetries(self):
+        return {}  # Mat -> PencilSymmetry, filled by symmetry()
+
+    def symmetry(self, h: Mat) -> "PencilSymmetry":
+        """equivariance(self, h), computed once per matrix and then kept."""
+        sym = self._symmetries.get(h)
+        if sym is None:
+            sym = self._symmetries[h] = equivariance(self, h)
+        return sym
 
 
 @dataclass(frozen=True)
@@ -154,7 +166,7 @@ def equivariance(pencil: Pencil, h: Mat) -> PencilSymmetry:
     rows = []
     for gi in (g1, g2):
         transformed = h * gi * h.transpose()
-        coeffs = _in_span(transformed, g1, g2)
+        coeffs = span_coefficients(transformed, (g1, g2))
         if coeffs is None:
             raise NotASymmetry("transformed quadric leaves the pencil span")
         rows.append(coeffs)
@@ -162,12 +174,6 @@ def equivariance(pencil: Pencil, h: Mat) -> PencilSymmetry:
     if m.det().is_zero():
         raise NotASymmetry("induced 2x2 action is singular")
     return PencilSymmetry(h, (tuple(rows[0]), tuple(rows[1])))
-
-
-def _in_span(target: Mat, g1: Mat, g2: Mat):
-    """Solve target = a·g1 + b·g2 entrywise; None when unsolvable."""
-    cols = [[x for row in m.entries for x in row] for m in (g1, g2, target)]
-    return solve(cols[:2], cols[2])
 
 
 def branch_permutation(pencil: Pencil, sym: PencilSymmetry, branch: BranchConfig):
@@ -190,7 +196,7 @@ def _check_symmetries(pencil: Pencil, group: MatrixGroup):
     symmetry (NotASymmetry otherwise)."""
     for label, a in group.generators:
         try:
-            equivariance(pencil, contragredient(a))
+            pencil.symmetry(contragredient(a))
         except NotASymmetry as exc:
             raise NotASymmetry(f"generator {label!r}: {exc}") from exc
 

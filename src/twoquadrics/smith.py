@@ -2,96 +2,24 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .matrices import solve
+from .matrices import Mat, solve
 
 
-class IntMatrix:
-    """Dense rectangular matrix with arbitrary-precision integer entries."""
+class IntMatrix(Mat):
+    """Integer matrix: a Mat of integers (order 1, denominator 1), whose
+    entries are its ints."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ()
 
     def __init__(self, entries):
-        entries = tuple(tuple(int(x) for x in row) for row in entries)
-        if not entries or not entries[0]:
-            raise ValueError("matrix must be nonempty")
-        if any(len(r) != len(entries[0]) for r in entries):
-            raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", len(entries))
-        object.__setattr__(self, "cols", len(entries[0]))
-        object.__setattr__(self, "entries", entries)
+        super().__init__([[int(x) for x in row] for row in entries])
 
-    def __setattr__(self, *a):
-        raise AttributeError("IntMatrix is immutable")
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
+    @property
+    def entries(self):
+        return self.data
 
     def __repr__(self):
-        return "IntMatrix(" + repr([list(r) for r in self.entries]) + ")"
-
-    def __mul__(self, other):
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        return IntMatrix(
-            [
-                [
-                    sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
-                    for j in range(other.cols)
-                ]
-                for i in range(self.rows)
-            ]
-        )
-
-    def __add__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        return IntMatrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ]
-        )
-
-    def __sub__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        return IntMatrix(
-            [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ]
-        )
-
-    def __pow__(self, k):
-        if self.rows != self.cols:
-            raise ValueError("power of nonsquare matrix")
-        result = IntMatrix.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def transpose(self):
-        return IntMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
-
-    def is_identity(self):
-        return self == IntMatrix.identity(self.rows) if self.rows == self.cols else False
+        return f"IntMatrix({[list(r) for r in self.data]!r})"
 
 
 def smith_normal_form(a: IntMatrix):
@@ -217,7 +145,7 @@ def solve_in_lattice_basis(basis, vec):
     """
     if not basis:
         return None if any(vec) else ()
-    sol = solve([[Fraction(x) for x in b] for b in basis], [Fraction(x) for x in vec])
-    if sol is None or any(s.denominator != 1 for s in sol):
+    sol = solve(basis, vec)
+    if sol is None or any(s.den != 1 for s in sol):
         return None
-    return tuple(int(s) for s in sol)
+    return tuple(s.num[0] for s in sol)

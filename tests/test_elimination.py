@@ -1,13 +1,15 @@
 """Properties of the one elimination routine behind det, inverse, rank,
 kernel, solve and cyclotomic descent, over Q and Q(zeta_8), with sympy as
-an independent oracle where it is installed."""
+an independent oracle where it is installed; and the integer-row kernels
+(products, Bareiss over Q, content-reduced rows over Q(zeta_N)) against an
+entrywise CycNum reference at orders 1, 8 and 24."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from twoquadrics.cyclo import CycNum, ONE, ZERO, zeta
+from twoquadrics.cyclo import CycNum, ONE, ZERO, euler_phi, zeta
 from twoquadrics.errors import Singular
 from twoquadrics.matrices import Mat, Quadric, Subspace, kernel, solve
 from twoquadrics.pencils import Pencil, degeneracy_form
@@ -226,3 +228,154 @@ def test_det_and_degeneracy_form_against_sympy():
         det = sympy.Poly(ring.to_sympy(DomainMatrix.from_Matrix(pencil).convert_to(ring).det()), t)
         want = [_fraction(det.coeff_monomial(t**k)) for k in range(7)]
         assert [c.as_rational() for c in f.coeffs] == want
+
+
+# -- int-row kernels against an entrywise CycNum reference -----------------
+
+
+def _reference_rref(rows):
+    """Gauss-Jordan over CycNum entries, pivots scaled to 1: the reference
+    for the int kernels.  Returns (reduced rows, pivot columns, determinant
+    of a square input)."""
+    rows = [[CycNum._coerce(x) for x in r] for r in rows]
+    pivots, det = [], ONE
+    for c in range(len(rows[0])):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            det = -det
+        det = det * rows[r][c]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots, det if len(pivots) == len(rows) else ZERO
+
+
+def _reference_kernel(rows):
+    """The reduced basis of the null space, from the reference."""
+    red, pivots, _ = _reference_rref(rows)
+    n = len(rows[0])
+    vecs = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [ZERO] * n
+        v[fc] = ONE
+        for i, pc in enumerate(pivots):
+            v[pc] = -red[i][fc]
+        vecs.append(v)
+    return _reference_rref(vecs)[0] if vecs else []
+
+
+def _entry_of_height(rng, order, height, zeros):
+    """Zero with probability `zeros`; else a value of Q(zeta_order) with
+    integer coefficients below `height` over a small denominator."""
+    if rng.random() < zeros:
+        return ZERO
+    phi = euler_phi(order)
+    coeffs = [Fraction(rng.randint(-height, height), rng.randint(1, 6)) for _ in range(phi)]
+    if order > 1 and rng.random() < 0.3:  # sometimes a rational entry stored at the full order
+        coeffs[1:] = [0] * (phi - 1)
+    return CycNum(order, coeffs)
+
+
+def _height_matrix(rng, order, n, height, zeros, common=1):
+    return Mat([[_entry_of_height(rng, order, height, zeros) * common for _ in range(n)] for _ in range(n)])
+
+
+def _check_against_reference(a, b, rng):
+    rows = [list(r) for r in a.entries]
+    n = a.rows
+    # product
+    want = [[sum((x * y for x, y in zip(r, c)), ZERO) for c in zip(*b.entries)] for r in a.entries]
+    assert a * b == Mat(want)
+    assert all(x == y for r, w in zip((a * b).entries, want) for x, y in zip(r, w))
+    # det, rank
+    red, pivots, det = _reference_rref(rows)
+    assert a.det() == det
+    assert a.rank() == len(pivots)
+    # inverse
+    if det:
+        inv = _reference_rref([r + [ONE if i == j else ZERO for j in range(n)] for i, r in enumerate(rows)])[0]
+        assert a.inverse() == Mat([r[n:] for r in inv])
+    else:
+        with pytest.raises(Singular):
+            a.inverse()
+    # kernel, in canonical reduced form
+    want_kernel = _reference_kernel(rows)
+    assert [list(v) for v in kernel(a).basis] == want_kernel
+    # solve: a target in the column span is reached; the reference unknowns are one solution
+    x = [_entry_of_height(rng, max(e.order for r in rows for e in r), 5, 0.3) for _ in range(n)]
+    target = [sum((e * xi for e, xi in zip(r, x)), ZERO) for r in rows]
+    sol = solve([list(c) for c in zip(*rows)], target)
+    assert [sum((e * s for e, s in zip(r, sol)), ZERO) for r in rows] == target
+    if det:
+        assert list(sol) == x
+
+
+KERNEL_CASES = [
+    # (order, size, coefficient height, share of zeros, common factor)
+    (1, 6, 9, 0.8, 1),
+    (1, 6, 9, 0.2, 1),
+    (1, 5, 10**30, 0.2, 1),
+    (1, 5, 9, 0.2, 10**30 + 3),
+    (8, 6, 9, 0.8, 1),
+    (8, 4, 9, 0.2, 1),
+    (8, 4, 10**30, 0.3, 1),
+    (8, 4, 9, 0.3, 10**30 + 3),
+    (24, 6, 9, 0.8, 1),
+    (24, 3, 9, 0.2, 1),
+    (24, 3, 10**30, 0.3, 1),
+]
+
+
+@pytest.mark.parametrize("order, n, height, zeros, common", KERNEL_CASES)
+def test_int_kernels_match_entrywise_reference(order, n, height, zeros, common):
+    rng = random.Random(f"{order}-{n}-{height}-{zeros}-{common}")
+    for _ in range(4):
+        a = _height_matrix(rng, order, n, height, zeros, common)
+        b = _height_matrix(rng, order, n, height, zeros)
+        _check_against_reference(a, b, rng)
+
+
+@pytest.mark.parametrize("order", [1, 8, 24])
+def test_zero_pivot_forces_row_swap_and_singular_matrix(order):
+    rng = random.Random(order)
+    z = zeta(order) if order > 1 else CycNum.from_rational(Fraction(3, 2))
+    swap = Mat([[0, 1, z], [2, z, 0], [z * z, 0, 1]])  # first pivot from the second row
+    assert swap.det() == _reference_rref([list(r) for r in swap.entries])[2] != 0
+    _check_against_reference(swap, swap.transpose(), rng)
+    rows = [list(r) for r in _height_matrix(rng, order, 4, 10**30, 0.2).entries]
+    rows[3] = [x + z * y for x, y in zip(rows[0], rows[2])]
+    singular = Mat(rows)
+    assert singular.det() == 0 and singular.rank() == 3 and kernel(singular).dim == 1
+    _check_against_reference(singular, singular, rng)
+
+
+def test_rational_matrix_keys_alike_at_every_storage_order():
+    rng = random.Random(9)
+    values = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)] for _ in range(4)]
+    at1 = Mat(values)
+    at24 = Mat([[CycNum(24, [q] + [0] * 7) for q in row] for row in values])
+    assert at24.order == at1.order == 1
+    assert at24 == at1 and at24.key() == at1.key() and hash(at24) == hash(at1)
+    # an order-8 matrix whose entries lie in Q(zeta_4) keys as one built at order 4
+    i8 = zeta(8, 2)
+    assert Mat([[i8, 1], [0, i8]]) == Mat([[zeta(4), 1], [0, zeta(4)]])
+    assert hash(Mat([[i8, 1], [0, i8]])) == hash(Mat([[zeta(4), 1], [0, zeta(4)]]))
+
+
+def test_rational_times_order_8_product():
+    rng = random.Random(10)
+    for _ in range(5):
+        r = _height_matrix(rng, 1, 5, 10**30, 0.5)
+        m = _height_matrix(rng, 8, 5, 9, 0.5)
+        for a, b in ((r, m), (m, r)):
+            want = [[sum((x * y for x, y in zip(row, c)), ZERO) for c in zip(*b.entries)] for row in a.entries]
+            assert a * b == Mat(want)
+            assert (a * b).order in (1, 2, 4, 8)

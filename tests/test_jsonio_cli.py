@@ -198,6 +198,17 @@ def test_dp4_and_lift_input_errors(capsys, tmp_path):
     path.write_text("{")
     assert main(["dp4", str(path)]) == 2
     assert capsys.readouterr().err.startswith("input error: $: invalid JSON")
+    # an integer past Python's 4300-digit limit for int/str conversion
+    path.write_text('{"regressions": {"x": {"matrix": [[1' + "0" * 4400 + "]]}}}")
+    assert main(["dp4", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("input error: $: invalid JSON")
+    # powers of a matrix of infinite order hit the size cap at once, however large the power
+    for power in (10000, 10**18):
+        path.write_text(json.dumps({"regressions": {"x": {"matrix": [[3, 1], [1, 2]], "power": power}}}))
+        start = time.perf_counter()
+        assert main(["dp4", str(path)]) == 3
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err.startswith("error: matrix power has entries beyond")
 
 
 def _malformed_inputs():

@@ -136,22 +136,29 @@ def proj_equal(p, q) -> bool:
     return (a * d - b * c).is_zero()
 
 
-def bform_root_action(f: BinaryForm, roots, moebius):
-    """Permutation of root indices induced by a 2x2 Moebius matrix.
-
-    `roots` is a list of projective (u, v) pairs; `moebius` is a 2x2 matrix
-    given as ((a, b), (c, d)) acting by (u, v) -> (a u + b v, c u + d v).
-    Returns a 1-indexed image tuple.
-    """
-    roots = [(CycNum._coerce(u), CycNum._coerce(v)) for u, v in roots]
+def checked_roots(f: BinaryForm, roots):
+    """`roots`, projective (u, v) pairs, as CycNum pairs once checked to be
+    distinct roots of f (else ValueError, or NotARoot where f is nonzero)."""
+    roots = tuple((CycNum._coerce(u), CycNum._coerce(v)) for u, v in roots)
     for i, (u, v) in enumerate(roots):
         if u.is_zero() and v.is_zero():
             raise ValueError(f"root {i + 1} is (0, 0)")
-        for j, other in enumerate(roots):
-            if j > i and proj_equal((u, v), other):
-                raise ValueError(f"roots {i + 1} and {j + 1} coincide")
+        for j in range(i):
+            if proj_equal(roots[j], (u, v)):
+                raise ValueError(f"roots {j + 1} and {i + 1} coincide")
         if not f.evaluate(u, v).is_zero():
-            raise NotARoot(f"point {i + 1} does not annihilate the form")
+            raise NotARoot(f"point {i + 1} is not a root of the form")
+    return roots
+
+
+def bform_root_action(f: BinaryForm, roots, moebius):
+    """root_images of `roots`, projective (u, v) pairs, after checked_roots."""
+    return root_images(checked_roots(f, roots), moebius)
+
+
+def root_images(roots, moebius):
+    """The 1-indexed permutation of checked roots induced by the Moebius
+    matrix ((a, b), (c, d)), acting by (u, v) -> (a u + b v, c u + d v)."""
     (a, b), (c, d) = [[CycNum._coerce(x) for x in row] for row in moebius]
     if (a * d - b * c).is_zero():
         raise ValueError("moebius matrix is singular")

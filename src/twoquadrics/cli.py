@@ -12,7 +12,7 @@ import json
 import sys
 from importlib import resources
 
-from .binforms import bform_root_action
+from .binforms import root_images
 from .dp4 import (
     conjugate_in_WD5,
     invariant_lines,
@@ -120,7 +120,7 @@ def _branch_perms(job, syms):
     for lab, sym in syms.items():
         perms[lab] = branch_permutation(job.pencil, sym, job.branch)
     for lab, mo in job.moebius_generators:
-        perms[lab] = bform_root_action(job.branch.form, job.branch.roots, mo)
+        perms[lab] = root_images(job.branch.roots, mo)
     return perms
 
 

@@ -18,11 +18,11 @@ in the lcm field.  Values are immutable; all operations are pure.
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import count, islice, product
 from math import gcd, isqrt, lcm
-
-import mpmath
 
 from .errors import IncompatibleOrder, UnsupportedCase
 
@@ -221,7 +221,7 @@ class CycNum:
             return x
         if isinstance(x, (int, Fraction)):
             return cls.from_rational(x)
-        raise TypeError(f"cannot coerce {x!r} to CycNum")
+        raise TypeError(f"cannot coerce {type(x).__name__} to CycNum")
 
     def embed(self, m: int) -> "CycNum":
         """Re-express the value in Q(zeta_m); requires order | m."""
@@ -405,10 +405,14 @@ _MAX_SQRT_PHI = 10
 def cyc_sqrt(a, field_order: int | None = None) -> CycNum | None:
     """A square root of `a` inside Q(zeta_M), or None if there is none.
 
-    M defaults to lcm(order(a), 24).  The candidate is reconstructed from
-    high-precision embeddings (one sign choice per conjugate pair) and then
-    verified exactly, so a returned value is always correct; completeness
-    relies on 60-digit precision, ample for the coefficient sizes here.
+    M defaults to lcm(order(a), 24).  With a = num / den, a root x gives c =
+    den x in Z[zeta_M] with c^2 = s = num den, whose coefficients are at most
+    B = phi sqrt(|s|_1) max_j |beta_j|_1 for the trace-dual basis beta.  At
+    the least prime p = 1 mod M where no embedding of s vanishes, a
+    non-square image proves there is no root.  Otherwise the images' square
+    roots are Newton-lifted to p^e > 2B (Cohen, GTM 138, 1.5; von zur
+    Gathen-Gerhard, Modern Computer Algebra, ch. 15), and each sign pattern
+    is mapped back through beta and checked exactly.  None is thus a proof.
     """
     a = CycNum._coerce(a)
     if a.is_zero():
@@ -427,41 +431,61 @@ def cyc_sqrt(a, field_order: int | None = None) -> CycNum | None:
     phi = euler_phi(m)
     if phi > _MAX_SQRT_PHI:
         raise UnsupportedCase(f"square-root search not supported for phi({m}) = {phi}")
-    return _sqrt_by_embeddings(a.embed(m))
-
-
-def _sqrt_by_embeddings(a: CycNum) -> CycNum | None:
-    m = a.order
-    units = [k for k in range(1, m + 1) if gcd(k, m) == 1]
-    half = [k for k in units if 2 * k <= m] or units  # one k of each pair k, m - k
-    with mpmath.workdps(60):
-        omega = mpmath.exp(2j * mpmath.pi / m)
-        phi = euler_phi(m)
-        # embedding matrix: row per unit k, column per power j
-        embaps = {k: [omega ** (j * k) for j in range(phi)] for k in units}
-        coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in a.coeffs]
-        targets = [mpmath.sqrt(sum(c * e for c, e in zip(coeffs, embaps[k]))) for k in half]
-        # the matrix does not depend on the signs: factor it once, with the
-        # 10 guard bits of mpmath.lu_solve
-        with mpmath.extraprec(10):
-            try:
-                lu, perm = mpmath.mp.LU_decomp(mpmath.matrix([embaps[k] for k in units]))
-            except ZeroDivisionError:
-                return None
-        for mask in range(1 << (len(half) - 1)):  # the first sign stays +
-            vals = {k: -t if mask << 1 >> i & 1 else t for i, (k, t) in enumerate(zip(half, targets))}
-            with mpmath.extraprec(10):
-                rhs = mpmath.matrix([vals[k] if k in vals else mpmath.conj(vals[m - k]) for k in units])
-                sol = mpmath.mp.U_solve(lu, mpmath.mp.L_solve(lu, rhs, perm))
-            cand = []
-            for j in range(phi):
-                x = sol[j]
-                if abs(mpmath.im(x)) > mpmath.mpf(10) ** -20:
-                    break
-                scaled = int(mpmath.floor(mpmath.re(x) * 10**30 + mpmath.mpf("0.5")))
-                cand.append(Fraction(scaled, 10**30).limit_denominator(10**12))
-            else:
-                cand = CycNum(m, cand)
-                if cand * cand == a:
-                    return cand
+    a = a.embed(m)
+    s = [x * a.den for x in a.num]
+    basis, d = _dual_basis(m)
+    bound = phi * (isqrt(sum(map(abs, s))) + 1) * max(sum(map(abs, row)) for row in basis) // d + 1
+    for p in count(1 + lcm(m, 2), lcm(m, 2)):
+        if d % p and all(p % k for k in range(3, isqrt(p) + 1, 2)):
+            roots, squares = _roots_mod(m, p)
+            images = [_horner(s, r, p) for r in roots]
+            if all(images):
+                break
+    if any(x not in squares for x in images):
+        return None
+    q = p ** next(e for e in count(1) if p**e > 2 * bound)
+    lifted = []  # (y / d, w): w the Teichmueller lift of r, y^2 = s(w) mod q
+    for r, x in zip(roots, images):
+        w = pow(r, q // p, q)
+        target, y, k = _horner(s, w, q), squares[x], p
+        while k < q:  # y <- (y + target / y) / 2
+            k = min(k * k, q)
+            y = (y + target * pow(y, -1, k)) * ((k + 1) // 2) % k
+        lifted.append((y * pow(d, -1, q), w))
+    rows = [[y * _horner(row, w, q) % q for y, w in lifted] for row in basis]
+    for signs in islice(product((1, -1), repeat=phi), 1 << (phi - 1)):  # c or -c: first sign +
+        c = []
+        for row in rows:
+            c.append((sum(e * t for e, t in zip(signs, row)) + q // 2) % q - q // 2)
+            if abs(c[-1]) > bound:
+                break
+        if abs(c[-1]) <= bound and _dot_num(m, ((c, c),)) == s:  # no coefficient out of range
+            # of c and -c, the principal root at zeta -> exp(2 pi i / m), as before
+            scale = sum(map(abs, c))
+            z = sum(x / scale * cmath.exp(2j * cmath.pi * k / m) for k, x in enumerate(c))
+            return _make(m, c if (round(z.real, 9), z.imag) >= (0, 0) else [-x for x in c], a.den)
     return None
+
+
+@lru_cache(maxsize=None)
+def _dual_basis(m):
+    """(A, d): row j of A / d holds the coefficients of beta_j, the basis of
+    Q(zeta_m) trace-dual to the power basis: Tr(zeta^i beta_j) = [i == j]."""
+    from .matrices import _rref  # matrices imports this module
+
+    phi = euler_phi(m)
+    trace = [sum(_power(m, n * k)[0] for k in range(m) if gcd(k, m) == 1) for n in range(2 * phi - 1)]
+    rows, _, d = _rref(1, [trace[i:i + phi] + [int(i == j) for j in range(phi)] for i in range(phi)])
+    return tuple(tuple(row[phi:]) for row in rows), d
+
+
+@lru_cache(maxsize=None)
+def _roots_mod(m, p):
+    """The roots of Phi_m mod p, and {y^2 mod p: y} for square roots mod p."""
+    poly = cyclotomic_poly(m)
+    return tuple(x for x in range(1, p) if _horner(poly, x, p) == 0), {y * y % p: y for y in range(1, p)}
+
+
+def _horner(num, x, q):
+    """num(x) mod q for an int vector num."""
+    return reduce(lambda acc, c: (acc * x + c) % q, reversed(num), 0)

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .cyclo import CycNum, euler_phi
 from .dp4 import SignedPerm
-from .errors import DimensionMismatch, SchemaError
+from .errors import DimensionMismatch, NotARoot, SchemaError
 from .groups import MatrixGroup, Relation
 from .matrices import Mat, Quadric
 from .pencils import BranchConfig, Pencil
@@ -295,7 +295,7 @@ def parse_job(text_or_obj, path="$"):
         )
         try:
             branch = BranchConfig(pencil.det_form, roots)
-        except ValueError as exc:
+        except (ValueError, NotARoot) as exc:
             raise SchemaError(str(exc), p) from exc
     return JobSpec(pencil, group, tuple(moebius), relations, branch)
 

@@ -204,11 +204,12 @@ class Mat:
         while k:
             if k & 1:
                 result = result * base
+            k >>= 1
+            if k:  # the square after the last bit would go unused
+                base = base * base
             for m in (result, base):
                 if max(m.den, *map(abs, _coefficients(m.order, m.data))).bit_length() > MAX_POWER_BITS:
                     raise CapExceeded(f"matrix power has entries beyond {MAX_POWER_BITS} bits")
-            base = base * base
-            k >>= 1
         return result
 
     def transpose(self):

@@ -17,9 +17,10 @@ from .binforms import (
     BinaryForm,
     bform_discriminant,
     bform_gcd,
-    bform_root_action,
+    checked_roots,
     proj_equal,
     quadratic_roots,
+    root_images,
 )
 from .cyclo import CycNum
 from .errors import (
@@ -104,18 +105,9 @@ class BranchConfig:
     roots: tuple  # of (u, v) CycNum pairs
 
     def __post_init__(self):
-        roots = tuple(
-            (CycNum._coerce(u), CycNum._coerce(v)) for u, v in self.roots
-        )
-        object.__setattr__(self, "roots", roots)
-        if len(roots) != self.form.degree:
+        if len(self.roots) != self.form.degree:
             raise ValueError("root count must equal the degree")
-        for i, r in enumerate(roots):
-            if not self.form.evaluate(*r).is_zero():
-                raise ValueError(f"labeled point {i + 1} is not a root")
-            for j in range(i):
-                if proj_equal(r, roots[j]):
-                    raise ValueError(f"roots {j + 1} and {i + 1} coincide")
+        object.__setattr__(self, "roots", checked_roots(self.form, self.roots))
 
 
 @dataclass(frozen=True)
@@ -179,7 +171,7 @@ def equivariance(pencil: Pencil, h: Mat) -> PencilSymmetry:
 def branch_permutation(pencil: Pencil, sym: PencilSymmetry, branch: BranchConfig):
     """Permutation of branch labels induced by the symmetry on the pencil
     parameter (1-indexed image tuple)."""
-    return bform_root_action(branch.form, branch.roots, sym.moebius())
+    return root_images(branch.roots, sym.moebius())
 
 
 def membership(pencil: Pencil, v) -> bool:

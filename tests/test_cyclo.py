@@ -122,6 +122,61 @@ def test_sqrt_examples():
     assert r is not None and r * r == CycNum.from_rational(2)
 
 
+def _large_height(order, rng):
+    """An element of Q(zeta_order) with numerators about 10^30 over one
+    denominator about 10^13."""
+    den = rng.randint(10**12, 10**13)
+    return CycNum(order, [Fraction(rng.randint(-10**30, 10**30), den) for _ in range(euler_phi(order))])
+
+
+def test_sqrt_finds_large_height_roots():
+    # a search rounding 60-digit embeddings missed all 15 of these
+    rng = random.Random(2026)
+    for order in (8, 12, 24):
+        for _ in range(5):
+            x = _large_height(order, rng)
+            assert cyc_sqrt(x * x) in (x, -x)
+
+
+def _images_mod(m, num, p):
+    """num(r) mod p at every root r of Phi_m mod p, by brute force."""
+    phi_m = cyclotomic_poly(m)
+    roots = [r for r in range(1, p) if sum(c * pow(r, j, p) for j, c in enumerate(phi_m)) % p == 0]
+    return [sum(c * pow(r, j, p) for j, c in enumerate(num)) % p for r in roots]
+
+
+def _primes_1_mod(m):
+    return (p for p in range(m + 1, 10**4, m) if all(p % k for k in range(2, int(p**0.5) + 1)))
+
+
+def _is_residue(x, p):
+    return pow(x, (p - 1) // 2, p) == 1
+
+
+def test_sqrt_non_square_past_the_residue_test():
+    # -11 + i has a square root mod 73 at every embedding of Q(zeta_24), so
+    # the first prime does not decide; None comes from the sign search
+    a = -11 + imaginary_unit()
+    num = list(a.embed(24).num)
+    admissible = (p for p in _primes_1_mod(24) if all(_images_mod(24, num, p)))
+    first = next(admissible)
+    assert all(_is_residue(x, first) for x in _images_mod(24, num, first))
+    assert cyc_sqrt(a) is None
+    # a non-residue at a later prime proves that a is not a square
+    assert any(not _is_residue(x, p) for p in admissible for x in _images_mod(24, num, p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([1, 3, 4, 6, 8, 12, 24]),
+    st.lists(st.integers(-10**30, 10**30), min_size=8, max_size=8),
+    st.integers(1, 10**30),
+)
+def test_sqrt_of_square_is_plus_or_minus_the_root(order, nums, den):
+    x = CycNum(order, [Fraction(c, den) for c in nums[: euler_phi(order)]])
+    assert cyc_sqrt(x * x) in (x, -x)
+
+
 def test_rational_detection():
     assert (zeta(3) + zeta(3, 2)).as_rational() == Fraction(-1)
     assert not zeta(8).is_rational()

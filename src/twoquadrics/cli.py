@@ -1,5 +1,5 @@
-"""Command line interface: parse job files, run the verdict pipeline, and
-expose the individual computations as subcommands.
+"""Command line interface: the verdict pipeline, and one function per
+subcommand that returns the value `main`, the one place that prints, shows.
 
 Exit codes: 0 = report produced (any verdict), 2 = input error,
 3 = unsupported case encountered.
@@ -30,7 +30,6 @@ from .groups import (
     MatrixGroup,
     closure,
     scalar_lift_search,
-    verify_relations,
 )
 from .jsonio import (
     cycnum_to_json,
@@ -46,20 +45,16 @@ from .pencils import (
     invariant_lines_abelian,
     is_smooth,
 )
-from .torsion import fixed_classes
-
-
-def _load_fixture(name):
-    base = resources.files("twoquadrics") / "fixtures" / name
-    if not base.is_file():
-        raise SchemaError(f"no such fixture: {name}")
-    return base.read_text()
+from .torsion import excess_identity, fixed_classes, section_count_identity
 
 
 def _read_input(args):
-    if getattr(args, "fixture", None):
-        return _load_fixture(args.fixture)
-    if getattr(args, "jobfile", None):
+    if args.fixture:
+        base = resources.files("twoquadrics") / "fixtures" / args.fixture
+        if not base.is_file():
+            raise SchemaError(f"no such fixture: {args.fixture}")
+        return base.read_text()
+    if args.jobfile:
         with open(args.jobfile, "r", encoding="utf-8") as fh:
             return fh.read()
     raise SchemaError("provide a job file or --fixture")
@@ -88,20 +83,10 @@ def _point_group(job, max_closure):
     """The group acting on points: contragredients of the matrix
     generators."""
     if job.group is None:
-        return None
+        raise SchemaError("no matrix generators")
     g = MatrixGroup([(lab, contragredient(m)) for lab, m in job.group.generators])
     closure(g, max_closure)
     return g
-
-
-def _sign_elements(pg, g):
-    """(word, sign vector, canonical minus-count) for each element of the
-    point group that is a nonscalar diagonal sign matrix up to scalar; the
-    sign vector is the diagonal divided by its first entry."""
-    for m, word in pg.element_words:
-        signs = m.diagonal_signs()
-        if signs is not None and len(set(signs)) > 1:
-            yield word, signs, canonical_signs(signs, g)[1]
 
 
 def _symmetries(job):
@@ -143,17 +128,20 @@ def run_report(job, max_closure=10000):
             "INCONCLUSIVE", evidence, ["pencil is not smooth; theory not applicable"]
         )
 
-    # stage 2: equivariance and branch permutations
+    # stage 2: equivariance, branch permutations and relation scalars
     syms = _symmetries(job)
-    stage2 = {
+    gens = {
         lab: {"label": lab, "action2x2": [[repr(x) for x in row] for row in sym.action2x2]}
         for lab, sym in syms.items()
     }
     perms = _branch_perms(job, syms)
     for lab, p in perms.items():
-        entry = stage2.setdefault(lab, {"label": lab, "moebius_only": True})
+        entry = gens.setdefault(lab, {"label": lab, "moebius_only": True})
         entry["branch_permutation"] = _perm_cycles(p)
-    evidence.append({"stage": 2, "generators": list(stage2.values())})
+    stage2 = {"stage": 2, "generators": list(gens.values())}
+    if job.relations:
+        stage2["relation_scalars"] = [repr(r.scalar) for r in job.relations]
+    evidence.append(stage2)
     if job.moebius_generators:
         soundness.append(
             "generators given only by their pencil-parameter action cannot "
@@ -164,12 +152,13 @@ def run_report(job, max_closure=10000):
         evidence.append({"stage": 3, "skipped": "full verdict chain needs g = 2"})
         return _verdict("INCONCLUSIVE", evidence, soundness)
 
-    pg = _point_group(job, max_closure)
+    pg = None if job.group is None else _point_group(job, max_closure)
 
-    # stage 3: invariant lines via cyclic subgroups
-    certified_lines = []
-    search_complete = False
-    if pg is not None:
+    # stage 3: invariant lines via cyclic subgroups; the first one whose
+    # search is complete bounds the lines of the whole group
+    if pg is None:
+        evidence.append({"stage": 3, "skipped": "no matrix generators"})
+    else:
         for lab, a in pg.generators:
             sub = MatrixGroup([(lab, a)])
             try:
@@ -179,7 +168,6 @@ def run_report(job, max_closure=10000):
                 continue
             if not rep.complete:
                 continue
-            search_complete = True
             kept = [
                 line for line in rep.lines
                 if all(line.plane.image_under(b) == line.plane for _, b in pg.generators)
@@ -192,38 +180,41 @@ def run_report(job, max_closure=10000):
                     "invariant_under_all": len(kept),
                 }
             )
-            certified_lines = kept
+            if kept and job.moebius_generators:
+                soundness.append(
+                    "invariant lines found for the matrix generators only; "
+                    "certification withheld"
+                )
+            elif kept:
+                lines_json = [
+                    [[cycnum_to_json(x) for x in v] for v in line.plane.basis]
+                    for line in kept
+                ]
+                evidence.append({"stage": 3, "lines": lines_json})
+                soundness.append(
+                    "linearizability via the invariant-line criterion for "
+                    "threefold intersections of two quadrics"
+                )
+                return _verdict("LINEARIZABLE_CERTIFIED", evidence, soundness)
             break
-        if search_complete and certified_lines and not job.moebius_generators:
-            lines_json = [
-                [[cycnum_to_json(x) for x in v] for v in line.plane.basis]
-                for line in certified_lines
-            ]
-            evidence.append({"stage": 3, "lines": lines_json})
-            soundness.append(
-                "linearizability via the invariant-line criterion for "
-                "threefold intersections of two quadrics"
+        else:
+            evidence.append(
+                {"stage": 3, "incomplete": "no cyclic subgroup bounded the search"}
             )
-            return _verdict("LINEARIZABLE_CERTIFIED", evidence, soundness)
-        if search_complete and certified_lines and job.moebius_generators:
-            soundness.append(
-                "invariant lines found for the matrix generators only; "
-                "certification withheld"
-            )
-    if pg is None:
-        evidence.append({"stage": 3, "skipped": "no matrix generators"})
-    elif not search_complete:
-        evidence.append(
-            {"stage": 3, "incomplete": "no cyclic subgroup bounded the search"}
-        )
 
-    # stage 4: free two-torsion translations (diagonal sign elements, k = 2);
-    # the same scan records the first odd-k element, the iota-lift of stage 5
+    # stage 4: free two-torsion translations: nonscalar diagonal sign
+    # elements up to scalar (signs relative to the first entry) of canonical
+    # minus-count k = 2; the same scan records the first odd-k element, the
+    # iota-lift of stage 5
     iota_lift = None
     if not (pencil.q1.gram.is_diagonal() and pencil.q2.gram.is_diagonal()):
         evidence.append({"stage": 4, "skipped": "pencil not diagonal"})
     elif pg is not None:
-        for word, signs, k in _sign_elements(pg, pencil.g):
+        for m, word in pg.element_words:
+            signs = m.diagonal_signs()
+            if signs is None or len(set(signs)) == 1:
+                continue
+            k = canonical_signs(signs, pencil.g)[1]
             if k == 2:
                 evidence.append(
                     {
@@ -280,19 +271,16 @@ def emit(verdict, fmt="human"):
     return "\n".join(lines)
 
 
-# -- subcommand implementations ----------------------------------------
+# -- subcommands: each returns the value main prints -------------------
 
 
-def _cmd_report(args):
+def _report(args):
+    return run_report(parse_job(_read_input(args)), args.max_closure)
+
+
+def _branch(args):
     job = parse_job(_read_input(args))
-    verdict = run_report(job, max_closure=args.max_closure)
-    print(emit(verdict, args.format))
-    return 0
-
-
-def _cmd_branch(args):
-    job = parse_job(_read_input(args))
-    out = {
+    return {
         "degeneracy_form": repr(job.pencil.det_form),
         "smooth": is_smooth(job.pencil),
         "permutations": {
@@ -300,23 +288,12 @@ def _cmd_branch(args):
             for lab, p in _branch_perms(job, _symmetries(job)).items()
         },
     }
-    print(json.dumps(out, indent=2) if args.format == "json" else
-          "\n".join(f"{k}: {v}" for k, v in out.items()))
-    return 0
 
 
-def _job_and_point_group(args):
+def _fixed_points(args):
     job = parse_job(_read_input(args))
-    pg = _point_group(job, args.max_closure)
-    if pg is None:
-        raise SchemaError("no matrix generators")
-    return job, pg
-
-
-def _cmd_fixed_points(args):
-    job, pg = _job_and_point_group(args)
-    fx = fixed_points_on_X(job.pencil, pg)
-    out = {
+    fx = fixed_points_on_X(job.pencil, _point_group(job, args.max_closure))
+    return {
         "points": [[repr(x) for x in p] for p in fx.points],
         "lines_on_x": [
             [[repr(x) for x in v] for v in ln.plane.basis] for ln in fx.lines_on_x
@@ -325,40 +302,34 @@ def _cmd_fixed_points(args):
             {"projective_dim": s.dim - 1} for s, _ in fx.curves
         ],
     }
-    print(json.dumps(out, indent=2))
-    return 0
 
 
-def _cmd_invariant_lines(args):
-    job, pg = _job_and_point_group(args)
-    rep = invariant_lines_abelian(job.pencil, pg)
-    out = {
+def _invariant_lines(args):
+    job = parse_job(_read_input(args))
+    rep = invariant_lines_abelian(job.pencil, _point_group(job, args.max_closure))
+    return {
         "lines": [
             [[repr(x) for x in v] for v in ln.plane.basis] for ln in rep.lines
         ],
         "families": list(rep.families),
         "complete": rep.complete,
     }
-    print(json.dumps(out, indent=2, default=repr))
-    return 0
 
 
-def _cmd_theta(args):
+def _theta(args):
     job = parse_job(_read_input(args))
     perms = _branch_perms(job, _symmetries(job))
     if not perms:
         raise SchemaError("job has no branch data")
     fixed = fixed_classes(list(perms.values()), "odd", job.pencil.g)
-    out = {
+    return {
         "permutations": {lab: _perm_cycles(p) for lab, p in perms.items()},
         "fixed_odd_classes": [repr(c) for c in fixed],
         "empty": not fixed,
     }
-    print(json.dumps(out, indent=2))
-    return 0
 
 
-def _cmd_dp4(args):
+def _dp4(args):
     elements, pairs, regressions = dp4_input_from_json(_read_input(args))
     out = {}
     for name, s in elements.items():
@@ -390,13 +361,10 @@ def _cmd_dp4(args):
             "power_diagonal": diagonal,
             "matches_expected": diagonal == expected,
         }
-    print(json.dumps(out, indent=2))
-    return 0
+    return out
 
 
-def _cmd_identities(args):
-    from .torsion import excess_identity, section_count_identity
-
+def _identities(args):
     out = {"section_count": [], "excess": []}
     for g in range(1, args.g_max + 1):
         r = section_count_identity(g)
@@ -412,20 +380,18 @@ def _cmd_identities(args):
                 "equal": e["equal"],
             }
         )
-    print(json.dumps(out, indent=2))
-    return 0
+    return out
 
 
-def _cmd_lift(args):
+def _lift(args):
     rels, groups = lift_input_from_json(_read_input(args))
     out = {}
     for name, group in groups.items():
         closure(group, args.max_closure)
-        reports = verify_relations(group, rels, mode="up_to_scalar")
         res = scalar_lift_search(group, rels, args.scalar_order)
         out[name] = {
             "closure_order": group.order(),
-            "relation_scalars": [repr(r.scalar) for r in reports],
+            "relation_scalars": [repr(r.scalar) for r in res["reports"]],
             "lift": {k: repr(v) for k, v in res["lift"].items()}
             if "lift" in res
             else None,
@@ -433,8 +399,15 @@ def _cmd_lift(args):
             "tested": res["tested"],
             "scalar_order": res["scalar_order"],
         }
-    print(json.dumps(out, indent=2))
-    return 0
+    return out
+
+
+def positive_int(text):
+    """The argparse type of the numeric options: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def build_parser():
@@ -444,25 +417,25 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {
-        "report": _cmd_report,
-        "branch": _cmd_branch,
-        "fixed-points": _cmd_fixed_points,
-        "invariant-lines": _cmd_invariant_lines,
-        "theta": _cmd_theta,
-        "dp4": _cmd_dp4,
-        "identities": _cmd_identities,
-        "lift": _cmd_lift,
+        "report": _report,
+        "branch": _branch,
+        "fixed-points": _fixed_points,
+        "invariant-lines": _invariant_lines,
+        "theta": _theta,
+        "dp4": _dp4,
+        "identities": _identities,
+        "lift": _lift,
     }
     for name, fn in commands.items():
         p = sub.add_parser(name)
         p.add_argument("jobfile", nargs="?", help="job JSON file")
         p.add_argument("--fixture", help="name of a shipped fixture")
         p.add_argument("--format", choices=("human", "json"), default="human")
-        p.add_argument("--max-closure", type=int, default=10000)
+        p.add_argument("--max-closure", type=positive_int, default=10000)
         if name == "identities":
-            p.add_argument("--g-max", type=int, default=6)
+            p.add_argument("--g-max", type=positive_int, default=6)
         if name == "lift":
-            p.add_argument("--scalar-order", type=int, default=8)
+            p.add_argument("--scalar-order", type=positive_int, default=8)
         p.set_defaults(fn=fn)
     return parser
 
@@ -470,7 +443,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        out = args.fn(args)
     except (SchemaError, NotASymmetry, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -480,6 +453,13 @@ def main(argv=None):
     except TwoQuadricsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    if args.command == "report":
+        print(emit(out, args.format))
+    elif args.command == "branch" and args.format == "human":
+        print("\n".join(f"{k}: {v}" for k, v in out.items()))
+    else:
+        print(json.dumps(out, indent=2, default=repr))
+    return 0
 
 
 if __name__ == "__main__":

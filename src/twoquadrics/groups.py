@@ -129,9 +129,8 @@ def closure(group: MatrixGroup, cap: int = 10000):
 @dataclass(frozen=True)
 class RelationReport:
     relation: Relation
-    holds: bool
-    scalar: object  # CycNum discrepancy in up_to_scalar mode, else None
-    value: Mat  # word value times target inverse
+    holds: bool  # the discrepancy is 1, or the target is "scalar"
+    scalar: CycNum  # the discrepancy: word value times target inverse, a scalar
 
 
 def _target_matrix(group: MatrixGroup, target):
@@ -146,39 +145,25 @@ def _target_matrix(group: MatrixGroup, target):
     raise ValueError(f"bad relation target {target!r}")
 
 
-def verify_relations(group: MatrixGroup, relations, mode: str = "exact"):
-    """Check each relation, reporting the exact discrepancy.
-
-    In exact mode a relation holds when word = target on the nose.  In
-    up_to_scalar mode the discrepancy must be a scalar matrix (reported);
-    a nonscalar discrepancy raises NonScalarDiscrepancy.
+def verify_relations(group: MatrixGroup, relations):
+    """Check that each relation holds up to a scalar, reporting that exact
+    discrepancy; a relation holds when it is 1 or its target is "scalar".
+    A nonscalar discrepancy raises NonScalarDiscrepancy.
     """
-    if mode not in ("exact", "up_to_scalar"):
-        raise ValueError("mode must be 'exact' or 'up_to_scalar'")
     reports = []
     for rel in relations:
         value = group.word_value(rel.word)
         disc = value * _target_matrix(group, rel.target).inverse()
         c = disc.is_scalar()
-        if rel.target == "scalar":
-            if c is None:
-                raise NonScalarDiscrepancy(
-                    f"word {rel.word} is not scalar: {disc!r}"
-                )
-            reports.append(RelationReport(rel, True, c, disc))
-            continue
-        if mode == "exact":
-            reports.append(RelationReport(rel, disc.is_identity(), c, disc))
-        else:
-            if c is None:
-                raise NonScalarDiscrepancy(
-                    f"discrepancy of {rel.word} is not scalar: {disc!r}"
-                )
-            reports.append(RelationReport(rel, c.is_one(), c, disc))
+        if c is None:
+            raise NonScalarDiscrepancy(
+                f"discrepancy of {rel.word} is not scalar: {disc!r}"
+            )
+        reports.append(RelationReport(rel, rel.target == "scalar" or c.is_one(), c))
     return reports
 
 
-def character_spaces(group: MatrixGroup, cap: int = 360):
+def character_spaces(group: MatrixGroup):
     """Joint eigenspaces of the generators as (subspace, character) pairs,
     the character holding one eigenvalue per generator.
 
@@ -186,7 +171,7 @@ def character_spaces(group: MatrixGroup, cap: int = 360):
     with each eigenspace of the next generator."""
     current = [(Subspace.full(group.dimension), ())]
     for _, g in group.generators:
-        eig = eigenspaces_finite_order(g, cap)
+        eig = eigenspaces_finite_order(g)
         refined = []
         for space, char in current:
             for lam, espace in eig:
@@ -210,10 +195,10 @@ class FixedLocus:
         return tuple(s.dim - 1 for s in self.components)  # projective dims
 
 
-def projective_fixed_locus(group: MatrixGroup, cap: int = 360) -> FixedLocus:
+def projective_fixed_locus(group: MatrixGroup) -> FixedLocus:
     """Points of P^{n-1} fixed by every generator: the maximal joint
     eigenspaces."""
-    spaces = [s for s, _ in character_spaces(group, cap)]
+    spaces = [s for s, _ in character_spaces(group)]
     # drop components contained in others (distinct characters can still nest
     # when an earlier scalar ambiguity splits one space)
     maximal = []
@@ -233,18 +218,19 @@ def scalar_lift_search(group: MatrixGroup, relations, scalar_order_bound: int):
     Rescaling generator i by c_i multiplies the value of a relation word by
     c_i raised to the exponent sum of that generator, since scalars are
     central.  The search runs over all tuples of M-th roots of unity with
-    M = scalar_order_bound and is therefore exhaustive for that scalar
+    M = scalar_order_bound >= 1 and is therefore exhaustive for that scalar
     group.
 
     Returns {"lift": {label: scalar}} on success, otherwise
-    {"obstruction": True, "tested": count, "scalar_order": M}.
+    {"obstruction": True}; both with "tested" (tuples tried), "scalar_order"
+    (M) and "reports" (verify_relations of the relations).
     """
-    reports = []
-    for rel in relations:
-        try:
-            reports.extend(verify_relations(group, [rel], mode="up_to_scalar"))
-        except NonScalarDiscrepancy as exc:
-            raise RelationsFailProjectively(str(exc)) from exc
+    if scalar_order_bound < 1:
+        raise ValueError("scalar_order_bound must be at least 1")
+    try:
+        reports = verify_relations(group, relations)
+    except NonScalarDiscrepancy as exc:
+        raise RelationsFailProjectively(str(exc)) from exc
     labels = group.labels
     exponent_sums = []
     for rel in relations:
@@ -258,7 +244,6 @@ def scalar_lift_search(group: MatrixGroup, relations, scalar_order_bound: int):
     tested = 0
     for combo in product(range(m), repeat=len(labels)):
         tested += 1
-        ok = True
         for rep, sums in zip(reports, exponent_sums):
             if rep.relation.target == "scalar":
                 continue
@@ -267,12 +252,11 @@ def scalar_lift_search(group: MatrixGroup, relations, scalar_order_bound: int):
                 if e % m:
                     total = total * roots[(ki * e) % m]
             if not total.is_one():
-                ok = False
                 break
-        if ok:
+        else:
             lift = {lab: roots[ki] for lab, ki in zip(labels, combo)}
-            return {"lift": lift, "tested": tested, "scalar_order": m}
-    return {"obstruction": True, "tested": tested, "scalar_order": m}
+            return {"lift": lift, "tested": tested, "scalar_order": m, "reports": reports}
+    return {"obstruction": True, "tested": tested, "scalar_order": m, "reports": reports}
 
 
 def rescaled_group(group: MatrixGroup, scalars) -> MatrixGroup:
@@ -300,9 +284,8 @@ def tensor_rep(a: MatrixGroup, b: MatrixGroup) -> MatrixGroup:
 
 
 def center(group: MatrixGroup):
-    """Elements of the (computed) closure commuting with every generator."""
-    if group._closure is None:
-        raise ClosureMissing("compute closure first")
+    """Elements of the (computed) closure commuting with every generator;
+    `group.elements` raises ClosureMissing before closure() has run."""
     out = []
     for m in group.elements:
         if all(m * g == g * m for _, g in group.generators):

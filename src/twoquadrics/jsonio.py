@@ -27,8 +27,8 @@ from fractions import Fraction
 
 from .cyclo import CycNum, euler_phi
 from .dp4 import SignedPerm
-from .errors import DimensionMismatch, NotARoot, SchemaError
-from .groups import MatrixGroup, Relation
+from .errors import DimensionMismatch, LabelMismatch, NonScalarDiscrepancy, NotARoot, SchemaError
+from .groups import MatrixGroup, Relation, verify_relations
 from .matrices import Mat, Quadric
 from .pencils import BranchConfig, Pencil
 from .smith import IntMatrix
@@ -262,7 +262,7 @@ class JobSpec:
     pencil: Pencil
     group: MatrixGroup | None  # generators that have honest matrices
     moebius_generators: tuple  # (label, 2x2 tuple) acting on (t1, t2) only
-    relations: tuple
+    relations: tuple  # RelationReport of each relation, which holds up to a scalar
     branch: BranchConfig | None
 
 
@@ -285,7 +285,16 @@ def parse_job(text_or_obj, path="$"):
         for name, m in obj.get("named", {}).items()
     }
     group = MatrixGroup(gens, named=named) if gens else None
-    relations = tuple(_relation(r, f"{path}.relations[{k}]") for k, r in enumerate(obj.get("relations", ())))
+    relations = []
+    for k, r in enumerate(obj.get("relations", ())):
+        p = f"{path}.relations[{k}]"
+        rel = _relation(r, p)
+        for lab, _ in rel.word:
+            _expect(group is not None and lab in group.labels, f"{lab!r} is not a matrix generator label", p)
+        try:
+            relations += verify_relations(group, [rel])
+        except (LabelMismatch, NonScalarDiscrepancy) as exc:
+            raise SchemaError(str(exc), p) from exc
     branch = None
     if "branch" in obj:
         p = path + ".branch"
@@ -297,7 +306,7 @@ def parse_job(text_or_obj, path="$"):
             branch = BranchConfig(pencil.det_form, roots)
         except (ValueError, NotARoot) as exc:
             raise SchemaError(str(exc), p) from exc
-    return JobSpec(pencil, group, tuple(moebius), relations, branch)
+    return JobSpec(pencil, group, tuple(moebius), tuple(relations), branch)
 
 
 def _labeled(generators, path):

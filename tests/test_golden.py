@@ -1,8 +1,8 @@
 """Byte-for-byte comparison of CLI output with committed golden files.
 
 Each case runs ``cli.main`` on a shipped fixture and compares stdout with
-``tests/golden/<name>.txt``.  The files pin the report JSON and subcommand
-output: a change to any of them must be deliberate and explained.  To
+``tests/golden/<name>.txt``.  The files pin the report JSON, the human
+formats of report and branch, and subcommand output: a change to any of them must be deliberate and explained.  To
 regenerate after such a change, write ``main``'s stdout for each case in
 ``CASES`` to its file.
 """
@@ -30,6 +30,9 @@ CASES = {
     "lift_7_4_order8": ["lift", "--fixture", "example_7_4.json", "--scalar-order", "8"],
     "lift_7_4_order24": ["lift", "--fixture", "example_7_4.json", "--scalar-order", "24"],
     "identities": ["identities"],
+    # the human formats of report and branch
+    "report_7_5_human": ["report", "--fixture", "example_7_5.json"],
+    "branch_7_5_human": ["branch", "--fixture", "example_7_5.json"],
 }
 
 

@@ -61,23 +61,23 @@ def test_cyclic_subgroup_order_matches_operator_order():
 
 def test_verify_relations_exact():
     g = dihedral24()
-    for rep in verify_relations(g, D24_RELS, "exact"):
+    for rep in verify_relations(g, D24_RELS):
         assert rep.holds
     trivial = verify_relations(
-        g, [Relation((("sigma", 1), ("sigma", -1)), "identity")], "exact"
+        g, [Relation((("sigma", 1), ("sigma", -1)), "identity")]
     )
     assert trivial[0].holds and trivial[0].scalar.is_one()
 
 
 def test_verify_relations_scalar_modes():
     g = MatrixGroup([("a", Mat.diagonal([i, i]))])
-    rep = verify_relations(g, [Relation((("a", 1),), "scalar")], "exact")
+    rep = verify_relations(g, [Relation((("a", 1),), "scalar")])
     assert rep[0].scalar == i
-    rep = verify_relations(g, [Relation((("a", 2),), "identity")], "up_to_scalar")
+    rep = verify_relations(g, [Relation((("a", 2),), "identity")])
     assert not rep[0].holds and rep[0].scalar == -ONE
     bad = MatrixGroup([("a", Mat.diagonal([1, -1]))])
     with pytest.raises(NonScalarDiscrepancy):
-        verify_relations(bad, [Relation((("a", 1),), "identity")], "up_to_scalar")
+        verify_relations(bad, [Relation((("a", 1),), "identity")])
 
 
 def test_unknown_label():
@@ -107,11 +107,17 @@ def test_scalar_lift_search_klein_obstruction():
         assert "obstruction" in scalar_lift_search(klein, rels, m)
 
 
+def test_scalar_lift_search_needs_a_positive_bound():
+    for m in (0, -2):
+        with pytest.raises(ValueError):
+            scalar_lift_search(dihedral24(), D24_RELS, m)
+
+
 def test_scalar_lift_search_trivial_lift():
     res = scalar_lift_search(dihedral24(), D24_RELS, 6)
     assert "lift" in res
     lifted = rescaled_group(dihedral24(), res["lift"])
-    for rep in verify_relations(lifted, D24_RELS, "exact"):
+    for rep in verify_relations(lifted, D24_RELS):
         assert rep.holds
 
 

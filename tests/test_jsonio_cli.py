@@ -151,6 +151,7 @@ def test_cli_exit_codes(capsys, tmp_path):
     zero6 = {"rows": 6, "cols": 6, "entries": [[0] * 6 for _ in range(6)]}
     singular = dict(full, generators=[{"label": "z", "matrix": zero6}])
     singular_named = dict(full, named={"iota": zero6})
+    gamma8 = {"word": [["gamma", 8]]}
     cases = [
         (twice, "$.generators[1].label"),
         (moebius_reuses, "$.generators[1].label"),
@@ -162,6 +163,12 @@ def test_cli_exit_codes(capsys, tmp_path):
         (dict(full, generators=[dict(gamma, moebus=tau["moebius"]), tau]), "$.generators[0].moebus"),
         (singular, "$.generators[0].matrix"),
         (singular_named, "$.named.iota"),
+        # relation words may use matrix generator labels only, central
+        # targets must be named, and every discrepancy must be a scalar
+        (dict(full, relations=[{"word": [["tau", 2]]}]), "$.relations[0]"),
+        (dict(full, relations=[dict(gamma8, target={"central": "iota"})]), "$.relations[0]"),
+        (dict(full, relations=[gamma8, {"word": [["gamma", 1]]}]), "$.relations[1]"),
+        (dict(full, relations=[{"word": [["gamma", 2]], "target": "scalar"}]), "$.relations[0]"),
     ]
     for k, (job, where) in enumerate(cases):
         path = tmp_path / f"job{k}.json"
@@ -175,6 +182,31 @@ def test_cli_exit_codes(capsys, tmp_path):
         assert main(["fixed-points", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"input error: {where}:"), err
+
+
+def test_report_reads_relations():
+    full = json.loads(fixture_text("example_7_5_full.json"))
+    minus = {"rows": 6, "cols": 6, "entries": [[-int(i == j) for j in range(6)] for i in range(6)]}
+    gamma8 = {"word": [["gamma", 8]]}
+    job = dict(full, named={"iota": minus}, relations=[gamma8, dict(gamma8, target={"central": "iota"})])
+    stage2 = run_report(parse_job(job))["evidence"][1]
+    assert stage2["stage"] == 2 and stage2["relation_scalars"] == ["1", "-1"]
+    assert "relation_scalars" not in run_report(parse_job(full))["evidence"][1]
+
+
+def test_numeric_options_must_be_positive(capsys):
+    cases = [
+        ["lift", "--fixture", "example_7_4.json", "--scalar-order", "0"],
+        ["lift", "--fixture", "example_7_4.json", "--scalar-order", "-2"],
+        ["report", "--fixture", "example_7_5.json", "--max-closure", "-5"],
+        ["identities", "--g-max", "0"],
+        ["identities", "--g-max", "x"],
+    ]
+    for argv in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {argv[-2]}:" in capsys.readouterr().err
 
 
 def test_dp4_and_lift_input_errors(capsys, tmp_path):
@@ -313,3 +345,9 @@ def test_python_m_runs_the_cli():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["section_count"][0]["equal"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "twoquadrics", "report", "--fixture", "example_7_5.json", "--max-closure", "-5"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "argument --max-closure:" in proc.stderr and "Traceback" not in proc.stderr

@@ -1,5 +1,5 @@
 """Binary forms over cyclotomic fields: discriminants, root permutations,
-gcds, and exact root extraction for degree <= 2."""
+and exact root extraction for degree <= 2."""
 
 from __future__ import annotations
 
@@ -172,64 +172,6 @@ def root_images(roots, moebius):
     if len(set(images)) != len(images):
         raise NotClosed("moebius action is not injective on the root list")
     return tuple(images)
-
-
-def _dehomogenize(f: BinaryForm):
-    """Return (p, inf_mult): p(x) = f(1, x) ascending in x = t2/t1, and the
-    multiplicity of the root at (0:1) (= allocated degree minus t1-degree)."""
-    coeffs = list(f.coeffs)
-    inf = 0
-    while coeffs and coeffs[-1].is_zero():
-        coeffs.pop()
-        inf += 1
-    if not coeffs:
-        return [], f.degree
-    return coeffs, inf
-
-
-def _poly_gcd(a, b):
-    """Monic gcd of univariate polynomials (ascending CycNum coefficients)."""
-
-    def trim(p):
-        p = list(p)
-        while p and p[-1].is_zero():
-            p.pop()
-        return p
-
-    a, b = trim(a), trim(b)
-    while b:
-        # remainder of a mod b
-        r = list(a)
-        while len(r) >= len(b) and any(not c.is_zero() for c in r):
-            while r and r[-1].is_zero():
-                r.pop()
-            if len(r) < len(b):
-                break
-            f = r[-1] * b[-1].inverse()
-            shift = len(r) - len(b)
-            for i, c in enumerate(b):
-                r[shift + i] = r[shift + i] - f * c
-            r.pop()
-        a, b = b, trim(r)
-    if not a:
-        return []
-    lead_inv = a[-1].inverse()
-    return [c * lead_inv for c in a]
-
-
-def bform_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    """Monic gcd of two binary forms (as a binary form of its own degree)."""
-    if f.is_zero():
-        return g
-    if g.is_zero():
-        return f
-    pf, inf_f = _dehomogenize(f)
-    pg, inf_g = _dehomogenize(g)
-    core = _poly_gcd(pf, pg)
-    inf = min(inf_f, inf_g)
-    deg = (len(core) - 1) + inf
-    coeffs = list(core) + [ZERO] * inf
-    return BinaryForm(deg, coeffs)
 
 
 def quadratic_roots(a, b, c):

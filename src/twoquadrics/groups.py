@@ -17,6 +17,9 @@ from .errors import (
 )
 from .matrices import Mat, Subspace, eigenspaces_finite_order, kronecker
 
+# tuples scalar_lift_search may try: at about 10 us a tuple, some 10 s
+MAX_LIFT_TUPLES = 10**6
+
 
 @dataclass(frozen=True)
 class Relation:
@@ -219,7 +222,7 @@ def scalar_lift_search(group: MatrixGroup, relations, scalar_order_bound: int):
     c_i raised to the exponent sum of that generator, since scalars are
     central.  The search runs over all tuples of M-th roots of unity with
     M = scalar_order_bound >= 1 and is therefore exhaustive for that scalar
-    group.
+    group; beyond MAX_LIFT_TUPLES tuples it raises CapExceeded at once.
 
     Returns {"lift": {label: scalar}} on success, otherwise
     {"obstruction": True}; both with "tested" (tuples tried), "scalar_order"
@@ -227,6 +230,8 @@ def scalar_lift_search(group: MatrixGroup, relations, scalar_order_bound: int):
     """
     if scalar_order_bound < 1:
         raise ValueError("scalar_order_bound must be at least 1")
+    if scalar_order_bound ** len(group.labels) > MAX_LIFT_TUPLES:
+        raise CapExceeded(f"{scalar_order_bound}^{len(group.labels)} scalar tuples exceed {MAX_LIFT_TUPLES}")
     try:
         reports = verify_relations(group, relations)
     except NonScalarDiscrepancy as exc:

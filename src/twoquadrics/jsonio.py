@@ -350,7 +350,8 @@ def dp4_input_from_json(text_or_obj, path="$"):
 def lift_input_from_json(text_or_obj, path="$"):
     """The lift subcommand's input as (relations, MatrixGroup by
     representation name); within a representation the generators are
-    invertible, of one size, and have distinct string labels."""
+    invertible, of one size, and have distinct string labels, and every
+    relation names only its generators and named elements."""
     obj = _checked(text_or_obj, "lift input", path)
     relations = [_relation(r, f"{path}.relations[{k}]") for k, r in enumerate(obj.get("relations", ()))]
     groups = {}
@@ -364,5 +365,11 @@ def lift_input_from_json(text_or_obj, path="$"):
         ]
         named = rep.get("named", {})
         named = {k: _invertible(m, n, "the generators' size", f"{p}.named.{k}") for k, m in named.items()}
-        groups[name] = MatrixGroup(gens, named=named)
+        groups[name] = group = MatrixGroup(gens, named=named)
+        for k, rel in enumerate(relations):
+            q = f"{path}.relations[{k}]"
+            for lab, _ in rel.word:
+                _expect(lab in group.labels or lab in named, f"{lab!r} is not a generator or named in {name!r}", q)
+            if type(rel.target) is tuple:
+                _expect(rel.target[1] in named, f"central element {rel.target[1]!r} is not named in {name!r}", q)
     return relations, groups

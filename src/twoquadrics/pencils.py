@@ -5,7 +5,8 @@ permutations, fixed points on X, invariant lines for abelian actions, and
 the diagonal involution classification.  Fixed points and invariant lines
 meet X through one routine, `_isotropic_points`: the points of a projective
 point or line that lie on X (polar to given points, if any), or None when
-the whole line does.
+the whole line does.  Its polar conditions and the common roots of two
+restricted quadratics are kernels (`matrices.kernel`).
 """
 
 from __future__ import annotations
@@ -16,13 +17,11 @@ from functools import cached_property
 from .binforms import (
     BinaryForm,
     bform_discriminant,
-    bform_gcd,
     checked_roots,
-    proj_equal,
     quadratic_roots,
     root_images,
 )
-from .cyclo import CycNum
+from .cyclo import ONE, ZERO, CycNum
 from .errors import (
     DimensionMismatch,
     NotAbelian,
@@ -35,6 +34,7 @@ from .matrices import (
     Quadric,
     Subspace,
     contragredient,
+    kernel,
     solve,
     span_coefficients,
 )
@@ -214,33 +214,17 @@ def _isotropic_points(pencil: Pencil, space: Subspace, extra_points=()):
         conds += [q.polar(p, v) for p in extra_points for q in quadrics]
         return [v] if all(c.is_zero() for c in conds) else []
     b1, b2 = space.basis
-    candidates = None  # None = unconstrained so far
-    for p in extra_points:
-        for q in quadrics:
-            a, b = q.polar(p, b1), q.polar(p, b2)
-            if a.is_zero() and b.is_zero():
-                continue
-            root = (b, -a)  # root of a*u + b*v
-            if candidates is None:
-                candidates = [root]
-            else:
-                candidates = [r for r in candidates if proj_equal(r, root)]
-    quadratics = [
-        f for f in (_restricted_binary_quadric(q, space) for q in quadrics)
-        if not f.is_zero()
-    ]
-    if candidates is None:
-        if not quadratics:
-            return None
-        # a nonzero quadratic, or the gcd of two: its roots are the candidates
-        f = bform_gcd(*quadratics) if len(quadratics) == 2 else quadratics[0]
-        if f.degree == 0:
-            return []
-        if f.degree == 1:
-            a, b = f.coeffs
-            candidates = [(b, -a)]
-        else:
-            _, candidates = quadratic_roots(*f.coeffs)
+    quadratics = [f for f in (_restricted_binary_quadric(q, space) for q in quadrics) if not f.is_zero()]
+    # the polar conditions are linear in (u, v): unless all vanish, their kernel holds the candidates
+    conds = [[q.polar(p, b1), q.polar(p, b2)] for p in extra_points for q in quadrics]
+    if conds and (polar := kernel(Mat(conds))).dim < 2:
+        candidates = polar.basis
+    elif not quadratics:
+        return None
+    elif len(quadratics) == 1:
+        _, candidates = quadratic_roots(*quadratics[0].coeffs)
+    else:
+        candidates = _common_roots(*quadratics)
     pts = []
     for u, v in candidates:
         if all(f.evaluate(u, v).is_zero() for f in quadratics):
@@ -248,6 +232,22 @@ def _isotropic_points(pencil: Pencil, space: Subspace, extra_points=()):
             if not any(proj_point_equal(pt, q) for q in pts):
                 pts.append(pt)
     return pts
+
+
+def _common_roots(f: BinaryForm, g: BinaryForm):
+    """Common projective roots (u, v) of two nonzero binary quadratics, whose
+    coefficient rows have (u², uv, v²) in their kernel.  Proportional forms
+    share the roots of g divided by its last nonzero coefficient; otherwise
+    the kernel is a line w, with a root only where w1² = w0·w2: (w0 : w1), or
+    (0 : -1) when w0 = 0."""
+    ker = kernel(Mat([f.coeffs, g.coeffs]))
+    if ker.dim == 2:
+        last = next(c for c in reversed(g.coeffs) if c).inverse()
+        return quadratic_roots(*(c * last for c in g.coeffs))[1]
+    w0, w1, w2 = ker.basis[0]
+    if w1 * w1 != w0 * w2:
+        return []
+    return [(w0, w1) if w0 else (ZERO, -ONE)]
 
 
 def proj_point_equal(p, q) -> bool:

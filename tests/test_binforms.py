@@ -3,7 +3,6 @@ import pytest
 from twoquadrics.binforms import (
     BinaryForm,
     bform_discriminant,
-    bform_gcd,
     bform_root_action,
     proj_equal,
     quadratic_roots,
@@ -11,6 +10,7 @@ from twoquadrics.binforms import (
 )
 from twoquadrics.cyclo import ONE, ZERO, imaginary_unit, zeta
 from twoquadrics.errors import NotARoot, NotClosed, UnsupportedCase
+from twoquadrics.pencils import _common_roots
 
 i = imaginary_unit()
 
@@ -60,21 +60,19 @@ def test_root_action_errors():
 
 
 def test_gcd():
+    # the common roots of two quadratics are what their gcd vanishes on
     p = bf(ONE, ZERO, -ONE)
     q = bf(ONE, -2 * ONE, ONE)
-    g = bform_gcd(p, q)
-    assert g.degree == 1
-    assert g.evaluate(ONE, ONE).is_zero()
-    coprime = bform_gcd(bf(ONE, ZERO), bf(ZERO, ONE))
-    assert coprime.degree == 0
+    roots = _common_roots(p, q)
+    assert len(roots) == 1 and proj_equal(roots[0], (ONE, ONE))
+    assert p.evaluate(*roots[0]).is_zero() and q.evaluate(*roots[0]).is_zero()
+    assert _common_roots(bf(ONE, ZERO, ZERO), bf(ZERO, ZERO, ONE)) == []  # t1², t2²
 
 
 def test_gcd_with_infinity_root():
     p = bf(ONE, ZERO, ZERO)  # t1^2: double root at infinity
     q = bf(ONE, ONE, ZERO)  # t1 (t1 + t2)
-    g = bform_gcd(p, q)
-    assert g.degree == 1
-    assert g.evaluate(ZERO, ONE).is_zero()
+    assert _common_roots(p, q) == [(ZERO, -ONE)]
 
 
 def test_quadratic_roots():

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from twoquadrics import groups
 from twoquadrics.cli import _perm_cycles, main, run_report
 from twoquadrics.cyclo import CycNum, ONE, zeta
 from twoquadrics.errors import SchemaError
@@ -182,6 +183,15 @@ def test_cli_exit_codes(capsys, tmp_path):
         assert main(["fixed-points", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"input error: {where}:"), err
+    # a lift relation may name only the generators and named elements of
+    # each representation, and its central target must be named there
+    sigma = {"label": "sigma", "matrix": {"rows": 1, "cols": 1, "entries": [[-1]]}}
+    for rel in ({"word": [["rho", 2]]}, {"word": [["sigma", 2]], "target": {"central": "iota"}}):
+        path = tmp_path / "lift.json"
+        path.write_text(json.dumps({"relations": [rel], "representations": {"R": {"generators": [sigma]}}}))
+        assert main(["lift", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: $.relations[0]:") and "'R'" in err, err
 
 
 def test_report_reads_relations():
@@ -207,6 +217,15 @@ def test_numeric_options_must_be_positive(capsys):
             main(argv)
         assert exc.value.code == 2
         assert f"argument {argv[-2]}:" in capsys.readouterr().err
+
+
+def test_lift_search_is_capped(capsys, monkeypatch):
+    argv = ["lift", "--fixture", "example_7_4.json", "--scalar-order", "8"]
+    monkeypatch.setattr(groups, "MAX_LIFT_TUPLES", 8**2 - 1)
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("error: 8^2 scalar tuples exceed 63")
+    monkeypatch.setattr(groups, "MAX_LIFT_TUPLES", 8**2)
+    assert main(argv) == 0
 
 
 def test_dp4_and_lift_input_errors(capsys, tmp_path):

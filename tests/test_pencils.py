@@ -1,10 +1,10 @@
 import pytest
 
-from twoquadrics.binforms import BinaryForm
+from twoquadrics.binforms import BinaryForm, proj_equal, quadratic_roots
 from twoquadrics.cyclo import CycNum, ONE, ZERO, imaginary_unit, zeta
 from twoquadrics.errors import NotAbelian, NotASymmetry, NotDiagonal
 from twoquadrics.groups import MatrixGroup
-from twoquadrics.matrices import Mat, Quadric
+from twoquadrics.matrices import Mat, Quadric, Subspace
 from twoquadrics.pencils import (
     BranchConfig,
     Pencil,
@@ -17,6 +17,8 @@ from twoquadrics.pencils import (
     is_smooth,
     membership,
     proj_point_equal,
+    _common_roots,
+    _isotropic_points,
 )
 
 i = imaginary_unit()
@@ -194,3 +196,61 @@ def test_reflection_character_space_is_a_del_pezzo_section():
     assert not rep.lines
     assert [f.get("count") for f in rep.families] == [16]
     assert rep.families[0]["dimension"] == 5
+
+
+def bf(*coeffs):
+    return BinaryForm(len(coeffs) - 1, coeffs)
+
+
+def test_common_roots():
+    def common_by_evaluation(f, g):
+        roots = []
+        for r in quadratic_roots(*f.coeffs)[1]:
+            if g.evaluate(*r).is_zero() and not any(proj_equal(r, s) for s in roots):
+                roots.append(r)
+        return roots
+
+    t1sq, t2sq = bf(I1, O, O), bf(O, O, I1)
+    cases = [
+        (bf(I1, O, -I1), bf(I1, -2 * I1, I1), 1),  # t1² - t2², (t1 - t2)²: (1 : 1)
+        (t1sq, bf(I1, I1, O), 1),  # t1², t1 (t1 + t2): (0 : 1)
+        (t1sq, t2sq, 0),  # the squares of the coprime t1 and t2
+        (bf(I1, O, 4 * I1), bf(I1, 3 * I1, 2 * I1), 0),  # coprime: roots (±2i : 1) and (1 : -1), (2 : -1)
+        (bf(O, I1, -I1), bf(O, 2 * I1, I1), 1),  # t2 (t1 - t2), t2 (2 t1 + t2): (1 : 0)
+        (bf(2 * I1, O, -8 * I1), bf(i, O, -4 * i), 2),  # proportional
+    ]
+    for f, g, count in cases:
+        got = _common_roots(f, g)
+        assert len(got) == count
+        for r in got:
+            assert f.evaluate(*r).is_zero() and g.evaluate(*r).is_zero()
+        want = common_by_evaluation(f, g)
+        assert len(want) == count
+        assert all(any(proj_equal(r, s) for s in got) for r in want)
+    # representatives: the root at (0 : 1) is (0, -1), and proportional forms
+    # give the roots of the second form divided by its last coefficient
+    assert _common_roots(t1sq, bf(I1, I1, O)) == [(O, -I1)]
+    f, g = bf(2 * I1, O, -8 * I1), bf(i, O, -4 * i)
+    last = (-4 * i).inverse()
+    assert _common_roots(f, g) == quadratic_roots(*(c * last for c in g.coeffs))[1]
+
+
+def test_isotropic_points_with_an_extra_point():
+    # X contains the line through e0 + e1 and e2 + e3; on it, the polar
+    # conditions of p are (p0 - p1) u + (p2 - p3) v and (p0 - p1) u + 2 (p2 - p3) v
+    p = Pencil.from_diagonals(1, [1, -1, 1, -1], [1, -1, 2, -2])
+    line = Subspace(4, [[I1, I1, O, O], [O, O, I1, I1]])
+    assert _isotropic_points(p, line) is None
+    assert _isotropic_points(p, line, extra_points=((I1, I1, O, O),)) is None  # all zero
+    pts = _isotropic_points(p, line, extra_points=((I1, O, O, O),))  # proportional
+    assert len(pts) == 1 and proj_point_equal(pts[0], (O, O, I1, I1))
+    assert _isotropic_points(p, line, extra_points=((I1, O, I1, O),)) == []  # contradictory
+    # off a line on X the extra point picks among the isotropic points:
+    # Q1 = Q2 = u² - v² on span(e0, e1), isotropic at e0 ± e1
+    plane = Subspace(4, [[I1, O, O, O], [O, I1, O, O]])
+    both = _isotropic_points(p, plane)
+    assert len(both) == 2
+    assert _isotropic_points(p, plane, extra_points=((O, O, I1, O),)) == both  # all zero
+    pts = _isotropic_points(p, plane, extra_points=((I1, I1, O, O),))  # proportional
+    assert len(pts) == 1 and proj_point_equal(pts[0], (I1, I1, O, O))
+    assert _isotropic_points(p, plane, extra_points=((I1, I1, O, O), (I1, -I1, O, O))) == []  # contradictory

@@ -1,0 +1,105 @@
+"""One SHA-256 of everything the CLI prints on a fixed, seeded set of runs.
+
+    python3 tools/output_digest.py TREE --seeds N [--list FILE]
+
+imports the twoquadrics package from TREE/src and runs its ``main`` on
+
+* the golden cases, ``CASES`` of this checkout's tests/test_golden.py;
+* every job of one round of each perfbench workload for seeds 0 .. N-1
+  (perfbench/workloads.py of this checkout; a report job runs as
+  ``report --format json``);
+* ``fixed-points`` and ``invariant-lines`` on each of those report jobs.
+
+Each run contributes its argv, its job text, its exit code (or the exception
+it raised) and its stdout and stderr.  The script prints the number of runs
+and the digest, so two trees that print the same line gave the same output on
+every run.  ``--list`` also writes the runs, one JSON line each, to compare
+two trees that differ.
+"""
+
+import argparse
+import ast
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402
+
+
+def golden_cases():
+    """CASES of tests/test_golden.py, evaluated alone (no pytest import)."""
+    tree = ast.parse((ROOT / "tests" / "test_golden.py").read_text())
+    node = next(n for n in tree.body if isinstance(n, ast.Assign) and n.targets[0].id == "CASES")
+    return eval(compile(ast.Expression(node.value), "test_golden.py", "eval"), {})
+
+
+def runs(seeds):
+    """(argv, job text or None) of every run, in a fixed order."""
+    for _, argv in sorted(golden_cases().items()):
+        yield argv, None
+    for seed in range(seeds):
+        for workload, (make, _) in workloads.WORKLOAD_SPECS.items():
+            reports = []
+            for argv, text, _ in make(workloads.seeded_rng(workload, seed)):
+                if argv is None:
+                    argv = ["report", "--format", "json"]
+                    reports.append(text)
+                yield argv, text
+            for text in reports:
+                for cmd in ("fixed-points", "invariant-lines"):
+                    yield [cmd, "--format", "json"], text
+
+
+def run(main, argv, text):
+    out, err = io.StringIO(), io.StringIO()
+    if text is not None:
+        Path("job.json").write_text(text)
+        argv = argv + ["job.json"]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse
+            code = exc.code
+        except Exception as exc:  # a traceback is output too
+            code = f"raised {type(exc).__name__}: {exc}"
+    return code, out.getvalue(), err.getvalue()
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("tree", type=Path, help="checkout whose src/ holds the package to run")
+    parser.add_argument("--seeds", type=int, default=20, help="perfbench seeds 0 .. N-1")
+    parser.add_argument("--list", type=Path, help="also write each run as a JSON line here")
+    args = parser.parse_args(argv)
+    src = args.tree.resolve() / "src"
+    sys.path.insert(0, str(src))
+    from twoquadrics.cli import main as tq_main
+
+    if not Path(sys.modules["twoquadrics"].__file__).resolve().is_relative_to(src):
+        raise SystemExit(f"imported twoquadrics from {sys.modules['twoquadrics'].__file__}")
+    digest = hashlib.sha256()
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)  # job files are named job.json, wherever this runs
+        try:
+            for job_argv, text in runs(args.seeds):
+                line = json.dumps([job_argv, text, *run(tq_main, job_argv, text)]) + "\n"
+                digest.update(line.encode())
+                lines.append(line)
+        finally:
+            os.chdir(cwd)
+    if args.list:
+        args.list.write_text("".join(lines))
+    print(f"{len(lines)} runs sha256 {digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

@@ -6,7 +6,7 @@ chains them into linearizability verdicts.
 """
 
 from .cyclo import CycNum, cyc_sqrt, zeta
-from .binforms import BinaryForm, bform_discriminant, bform_root_action
+from .binforms import BinaryForm, bform_discriminant
 from .matrices import Mat, Quadric, Subspace, contragredient, eigenspaces_finite_order, kernel, operator_order
 from .smith import IntMatrix, integer_kernel_basis, invariant_factors, smith_normal_form
 from .groups import (
@@ -22,10 +22,8 @@ from .groups import (
 )
 from .pencils import (
     BranchConfig,
-    LineOnX,
     Pencil,
     PencilSymmetry,
-    branch_permutation,
     classify_diagonal_involution,
     degeneracy_form,
     equivariance,

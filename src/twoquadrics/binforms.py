@@ -151,11 +151,6 @@ def checked_roots(f: BinaryForm, roots):
     return roots
 
 
-def bform_root_action(f: BinaryForm, roots, moebius):
-    """root_images of `roots`, projective (u, v) pairs, after checked_roots."""
-    return root_images(checked_roots(f, roots), moebius)
-
-
 def root_images(roots, moebius):
     """The 1-indexed permutation of checked roots induced by the Moebius
     matrix ((a, b), (c, d)), acting by (u, v) -> (a u + b v, c u + d v)."""

@@ -1,14 +1,15 @@
 """Command line interface: the verdict pipeline, and one function per
 subcommand that returns the value `main`, the one place that prints, shows.
 
-Exit codes: 0 = report produced (any verdict), 2 = input error,
-3 = unsupported case encountered.
+Exit codes: 0 = report produced (any verdict), 1 = output pipe closed,
+2 = input error, 3 = unsupported case encountered.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from importlib import resources
 
@@ -39,7 +40,6 @@ from .jsonio import (
 )
 from .matrices import contragredient
 from .pencils import (
-    branch_permutation,
     canonical_signs,
     fixed_points_on_X,
     invariant_lines_abelian,
@@ -103,7 +103,7 @@ def _branch_perms(job, syms):
     if job.branch is None:
         return perms
     for lab, sym in syms.items():
-        perms[lab] = branch_permutation(job.pencil, sym, job.branch)
+        perms[lab] = root_images(job.branch.roots, sym.moebius())
     for lab, mo in job.moebius_generators:
         perms[lab] = root_images(job.branch.roots, mo)
     return perms
@@ -170,7 +170,7 @@ def run_report(job, max_closure=10000):
                 continue
             kept = [
                 line for line in rep.lines
-                if all(line.plane.image_under(b) == line.plane for _, b in pg.generators)
+                if all(line.image_under(b) == line for _, b in pg.generators)
             ]
             evidence.append(
                 {
@@ -187,7 +187,7 @@ def run_report(job, max_closure=10000):
                 )
             elif kept:
                 lines_json = [
-                    [[cycnum_to_json(x) for x in v] for v in line.plane.basis]
+                    [[cycnum_to_json(x) for x in v] for v in line.basis]
                     for line in kept
                 ]
                 evidence.append({"stage": 3, "lines": lines_json})
@@ -296,7 +296,7 @@ def _fixed_points(args):
     return {
         "points": [[repr(x) for x in p] for p in fx.points],
         "lines_on_x": [
-            [[repr(x) for x in v] for v in ln.plane.basis] for ln in fx.lines_on_x
+            [[repr(x) for x in v] for v in ln.basis] for ln in fx.lines_on_x
         ],
         "higher_dimensional": [
             {"projective_dim": s.dim - 1} for s, _ in fx.curves
@@ -309,7 +309,7 @@ def _invariant_lines(args):
     rep = invariant_lines_abelian(job.pencil, _point_group(job, args.max_closure))
     return {
         "lines": [
-            [[repr(x) for x in v] for v in ln.plane.basis] for ln in rep.lines
+            [[repr(x) for x in v] for v in ln.basis] for ln in rep.lines
         ],
         "families": list(rep.families),
         "complete": rep.complete,
@@ -453,12 +453,19 @@ def main(argv=None):
     except TwoQuadricsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    if args.command == "report":
-        print(emit(out, args.format))
-    elif args.command == "branch" and args.format == "human":
-        print("\n".join(f"{k}: {v}" for k, v in out.items()))
-    else:
-        print(json.dumps(out, indent=2, default=repr))
+    try:
+        if args.command == "report":
+            print(emit(out, args.format))
+        elif args.command == "branch" and args.format == "human":
+            print("\n".join(f"{k}: {v}" for k, v in out.items()))
+        else:
+            print(json.dumps(out, indent=2, default=repr))
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the reader has gone: send what is left to devnull, so the flush at
+        # exit cannot raise again (Python docs, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

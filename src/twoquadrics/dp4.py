@@ -39,19 +39,6 @@ class SignedPerm:
     def identity(cls):
         return cls((1, 2, 3, 4, 5), (1, 1, 1, 1, 1))
 
-    @classmethod
-    def from_matrix(cls, rows):
-        """From a 5x5 matrix with one entry of +-1 per row and column."""
-        perm = [0] * 5
-        signs = [0] * 5
-        for j in range(5):
-            hits = [i for i in range(5) if rows[i][j] != 0]
-            if len(hits) != 1 or rows[hits[0]][j] not in (1, -1):
-                raise ValueError("not a signed permutation matrix")
-            perm[j] = hits[0] + 1
-            signs[j] = rows[hits[0]][j]
-        return cls(tuple(perm), tuple(signs))
-
     def matrix(self):
         rows = [[0] * 5 for _ in range(5)]
         for j in range(5):

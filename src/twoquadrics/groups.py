@@ -222,16 +222,19 @@ def scalar_lift_search(group: MatrixGroup, relations, scalar_order_bound: int):
     c_i raised to the exponent sum of that generator, since scalars are
     central.  The search runs over all tuples of M-th roots of unity with
     M = scalar_order_bound >= 1 and is therefore exhaustive for that scalar
-    group; beyond MAX_LIFT_TUPLES tuples it raises CapExceeded at once.
+    group.  Building the M roots alone costs about M^2, so it counts
+    M^max(k, 2) tuples for k generators and, beyond MAX_LIFT_TUPLES, raises
+    CapExceeded at once.
 
     Returns {"lift": {label: scalar}} on success, otherwise
     {"obstruction": True}; both with "tested" (tuples tried), "scalar_order"
     (M) and "reports" (verify_relations of the relations).
     """
-    if scalar_order_bound < 1:
+    m, k = scalar_order_bound, max(len(group.labels), 2)
+    if m < 1:
         raise ValueError("scalar_order_bound must be at least 1")
-    if scalar_order_bound ** len(group.labels) > MAX_LIFT_TUPLES:
-        raise CapExceeded(f"{scalar_order_bound}^{len(group.labels)} scalar tuples exceed {MAX_LIFT_TUPLES}")
+    if m**k > MAX_LIFT_TUPLES:
+        raise CapExceeded(f"{m}^{k} scalar tuples exceed {MAX_LIFT_TUPLES} at scalar order {m}")
     try:
         reports = verify_relations(group, relations)
     except NonScalarDiscrepancy as exc:
@@ -244,8 +247,7 @@ def scalar_lift_search(group: MatrixGroup, relations, scalar_order_bound: int):
             if lab in sums:
                 sums[lab] += exp
         exponent_sums.append(tuple(sums[lab] for lab in labels))
-    m = scalar_order_bound
-    roots = [zeta(m, k) for k in range(m)]
+    roots = [zeta(m, j) for j in range(m)]
     tested = 0
     for combo in product(range(m), repeat=len(labels)):
         tested += 1
@@ -262,15 +264,6 @@ def scalar_lift_search(group: MatrixGroup, relations, scalar_order_bound: int):
             lift = {lab: roots[ki] for lab, ki in zip(labels, combo)}
             return {"lift": lift, "tested": tested, "scalar_order": m, "reports": reports}
     return {"obstruction": True, "tested": tested, "scalar_order": m, "reports": reports}
-
-
-def rescaled_group(group: MatrixGroup, scalars) -> MatrixGroup:
-    """The group with each generator multiplied by its scalar from a lift."""
-    gens = [
-        (lab, m * CycNum._coerce(scalars.get(lab, 1)))
-        for lab, m in group.generators
-    ]
-    return MatrixGroup(gens, named=group.named)
 
 
 def tensor_rep(a: MatrixGroup, b: MatrixGroup) -> MatrixGroup:

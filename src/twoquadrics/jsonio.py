@@ -194,14 +194,6 @@ def _mat(obj, path):
     return Mat([[_cycnum(x, f"{path}.entries[{i}][{j}]") for j, x in enumerate(row)] for i, row in enumerate(entries)])
 
 
-def mat_to_json(m: Mat):
-    return {
-        "rows": m.rows,
-        "cols": m.cols,
-        "entries": [[cycnum_to_json(x) for x in row] for row in m.entries],
-    }
-
-
 def _pencil(obj, path):
     if "diag1" in obj:
         d1 = [_cycnum(x, f"{path}.diag1[{i}]") for i, x in enumerate(obj["diag1"])]
@@ -220,27 +212,12 @@ def _pencil(obj, path):
         raise SchemaError(str(exc), path) from exc
 
 
-def pencil_to_json(p: Pencil):
-    return {
-        "g": p.g,
-        "Q1": mat_to_json(p.q1.gram),
-        "Q2": mat_to_json(p.q2.gram),
-    }
-
-
 def _relation(obj, path):
     _expect(obj["word"], "'word' must be a nonempty array", path + ".word")
     target = obj.get("target", "identity")
     if type(target) is dict:
         target = ("central", target["central"])
     return Relation(tuple(map(tuple, obj["word"])), target)
-
-
-def relation_to_json(rel: Relation):
-    target = rel.target
-    if isinstance(target, tuple):
-        target = {"central": target[1]}
-    return {"word": [[lab, exp] for lab, exp in rel.word], "target": target}
 
 
 def _signedperm(obj, path):

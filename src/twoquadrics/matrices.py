@@ -416,10 +416,6 @@ class Subspace:
     def full(cls, n):
         return _span(n, 1, [[int(i == j) for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zero(cls, n):
-        return cls(n, [])
-
     @property
     def basis(self):
         return self._rows.entries
@@ -437,9 +433,6 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
 
-    def contains_vector(self, vec) -> bool:
-        return self.contains_subspace(Subspace(self.ambient_dim, [vec]))
-
     def contains_subspace(self, other) -> bool:
         a, b = self._rows, other._rows
         order = lcm(a.order, b.order)
@@ -449,7 +442,7 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
         if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient_dim)
+            return Subspace(self.ambient_dim, [])
         # solve A^T u = B^T w: kernel of [A^T | -B^T]
         a, b = self._rows, other._rows
         order = lcm(a.order, b.order)
@@ -614,9 +607,6 @@ class Quadric:
             return None
         b = s._rows
         return Quadric(_product(_product(b, self.gram), b.transpose()))
-
-    def is_zero(self) -> bool:
-        return not any(x for row in self.gram.data for x in row)
 
 
 def contragredient(m: Mat) -> Mat:

@@ -19,7 +19,6 @@ from .binforms import (
     bform_discriminant,
     checked_roots,
     quadratic_roots,
-    root_images,
 )
 from .cyclo import ONE, ZERO, CycNum
 from .errors import (
@@ -110,16 +109,6 @@ class BranchConfig:
         object.__setattr__(self, "roots", checked_roots(self.form, self.roots))
 
 
-@dataclass(frozen=True)
-class LineOnX:
-    """A projective line contained in X, as a 2-dimensional subspace."""
-
-    plane: Subspace
-
-    def spans(self, p, q):
-        return self.plane == Subspace(self.plane.ambient_dim, [p, q])
-
-
 def pencil_det_form(g1: Mat, g2: Mat) -> BinaryForm:
     """det(t1 G1 + t2 G2) as a binary form of degree n for n x n Grams.
 
@@ -166,12 +155,6 @@ def equivariance(pencil: Pencil, h: Mat) -> PencilSymmetry:
     if m.det().is_zero():
         raise NotASymmetry("induced 2x2 action is singular")
     return PencilSymmetry(h, (tuple(rows[0]), tuple(rows[1])))
-
-
-def branch_permutation(pencil: Pencil, sym: PencilSymmetry, branch: BranchConfig):
-    """Permutation of branch labels induced by the symmetry on the pencil
-    parameter (1-indexed image tuple)."""
-    return root_images(branch.roots, sym.moebius())
 
 
 def membership(pencil: Pencil, v) -> bool:
@@ -266,7 +249,7 @@ class FixedOnX:
 
     points: tuple  # isolated fixed points on X (projective vectors)
     curves: tuple  # (subspace, restricted Gram pair) records, dim >= 1 on X
-    lines_on_x: tuple  # fixed projective lines lying entirely on X
+    lines_on_x: tuple  # fixed projective lines lying entirely on X, as 2-dim Subspaces
 
 
 def fixed_points_on_X(pencil: Pencil, group: MatrixGroup) -> FixedOnX:
@@ -287,7 +270,7 @@ def fixed_points_on_X(pencil: Pencil, group: MatrixGroup) -> FixedOnX:
             continue
         pts = _isotropic_points(pencil, comp)
         if pts is None:
-            lines.append(LineOnX(comp))
+            lines.append(comp)
         else:
             points.extend(
                 p for p in pts if not any(proj_point_equal(p, q) for q in points)
@@ -299,7 +282,7 @@ def fixed_points_on_X(pencil: Pencil, group: MatrixGroup) -> FixedOnX:
 class LineSearchReport:
     """Result of the invariant-line enumeration.
 
-    lines: fully enumerated invariant lines on X.
+    lines: fully enumerated invariant lines on X, as 2-dim Subspaces.
     families: non-enumerated reports, each a dict with at least a "reason";
     a smooth quartic del Pezzo character space contributes
     {"count": 16, "enumerated": False, ...}."""
@@ -333,9 +316,8 @@ def invariant_lines_abelian(pencil: Pencil, group: MatrixGroup) -> LineSearchRep
         if plane.dim == 2 and all(
             _restricted_binary_quadric(q, plane).is_zero() for q in (pencil.q1, pencil.q2)
         ):
-            line = LineOnX(plane)
-            if line not in lines:
-                lines.append(line)
+            if plane not in lines:
+                lines.append(plane)
 
     # case (i): inside one character space
     for space, char in spaces:

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 from importlib import resources
 
-from twoquadrics.binforms import BinaryForm
+from twoquadrics.binforms import BinaryForm, root_images
 from twoquadrics.cli import run_report
 from twoquadrics.cyclo import CycNum, ONE, ZERO, imaginary_unit, zeta
 from twoquadrics.dp4 import (
@@ -36,12 +36,12 @@ from twoquadrics.groups import (
 from twoquadrics.jsonio import parse_job
 from twoquadrics.matrices import (
     Mat,
+    Subspace,
     contragredient,
     eigenspaces_finite_order,
     operator_order,
 )
 from twoquadrics.pencils import (
-    branch_permutation,
     classify_diagonal_involution,
     degeneracy_form,
     equivariance,
@@ -163,7 +163,7 @@ def test_acceptance_03_eigen_analysis():
                for w in plane.basis] for u in plane.basis]
         assert all(x.is_zero() for row in r2 for x in row)
         for p in (p3, p4):
-            assert plane.contains_vector(p)
+            assert plane.contains_subspace(Subspace(6, [p]))
             assert membership(job.pencil, p)
         fx = fixed_points_on_X(job.pencil, pg)
         assert len(fx.points) == 4
@@ -179,8 +179,8 @@ def test_acceptance_04_invariant_lines():
         rep = invariant_lines_abelian(job.pencil, pg)
         assert rep.complete and len(rep.lines) == 2
         _, p2, p3, p4 = [[CycNum._coerce(x) for x in p] for p in pts]
-        assert any(line.spans(p2, p3) for line in rep.lines)
-        assert any(line.spans(p2, p4) for line in rep.lines)
+        assert Subspace(6, [p2, p3]) in rep.lines
+        assert Subspace(6, [p2, p4]) in rep.lines
         verdict = run_report(job)
         assert verdict["status"] == "LINEARIZABLE_CERTIFIED"
 
@@ -191,7 +191,7 @@ def test_acceptance_05_branch_permutation():
     def body():
         job = _job75()
         sym = equivariance(job.pencil, _gamma(job))
-        perm = branch_permutation(job.pencil, sym, job.branch)
+        perm = root_images(job.branch.roots, sym.moebius())
         assert perm[0] == 1 and perm[1] == 2
         # a single 4-cycle on labels 3..6, matching (3456) up to inverse
         assert perm in ((1, 2, 4, 5, 6, 3), (1, 2, 6, 3, 4, 5))

@@ -3,10 +3,11 @@ import pytest
 from twoquadrics.binforms import (
     BinaryForm,
     bform_discriminant,
-    bform_root_action,
+    checked_roots,
     proj_equal,
     quadratic_roots,
     resultant,
+    root_images,
 )
 from twoquadrics.cyclo import ONE, ZERO, imaginary_unit, zeta
 from twoquadrics.errors import NotARoot, NotClosed, UnsupportedCase
@@ -46,17 +47,17 @@ def test_resultant_shared_root():
 def test_root_action_cycle():
     f = bf(ZERO, ONE, ZERO, ZERO, ZERO, -ONE, ZERO)  # t1 t2 (t2^4 - t1^4)
     roots = [(ZERO, ONE), (ONE, ZERO), (ONE, ONE), (ONE, i), (ONE, -ONE), (ONE, -i)]
-    perm = bform_root_action(f, roots, ((ONE, ZERO), (ZERO, i)))
+    perm = root_images(checked_roots(f, roots), ((ONE, ZERO), (ZERO, i)))
     assert perm == (1, 2, 4, 5, 6, 3)
 
 
 def test_root_action_errors():
     f = bf(ONE, ZERO, -ONE)
     with pytest.raises(NotARoot):
-        bform_root_action(f, [(ONE, 2 * ONE)], ((ONE, ZERO), (ZERO, ONE)))
+        root_images(checked_roots(f, [(ONE, 2 * ONE)]), ((ONE, ZERO), (ZERO, ONE)))
     # the map sends a listed root outside the list
     with pytest.raises(NotClosed):
-        bform_root_action(f, [(ONE, ONE)], ((ONE, ZERO), (ZERO, -ONE)))
+        root_images(checked_roots(f, [(ONE, ONE)]), ((ONE, ZERO), (ZERO, -ONE)))
 
 
 def test_gcd():

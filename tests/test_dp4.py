@@ -52,7 +52,6 @@ def test_signed_perm_algebra():
     rng = random.Random(13)
     for _ in range(30):
         a, b = random_wd5(rng), random_wd5(rng)
-        assert SignedPerm.from_matrix((a * b).matrix()) == a * b
         assert (a * a.inverse()) == SignedPerm.identity()
         ma = IntMatrix(a.matrix())
         mb = IntMatrix(b.matrix())

@@ -14,7 +14,6 @@ from twoquadrics.groups import (
     center,
     closure,
     projective_fixed_locus,
-    rescaled_group,
     scalar_lift_search,
     tensor_rep,
     verify_relations,
@@ -114,9 +113,10 @@ def test_scalar_lift_search_needs_a_positive_bound():
 
 
 def test_scalar_lift_search_trivial_lift():
-    res = scalar_lift_search(dihedral24(), D24_RELS, 6)
+    g = dihedral24()
+    res = scalar_lift_search(g, D24_RELS, 6)
     assert "lift" in res
-    lifted = rescaled_group(dihedral24(), res["lift"])
+    lifted = MatrixGroup([(lab, m * res["lift"][lab]) for lab, m in g.generators], named=g.named)
     for rep in verify_relations(lifted, D24_RELS):
         assert rep.holds
 

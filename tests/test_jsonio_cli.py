@@ -5,21 +5,17 @@ import pytest
 
 from twoquadrics import groups
 from twoquadrics.cli import _perm_cycles, main, run_report
-from twoquadrics.cyclo import CycNum, ONE, zeta
+from twoquadrics.cyclo import CycNum, zeta
 from twoquadrics.errors import SchemaError
 from twoquadrics.jsonio import (
     cycnum_from_json,
     cycnum_to_json,
     mat_from_json,
-    mat_to_json,
     parse_job,
     pencil_from_json,
-    pencil_to_json,
     relation_from_json,
-    relation_to_json,
     signedperm_from_json,
 )
-from twoquadrics.matrices import Mat
 
 try:
     from importlib import resources
@@ -53,8 +49,6 @@ def test_cycnum_schema_errors():
 
 
 def test_mat_roundtrip_and_errors():
-    m = Mat([[ONE, zeta(8)], [CycNum.from_rational(0), -ONE]])
-    assert mat_from_json(mat_to_json(m)) == m
     with pytest.raises(SchemaError):
         mat_from_json({"rows": 2, "cols": 2, "entries": [[1, 2]]})
     with pytest.raises(SchemaError):
@@ -65,7 +59,6 @@ def test_pencil_json():
     obj = {"diag1": [1, 1, 1, 1, 1, 1], "diag2": [0, 1, 2, 3, 4, 5]}
     p = pencil_from_json(obj)
     assert p.g == 2 and p.size == 6
-    assert pencil_from_json(pencil_to_json(p)).q1.gram == p.q1.gram
     with pytest.raises(SchemaError):
         pencil_from_json({"diag1": [1, 1], "diag2": [1, 1]})
     with pytest.raises(SchemaError):
@@ -79,7 +72,6 @@ def test_relation_json():
     assert r.target == "identity"
     r = relation_from_json({"word": [["t", 1], ["s", -1]], "target": {"central": "iota"}})
     assert r.target == ("central", "iota")
-    assert relation_from_json(relation_to_json(r)) == r
     with pytest.raises(SchemaError):
         relation_from_json({"word": []})
     with pytest.raises(SchemaError):
@@ -228,6 +220,24 @@ def test_lift_search_is_capped(capsys, monkeypatch):
     assert main(argv) == 0
 
 
+def test_one_generator_lift_search_is_capped(capsys, tmp_path):
+    # one generator still builds all M roots, at a cost of about M^2
+    job = tmp_path / "lift.json"
+    job.write_text(json.dumps({
+        "relations": [{"word": [["sigma", 2]]}],
+        "representations": {"V": {"generators": [
+            {"label": "sigma", "matrix": {"rows": 2, "cols": 2, "entries": [[1, 0], [0, -1]]}}]}},
+    }))
+    assert main(["lift", str(job), "--scalar-order", "1000"]) == 0
+    capsys.readouterr()
+    assert main(["lift", str(job), "--scalar-order", "1001"]) == 3
+    assert capsys.readouterr().err.startswith("error: 1001^2 scalar tuples exceed 1000000 at scalar order 1001")
+    t0 = time.perf_counter()
+    assert main(["lift", str(job), "--scalar-order", str(10**6)]) == 3
+    assert time.perf_counter() - t0 < 1
+    assert "scalar order 1000000" in capsys.readouterr().err
+
+
 def test_dp4_and_lift_input_errors(capsys, tmp_path):
     lift = json.loads(fixture_text("example_7_4.json"))
     rep = lift["representations"]["V"]
@@ -347,7 +357,8 @@ def test_cli_lift(capsys):
     assert out["W"]["lift"] is None and out["W"]["obstructed"]
 
 
-def test_python_m_runs_the_cli():
+def _python_m(argv, **kwargs):
+    """Run `python -m twoquadrics ARGV` on this checkout's package."""
     import os
     import subprocess
     import sys
@@ -357,16 +368,31 @@ def test_python_m_runs_the_cli():
 
     src = str(Path(twoquadrics.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "twoquadrics", "identities", "--g-max", "2"],
-        capture_output=True, text=True, env=env, timeout=120,
+    return subprocess.run(
+        [sys.executable, "-m", "twoquadrics", *argv], text=True, env=env, timeout=120, **kwargs
     )
+
+
+def test_python_m_runs_the_cli():
+    proc = _python_m(["identities", "--g-max", "2"], capture_output=True)
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["section_count"][0]["equal"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "twoquadrics", "report", "--fixture", "example_7_5.json", "--max-closure", "-5"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = _python_m(["report", "--fixture", "example_7_5.json", "--max-closure", "-5"], capture_output=True)
     assert proc.returncode == 2
     assert "argument --max-closure:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_closed_output_pipe_exits_1_without_traceback():
+    import os
+    import subprocess
+
+    for argv in (["dp4", "--fixture", "example_dp4_involutions.json"], ["report", "--fixture", "example_7_3.json"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = _python_m(argv, stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == ""

@@ -73,13 +73,16 @@ def test_kernel_and_subspace():
     m = Mat([[ONE, ONE, ZERO], [ZERO, ZERO, ONE]])
     k = kernel(m)
     assert k.dim == 1
-    assert k.contains_vector([ONE, -ONE, ZERO])
+    assert k.contains_subspace(Subspace(3, [[ONE, -ONE, ZERO]]))
     full = Subspace.full(3)
     assert full.contains_subspace(k)
     assert k.intersect(full) == k
     other = Subspace(3, [[ONE, ZERO, ZERO], [ZERO, ONE, ZERO]])
     meet = k.intersect(other)
     assert meet.dim == 1
+    zero = Subspace(3, [])
+    assert zero.intersect(full).dim == 0
+    assert full.intersect(zero).dim == 0
 
 
 def test_subspace_canonical_equality():

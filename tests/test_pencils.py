@@ -1,6 +1,6 @@
 import pytest
 
-from twoquadrics.binforms import BinaryForm, proj_equal, quadratic_roots
+from twoquadrics.binforms import BinaryForm, proj_equal, quadratic_roots, root_images
 from twoquadrics.cyclo import CycNum, ONE, ZERO, imaginary_unit, zeta
 from twoquadrics.errors import NotAbelian, NotASymmetry, NotDiagonal
 from twoquadrics.groups import MatrixGroup
@@ -8,7 +8,6 @@ from twoquadrics.matrices import Mat, Quadric, Subspace
 from twoquadrics.pencils import (
     BranchConfig,
     Pencil,
-    branch_permutation,
     classify_diagonal_involution,
     degeneracy_form,
     equivariance,
@@ -70,7 +69,7 @@ def test_branch_permutation_identity():
     roots = tuple(((k * ONE, -ONE) if k else (ZERO, ONE)) for k in range(6))
     b = BranchConfig(f, roots)
     sym = equivariance(p, Mat.identity(6))
-    assert branch_permutation(p, sym, b) == (1, 2, 3, 4, 5, 6)
+    assert root_images(b.roots, sym.moebius()) == (1, 2, 3, 4, 5, 6)
 
 
 def test_membership():
@@ -146,10 +145,10 @@ def test_free_element_maps_case_ii_lines_without_fixing_points():
     g = MatrixGroup([("s", m)])
     rep = invariant_lines_abelian(p, g)
     for line in rep.lines:
-        imgs = [m.apply(v) for v in line.plane.basis]
-        assert line.plane == line.plane.__class__(6, imgs)
+        imgs = [m.apply(v) for v in line.basis]
+        assert line == Subspace(6, imgs)
         fixed_pointwise = all(
-            proj_point_equal(tuple(v), tuple(m.apply(v))) for v in line.plane.basis
+            proj_point_equal(tuple(v), tuple(m.apply(v))) for v in line.basis
         )
         assert not fixed_pointwise
 
@@ -176,7 +175,7 @@ def test_fixed_points_of_rotation_pair():
         e = (O, O, O, O, I1, sign * i)
         assert sum(proj_point_equal(e, pt) for pt in fx.points) == 1
     for line in fx.lines_on_x:
-        for v in line.plane.basis:
+        for v in line.basis:
             assert membership(p, v)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import lcm
 
 from .cyclo import CycNum, zeta
 from .errors import (
@@ -12,10 +13,11 @@ from .errors import (
     ClosureMissing,
     LabelMismatch,
     NonScalarDiscrepancy,
+    NotFiniteOrder,
     RelationsFailProjectively,
     Singular,
 )
-from .matrices import Mat, Subspace, eigenspaces_finite_order, kronecker
+from .matrices import Mat, eigenspaces_finite_order, kronecker
 
 # tuples scalar_lift_search may try: at about 10 us a tuple, some 10 s
 MAX_LIFT_TUPLES = 10**6
@@ -53,13 +55,16 @@ class MatrixGroup:
         if not gens:
             raise ValueError("need at least one generator")
         n = gens[0][1].rows
+        dets = []  # one per generator, for closure's order test
         for label, m in gens:
             if m.rows != m.cols or m.rows != n:
                 raise ValueError("generators must be square of equal size")
-            if m.rank() < n:
+            dets.append(m.det())
+            if dets[-1].is_zero():
                 raise Singular(f"generator {label!r} is singular")
         self.dimension = n
         self.generators = tuple(gens)
+        self.determinants = tuple(dets)
         self.named = dict(named or {})
         self._closure = None  # dict key -> (Mat, word)
         self._closure_cap = None
@@ -105,9 +110,16 @@ def closure(group: MatrixGroup, cap: int = 10000):
     """Enumerate the group by breadth-first products of generators.
 
     Returns the element list; each element is retained inside the group with
-    a shortest defining word."""
+    a shortest defining word.  A generator of finite order has a root of
+    unity as determinant, and those of Q(zeta_N) are the lcm(2, N)-th roots:
+    a determinant d of least order N with d^lcm(2, N) != 1 raises
+    NotFiniteOrder before any product."""
     if group._closure is not None and group._closure_cap == cap:
         return group.elements
+    for (label, _), d in zip(group.generators, group.determinants):
+        d = d.canonical()
+        if not (d ** lcm(2, d.order)).is_one():
+            raise NotFiniteOrder(f"generator {label!r} has determinant {d!r}, not a root of unity: infinite order")
     ident = Mat.identity(group.dimension)
     found = {ident.key(): (ident, ())}
     frontier = [(ident, ())]
@@ -170,10 +182,12 @@ def character_spaces(group: MatrixGroup):
     """Joint eigenspaces of the generators as (subspace, character) pairs,
     the character holding one eigenvalue per generator.
 
-    Iterates generators, refining the list by intersecting each subspace
-    with each eigenspace of the next generator."""
-    current = [(Subspace.full(group.dimension), ())]
-    for _, g in group.generators:
+    Starts from the first generator's eigenspaces and refines the list by
+    intersecting each subspace with each eigenspace of every later
+    generator, so one generator takes no intersection."""
+    (_, first), *rest = group.generators
+    current = [(space, (lam,)) for lam, space in eigenspaces_finite_order(first)]
+    for _, g in rest:
         eig = eigenspaces_finite_order(g)
         refined = []
         for space, char in current:

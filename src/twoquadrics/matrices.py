@@ -412,10 +412,6 @@ class Subspace:
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
 
-    @classmethod
-    def full(cls, n):
-        return _span(n, 1, [[int(i == j) for j in range(n)] for i in range(n)])
-
     @property
     def basis(self):
         return self._rows.entries
@@ -511,6 +507,18 @@ def operator_order(m: Mat, cap: int = 360) -> OrderInfo:
     raise OrderExceedsCap(f"no power up to {cap} is the identity")
 
 
+def _minus_scalar(m: Mat, lam: CycNum) -> Mat:
+    """m - lam I, made on the int rows at lcm(m.order, lam.order): the rows
+    scaled by lam's denominator, lam times m's taken off the diagonal."""
+    order = lcm(m.order, lam.order)
+    ((c,),) = _embed(lam.order, [[lam.num[0] if lam.order == 1 else lam.num]], order)
+    one, d = _int(order, 1), _int(order, -m.den)
+    rows = [_coefs(order, row, mul, lam.den) for row in _embed(m.order, m.data, order)]
+    for i, row in enumerate(rows):
+        row[i] = _dot(order, ((row[i], one), (c, d)))
+    return _mat(order, m.den * lam.den, rows, m.cols, Mat)
+
+
 def eigenspaces_finite_order(m: Mat, cap: int = 360):
     """All nonzero eigenspaces of a finite-order operator.
 
@@ -541,7 +549,7 @@ def eigenspaces_finite_order(m: Mat, cap: int = 360):
     for k in range(n):
         if sum(w * const[(e - s * k) % big] for e, s, w in terms):
             lam = zeta(n, k)
-            space = kernel(m - Mat.identity(m.rows) * lam)
+            space = kernel(_minus_scalar(m, lam))
             if space.dim:
                 spaces.append((lam, space))
                 total += space.dim

@@ -12,7 +12,7 @@ restricted quadratics are kernels (`matrices.kernel`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .binforms import (
     BinaryForm,
@@ -34,7 +34,6 @@ from .matrices import (
     Subspace,
     contragredient,
     kernel,
-    solve,
     span_coefficients,
 )
 
@@ -109,22 +108,27 @@ class BranchConfig:
         object.__setattr__(self, "roots", checked_roots(self.form, self.roots))
 
 
+@cache
+def _vandermonde_inverse(d: int) -> Mat:
+    """The exact inverse of the Vandermonde matrix (x^j) of the nodes
+    x = 0..d; the nodes are distinct, so it exists."""
+    return Mat([[x**j for j in range(d + 1)] for x in range(d + 1)]).inverse()
+
+
 def pencil_det_form(g1: Mat, g2: Mat) -> BinaryForm:
     """det(t1 G1 + t2 G2) as a binary form of degree n for n x n Grams.
 
     Computed by interpolation: the dehomogenized determinant det(G1 + x G2)
-    is sampled at n+1 integer points and the coefficients recovered by
-    solving the Vandermonde system exactly."""
-    d = g1.rows
-    nodes = range(d + 1)
-    coeffs = solve(
-        [[CycNum.from_rational(x**j) for x in nodes] for j in range(d + 1)],
-        [(g1 + x * g2).det() for x in nodes],
-    )
-    if coeffs is None:
-        raise ValueError("interpolation failed")
-    # coeff of x^j goes with t1^(d-j) t2^j
-    return BinaryForm(d, coeffs)
+    is sampled at x = 0..n, each member G2 plus the one before, and the
+    coefficients are the inverse Vandermonde matrix of those nodes applied
+    to the samples."""
+    n = g1.rows
+    member, dets = g1, [g1.det()]
+    for _ in range(n):
+        member = member + g2
+        dets.append(member.det())
+    # coeff of x^j goes with t1^(n-j) t2^j
+    return BinaryForm(n, _vandermonde_inverse(n).apply(dets))
 
 
 def degeneracy_form(pencil: Pencil) -> BinaryForm:
@@ -343,16 +347,18 @@ def invariant_lines_abelian(pencil: Pencil, group: MatrixGroup) -> LineSearchRep
     def pair_family(c1, c2, reason):
         families.append({"characters": (c1, c2), "enumerated": False, "reason": reason})
 
+    # each space's points on X, found when the search first meets the space
+    on_x = cache(lambda s: _isotropic_points(pencil, s))
     for i, (s1, c1) in enumerate(spaces):
         for s2, c2 in spaces[i + 1 :]:
             # a 1-dim side whose point is off X contributes nothing,
             # whatever the other side looks like
-            if any(s.dim == 1 and not _isotropic_points(pencil, s) for s in (s1, s2)):
+            if any(s.dim == 1 and not on_x(s) for s in (s1, s2)):
                 continue
             if s1.dim > 2 or s2.dim > 2:
                 pair_family(c1, c2, "parameter dimension exceeds 2")
                 continue
-            lefts = _isotropic_points(pencil, s1)
+            lefts = on_x(s1)
             if lefts is None:
                 pair_family(c1, c2, "isotropic directions form a family")
                 continue

@@ -238,6 +238,21 @@ def test_one_generator_lift_search_is_capped(capsys, tmp_path):
     assert "scalar order 1000000" in capsys.readouterr().err
 
 
+def test_infinite_order_generator_fails_fast(capsys, tmp_path):
+    # 2*I acts on points by I/2, of determinant 1/64; the closure used to run to its 10000 cap
+    obj = json.loads(fixture_text("example_7_3.json"))
+    obj["generators"].append({"label": "two", "matrix": {"rows": 6, "cols": 6, "entries": [
+        [2 if i == j else 0 for j in range(6)] for i in range(6)]}})
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(obj))
+    for cmd in ("report", "fixed-points", "invariant-lines"):
+        t0 = time.perf_counter()
+        assert main([cmd, str(job)]) == 3
+        assert time.perf_counter() - t0 < 0.1
+        assert capsys.readouterr().err == "error: generator 'two' has determinant 1/64, not a root of unity: infinite order\n"
+    assert main(["branch", str(job)]) == 0  # it never closes the group
+
+
 def test_dp4_and_lift_input_errors(capsys, tmp_path):
     lift = json.loads(fixture_text("example_7_4.json"))
     rep = lift["representations"]["V"]

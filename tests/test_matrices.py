@@ -74,7 +74,7 @@ def test_kernel_and_subspace():
     k = kernel(m)
     assert k.dim == 1
     assert k.contains_subspace(Subspace(3, [[ONE, -ONE, ZERO]]))
-    full = Subspace.full(3)
+    full = Subspace(3, [[ONE, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]])
     assert full.contains_subspace(k)
     assert k.intersect(full) == k
     other = Subspace(3, [[ONE, ZERO, ZERO], [ZERO, ONE, ZERO]])

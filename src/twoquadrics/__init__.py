@@ -8,7 +8,7 @@ chains them into linearizability verdicts.
 from .cyclo import CycNum, cyc_sqrt, zeta
 from .binforms import BinaryForm, bform_discriminant
 from .matrices import Mat, Quadric, Subspace, contragredient, eigenspaces_finite_order, kernel, operator_order
-from .smith import IntMatrix, integer_kernel_basis, invariant_factors, smith_normal_form
+from .smith import IntMatrix, invariant_factors, smith_normal_form
 from .groups import (
     FixedLocus,
     MatrixGroup,
@@ -21,7 +21,6 @@ from .groups import (
     verify_relations,
 )
 from .pencils import (
-    BranchConfig,
     Pencil,
     PencilSymmetry,
     classify_diagonal_involution,

@@ -170,33 +170,26 @@ def root_images(roots, moebius):
 
 
 def quadratic_roots(a, b, c):
-    """Projective roots of a u^2 + b uv + c v^2 as (u, v) pairs.
+    """Projective roots of the nonzero form a u^2 + b uv + c v^2 as a list of
+    (u, v) pairs, one per root, repeated at a double root.
 
-    Returns ('all', None) when the form vanishes identically, otherwise
-    ('points', [(u, v), ...]) with one entry per root, repeated at a double
-    root.  Raises UnsupportedCase when a root does not lie in the searched
-    cyclotomic field.
+    Raises ValueError on the zero form, and UnsupportedCase when a root does
+    not lie in the searched cyclotomic field.
     """
     a = CycNum._coerce(a)
     b = CycNum._coerce(b)
     c = CycNum._coerce(c)
     if a.is_zero() and b.is_zero() and c.is_zero():
-        return ("all", None)
+        raise ValueError("the zero form vanishes everywhere")
     if a.is_zero():
         # v * (b u + c v): root at v = 0 plus the linear root
-        roots = [(ONE, ZERO)]
-        if b.is_zero():
-            roots.append((ONE, ZERO))
-        else:
-            roots.append((c, -b))
-        return ("points", roots)
+        return [(ONE, ZERO), (ONE, ZERO) if b.is_zero() else (c, -b)]
     disc = b * b - 4 * a * c
-    field_order = lcm(a.order, b.order, c.order, 24)
-    s = cyc_sqrt(disc, field_order)
+    s = cyc_sqrt(disc)
     if s is None:
         raise UnsupportedCase(
             "quadratic root requires a square root outside "
-            f"Q(zeta_{field_order})"
+            f"Q(zeta_{lcm(disc.order, 24)})"
         )
     two_a = 2 * a
-    return ("points", [(-b + s, two_a), (-b - s, two_a)])
+    return [(-b + s, two_a), (-b - s, two_a)]

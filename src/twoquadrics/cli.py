@@ -81,9 +81,10 @@ def _perm_cycles(perm):
 
 def _point_group(job, max_closure):
     """The group acting on points: contragredients of the matrix
-    generators."""
+    generators, each checked to be a pencil symmetry before the closure."""
     if job.group is None:
         raise SchemaError("no matrix generators")
+    _symmetries(job)
     g = MatrixGroup([(lab, contragredient(m)) for lab, m in job.group.generators])
     closure(g, max_closure)
     return g
@@ -103,9 +104,9 @@ def _branch_perms(job, syms):
     if job.branch is None:
         return perms
     for lab, sym in syms.items():
-        perms[lab] = root_images(job.branch.roots, sym.moebius())
+        perms[lab] = root_images(job.branch, sym.moebius())
     for lab, mo in job.moebius_generators:
-        perms[lab] = root_images(job.branch.roots, mo)
+        perms[lab] = root_images(job.branch, mo)
     return perms
 
 
@@ -299,7 +300,7 @@ def _fixed_points(args):
             [[repr(x) for x in v] for v in ln.basis] for ln in fx.lines_on_x
         ],
         "higher_dimensional": [
-            {"projective_dim": s.dim - 1} for s, _ in fx.curves
+            {"projective_dim": s.dim - 1} for s in fx.curves
         ],
     }
 
@@ -426,12 +427,15 @@ def build_parser():
         "identities": _identities,
         "lift": _lift,
     }
+    # each subcommand takes only the options it reads, but --format on all
     for name, fn in commands.items():
         p = sub.add_parser(name)
-        p.add_argument("jobfile", nargs="?", help="job JSON file")
-        p.add_argument("--fixture", help="name of a shipped fixture")
+        if name != "identities":
+            p.add_argument("jobfile", nargs="?", help="job JSON file")
+            p.add_argument("--fixture", help="name of a shipped fixture")
         p.add_argument("--format", choices=("human", "json"), default="human")
-        p.add_argument("--max-closure", type=positive_int, default=10000)
+        if name in ("report", "fixed-points", "invariant-lines", "lift"):
+            p.add_argument("--max-closure", type=positive_int, default=10000)
         if name == "identities":
             p.add_argument("--g-max", type=positive_int, default=6)
         if name == "lift":

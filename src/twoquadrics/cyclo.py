@@ -402,10 +402,10 @@ def imaginary_unit() -> CycNum:
 _MAX_SQRT_PHI = 10
 
 
-def cyc_sqrt(a, field_order: int | None = None) -> CycNum | None:
+def cyc_sqrt(a) -> CycNum | None:
     """A square root of `a` inside Q(zeta_M), or None if there is none.
 
-    M defaults to lcm(order(a), 24).  With a = num / den, a root x gives c =
+    M is lcm(order(a), 24).  With a = num / den, a root x gives c =
     den x in Z[zeta_M] with c^2 = s = num den, whose coefficients are at most
     B = phi sqrt(|s|_1) max_j |beta_j|_1 for the trace-dual basis beta.  At
     the least prime p = 1 mod M where no embedding of s vanishes, a
@@ -422,12 +422,8 @@ def cyc_sqrt(a, field_order: int | None = None) -> CycNum | None:
         n, d = abs(a.num[0]), a.den
         rn, rd = isqrt(n), isqrt(d)
         if rn * rn == n and rd * rd == d:
-            root = (ONE if a.num[0] > 0 else imaginary_unit()) * Fraction(rn, rd)
-            if field_order is None or field_order % root.order == 0:
-                return root
-    m = field_order if field_order is not None else lcm(a.order, 24)
-    if m % a.order != 0:
-        raise IncompatibleOrder(f"order {a.order} does not divide {m}")
+            return (ONE if a.num[0] > 0 else imaginary_unit()) * Fraction(rn, rd)
+    m = lcm(a.order, 24)
     phi = euler_phi(m)
     if phi > _MAX_SQRT_PHI:
         raise UnsupportedCase(f"square-root search not supported for phi({m}) = {phi}")

@@ -11,12 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from .errors import NotFiniteOrder, OddParity
-from .smith import (
-    IntMatrix,
-    integer_kernel_basis,
-    invariant_factors,
-    solve_in_lattice_basis,
-)
+from .smith import IntMatrix, invariant_factors, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -257,19 +252,14 @@ def lattice_h1(a: IntMatrix, n: int):
     for _ in range(n - 1):
         power = power * a
         norm = norm + power
-    kerbasis = integer_kernel_basis(norm)
-    if not kerbasis:
+    dn, _, v = smith_normal_form(norm)
+    r = sum(1 for i in range(a.rows) if dn.entries[i][i])
+    k = a.rows - r  # columns r.. of V are a basis of ker(Norm)
+    if not k:
         return ()
-    cols = []
-    diff = a - ident
-    for j in range(a.cols):
-        vec = tuple(diff.entries[i][j] for i in range(a.rows))
-        coords = solve_in_lattice_basis(kerbasis, vec)
-        if coords is None:
-            raise ValueError("image column escapes ker(Norm): A^n != I?")
-        cols.append(coords)
-    k = len(kerbasis)
-    rel = IntMatrix([[cols[j][i] for j in range(len(cols))] for i in range(k)])
+    # by U Norm V = D, rows r.. of V^-1 x are the coordinates of x in ker(Norm)
+    # in that basis; Norm (A - I) = A^n - I = 0 puts the image of A - I there
+    rel = IntMatrix((v.inverse() * (a - ident)).data[r:])
     facts = list(invariant_factors(rel))
     rank = sum(1 for d in facts if d != 0)
     quotient = [d for d in facts if d not in (0, 1)]

@@ -17,10 +17,6 @@ class NotClosed(TwoQuadricsError):
     """A map was expected to permute a finite set but left it."""
 
 
-class OrderExceedsCap(TwoQuadricsError):
-    pass
-
-
 class NotFiniteOrder(TwoQuadricsError):
     pass
 

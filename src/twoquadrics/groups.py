@@ -213,19 +213,13 @@ class FixedLocus:
 
 
 def projective_fixed_locus(group: MatrixGroup) -> FixedLocus:
-    """Points of P^{n-1} fixed by every generator: the maximal joint
-    eigenspaces."""
-    spaces = [s for s, _ in character_spaces(group)]
-    # drop components contained in others (distinct characters can still nest
-    # when an earlier scalar ambiguity splits one space)
-    maximal = []
-    for s in spaces:
-        if any(other.dim > s.dim and other.contains_subspace(s) for other in spaces):
-            continue
-        if s not in maximal:
-            maximal.append(s)
-    maximal.sort(key=lambda s: (-s.dim, [[x.key() for x in v] for v in s.basis]))
-    return FixedLocus(tuple(maximal))
+    """Points of P^{n-1} fixed by every generator: the joint eigenspaces,
+    which meet pairwise only in 0, so each is a maximal component."""
+    spaces = sorted(
+        (s for s, _ in character_spaces(group)),
+        key=lambda s: (-s.dim, [[x.key() for x in v] for v in s.basis]),
+    )
+    return FixedLocus(tuple(spaces))
 
 
 def scalar_lift_search(group: MatrixGroup, relations, scalar_order_bound: int):

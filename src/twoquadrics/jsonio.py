@@ -25,12 +25,13 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .binforms import checked_roots
 from .cyclo import CycNum, euler_phi
 from .dp4 import SignedPerm
 from .errors import DimensionMismatch, LabelMismatch, NonScalarDiscrepancy, NotARoot, SchemaError
 from .groups import MatrixGroup, Relation, verify_relations
 from .matrices import Mat, Quadric
-from .pencils import BranchConfig, Pencil
+from .pencils import Pencil
 from .smith import IntMatrix
 
 
@@ -240,7 +241,7 @@ class JobSpec:
     group: MatrixGroup | None  # generators that have honest matrices
     moebius_generators: tuple  # (label, 2x2 tuple) acting on (t1, t2) only
     relations: tuple  # RelationReport of each relation, which holds up to a scalar
-    branch: BranchConfig | None
+    branch: tuple | None  # checked roots of the degeneracy form, labeled 1..2g+2 by index
 
 
 def parse_job(text_or_obj, path="$"):
@@ -279,8 +280,9 @@ def parse_job(text_or_obj, path="$"):
             (_cycnum(u, f"{p}.roots[{k}][0]"), _cycnum(v, f"{p}.roots[{k}][1]"))
             for k, (u, v) in enumerate(obj["branch"]["roots"])
         )
+        _expect(len(roots) == pencil.det_form.degree, "root count must equal the degree", p)
         try:
-            branch = BranchConfig(pencil.det_form, roots)
+            branch = checked_roots(pencil.det_form, roots)
         except (ValueError, NotARoot) as exc:
             raise SchemaError(str(exc), p) from exc
     return JobSpec(pencil, group, tuple(moebius), tuple(relations), branch)

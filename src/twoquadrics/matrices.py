@@ -23,7 +23,7 @@ from operator import floordiv, mul
 
 from .cyclo import CycNum, ZERO, _descend_num, _descent_map, _dot_num, _inverse_num, _make, _map_num
 from .cyclo import euler_phi, power_table, zeta
-from .errors import CapExceeded, DimensionMismatch, NotFiniteOrder, OrderExceedsCap, Singular
+from .errors import CapExceeded, DimensionMismatch, NotFiniteOrder, Singular
 
 MAX_POWER_BITS = 12000  # printed in decimal, such an integer stays under Python's 4300-digit limit
 
@@ -481,30 +481,22 @@ def kernel(m: Mat) -> Subspace:
 @dataclass(frozen=True)
 class OrderInfo:
     order: int  # least n with M^n = identity
-    projective_order: int  # least n with M^n scalar
-    scalar: CycNum  # the scalar at the projective order
     traces: tuple  # tr(M^j) for 0 <= j < order
 
 
 def operator_order(m: Mat, cap: int = 360) -> OrderInfo:
-    """Order data of an invertible matrix, by direct iteration up to cap."""
+    """Order data of an invertible matrix, by direct iteration up to cap;
+    NotFiniteOrder when no power up to cap is the identity."""
     if m.rows != m.cols:
         raise DimensionMismatch("order of nonsquare matrix")
     power = m
-    proj = None
-    proj_scalar = None
     traces = [CycNum.from_rational(m.rows)]
     for n in range(1, cap + 1):
-        c = power.is_scalar()
-        if c is not None:
-            if proj is None:
-                proj = n
-                proj_scalar = c
-            if c.is_one():
-                return OrderInfo(n, proj, proj_scalar, tuple(traces))
+        if power.is_identity():
+            return OrderInfo(n, tuple(traces))
         traces.append(power.trace())
         power = power * m
-    raise OrderExceedsCap(f"no power up to {cap} is the identity")
+    raise NotFiniteOrder(f"no power up to {cap} is the identity")
 
 
 def _minus_scalar(m: Mat, lam: CycNum) -> Mat:
@@ -531,10 +523,7 @@ def eigenspaces_finite_order(m: Mat, cap: int = 360):
     Finite order over characteristic zero guarantees the spaces sum to the
     ambient space, which is checked.
     """
-    try:
-        info = operator_order(m, cap)
-    except OrderExceedsCap as exc:
-        raise NotFiniteOrder(str(exc)) from exc
+    info = operator_order(m, cap)
     n, traces = info.order, info.traces
     big, den = lcm(n, *(t.order for t in traces)), lcm(*(t.den for t in traces))
     const = [dict(row).get(0, 0) for row in power_table(big)[:big]]  # coefficient of 1 in zeta_L^e

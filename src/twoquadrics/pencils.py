@@ -14,12 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 
-from .binforms import (
-    BinaryForm,
-    bform_discriminant,
-    checked_roots,
-    quadratic_roots,
-)
+from .binforms import BinaryForm, bform_discriminant, quadratic_roots
 from .cyclo import ONE, ZERO, CycNum
 from .errors import (
     DimensionMismatch,
@@ -78,12 +73,11 @@ class Pencil:
 
 @dataclass(frozen=True)
 class PencilSymmetry:
-    """Coordinate symmetry h with h·G_i·hᵀ = Σ_j M_ij G_j.
+    """The action M of a coordinate symmetry h with h·G_i·hᵀ = Σ_j M_ij G_j.
 
     The matrix h transforms the forms by substituting hᵀx; points of P^n
     transform by the contragredient (hᵀ)⁻¹."""
 
-    h: Mat
     action2x2: tuple  # ((m11, m12), (m21, m22)) of CycNum
 
     def moebius(self):
@@ -93,19 +87,6 @@ class PencilSymmetry:
         t' = Mᵀ t."""
         (a, b), (c, d) = self.action2x2
         return ((a, c), (b, d))
-
-
-@dataclass(frozen=True)
-class BranchConfig:
-    """Labeled roots of the degeneracy form; labels are 1..2g+2 by index."""
-
-    form: BinaryForm
-    roots: tuple  # of (u, v) CycNum pairs
-
-    def __post_init__(self):
-        if len(self.roots) != self.form.degree:
-            raise ValueError("root count must equal the degree")
-        object.__setattr__(self, "roots", checked_roots(self.form, self.roots))
 
 
 @cache
@@ -158,7 +139,7 @@ def equivariance(pencil: Pencil, h: Mat) -> PencilSymmetry:
     m = Mat([list(rows[0]), list(rows[1])])
     if m.det().is_zero():
         raise NotASymmetry("induced 2x2 action is singular")
-    return PencilSymmetry(h, (tuple(rows[0]), tuple(rows[1])))
+    return PencilSymmetry((tuple(rows[0]), tuple(rows[1])))
 
 
 def membership(pencil: Pencil, v) -> bool:
@@ -209,7 +190,7 @@ def _isotropic_points(pencil: Pencil, space: Subspace, extra_points=()):
     elif not quadratics:
         return None
     elif len(quadratics) == 1:
-        _, candidates = quadratic_roots(*quadratics[0].coeffs)
+        candidates = quadratic_roots(*quadratics[0].coeffs)
     else:
         candidates = _common_roots(*quadratics)
     pts = []
@@ -230,7 +211,7 @@ def _common_roots(f: BinaryForm, g: BinaryForm):
     ker = kernel(Mat([f.coeffs, g.coeffs]))
     if ker.dim == 2:
         last = next(c for c in reversed(g.coeffs) if c).inverse()
-        return quadratic_roots(*(c * last for c in g.coeffs))[1]
+        return quadratic_roots(*(c * last for c in g.coeffs))
     w0, w1, w2 = ker.basis[0]
     if w1 * w1 != w0 * w2:
         return []
@@ -252,7 +233,7 @@ class FixedOnX:
     """Fixed locus of a group action intersected with X."""
 
     points: tuple  # isolated fixed points on X (projective vectors)
-    curves: tuple  # (subspace, restricted Gram pair) records, dim >= 1 on X
+    curves: tuple  # fixed subspaces of projective dimension >= 2, as Subspaces
     lines_on_x: tuple  # fixed projective lines lying entirely on X, as 2-dim Subspaces
 
 
@@ -260,25 +241,20 @@ def fixed_points_on_X(pencil: Pencil, group: MatrixGroup) -> FixedOnX:
     """Intersect the projective fixed locus of a point action with X.
 
     Points and lines are intersected with X exactly; higher-dimensional
-    components are reported symbolically with the pair of restricted Gram
-    matrices."""
+    components are reported as they are."""
     _check_symmetries(pencil, group)
     points = []
     curves = []
     lines = []
     for comp in projective_fixed_locus(group).components:
         if comp.dim > 2:
-            curves.append(
-                (comp, (pencil.q1.restrict(comp), pencil.q2.restrict(comp)))
-            )
+            curves.append(comp)
             continue
         pts = _isotropic_points(pencil, comp)
         if pts is None:
             lines.append(comp)
         else:
-            points.extend(
-                p for p in pts if not any(proj_point_equal(p, q) for q in points)
-            )
+            points.extend(pts)  # the components meet only in 0
     return FixedOnX(tuple(points), tuple(curves), tuple(lines))
 
 
@@ -316,12 +292,11 @@ def invariant_lines_abelian(pencil: Pencil, group: MatrixGroup) -> LineSearchRep
     lines = []
     families = []
 
+    # a plane spans two points of distinct character spaces, which meet only
+    # in 0, or lies in one space: each plane comes up once
     def add_line(plane):
-        if plane.dim == 2 and all(
-            _restricted_binary_quadric(q, plane).is_zero() for q in (pencil.q1, pencil.q2)
-        ):
-            if plane not in lines:
-                lines.append(plane)
+        if all(_restricted_binary_quadric(q, plane).is_zero() for q in (pencil.q1, pencil.q2)):
+            lines.append(plane)
 
     # case (i): inside one character space
     for space, char in spaces:

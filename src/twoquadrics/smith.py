@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .matrices import Mat, solve
+from .matrices import Mat
 
 
 class IntMatrix(Mat):
@@ -125,27 +125,3 @@ def _clear(r: _Reduction, t):
 def invariant_factors(a: IntMatrix):
     d, _, _ = smith_normal_form(a)
     return tuple(d.entries[i][i] for i in range(min(a.rows, a.cols)))
-
-
-def integer_kernel_basis(a: IntMatrix):
-    """Basis (list of length-cols integer vectors) of the right null space
-    of A over Z; the basis spans a saturated sublattice."""
-    d, u, v = smith_normal_form(a)
-    r = sum(1 for i in range(min(a.rows, a.cols)) if d.entries[i][i] != 0)
-    basis = []
-    for j in range(r, a.cols):
-        basis.append(tuple(v.entries[i][j] for i in range(a.cols)))
-    return basis
-
-
-def solve_in_lattice_basis(basis, vec):
-    """Express `vec` in terms of an integral basis of a saturated sublattice.
-
-    Returns integer coordinates, or None if vec is outside the span.
-    """
-    if not basis:
-        return None if any(vec) else ()
-    sol = solve(basis, vec)
-    if sol is None or any(s.den != 1 for s in sol):
-        return None
-    return tuple(s.num[0] for s in sol)

@@ -119,7 +119,7 @@ def test_acceptance_01_pencil_degeneracy():
         assert is_smooth(job.pencil)
         # root set in lambda = t2/t1: {0, oo, 1, i, -1, -i}
         lams = set()
-        for (u, v) in job.branch.roots:
+        for (u, v) in job.branch:
             lams.add("oo" if u.is_zero() else (v * u.inverse()).key())
         assert lams == {"oo"} | {x.key() for x in
                                  (ZERO, ONE, i, -ONE, -i)}
@@ -191,7 +191,7 @@ def test_acceptance_05_branch_permutation():
     def body():
         job = _job75()
         sym = equivariance(job.pencil, _gamma(job))
-        perm = root_images(job.branch.roots, sym.moebius())
+        perm = root_images(job.branch, sym.moebius())
         assert perm[0] == 1 and perm[1] == 2
         # a single 4-cycle on labels 3..6, matching (3456) up to inverse
         assert perm in ((1, 2, 4, 5, 6, 3), (1, 2, 6, 3, 4, 5))

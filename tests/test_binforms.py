@@ -77,14 +77,13 @@ def test_gcd_with_infinity_root():
 
 
 def test_quadratic_roots():
-    kind, roots = quadratic_roots(ONE, ZERO, 4 * ONE)
-    assert kind == "points" and len(roots) == 2
+    roots = quadratic_roots(ONE, ZERO, 4 * ONE)
+    assert len(roots) == 2
     for u, v in roots:
         assert (u * u + 4 * v * v).is_zero()
-    kind, _ = quadratic_roots(ZERO, ZERO, ZERO)
-    assert kind == "all"
-    kind, roots = quadratic_roots(ZERO, ONE, ONE)  # v (u + v)
-    assert kind == "points"
+    with pytest.raises(ValueError):
+        quadratic_roots(ZERO, ZERO, ZERO)
+    roots = quadratic_roots(ZERO, ONE, ONE)  # v (u + v)
     assert any(proj_equal(r, (ONE, ZERO)) for r in roots)
     assert any(proj_equal(r, (ONE, -ONE)) for r in roots)
 

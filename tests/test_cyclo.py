@@ -108,10 +108,7 @@ def test_sqrt_of_square(a):
 
 def test_sqrt_failures():
     assert cyc_sqrt(ONE + imaginary_unit()) is None
-    # inside Q itself (field order 1) a non-square has no root
-    assert cyc_sqrt(CycNum.from_rational(2), 1) is None
-    assert cyc_sqrt(CycNum.from_rational(-4), 1) is None
-    assert cyc_sqrt(CycNum.from_rational(4), 1) == 2
+    assert cyc_sqrt(CycNum.from_rational(4)) == 2
 
 
 def test_sqrt_examples():

@@ -91,7 +91,7 @@ def test_parse_job_fixture_roundtrip():
     job = parse_job(fixture_text("example_7_5.json"))
     assert job.pencil.g == 2
     assert job.group is not None
-    assert job.branch is not None and len(job.branch.roots) == 6
+    assert job.branch is not None and len(job.branch) == 6
     full = parse_job(fixture_text("example_7_5_full.json"))
     assert full.moebius_generators
 
@@ -251,6 +251,38 @@ def test_infinite_order_generator_fails_fast(capsys, tmp_path):
         assert time.perf_counter() - t0 < 0.1
         assert capsys.readouterr().err == "error: generator 'two' has determinant 1/64, not a root of unity: infinite order\n"
     assert main(["branch", str(job)]) == 0  # it never closes the group
+
+
+def test_generator_off_the_pencil_fails_before_the_closure(capsys, tmp_path):
+    # diag(2, 1/2, 1, 1, 1, 1) has determinant 1 and infinite order: only the symmetry check stops it before the closure cap
+    obj = json.loads(fixture_text("example_7_3.json"))
+    diag = [2, [1, 2], 1, 1, 1, 1]
+    obj["generators"].append({"label": "stretch", "matrix": {"rows": 6, "cols": 6, "entries": [
+        [diag[i] if i == j else 0 for j in range(6)] for i in range(6)]}})
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(obj))
+    for cmd in ("report", "branch", "fixed-points", "invariant-lines"):
+        t0 = time.perf_counter()
+        assert main([cmd, str(job)]) == 2
+        assert time.perf_counter() - t0 < 0.1
+        assert capsys.readouterr().err == "input error: transformed quadric leaves the pencil span\n"
+
+
+def test_subcommands_refuse_options_they_do_not_read(capsys):
+    # an option a command does not read is refused, not ignored; the error names the first such argument
+    cases = [
+        (["branch", "--fixture", "example_7_5.json", "--max-closure", "5"], "--max-closure"),
+        (["theta", "--fixture", "example_7_5.json", "--max-closure", "5"], "--max-closure"),
+        (["dp4", "--fixture", "example_dp4_involutions.json", "--max-closure", "5"], "--max-closure"),
+        (["identities", "--max-closure", "5"], "--max-closure 5"),
+        (["identities", "--fixture", "example_7_3.json"], "--fixture example_7_3.json"),
+        (["identities", "job.json"], "job.json"),
+    ]
+    for argv, named in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"error: unrecognized arguments: {named}\n" in capsys.readouterr().err
 
 
 def test_dp4_and_lift_input_errors(capsys, tmp_path):

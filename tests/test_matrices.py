@@ -3,7 +3,7 @@ import random
 import pytest
 
 from twoquadrics.cyclo import ONE, ZERO, imaginary_unit, zeta
-from twoquadrics.errors import NotFiniteOrder, OrderExceedsCap, Singular
+from twoquadrics.errors import NotFiniteOrder, Singular
 from twoquadrics.matrices import (
     Mat,
     Quadric,
@@ -28,10 +28,8 @@ def test_inverse_and_det():
 
 def test_operator_order():
     assert operator_order(Mat.diagonal([zeta(8), 1])).order == 8
-    info = operator_order(Mat.diagonal([i, -i]))
-    assert info.order == 4 and info.projective_order == 2
-    assert info.scalar == -ONE
-    with pytest.raises(OrderExceedsCap):
+    assert operator_order(Mat.diagonal([i, -i])).order == 4
+    with pytest.raises(NotFiniteOrder, match="no power up to 20 is the identity"):
         operator_order(Mat([[ONE, ONE], [ZERO, ONE]]), cap=20)
 
 

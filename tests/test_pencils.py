@@ -1,12 +1,11 @@
 import pytest
 
-from twoquadrics.binforms import BinaryForm, proj_equal, quadratic_roots, root_images
+from twoquadrics.binforms import BinaryForm, checked_roots, proj_equal, quadratic_roots, root_images
 from twoquadrics.cyclo import CycNum, ONE, ZERO, imaginary_unit, zeta
 from twoquadrics.errors import NotAbelian, NotASymmetry, NotDiagonal
 from twoquadrics.groups import MatrixGroup
 from twoquadrics.matrices import Mat, Quadric, Subspace
 from twoquadrics.pencils import (
-    BranchConfig,
     Pencil,
     classify_diagonal_involution,
     degeneracy_form,
@@ -67,9 +66,8 @@ def test_branch_permutation_identity():
     f = degeneracy_form(p)
     # roots of t1 + k t2: (k, -1) up to scale, and (0, 1) for k = 0
     roots = tuple(((k * ONE, -ONE) if k else (ZERO, ONE)) for k in range(6))
-    b = BranchConfig(f, roots)
     sym = equivariance(p, Mat.identity(6))
-    assert root_images(b.roots, sym.moebius()) == (1, 2, 3, 4, 5, 6)
+    assert root_images(checked_roots(f, roots), sym.moebius()) == (1, 2, 3, 4, 5, 6)
 
 
 def test_membership():
@@ -84,9 +82,7 @@ def test_fixed_points_diagonal_involution():
     g = MatrixGroup([("s", Mat.diagonal([1, 1, 1, 1, -1, -1]))])
     fx = fixed_points_on_X(p, g)
     assert len(fx.points) == 0
-    assert [s.dim - 1 for s, _ in fx.curves] == [3]
-    (space, (r1, r2)) = fx.curves[0]
-    assert r1 is not None and r2 is not None
+    assert [s.dim - 1 for s in fx.curves] == [3]
 
 
 def test_invariant_lines_requires_abelian():
@@ -204,7 +200,7 @@ def bf(*coeffs):
 def test_common_roots():
     def common_by_evaluation(f, g):
         roots = []
-        for r in quadratic_roots(*f.coeffs)[1]:
+        for r in quadratic_roots(*f.coeffs):
             if g.evaluate(*r).is_zero() and not any(proj_equal(r, s) for s in roots):
                 roots.append(r)
         return roots
@@ -231,7 +227,7 @@ def test_common_roots():
     assert _common_roots(t1sq, bf(I1, I1, O)) == [(O, -I1)]
     f, g = bf(2 * I1, O, -8 * I1), bf(i, O, -4 * i)
     last = (-4 * i).inverse()
-    assert _common_roots(f, g) == quadratic_roots(*(c * last for c in g.coeffs))[1]
+    assert _common_roots(f, g) == quadratic_roots(*(c * last for c in g.coeffs))
 
 
 def test_isotropic_points_with_an_extra_point():

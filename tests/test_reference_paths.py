@@ -1,7 +1,9 @@
-"""The degeneracy form, the eigenspaces and the character spaces against the
-plainer code they replaced, kept here as references: interpolation through
-the generic `solve`, kernels of m - lam * identity built from Mat
-operations, and the refinement of the whole space by every generator."""
+"""The degeneracy form, the eigenspaces, the character spaces and the fixed
+locus, and H^1 of the Picard lattice against the plainer code they replaced,
+kept here as references: interpolation through the generic `solve`, kernels
+of m - lam * identity built from Mat operations, the refinement of the whole
+space by every generator, the fixed locus filtered to maximal, distinct
+components, and image coordinates in the kernel of the norm by `solve`."""
 
 import random
 from fractions import Fraction
@@ -11,10 +13,12 @@ import pytest
 
 from twoquadrics.binforms import BinaryForm
 from twoquadrics.cyclo import CycNum, euler_phi, zeta
-from twoquadrics.groups import MatrixGroup, character_spaces
+from twoquadrics.dp4 import lattice_h1, pic_action, wd5_elements
+from twoquadrics.groups import MatrixGroup, character_spaces, projective_fixed_locus
 from twoquadrics.jsonio import parse_job
 from twoquadrics.matrices import Mat, Subspace, _minus_scalar, contragredient, eigenspaces_finite_order, kernel, solve
 from twoquadrics.pencils import pencil_det_form
+from twoquadrics.smith import IntMatrix, invariant_factors, smith_normal_form
 
 
 def _entry(rng, order, zeros=0.3):
@@ -115,22 +119,104 @@ def test_character_spaces_of_one_generator_are_its_eigenspaces(order):
         assert got == _refined_from_whole_space(group)
 
 
+def _commuting_pair(rng, order, n=6):
+    u = _invertible(rng, n)
+    a, b = (u * Mat.diagonal([_root(rng, order) for _ in range(n)]) * u.inverse() for _ in range(2))
+    assert a * b == b * a
+    return MatrixGroup([("a", a), ("b", b)])
+
+
 @pytest.mark.parametrize("order", [1, 8, 24])
 def test_character_spaces_of_commuting_generators_match_refinement(order):
     rng = random.Random(200 + order)
-    n = 6
     for _ in range(2):
-        u = _invertible(rng, n)
-        a, b = (u * Mat.diagonal([_root(rng, order) for _ in range(n)]) * u.inverse() for _ in range(2))
-        assert a * b == b * a
-        group = MatrixGroup([("a", a), ("b", b)])
+        group = _commuting_pair(rng, order)
         assert character_spaces(group) == _refined_from_whole_space(group)
+
+
+def _shipped_point_groups(name):
+    """The point group of a shipped report fixture, and each of its generators alone."""
+    job = parse_job((resources.files("twoquadrics") / "fixtures" / name).read_text())
+    gens = [(lab, contragredient(m)) for lab, m in job.group.generators]
+    return [MatrixGroup(gens)] + [MatrixGroup([gen]) for gen in gens]
 
 
 @pytest.mark.parametrize("name", ["example_7_3.json", "example_7_5.json", "example_7_5_full.json"])
 def test_character_spaces_of_shipped_point_groups_match_refinement(name):
-    job = parse_job((resources.files("twoquadrics") / "fixtures" / name).read_text())
-    gens = [(lab, contragredient(m)) for lab, m in job.group.generators]
-    for group in [MatrixGroup(gens)] + [MatrixGroup([gen]) for gen in gens]:
+    for group in _shipped_point_groups(name):
         if all(a * b == b * a for _, a in group.generators for _, b in group.generators):
             assert character_spaces(group) == _refined_from_whole_space(group)
+
+
+def _maximal_distinct_components(group):
+    """The fixed locus as first computed: character spaces not inside a larger
+    one, each once, in the order of dimension and then basis."""
+    spaces = [s for s, _ in character_spaces(group)]
+    maximal = []
+    for s in spaces:
+        if any(other.dim > s.dim and other.contains_subspace(s) for other in spaces):
+            continue
+        if s not in maximal:
+            maximal.append(s)
+    maximal.sort(key=lambda s: (-s.dim, [[x.key() for x in v] for v in s.basis]))
+    return tuple(maximal)
+
+
+def _groups_for_the_fixed_locus():
+    groups = [g for name in ("example_7_3.json", "example_7_5.json", "example_7_5_full.json")
+              for g in _shipped_point_groups(name)]
+    for order in (1, 8, 24):
+        rng = random.Random(300 + order)
+        groups += [_commuting_pair(rng, order) for _ in range(2)]
+    # a swaps e0 and e1, which b tells apart; they share span(e2, e3), e4 and e5
+    z, u = zeta(8), _invertible(random.Random(400), 6)
+    a = Mat([[1 if {i, j} == {0, 1} else [0, 0, z, z, 1, -1][i] if i == j else 0 for j in range(6)] for i in range(6)])
+    b = Mat.diagonal([1, -1, 1, 1, -1, 1])
+    a, b = u * a * u.inverse(), u * b * u.inverse()
+    assert a * b != b * a
+    return groups + [MatrixGroup([("a", a), ("b", b)])]
+
+
+def test_character_spaces_are_independent_so_each_is_a_maximal_fixed_component():
+    # the fixed locus and the fixed points on X keep every character space,
+    # and the invariant-line search every plane, since these spaces meet only in 0
+    for group in _groups_for_the_fixed_locus():
+        spaces = [s for s, _ in character_spaces(group)]
+        assert Subspace(group.dimension, [v for s in spaces for v in s.basis]).dim == sum(s.dim for s in spaces)
+        assert projective_fixed_locus(group).components == _maximal_distinct_components(group)
+
+
+def _lattice_h1_by_solve(a, n):
+    """lattice_h1 as first written: a basis of ker(Norm) from its Smith form,
+    then each column of A - I solved for in that basis with `solve`."""
+    ident = norm = power = IntMatrix.identity(a.rows)
+    for _ in range(n - 1):
+        power = power * a
+        norm = norm + power
+    d, _, v = smith_normal_form(norm)
+    r = sum(1 for i in range(a.rows) if d.entries[i][i])
+    basis = [[v.entries[i][j] for i in range(a.rows)] for j in range(r, a.cols)]
+    if not basis:
+        return ()
+    diff = a - ident
+    cols = []
+    for j in range(a.cols):
+        sol = solve(basis, [diff.entries[i][j] for i in range(a.rows)])
+        assert sol is not None and all(x.den == 1 and x.is_rational() for x in sol)
+        cols.append([x.num[0] for x in sol])
+    facts = invariant_factors(IntMatrix(list(zip(*cols))))
+    free = len(basis) - sum(1 for f in facts if f)
+    return tuple(f for f in facts if f not in (0, 1)) + (0,) * free
+
+
+def test_lattice_h1_matches_solve_in_the_kernel_basis():
+    # every involution of W(D5), where H^1 can be (2, 2), and a spread of the rest
+    elements = wd5_elements()
+    sample = [s for s in elements if s.order() == 2] + elements[::96]
+    assert any(lattice_h1(pic_action(s), 2) for s in sample)
+    for s in sample:
+        a = pic_action(s)
+        for n in (s.order(), 2 * s.order()):
+            assert lattice_h1(a, n) == _lattice_h1_by_solve(a, n)
+    minus = IntMatrix([[-1, 0], [0, -1]])
+    assert lattice_h1(minus, 2) == _lattice_h1_by_solve(minus, 2) == (2, 2)

@@ -1,12 +1,6 @@
 import random
 
-from twoquadrics.smith import (
-    IntMatrix,
-    integer_kernel_basis,
-    invariant_factors,
-    smith_normal_form,
-    solve_in_lattice_basis,
-)
+from twoquadrics.smith import IntMatrix, invariant_factors, smith_normal_form
 
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -46,34 +40,6 @@ def test_invariant_factor_examples():
     assert invariant_factors(IntMatrix([[2, 0], [0, 3]])) == (1, 6)
     assert invariant_factors(IntMatrix([[1, 1], [1, 1]])) == (1, 0)
     assert invariant_factors(IntMatrix([[4]])) == (4,)
-
-
-def test_kernel_basis():
-    a = IntMatrix([[1, 2, 3], [2, 4, 6]])
-    basis = integer_kernel_basis(a)
-    assert len(basis) == 2
-    for b in basis:
-        assert all(
-            sum(a.entries[i][j] * b[j] for j in range(3)) == 0 for i in range(2)
-        )
-
-
-def test_solve_in_lattice_basis():
-    rng = random.Random(3)
-    a = IntMatrix([[2, 1, 0], [0, 1, -1]])
-    basis = integer_kernel_basis(a)
-    for _ in range(20):
-        coeffs = [rng.randint(-5, 5) for _ in basis]
-        vec = tuple(
-            sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(3)
-        )
-        sol = solve_in_lattice_basis(basis, vec)
-        assert sol is not None
-        rebuilt = tuple(
-            sum(s * b[i] for s, b in zip(sol, basis)) for i in range(3)
-        )
-        assert rebuilt == vec
-    assert solve_in_lattice_basis(basis, (1, 0, 0)) is None
 
 
 def test_matrix_algebra():

@@ -152,11 +152,9 @@ def checked_roots(f: BinaryForm, roots):
 
 
 def root_images(roots, moebius):
-    """The 1-indexed permutation of checked roots induced by the Moebius
-    matrix ((a, b), (c, d)), acting by (u, v) -> (a u + b v, c u + d v)."""
+    """The 1-indexed permutation of checked roots induced by the nonsingular
+    Moebius matrix ((a, b), (c, d)), acting by (u, v) -> (a u + b v, c u + d v)."""
     (a, b), (c, d) = [[CycNum._coerce(x) for x in row] for row in moebius]
-    if (a * d - b * c).is_zero():
-        raise ValueError("moebius matrix is singular")
     images = []
     for i, (u, v) in enumerate(roots):
         img = (a * u + b * v, c * u + d * v)

@@ -22,6 +22,7 @@ from .dp4 import (
     pic_action,
 )
 from .errors import (
+    CapExceeded,
     NotASymmetry,
     SchemaError,
     TwoQuadricsError,
@@ -80,30 +81,20 @@ def _perm_cycles(perm):
 
 
 def _point_group(job, max_closure):
-    """The group acting on points: contragredients of the matrix
-    generators, each checked to be a pencil symmetry before the closure."""
+    """The group acting on points: contragredients of the matrix generators."""
     if job.group is None:
         raise SchemaError("no matrix generators")
-    _symmetries(job)
     g = MatrixGroup([(lab, contragredient(m)) for lab, m in job.group.generators])
     closure(g, max_closure)
     return g
 
 
-def _symmetries(job):
-    """The PencilSymmetry of each matrix generator, by label."""
-    if job.group is None:
-        return {}
-    return {lab: job.pencil.symmetry(m) for lab, m in job.group.generators}
-
-
-def _branch_perms(job, syms):
-    """Branch permutations for every generator, matrix or moebius-only;
-    `syms` holds the matrix generators' symmetries (see _symmetries)."""
+def _branch_perms(job):
+    """Branch permutations for every generator, matrix or moebius-only."""
     perms = {}
     if job.branch is None:
         return perms
-    for lab, sym in syms.items():
+    for lab, sym in job.symmetries.items():
         perms[lab] = root_images(job.branch, sym.moebius())
     for lab, mo in job.moebius_generators:
         perms[lab] = root_images(job.branch, mo)
@@ -130,12 +121,11 @@ def run_report(job, max_closure=10000):
         )
 
     # stage 2: equivariance, branch permutations and relation scalars
-    syms = _symmetries(job)
     gens = {
         lab: {"label": lab, "action2x2": [[repr(x) for x in row] for row in sym.action2x2]}
-        for lab, sym in syms.items()
+        for lab, sym in job.symmetries.items()
     }
-    perms = _branch_perms(job, syms)
+    perms = _branch_perms(job)
     for lab, p in perms.items():
         entry = gens.setdefault(lab, {"label": lab, "moebius_only": True})
         entry["branch_permutation"] = _perm_cycles(p)
@@ -286,7 +276,7 @@ def _branch(args):
         "smooth": is_smooth(job.pencil),
         "permutations": {
             lab: _perm_cycles(p)
-            for lab, p in _branch_perms(job, _symmetries(job)).items()
+            for lab, p in _branch_perms(job).items()
         },
     }
 
@@ -319,7 +309,7 @@ def _invariant_lines(args):
 
 def _theta(args):
     job = parse_job(_read_input(args))
-    perms = _branch_perms(job, _symmetries(job))
+    perms = _branch_perms(job)
     if not perms:
         raise SchemaError("job has no branch data")
     fixed = fixed_classes(list(perms.values()), "odd", job.pencil.g)
@@ -366,6 +356,8 @@ def _dp4(args):
 
 
 def _identities(args):
+    if args.g_max > MAX_G_MAX:
+        raise CapExceeded(f"--g-max {args.g_max} exceeds {MAX_G_MAX}")
     out = {"section_count": [], "excess": []}
     for g in range(1, args.g_max + 1):
         r = section_count_identity(g)
@@ -403,6 +395,10 @@ def _lift(args):
     return out
 
 
+# the largest identities --g-max: its run time grows faster than g_max^2
+MAX_G_MAX = 200
+
+
 def positive_int(text):
     """The argparse type of the numeric options: an integer of at least 1."""
     value = int(text)
@@ -427,13 +423,15 @@ def build_parser():
         "identities": _identities,
         "lift": _lift,
     }
-    # each subcommand takes only the options it reads, but --format on all
+    # each subcommand takes only the options it reads; only report and
+    # branch have a human format, the others print JSON alone
     for name, fn in commands.items():
         p = sub.add_parser(name)
         if name != "identities":
             p.add_argument("jobfile", nargs="?", help="job JSON file")
             p.add_argument("--fixture", help="name of a shipped fixture")
-        p.add_argument("--format", choices=("human", "json"), default="human")
+        formats = ("human", "json") if name in ("report", "branch") else ("json",)
+        p.add_argument("--format", choices=formats, default=formats[0])
         if name in ("report", "fixed-points", "invariant-lines", "lift"):
             p.add_argument("--max-closure", type=positive_int, default=10000)
         if name == "identities":

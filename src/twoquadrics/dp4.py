@@ -168,29 +168,23 @@ def invariant_lines(s: SignedPerm):
 
 def orbits(elements):
     """Orbit partition of the 16 lines under the subgroup generated by the
-    given signed permutations."""
+    given signed permutations: a search from each line no orbit holds yet,
+    along every element's line permutation (the group is finite, so each
+    inverse is a power)."""
     perms = [line_permutation(s) for s in elements]
-    # close under composition
-    seen = {tuple(range(16))}
-    frontier = [tuple(range(16))]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for q in perms:
-                comp = tuple(q[p[k]] for k in range(16))
-                if comp not in seen:
-                    seen.add(comp)
-                    nxt.append(comp)
-        frontier = nxt
-    assigned = [None] * 16
+    assigned = [False] * 16
     parts = []
     for k in range(16):
-        if assigned[k] is not None:
+        if assigned[k]:
             continue
-        orbit = sorted({p[k] for p in seen})
-        for x in orbit:
-            assigned[x] = len(parts)
-        parts.append(tuple(orbit))
+        assigned[k] = True
+        orbit = [k]
+        for x in orbit:  # grows while it is read
+            for p in perms:
+                if not assigned[p[x]]:
+                    assigned[p[x]] = True
+                    orbit.append(p[x])
+        parts.append(tuple(sorted(orbit)))
     return parts
 
 

@@ -39,32 +39,15 @@ class Relation:
 class MatrixGroup:
     """Group of invertible matrices given by labeled generators.
 
-    Closure is computed on demand and cached; elements are stored with one
-    defining word (a tuple of generator labels)."""
+    A record of the (label, Mat) generators and the named elements; the
+    readers in jsonio check that the labels are distinct and the matrices
+    invertible and of one size.  Closure is computed on demand and cached;
+    elements are stored with one defining word (a tuple of generator
+    labels)."""
 
     def __init__(self, generators, named=None):
-        gens = []
-        seen = set()
-        for label, m in generators:
-            if label in seen:
-                raise ValueError(f"duplicate generator label {label!r}")
-            seen.add(label)
-            if not isinstance(m, Mat):
-                m = Mat(m)
-            gens.append((label, m))
-        if not gens:
-            raise ValueError("need at least one generator")
-        n = gens[0][1].rows
-        dets = []  # one per generator, for closure's order test
-        for label, m in gens:
-            if m.rows != m.cols or m.rows != n:
-                raise ValueError("generators must be square of equal size")
-            dets.append(m.det())
-            if dets[-1].is_zero():
-                raise Singular(f"generator {label!r} is singular")
-        self.dimension = n
-        self.generators = tuple(gens)
-        self.determinants = tuple(dets)
+        self.generators = tuple(generators)
+        self.dimension = self.generators[0][1].rows
         self.named = dict(named or {})
         self._closure = None  # dict key -> (Mat, word)
         self._closure_cap = None
@@ -112,11 +95,14 @@ def closure(group: MatrixGroup, cap: int = 10000):
     Returns the element list; each element is retained inside the group with
     a shortest defining word.  A generator of finite order has a root of
     unity as determinant, and those of Q(zeta_N) are the lcm(2, N)-th roots:
-    a determinant d of least order N with d^lcm(2, N) != 1 raises
-    NotFiniteOrder before any product."""
+    before any product, a zero determinant raises Singular, and a
+    determinant d of least order N with d^lcm(2, N) != 1 NotFiniteOrder."""
     if group._closure is not None and group._closure_cap == cap:
         return group.elements
-    for (label, _), d in zip(group.generators, group.determinants):
+    for label, g in group.generators:
+        d = g.det()
+        if d.is_zero():
+            raise Singular(f"generator {label!r} is singular")
         d = d.canonical()
         if not (d ** lcm(2, d.order)).is_one():
             raise NotFiniteOrder(f"generator {label!r} has determinant {d!r}, not a root of unity: infinite order")

@@ -5,7 +5,8 @@ checks the decoded value against its entry with `_walk`, which raises
 SchemaError at the JSON path of the first mismatch, and only then converts it,
 keeping the checks a type cannot state (coefficient counts, nonzero
 denominators, matrix sizes, invertibility, distinct labels, names that refer
-to elements). An entry of the table reads as follows:
+to elements, and last, in `parse_job`, that each matrix generator is a pencil
+symmetry). An entry of the table reads as follows:
 
 - `int`: a JSON integer; `true`, `false` and floats are not integers.
 - `str`: a string; a set of strings: one of those strings.
@@ -31,7 +32,7 @@ from .dp4 import SignedPerm
 from .errors import DimensionMismatch, LabelMismatch, NonScalarDiscrepancy, NotARoot, SchemaError
 from .groups import MatrixGroup, Relation, verify_relations
 from .matrices import Mat, Quadric
-from .pencils import Pencil
+from .pencils import Pencil, equivariance
 from .smith import IntMatrix
 
 
@@ -239,6 +240,7 @@ signedperm_from_json = _reader("signed perm", _signedperm)
 class JobSpec:
     pencil: Pencil
     group: MatrixGroup | None  # generators that have honest matrices
+    symmetries: dict  # label -> PencilSymmetry of each matrix generator
     moebius_generators: tuple  # (label, 2x2 tuple) acting on (t1, t2) only
     relations: tuple  # RelationReport of each relation, which holds up to a scalar
     branch: tuple | None  # checked roots of the degeneracy form, labeled 1..2g+2 by index
@@ -285,7 +287,9 @@ def parse_job(text_or_obj, path="$"):
             branch = checked_roots(pencil.det_form, roots)
         except (ValueError, NotARoot) as exc:
             raise SchemaError(str(exc), p) from exc
-    return JobSpec(pencil, group, tuple(moebius), tuple(relations), branch)
+    # each generator acts on X and its branch points: checked once, after every other check
+    symmetries = {lab: equivariance(pencil, m) for lab, m in gens}
+    return JobSpec(pencil, group, symmetries, tuple(moebius), tuple(relations), branch)
 
 
 def _labeled(generators, path):

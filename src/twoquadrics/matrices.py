@@ -109,7 +109,7 @@ def _mat(order, den, data, cols, m):
 class Mat:
     """Rectangular matrix over Q(zeta_order): int rows over one denominator."""
 
-    __slots__ = ("rows", "cols", "order", "den", "data", "_entries", "_contra")
+    __slots__ = ("rows", "cols", "order", "den", "data", "_entries")
 
     def __init__(self, entries):
         entries = [list(r) for r in entries]
@@ -387,12 +387,14 @@ def solve(cols, target):
 
 
 def span_coefficients(target: Mat, mats):
-    """The c with target == sum_k c[k] * mats[k] entrywise, or None."""
+    """The c with target == sum_k c[k] * mats[k] entrywise, or None; zeros
+    when every matrix is zero."""
     order = lcm(target.order, *(m.order for m in mats))
     den = lcm(target.den, *(m.den for m in mats))
     entries = [[x for row in _embed(m.order, m.data, order) for x in row] for m in (*mats, target)]
     flat = [_coefs(order, xs, mul, den // m.den) for xs, m in zip(entries, (*mats, target))]
-    return _solve(order, [eq for eq in zip(*flat) if any(eq)])  # 0 = 0 says nothing
+    eqs = [eq for eq in zip(*flat) if any(eq)]  # 0 = 0 says nothing
+    return _solve(order, eqs) if eqs else (ZERO,) * len(mats)
 
 
 class Subspace:
@@ -607,15 +609,8 @@ class Quadric:
 
 
 def contragredient(m: Mat) -> Mat:
-    """Inverse transpose: the action on points dual to one on coordinates.
-
-    The map is an involution, so the result keeps m: taking the
-    contragredient of a contragredient inverts nothing."""
-    c = getattr(m, "_contra", None)
-    if c is None:
-        c = m.inverse().transpose()
-        object.__setattr__(c, "_contra", m)
-    return c
+    """Inverse transpose: the action on points dual to one on coordinates."""
+    return m.inverse().transpose()
 
 
 def kronecker(a: Mat, b: Mat) -> Mat:

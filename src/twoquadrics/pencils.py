@@ -27,7 +27,6 @@ from .matrices import (
     Mat,
     Quadric,
     Subspace,
-    contragredient,
     kernel,
     span_coefficients,
 )
@@ -58,17 +57,6 @@ class Pencil:
     def det_form(self) -> BinaryForm:
         """The degeneracy form, computed on first use and then kept."""
         return degeneracy_form(self)
-
-    @cached_property
-    def _symmetries(self):
-        return {}  # Mat -> PencilSymmetry, filled by symmetry()
-
-    def symmetry(self, h: Mat) -> "PencilSymmetry":
-        """equivariance(self, h), computed once per matrix and then kept."""
-        sym = self._symmetries.get(h)
-        if sym is None:
-            sym = self._symmetries[h] = equivariance(self, h)
-        return sym
 
 
 @dataclass(frozen=True)
@@ -151,16 +139,6 @@ def membership(pencil: Pencil, v) -> bool:
     return pencil.q1.evaluate(v).is_zero() and pencil.q2.evaluate(v).is_zero()
 
 
-def _check_symmetries(pencil: Pencil, group: MatrixGroup):
-    """Each generator acts on points; its contragredient must be a pencil
-    symmetry (NotASymmetry otherwise)."""
-    for label, a in group.generators:
-        try:
-            pencil.symmetry(contragredient(a))
-        except NotASymmetry as exc:
-            raise NotASymmetry(f"generator {label!r}: {exc}") from exc
-
-
 def _restricted_binary_quadric(q: Quadric, plane: Subspace) -> BinaryForm:
     """Q restricted to u·b1 + v·b2 as a binary quadratic in (u, v)."""
     b1, b2 = plane.basis
@@ -238,11 +216,11 @@ class FixedOnX:
 
 
 def fixed_points_on_X(pencil: Pencil, group: MatrixGroup) -> FixedOnX:
-    """Intersect the projective fixed locus of a point action with X.
+    """Intersect the projective fixed locus of a point action with X; the
+    generators are taken to preserve X (parse_job checks a job's).
 
     Points and lines are intersected with X exactly; higher-dimensional
     components are reported as they are."""
-    _check_symmetries(pencil, group)
     points = []
     curves = []
     lines = []
@@ -276,7 +254,8 @@ class LineSearchReport:
 
 
 def invariant_lines_abelian(pencil: Pencil, group: MatrixGroup) -> LineSearchReport:
-    """All G-invariant projective lines on X for an abelian point action.
+    """All G-invariant projective lines on X for an abelian point action,
+    whose generators are taken to preserve X (parse_job checks a job's).
 
     Case (i): planes inside a single character space; case (ii): sums of
     eigenlines from two distinct characters.  Character spaces of dimension
@@ -287,7 +266,6 @@ def invariant_lines_abelian(pencil: Pencil, group: MatrixGroup) -> LineSearchRep
         for lb, b in group.generators[i + 1 :]:
             if a * b != b * a:
                 raise NotAbelian(f"generators {la!r} and {lb!r} do not commute")
-    _check_symmetries(pencil, group)
     spaces = character_spaces(group)
     lines = []
     families = []

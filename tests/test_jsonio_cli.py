@@ -7,6 +7,7 @@ from twoquadrics import groups
 from twoquadrics.cli import _perm_cycles, main, run_report
 from twoquadrics.cyclo import CycNum, zeta
 from twoquadrics.errors import SchemaError
+from twoquadrics.matrices import Mat
 from twoquadrics.jsonio import (
     cycnum_from_json,
     cycnum_to_json,
@@ -266,23 +267,120 @@ def test_generator_off_the_pencil_fails_before_the_closure(capsys, tmp_path):
         assert main([cmd, str(job)]) == 2
         assert time.perf_counter() - t0 < 0.1
         assert capsys.readouterr().err == "input error: transformed quadric leaves the pencil span\n"
+    # parse_job checks every generator, so report on a pencil that is not smooth refuses it too
+    obj["pencil"]["diag2"][1] = obj["pencil"]["diag2"][0]
+    job.write_text(json.dumps(obj))
+    assert main(["report", str(job)]) == 2
+    assert capsys.readouterr().err == "input error: transformed quadric leaves the pencil span\n"
+    # with Q2 = Q1 no generator acts on the pencil by an invertible 2x2 matrix
+    obj["generators"].pop()
+    obj["pencil"]["diag2"] = obj["pencil"]["diag1"]
+    job.write_text(json.dumps(obj))
+    assert main(["report", str(job)]) == 2
+    assert capsys.readouterr().err == "input error: induced 2x2 action is singular\n"
+    # so does the zero pencil, whose span equations are all 0 = 0
+    obj["pencil"] = {"diag1": [0] * 6, "diag2": [0] * 6}
+    job.write_text(json.dumps(obj))
+    for cmd in ("report", "branch"):
+        assert main([cmd, str(job)]) == 2
+        assert capsys.readouterr().err == "input error: induced 2x2 action is singular\n"
 
 
 def test_subcommands_refuse_options_they_do_not_read(capsys):
     # an option a command does not read is refused, not ignored; the error names the first such argument
+    unread = "error: unrecognized arguments: "
     cases = [
-        (["branch", "--fixture", "example_7_5.json", "--max-closure", "5"], "--max-closure"),
-        (["theta", "--fixture", "example_7_5.json", "--max-closure", "5"], "--max-closure"),
-        (["dp4", "--fixture", "example_dp4_involutions.json", "--max-closure", "5"], "--max-closure"),
-        (["identities", "--max-closure", "5"], "--max-closure 5"),
-        (["identities", "--fixture", "example_7_3.json"], "--fixture example_7_3.json"),
-        (["identities", "job.json"], "job.json"),
+        (["branch", "--fixture", "example_7_5.json", "--max-closure", "5"], unread + "--max-closure"),
+        (["theta", "--fixture", "example_7_5.json", "--max-closure", "5"], unread + "--max-closure"),
+        (["dp4", "--fixture", "example_dp4_involutions.json", "--max-closure", "5"], unread + "--max-closure"),
+        (["identities", "--max-closure", "5"], unread + "--max-closure 5\n"),
+        (["identities", "--fixture", "example_7_3.json"], unread + "--fixture example_7_3.json\n"),
+        (["identities", "job.json"], unread + "job.json\n"),
     ]
-    for argv, named in cases:
+    # only report and branch have a human format
+    human = "error: argument --format: invalid choice: 'human'"
+    cases += [
+        (["fixed-points", "--fixture", "example_7_3.json", "--format", "human"], human),
+        (["invariant-lines", "--fixture", "example_7_3.json", "--format", "human"], human),
+        (["theta", "--fixture", "example_7_5.json", "--format", "human"], human),
+        (["dp4", "--fixture", "example_dp4_involutions.json", "--format", "human"], human),
+        (["lift", "--fixture", "example_7_4.json", "--format", "human"], human),
+        (["identities", "--format", "human"], human),
+    ]
+    for argv, message in cases:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert f"error: unrecognized arguments: {named}\n" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+
+def test_identities_g_max_is_capped(capsys):
+    assert main(["identities", "--g-max", "200"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["section_count"]) == 200
+    t0 = time.perf_counter()
+    assert main(["identities", "--g-max", "201"]) == 3
+    assert time.perf_counter() - t0 < 0.1
+    assert capsys.readouterr().err == "error: --g-max 201 exceeds 200\n"
+
+
+def _moved_7_3():
+    """Fixture 7.3 in the coordinates of an integer change of basis P of
+    determinant 1: Q_i -> P Q_i P^T, h -> P h P^-1."""
+    obj = json.loads(fixture_text("example_7_3.json"))
+    n = 6
+    p = Mat([[int(j in (i, i + 1)) for j in range(n)] for i in range(n)])
+    p_inv = p.inverse()
+    job = parse_job(obj)
+
+    def mat_json(m):
+        return {"rows": n, "cols": n, "entries": [[cycnum_to_json(x) for x in row] for row in m.entries]}
+
+    obj["pencil"] = {
+        "Q1": mat_json(p * job.pencil.q1.gram * p.transpose()),
+        "Q2": mat_json(p * job.pencil.q2.gram * p.transpose()),
+        "g": 2,
+    }
+    obj["generators"] = [dict(g, matrix=mat_json(p * m * p_inv)) for g, (_, m) in zip(obj["generators"], job.group.generators)]
+    return obj
+
+
+def _7_3_not_smooth():
+    obj = json.loads(fixture_text("example_7_3.json"))
+    obj["pencil"]["diag2"][1] = obj["pencil"]["diag2"][0]
+    return obj
+
+
+def _genus_3():
+    signs = [1, 1, 1, 1, 1, 1, -1, -1]
+    return {
+        "pencil": {"diag1": [1] * 8, "diag2": list(range(8))},
+        "generators": [{"label": "s", "matrix": {"rows": 8, "cols": 8, "entries": [
+            [signs[i] if i == j else 0 for j in range(8)] for i in range(8)]}}],
+    }
+
+
+def _7_5_full_no_branch():
+    obj = json.loads(fixture_text("example_7_5_full.json"))
+    del obj["branch"]
+    return obj
+
+
+@pytest.mark.parametrize("make, last", [
+    (_7_3_not_smooth, {"stage": 1, "smooth": False}),
+    (_genus_3, {"stage": 3, "skipped": "full verdict chain needs g = 2"}),
+    (_7_5_full_no_branch, {"stage": 5, "skipped": "no branch data"}),
+    (_moved_7_3, {"stage": 5, "skipped": "no iota-lift found"}),
+], ids=["not_smooth", "genus_3", "no_branch", "not_diagonal"])
+def test_report_stops_where_the_job_lacks_what_a_stage_needs(make, last):
+    verdict = run_report(parse_job(make()))
+    assert verdict["status"] == "INCONCLUSIVE"
+    assert verdict["evidence"][-1] == last
+    if make is _moved_7_3:
+        # stages 1-3 agree with the diagonal job, but stage 4 reads only diagonal
+        # pencils, so the verdict OBSTRUCTED in diagonal coordinates is lost here
+        diagonal = run_report(parse_job(fixture_text("example_7_3.json")))
+        assert verdict["evidence"][:3] == diagonal["evidence"][:3]
+        assert verdict["evidence"][3] == {"stage": 4, "skipped": "pencil not diagonal"}
 
 
 def test_dp4_and_lift_input_errors(capsys, tmp_path):

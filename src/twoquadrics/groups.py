@@ -41,9 +41,10 @@ class MatrixGroup:
 
     A record of the (label, Mat) generators and the named elements; the
     readers in jsonio check that the labels are distinct and the matrices
-    invertible and of one size.  Closure is computed on demand and cached;
-    elements are stored with one defining word (a tuple of generator
-    labels)."""
+    invertible and of one size.  closure() tests each generator's
+    determinant again, which guards callers of the library that build a
+    group directly.  Closure is computed on demand and cached; elements are
+    stored with one defining word (a tuple of generator labels)."""
 
     def __init__(self, generators, named=None):
         self.generators = tuple(generators)

@@ -290,9 +290,9 @@ def test_subcommands_refuse_options_they_do_not_read(capsys):
     # an option a command does not read is refused, not ignored; the error names the first such argument
     unread = "error: unrecognized arguments: "
     cases = [
-        (["branch", "--fixture", "example_7_5.json", "--max-closure", "5"], unread + "--max-closure"),
-        (["theta", "--fixture", "example_7_5.json", "--max-closure", "5"], unread + "--max-closure"),
-        (["dp4", "--fixture", "example_dp4_involutions.json", "--max-closure", "5"], unread + "--max-closure"),
+        (["branch", "--fixture", "example_7_5.json", "--max-closure", "5"], unread + "--max-closure\n"),
+        (["theta", "--fixture", "example_7_5.json", "--max-closure", "5"], unread + "--max-closure\n"),
+        (["dp4", "--fixture", "example_dp4_involutions.json", "--max-closure", "5"], unread + "--max-closure\n"),
         (["identities", "--max-closure", "5"], unread + "--max-closure 5\n"),
         (["identities", "--fixture", "example_7_3.json"], unread + "--fixture example_7_3.json\n"),
         (["identities", "job.json"], unread + "job.json\n"),

@@ -153,7 +153,8 @@ def checked_roots(f: BinaryForm, roots):
 
 def root_images(roots, moebius):
     """The 1-indexed permutation of checked roots induced by the nonsingular
-    Moebius matrix ((a, b), (c, d)), acting by (u, v) -> (a u + b v, c u + d v)."""
+    Moebius matrix ((a, b), (c, d)), acting by (u, v) -> (a u + b v, c u + d v),
+    which is injective on distinct points; NotClosed if a root leaves the list."""
     (a, b), (c, d) = [[CycNum._coerce(x) for x in row] for row in moebius]
     images = []
     for i, (u, v) in enumerate(roots):
@@ -162,8 +163,6 @@ def root_images(roots, moebius):
         if j is None:
             raise NotClosed(f"image of root {i + 1} is not in the root list")
         images.append(j + 1)
-    if len(set(images)) != len(images):
-        raise NotClosed("moebius action is not injective on the root list")
     return tuple(images)
 
 

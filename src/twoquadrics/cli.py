@@ -13,7 +13,6 @@ import os
 import sys
 from importlib import resources
 
-from .binforms import root_images
 from .dp4 import (
     conjugate_in_WD5,
     invariant_lines,
@@ -89,18 +88,6 @@ def _point_group(job, max_closure):
     return g
 
 
-def _branch_perms(job):
-    """Branch permutations for every generator, matrix or moebius-only."""
-    perms = {}
-    if job.branch is None:
-        return perms
-    for lab, sym in job.symmetries.items():
-        perms[lab] = root_images(job.branch, sym.moebius())
-    for lab, mo in job.moebius_generators:
-        perms[lab] = root_images(job.branch, mo)
-    return perms
-
-
 def _verdict(status, evidence, soundness):
     return {"status": status, "evidence": evidence, "soundness_conditions": soundness}
 
@@ -125,10 +112,9 @@ def run_report(job, max_closure=10000):
         lab: {"label": lab, "action2x2": [[repr(x) for x in row] for row in sym.action2x2]}
         for lab, sym in job.symmetries.items()
     }
-    perms = _branch_perms(job)
-    for lab, p in perms.items():
-        entry = gens.setdefault(lab, {"label": lab, "moebius_only": True})
-        entry["branch_permutation"] = _perm_cycles(p)
+    gens.update((lab, {"label": lab, "moebius_only": True}) for lab, _ in job.moebius_generators)
+    for lab, p in job.perms.items():
+        gens[lab]["branch_permutation"] = _perm_cycles(p)
     stage2 = {"stage": 2, "generators": list(gens.values())}
     if job.relations:
         stage2["relation_scalars"] = [repr(r.scalar) for r in job.relations]
@@ -224,14 +210,14 @@ def run_report(job, max_closure=10000):
                 iota_lift = word
 
     # stage 5: theta obstruction (needs an iota-lift among the elements)
-    if iota_lift is not None and job.branch is not None and perms:
-        fixed = fixed_classes(list(perms.values()), "odd", pencil.g)
+    if iota_lift is not None and job.perms:
+        fixed = fixed_classes(list(job.perms.values()), "odd", pencil.g)
         evidence.append(
             {
                 "stage": 5,
                 "iota_lift_word": list(iota_lift) or ["identity"],
                 "branch_permutations": {
-                    lab: _perm_cycles(p) for lab, p in perms.items()
+                    lab: _perm_cycles(p) for lab, p in job.perms.items()
                 },
                 "fixed_odd_classes": [repr(c) for c in fixed],
             }
@@ -274,10 +260,7 @@ def _branch(args):
     return {
         "degeneracy_form": repr(job.pencil.det_form),
         "smooth": is_smooth(job.pencil),
-        "permutations": {
-            lab: _perm_cycles(p)
-            for lab, p in _branch_perms(job).items()
-        },
+        "permutations": {lab: _perm_cycles(p) for lab, p in job.perms.items()},
     }
 
 
@@ -309,12 +292,11 @@ def _invariant_lines(args):
 
 def _theta(args):
     job = parse_job(_read_input(args))
-    perms = _branch_perms(job)
-    if not perms:
+    if job.branch is None:
         raise SchemaError("job has no branch data")
-    fixed = fixed_classes(list(perms.values()), "odd", job.pencil.g)
+    fixed = fixed_classes(list(job.perms.values()), "odd", job.pencil.g)
     return {
-        "permutations": {lab: _perm_cycles(p) for lab, p in perms.items()},
+        "permutations": {lab: _perm_cycles(p) for lab, p in job.perms.items()},
         "fixed_odd_classes": [repr(c) for c in fixed],
         "empty": not fixed,
     }

@@ -4,9 +4,10 @@ SCHEMA below is the one description of every JSON input. Each reader first
 checks the decoded value against its entry with `_walk`, which raises
 SchemaError at the JSON path of the first mismatch, and only then converts it,
 keeping the checks a type cannot state (coefficient counts, nonzero
-denominators, matrix sizes, invertibility, distinct labels, names that refer
-to elements, and last, in `parse_job`, that each matrix generator is a pencil
-symmetry). An entry of the table reads as follows:
+denominators, matrix sizes, invertibility, independent pencil quadrics,
+distinct labels, names that refer to elements, and last, in `parse_job`, that
+each matrix generator is a pencil symmetry and each moebius generator permutes
+the branch roots). An entry of the table reads as follows:
 
 - `int`: a JSON integer; `true`, `false` and floats are not integers.
 - `str`: a string; a set of strings: one of those strings.
@@ -26,10 +27,10 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .binforms import checked_roots
+from .binforms import checked_roots, root_images
 from .cyclo import CycNum, euler_phi
 from .dp4 import SignedPerm
-from .errors import DimensionMismatch, LabelMismatch, NonScalarDiscrepancy, NotARoot, SchemaError
+from .errors import DimensionMismatch, LabelMismatch, NonScalarDiscrepancy, NotARoot, NotClosed, SchemaError
 from .groups import MatrixGroup, Relation, verify_relations
 from .matrices import Mat, Quadric
 from .pencils import Pencil, equivariance
@@ -197,20 +198,20 @@ def _mat(obj, path):
 
 
 def _pencil(obj, path):
-    if "diag1" in obj:
-        d1 = [_cycnum(x, f"{path}.diag1[{i}]") for i, x in enumerate(obj["diag1"])]
-        d2 = [_cycnum(x, f"{path}.diag2[{i}]") for i, x in enumerate(obj["diag2"])]
-        _expect(len(d1) == len(d2), "diagonals must have equal length", path)
-        n = len(d1)
-        _expect(n >= 4 and n % 2 == 0, "size must be even and at least 4", path)
-        g = obj.get("g", (n - 2) // 2)
-        _expect(2 * g + 2 == n, "'g' inconsistent with diagonal length", path)
-        return Pencil.from_diagonals(g, d1, d2)
-    q1 = _mat(obj["Q1"], path + ".Q1")
-    q2 = _mat(obj["Q2"], path + ".Q2")
     try:
+        if "diag1" in obj:
+            d1 = [_cycnum(x, f"{path}.diag1[{i}]") for i, x in enumerate(obj["diag1"])]
+            d2 = [_cycnum(x, f"{path}.diag2[{i}]") for i, x in enumerate(obj["diag2"])]
+            _expect(len(d1) == len(d2), "diagonals must have equal length", path)
+            n = len(d1)
+            _expect(n >= 4 and n % 2 == 0, "size must be even and at least 4", path)
+            g = obj.get("g", (n - 2) // 2)
+            _expect(2 * g + 2 == n, "'g' inconsistent with diagonal length", path)
+            return Pencil.from_diagonals(g, d1, d2)
+        q1 = _mat(obj["Q1"], path + ".Q1")
+        q2 = _mat(obj["Q2"], path + ".Q2")
         return Pencil(obj["g"], Quadric(q1), Quadric(q2))
-    except (ValueError, DimensionMismatch) as exc:
+    except (ValueError, DimensionMismatch) as exc:  # Pencil's own checks: sizes, and Q1, Q2 independent
         raise SchemaError(str(exc), path) from exc
 
 
@@ -244,6 +245,7 @@ class JobSpec:
     moebius_generators: tuple  # (label, 2x2 tuple) acting on (t1, t2) only
     relations: tuple  # RelationReport of each relation, which holds up to a scalar
     branch: tuple | None  # checked roots of the degeneracy form, labeled 1..2g+2 by index
+    perms: dict  # label -> 1-indexed images of the branch roots, matrix generators first; {} without branch
 
 
 def parse_job(text_or_obj, path="$"):
@@ -259,7 +261,7 @@ def parse_job(text_or_obj, path="$"):
             tuple(_cycnum(x, f"{p}.moebius[{i}][{j}]") for j, x in enumerate(r)) for i, r in enumerate(g["moebius"])
         )
         _expect(not (a * d - b * c).is_zero(), "moebius matrix is singular", p + ".moebius")
-        moebius.append((g["label"], mo))
+        moebius.append((g["label"], mo, p + ".moebius"))
     named = {
         name: _invertible(m, pencil.size, "the pencil size", f"{path}.named.{name}")
         for name, m in obj.get("named", {}).items()
@@ -289,7 +291,17 @@ def parse_job(text_or_obj, path="$"):
             raise SchemaError(str(exc), p) from exc
     # each generator acts on X and its branch points: checked once, after every other check
     symmetries = {lab: equivariance(pencil, m) for lab, m in gens}
-    return JobSpec(pencil, group, symmetries, tuple(moebius), tuple(relations), branch)
+    perms = {}
+    if branch is not None:
+        # a pencil symmetry permutes the roots of the degeneracy form, so only a moebius map can leave them
+        perms = {lab: root_images(branch, sym.moebius()) for lab, sym in symmetries.items()}
+        for lab, mo, p in moebius:
+            try:
+                perms[lab] = root_images(branch, mo)
+            except NotClosed as exc:
+                raise SchemaError(str(exc), p) from exc
+    moebius = tuple((lab, mo) for lab, mo, _ in moebius)
+    return JobSpec(pencil, group, symmetries, moebius, tuple(relations), branch, perms)
 
 
 def _labeled(generators, path):

@@ -387,14 +387,13 @@ def solve(cols, target):
 
 
 def span_coefficients(target: Mat, mats):
-    """The c with target == sum_k c[k] * mats[k] entrywise, or None; zeros
-    when every matrix is zero."""
+    """The c with target == sum_k c[k] * mats[k] entrywise, or None; some
+    matrix of mats must be nonzero."""
     order = lcm(target.order, *(m.order for m in mats))
     den = lcm(target.den, *(m.den for m in mats))
     entries = [[x for row in _embed(m.order, m.data, order) for x in row] for m in (*mats, target)]
     flat = [_coefs(order, xs, mul, den // m.den) for xs, m in zip(entries, (*mats, target))]
-    eqs = [eq for eq in zip(*flat) if any(eq)]  # 0 = 0 says nothing
-    return _solve(order, eqs) if eqs else (ZERO,) * len(mats)
+    return _solve(order, [eq for eq in zip(*flat) if any(eq)])  # 0 = 0 says nothing
 
 
 class Subspace:

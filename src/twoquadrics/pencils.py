@@ -44,6 +44,9 @@ class Pencil:
             raise ValueError("need g >= 1")
         if self.q1.size != n or self.q2.size != n:
             raise DimensionMismatch("Gram size must be 2g+2")
+        g1, g2 = self.q1.gram, self.q2.gram
+        if not any(map(any, g1.data)) or span_coefficients(g2, (g1,)) is not None:
+            raise ValueError("Q1 and Q2 must be linearly independent")
 
     @property
     def size(self):
@@ -108,8 +111,7 @@ def degeneracy_form(pencil: Pencil) -> BinaryForm:
 def is_smooth(pencil: Pencil) -> bool:
     """Distinct-roots criterion: the degeneracy form has 2g+2 distinct
     projective roots."""
-    f = pencil.det_form
-    return not f.is_zero() and not bform_discriminant(f).is_zero()
+    return not bform_discriminant(pencil.det_form).is_zero()
 
 
 def equivariance(pencil: Pencil, h: Mat) -> PencilSymmetry:
@@ -291,7 +293,7 @@ def invariant_lines_abelian(pencil: Pencil, group: MatrixGroup) -> LineSearchRep
                 f = pencil_det_form(
                     pencil.q1.restrict(space).gram, pencil.q2.restrict(space).gram
                 )
-                if not f.is_zero() and not bform_discriminant(f).is_zero():
+                if not bform_discriminant(f).is_zero():
                     fam["count"] = 16
                     fam["reason"] = "smooth quartic del Pezzo section: 16 lines"
             families.append(fam)

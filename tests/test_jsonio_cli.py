@@ -272,18 +272,44 @@ def test_generator_off_the_pencil_fails_before_the_closure(capsys, tmp_path):
     job.write_text(json.dumps(obj))
     assert main(["report", str(job)]) == 2
     assert capsys.readouterr().err == "input error: transformed quadric leaves the pencil span\n"
-    # with Q2 = Q1 no generator acts on the pencil by an invertible 2x2 matrix
+    # Q2 = Q1 and the zero pencil span no pencil: refused at $.pencil, before any generator is read
     obj["generators"].pop()
     obj["pencil"]["diag2"] = obj["pencil"]["diag1"]
     job.write_text(json.dumps(obj))
     assert main(["report", str(job)]) == 2
-    assert capsys.readouterr().err == "input error: induced 2x2 action is singular\n"
-    # so does the zero pencil, whose span equations are all 0 = 0
+    assert capsys.readouterr().err == "input error: $.pencil: Q1 and Q2 must be linearly independent\n"
     obj["pencil"] = {"diag1": [0] * 6, "diag2": [0] * 6}
     job.write_text(json.dumps(obj))
     for cmd in ("report", "branch"):
         assert main([cmd, str(job)]) == 2
-        assert capsys.readouterr().err == "input error: induced 2x2 action is singular\n"
+        assert capsys.readouterr().err == "input error: $.pencil: Q1 and Q2 must be linearly independent\n"
+
+
+def _7_5_full_tau_off_the_roots():
+    # t -> t + 1 on the pencil parameter maps branch root 3 off the root list
+    obj = json.loads(fixture_text("example_7_5_full.json"))
+    obj["generators"][1]["moebius"] = [[1, 1], [0, 1]]
+    return obj
+
+
+def _dependent_pencil(generators):
+    # diag2 = 2 diag1: Q2 = 2 Q1 spans no pencil
+    return lambda: {"pencil": {"diag1": [1, 2, 3, 4, 5, 6], "diag2": [2, 4, 6, 8, 10, 12]}, "generators": generators}
+
+
+@pytest.mark.parametrize("cmd", ["report", "branch", "theta", "fixed-points", "invariant-lines"])
+@pytest.mark.parametrize("make, message", [
+    (_7_5_full_tau_off_the_roots, "$.generators[1].moebius: image of root 3 is not in the root list"),
+    (_dependent_pencil([{"label": "tau", "moebius": [[1, 1], [1, -1]]}]),
+     "$.pencil: Q1 and Q2 must be linearly independent"),
+    (_dependent_pencil([]), "$.pencil: Q1 and Q2 must be linearly independent"),
+], ids=["moebius_off_the_roots", "dependent_moebius_only", "dependent_no_generator"])
+def test_every_job_command_refuses_what_parse_job_refuses(make, message, cmd, capsys, tmp_path):
+    # a fact of the job is checked once, by parse_job, so no command ignores it or fails it later
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(make()))
+    assert main([cmd, str(job)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 def test_subcommands_refuse_options_they_do_not_read(capsys):
@@ -375,6 +401,9 @@ def test_report_stops_where_the_job_lacks_what_a_stage_needs(make, last):
     verdict = run_report(parse_job(make()))
     assert verdict["status"] == "INCONCLUSIVE"
     assert verdict["evidence"][-1] == last
+    if make is _7_5_full_no_branch:
+        # stage 2 lists a moebius generator without branch data too
+        assert verdict["evidence"][1]["generators"][1] == {"label": "tau", "moebius_only": True}
     if make is _moved_7_3:
         # stages 1-3 agree with the diagonal job, but stage 4 reads only diagonal
         # pencils, so the verdict OBSTRUCTED in diagonal coordinates is lost here
@@ -492,6 +521,21 @@ def test_cli_dp4_and_theta(capsys):
     assert main(["theta", "--fixture", "example_7_5_full.json"]) == 0
     theta = json.loads(capsys.readouterr().out)
     assert theta["empty"]
+
+
+def test_theta_needs_branch_data_not_generators(capsys, tmp_path):
+    # the trivial group fixes all 16 odd classes
+    obj = json.loads(fixture_text("example_7_5.json"))
+    obj["generators"] = []
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(obj))
+    assert main(["theta", str(job)]) == 0
+    theta = json.loads(capsys.readouterr().out)
+    assert theta["permutations"] == {} and len(theta["fixed_odd_classes"]) == 16 and not theta["empty"]
+    del obj["branch"]
+    job.write_text(json.dumps(obj))
+    assert main(["theta", str(job)]) == 2
+    assert capsys.readouterr().err == "input error: job has no branch data\n"
 
 
 def test_cli_lift(capsys):

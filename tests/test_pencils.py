@@ -40,8 +40,8 @@ def test_degeneracy_diagonal_product():
 
 
 def test_degenerate_pencils():
-    q = Pencil.from_diagonals(2, [1] * 6, [1] * 6)  # Q1 = Q2
-    assert not is_smooth(q)
+    with pytest.raises(ValueError, match="linearly independent"):
+        Pencil.from_diagonals(2, [1] * 6, [1] * 6)  # Q1 = Q2
     r = Pencil.from_diagonals(2, [1] * 6, [0, 0, 2, 3, 4, 5])  # repeated root
     assert not is_smooth(r)
 
@@ -59,6 +59,12 @@ def test_equivariance_rejects_non_symmetry():
     shear = Mat([[ONE if r == c else (ONE if (r, c) == (0, 1) else ZERO) for c in range(6)] for r in range(6)])
     with pytest.raises(NotASymmetry):
         equivariance(p, shear)
+
+
+def test_equivariance_refuses_a_singular_action():
+    # parse_job refuses singular generators and dependent pencils first, so only library callers reach this guard
+    with pytest.raises(NotASymmetry, match="induced 2x2 action is singular"):
+        equivariance(generic_diagonal(), Mat([[0] * 6] * 6))
 
 
 def test_branch_permutation_identity():

@@ -8,7 +8,8 @@ imports the twoquadrics package from TREE/src and runs its ``main`` on
 * every job of one round of each perfbench workload for seeds 0 .. N-1
   (perfbench/workloads.py of this checkout; a report job runs as
   ``report --format json``);
-* ``fixed-points`` and ``invariant-lines`` on each of those report jobs.
+* ``branch``, ``theta``, ``fixed-points`` and ``invariant-lines``, each with
+  ``--format json``, on each of those report jobs.
 
 Each run contributes its argv, its job text, its exit code (or the exception
 it raised) and its stdout and stderr.  The script prints the number of runs
@@ -53,7 +54,7 @@ def runs(seeds):
                     reports.append(text)
                 yield argv, text
             for text in reports:
-                for cmd in ("fixed-points", "invariant-lines"):
+                for cmd in ("branch", "theta", "fixed-points", "invariant-lines"):
                     yield [cmd, "--format", "json"], text
 
 

@@ -38,7 +38,7 @@ from .jsonio import (
     lift_input_from_json,
     parse_job,
 )
-from .matrices import contragredient
+from .matrices import contragredient, eigen_multiplicities
 from .pencils import (
     canonical_signs,
     fixed_points_on_X,
@@ -131,12 +131,15 @@ def run_report(job, max_closure=10000):
 
     pg = None if job.group is None else _point_group(job, max_closure)
 
-    # stage 3: invariant lines via cyclic subgroups; the first one whose
-    # search is complete bounds the lines of the whole group
+    # stage 3: invariant lines via cyclic subgroups, searched only where the
+    # eigenvalue multiplicities (from traces) are at most 2; the first
+    # complete search bounds the lines of the whole group
     if pg is None:
         evidence.append({"stage": 3, "skipped": "no matrix generators"})
     else:
         for lab, a in pg.generators:
+            if max(eigen_multiplicities(a)[1]) > 2:
+                continue  # a space of dimension 3 or more is a family: the search cannot be complete
             sub = MatrixGroup([(lab, a)])
             try:
                 rep = invariant_lines_abelian(pencil, sub)

@@ -109,7 +109,7 @@ def _mat(order, den, data, cols, m):
 class Mat:
     """Rectangular matrix over Q(zeta_order): int rows over one denominator."""
 
-    __slots__ = ("rows", "cols", "order", "den", "data", "_entries")
+    __slots__ = ("rows", "cols", "order", "den", "data", "_entries", "_mults")
 
     def __init__(self, entries):
         entries = [list(r) for r in entries]
@@ -512,39 +512,50 @@ def _minus_scalar(m: Mat, lam: CycNum) -> Mat:
     return _mat(order, m.den * lam.den, rows, m.cols, Mat)
 
 
-def eigenspaces_finite_order(m: Mat, cap: int = 360):
-    """All nonzero eigenspaces of a finite-order operator.
+def eigen_multiplicities(m: Mat, cap: int = 360):
+    """The order n of a finite-order operator and the multiplicity of each
+    eigenvalue zeta_n^k, k = 0..n-1, read off the traces of its powers.
 
-    For the operator order n the eigenvalues are n-th roots of unity, and
     zeta_n^k has multiplicity (1/n) s_k, s_k = sum_j zeta_n^(-jk) tr(M^j)
     (Serre, Linear Representations of Finite Groups, 2.6), from the powers
     operator_order forms.  s_k is rational, so it is its coefficient of 1 in
     the power basis of Q(zeta_L), L = lcm(n, the traces' orders): an int sum
-    over the powers of zeta_L.  A kernel is taken only where s_k != 0.
-    Finite order over characteristic zero guarantees the spaces sum to the
-    ambient space, which is checked.
+    over the powers of zeta_L.  The result is kept on m, so the powers are
+    formed once per matrix; a cap below n still raises NotFiniteOrder.
     """
-    info = operator_order(m, cap)
-    n, traces = info.order, info.traces
-    big, den = lcm(n, *(t.order for t in traces)), lcm(*(t.den for t in traces))
-    const = [dict(row).get(0, 0) for row in power_table(big)[:big]]  # coefficient of 1 in zeta_L^e
-    terms = [
-        (i * (big // t.order), j * (big // n), c * (den // t.den))
-        for j, t in enumerate(traces)
-        for i, c in enumerate(t.num)
-        if c
-    ]
+    if getattr(m, "_mults", None) is None:
+        info = operator_order(m, cap)
+        n, traces = info.order, info.traces
+        big, den = lcm(n, *(t.order for t in traces)), lcm(*(t.den for t in traces))
+        const = [dict(row).get(0, 0) for row in power_table(big)[:big]]  # coefficient of 1 in zeta_L^e
+        terms = [
+            (i * (big // t.order), j * (big // n), c * (den // t.den))
+            for j, t in enumerate(traces)
+            for i, c in enumerate(t.num)
+            if c
+        ]
+        sums = [sum(w * const[(e - s * k) % big] for e, s, w in terms) for k in range(n)]
+        assert all(x % (n * den) == 0 for x in sums), "multiplicities must be integers"
+        object.__setattr__(m, "_mults", (n, tuple(x // (n * den) for x in sums)))
+    if m._mults[0] > cap:
+        raise NotFiniteOrder(f"no power up to {cap} is the identity")
+    return m._mults
+
+
+def eigenspaces_finite_order(m: Mat, cap: int = 360):
+    """All nonzero eigenspaces of a finite-order operator as (eigenvalue, space)
+    pairs: a kernel where eigen_multiplicities is nonzero, checked against it."""
+    n, mults = eigen_multiplicities(m, cap)
+    if sum(mults) != m.rows:
+        raise NotFiniteOrder(f"eigenvalue multiplicities add up to {sum(mults)}, not {m.rows}")
     spaces = []
-    total = 0
-    for k in range(n):
-        if sum(w * const[(e - s * k) % big] for e, s, w in terms):
+    for k, mult in enumerate(mults):
+        if mult:
             lam = zeta(n, k)
             space = kernel(_minus_scalar(m, lam))
-            if space.dim:
-                spaces.append((lam, space))
-                total += space.dim
-    if total != m.rows:
-        raise NotFiniteOrder("eigenspaces do not exhaust the ambient space")
+            if space.dim != mult:
+                raise NotFiniteOrder(f"eigenspace of {lam!r} has dimension {space.dim}, not its multiplicity {mult}")
+            spaces.append((lam, space))
     return spaces
 
 

@@ -67,6 +67,18 @@ def test_eigenspaces_rejects_nonsemisimple():
         eigenspaces_finite_order(Mat([[ONE, ONE], [ZERO, ONE]]), cap=20)
 
 
+def test_eigenspaces_check_the_multiplicities():
+    # forged multiplicities stand in for a wrong trace count, which a
+    # finite-order matrix cannot give
+    m = Mat.diagonal([1, 1, -1])
+    object.__setattr__(m, "_mults", (2, (1, 1)))
+    with pytest.raises(NotFiniteOrder, match="eigenvalue multiplicities add up to 2, not 3"):
+        eigenspaces_finite_order(m)
+    object.__setattr__(m, "_mults", (2, (1, 2)))
+    with pytest.raises(NotFiniteOrder, match=r"eigenspace of 1 has dimension 2, not its multiplicity 1"):
+        eigenspaces_finite_order(m)
+
+
 def test_kernel_and_subspace():
     m = Mat([[ONE, ONE, ZERO], [ZERO, ZERO, ONE]])
     k = kernel(m)

@@ -1,22 +1,35 @@
 """The degeneracy form, the eigenspaces, the character spaces and the fixed
-locus, and H^1 of the Picard lattice against the plainer code they replaced,
-kept here as references: interpolation through the generic `solve`, kernels
-of m - lam * identity built from Mat operations, the refinement of the whole
-space by every generator, the fixed locus filtered to maximal, distinct
-components, and image coordinates in the kernel of the norm by `solve`."""
+locus, H^1 of the Picard lattice and the report's stage 3 against the plainer
+code they replaced, kept here as references: interpolation through the
+generic `solve`, kernels of m - lam * identity built from Mat operations, the
+refinement of the whole space by every generator, the fixed locus filtered to
+maximal, distinct components, image coordinates in the kernel of the norm by
+`solve`, and a stage 3 that searches every generator."""
 
+import json
 import random
 from fractions import Fraction
 from importlib import resources
 
 import pytest
 
+from twoquadrics import cli, matrices
 from twoquadrics.binforms import BinaryForm
 from twoquadrics.cyclo import CycNum, euler_phi, zeta
 from twoquadrics.dp4 import lattice_h1, pic_action, wd5_elements
+from twoquadrics.errors import NotFiniteOrder
 from twoquadrics.groups import MatrixGroup, character_spaces, projective_fixed_locus
 from twoquadrics.jsonio import parse_job
-from twoquadrics.matrices import Mat, Subspace, _minus_scalar, contragredient, eigenspaces_finite_order, kernel, solve
+from twoquadrics.matrices import (
+    Mat,
+    Subspace,
+    _minus_scalar,
+    contragredient,
+    eigen_multiplicities,
+    eigenspaces_finite_order,
+    kernel,
+    solve,
+)
 from twoquadrics.pencils import pencil_det_form
 from twoquadrics.smith import IntMatrix, invariant_factors, smith_normal_form
 
@@ -92,6 +105,26 @@ def test_eigenspaces_match_kernel_of_shifted_matrix(order):
         # a scalar with a denominator scales the rows first
         c = Fraction(-2, 3) * zeta(order, 1)
         assert _minus_scalar(m, c).key() == (m - Mat.identity(m.rows) * c).key()
+
+
+@pytest.mark.parametrize("order", [1, 8, 24])
+def test_multiplicities_are_the_eigenspace_dimensions(order):
+    rng = random.Random(500 + order)
+    for _ in range(4):
+        m = _finite_order_matrix(rng, order)
+        n, mults = eigen_multiplicities(m)
+        assert mults == tuple(kernel(_minus_scalar(m, zeta(n, k))).dim for k in range(n))
+        assert sum(mults) == m.rows
+        assert [(lam, s.dim) for lam, s in eigenspaces_finite_order(m)] == [
+            (zeta(n, k), d) for k, d in enumerate(mults) if d
+        ]
+        # the multiplicities are kept on m, but a smaller cap still fails
+        with pytest.raises(NotFiniteOrder, match=f"no power up to {n - 1} is the identity"):
+            eigen_multiplicities(m, cap=n - 1)
+        fresh = Mat(m.entries)
+        with pytest.raises(NotFiniteOrder, match=f"no power up to {n - 1} is the identity"):
+            eigen_multiplicities(fresh, cap=n - 1)
+        assert eigen_multiplicities(fresh, cap=n) == (n, mults)
 
 
 def _refined_from_whole_space(group):
@@ -220,3 +253,78 @@ def test_lattice_h1_matches_solve_in_the_kernel_basis():
             assert lattice_h1(a, n) == _lattice_h1_by_solve(a, n)
     minus = IntMatrix([[-1, 0], [0, -1]])
     assert lattice_h1(minus, 2) == _lattice_h1_by_solve(minus, 2) == (2, 2)
+
+
+def _sign_group_job(rng, gens):
+    """A smooth diagonal genus-2 pencil over Q with branch data, and a group
+    of order 2^gens generated by independent diagonal +-1 matrices."""
+    small = [Fraction(p, q) for q in (1, 2, 3) for p in range(-5, 6)]
+    while True:
+        pts = [(rng.choice(small), rng.choice(small)) for _ in range(6)]
+        if all(a or b for a, b in pts) and all(
+            pts[i][0] * pts[j][1] != pts[j][0] * pts[i][1] for i in range(6) for j in range(i)
+        ):
+            break
+    while True:
+        masks = [rng.randrange(1, 63) for _ in range(gens)]
+        span = {0}
+        for m in masks:
+            span |= {x ^ m for x in span}
+        if len(span) == 1 << gens:
+            break
+
+    def rat(q):
+        return [q.numerator, q.denominator]
+
+    return {
+        "pencil": {"g": 2, "diag1": [rat(a) for a, _ in pts], "diag2": [rat(b) for _, b in pts]},
+        "generators": [
+            {"label": f"s{k}", "matrix": {"rows": 6, "cols": 6, "entries": [
+                [(-1 if m >> i & 1 else 1) if i == j else 0 for j in range(6)] for i in range(6)]}}
+            for k, m in enumerate(masks)
+        ],
+        "branch": {"roots": [[rat(b), rat(-a)] for a, b in pts]},
+    }
+
+
+def _report_jobs():
+    texts = {name: (resources.files("twoquadrics") / "fixtures" / name).read_text()
+             for name in ("example_7_3.json", "example_7_5.json", "example_7_5_full.json")}
+    rng = random.Random(600)
+    for k in range(25):
+        texts[f"signs{k}"] = json.dumps(_sign_group_job(rng, 1 + k % 5))
+    return texts
+
+
+def _counted(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call's first argument."""
+    calls, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda x, *a, **k: calls.append(x) or real(x, *a, **k))
+    return calls
+
+
+def test_stage_3_skip_matches_searching_every_generator(monkeypatch):
+    # the reference is run_report with the multiplicity test disabled, which
+    # is the stage-3 loop that searched every generator
+    statuses = set()
+    for name, text in _report_jobs().items():
+        with monkeypatch.context() as mp:
+            mp.setattr(cli, "eigen_multiplicities", lambda a: (1, (1,)))
+            want = cli.run_report(parse_job(text))
+        with monkeypatch.context() as mp:
+            searches = _counted(mp, cli, "invariant_lines_abelian")
+            got = cli.run_report(parse_job(text))
+        assert got == want, name
+        statuses.add(got["status"])
+        # eps of 7.3 has eigenspaces of dimensions 2 and 4, and each generator
+        # of a sign group one of dimension 3 or more
+        assert len(searches) == (1 if name.startswith("example_7_5") else 0), name
+    assert {"OBSTRUCTED", "INCONCLUSIVE"} <= statuses
+
+
+def test_stage_3_forms_the_powers_of_gamma_once(monkeypatch):
+    job = parse_job((resources.files("twoquadrics") / "fixtures" / "example_7_5.json").read_text())
+    point_gamma = contragredient(job.group.generator("gamma"))
+    powered = _counted(monkeypatch, matrices, "operator_order")
+    assert cli.run_report(job)["status"] == "LINEARIZABLE_CERTIFIED"
+    assert sum(m == point_gamma for m in powered) == 1

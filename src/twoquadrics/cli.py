@@ -27,11 +27,7 @@ from .errors import (
     TwoQuadricsError,
     UnsupportedCase,
 )
-from .groups import (
-    MatrixGroup,
-    closure,
-    scalar_lift_search,
-)
+from .groups import MAX_CLOSURE, MatrixGroup, check_finite_orders, closure, scalar_lift_search
 from .jsonio import (
     cycnum_to_json,
     dp4_input_from_json,
@@ -79,12 +75,13 @@ def _perm_cycles(perm):
     return "".join(parts) or "()"
 
 
-def _point_group(job, max_closure):
-    """The group acting on points: contragredients of the matrix generators."""
+def _point_group(job):
+    """The group acting on points: contragredients of the matrix generators,
+    each of finite order; it is closed only where its elements are read."""
     if job.group is None:
         raise SchemaError("no matrix generators")
     g = MatrixGroup([(lab, contragredient(m)) for lab, m in job.group.generators])
-    closure(g, max_closure)
+    check_finite_orders(g)
     return g
 
 
@@ -92,7 +89,7 @@ def _verdict(status, evidence, soundness):
     return {"status": status, "evidence": evidence, "soundness_conditions": soundness}
 
 
-def run_report(job, max_closure=10000):
+def run_report(job, max_closure=MAX_CLOSURE):
     """The verdict pipeline; returns a dict with status, evidence, and
     soundness conditions."""
     pencil = job.pencil
@@ -129,7 +126,11 @@ def run_report(job, max_closure=10000):
         evidence.append({"stage": 3, "skipped": "full verdict chain needs g = 2"})
         return _verdict("INCONCLUSIVE", evidence, soundness)
 
-    pg = None if job.group is None else _point_group(job, max_closure)
+    # the verdicts need G finite, true unclosed: G permutes the 6 singular members
+    # and a Moebius map fixing 3 is 1, so G -> PGL2 has image in S6; its kernel fixes
+    # each cone vertex: lambda*diag(+-1) in the vertex basis; and c*I in G has c^6 in
+    # det(G), finite as the generators' are roots of unity (_point_group)
+    pg = None if job.group is None else _point_group(job)
 
     # stage 3: invariant lines via cyclic subgroups, searched only where the
     # eigenvalue multiplicities (from traces) are at most 2; the first
@@ -190,6 +191,7 @@ def run_report(job, max_closure=10000):
     if not (pencil.q1.gram.is_diagonal() and pencil.q2.gram.is_diagonal()):
         evidence.append({"stage": 4, "skipped": "pencil not diagonal"})
     elif pg is not None:
+        closure(pg, max_closure)
         for m, word in pg.element_words:
             signs = m.diagonal_signs()
             if signs is None or len(set(signs)) == 1:
@@ -269,7 +271,7 @@ def _branch(args):
 
 def _fixed_points(args):
     job = parse_job(_read_input(args))
-    fx = fixed_points_on_X(job.pencil, _point_group(job, args.max_closure))
+    fx = fixed_points_on_X(job.pencil, _point_group(job))
     return {
         "points": [[repr(x) for x in p] for p in fx.points],
         "lines_on_x": [
@@ -283,7 +285,7 @@ def _fixed_points(args):
 
 def _invariant_lines(args):
     job = parse_job(_read_input(args))
-    rep = invariant_lines_abelian(job.pencil, _point_group(job, args.max_closure))
+    rep = invariant_lines_abelian(job.pencil, _point_group(job))
     return {
         "lines": [
             [[repr(x) for x in v] for v in ln.basis] for ln in rep.lines
@@ -417,8 +419,8 @@ def build_parser():
             p.add_argument("--fixture", help="name of a shipped fixture")
         formats = ("human", "json") if name in ("report", "branch") else ("json",)
         p.add_argument("--format", choices=formats, default=formats[0])
-        if name in ("report", "fixed-points", "invariant-lines", "lift"):
-            p.add_argument("--max-closure", type=positive_int, default=10000)
+        if name in ("report", "lift"):
+            p.add_argument("--max-closure", type=positive_int, default=MAX_CLOSURE)
         if name == "identities":
             p.add_argument("--g-max", type=positive_int, default=6)
         if name == "lift":

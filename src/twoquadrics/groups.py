@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import lcm
 
 from .cyclo import CycNum, zeta
 from .errors import (
@@ -15,12 +14,12 @@ from .errors import (
     NonScalarDiscrepancy,
     NotFiniteOrder,
     RelationsFailProjectively,
-    Singular,
 )
-from .matrices import Mat, eigenspaces_finite_order, kronecker
+from .matrices import Mat, eigen_multiplicities, eigenspaces_finite_order, kronecker
 
 # tuples scalar_lift_search may try: at about 10 us a tuple, some 10 s
 MAX_LIFT_TUPLES = 10**6
+MAX_CLOSURE = 10000  # elements closure may enumerate before it raises CapExceeded
 
 
 @dataclass(frozen=True)
@@ -41,10 +40,10 @@ class MatrixGroup:
 
     A record of the (label, Mat) generators and the named elements; the
     readers in jsonio check that the labels are distinct and the matrices
-    invertible and of one size.  closure() tests each generator's
-    determinant again, which guards callers of the library that build a
-    group directly.  Closure is computed on demand and cached; elements are
-    stored with one defining word (a tuple of generator labels)."""
+    invertible and of one size.  check_finite_orders tests each generator's
+    order, and closure() runs it first.  Closure is computed on demand, only
+    where the elements are read, and cached; elements are stored with one
+    defining word (a tuple of generator labels)."""
 
     def __init__(self, generators, named=None):
         self.generators = tuple(generators)
@@ -90,23 +89,26 @@ class MatrixGroup:
         return len(self._closure)
 
 
-def closure(group: MatrixGroup, cap: int = 10000):
+def check_finite_orders(group: MatrixGroup):
+    """eigen_multiplicities of each generator (kept on its Mat); a
+    NotFiniteOrder from operator_order is raised again naming the generator."""
+    for label, g in group.generators:
+        try:
+            eigen_multiplicities(g)
+        except NotFiniteOrder as exc:
+            raise NotFiniteOrder(f"generator {label!r} has {exc}") from None
+
+
+def closure(group: MatrixGroup, cap: int = MAX_CLOSURE):
     """Enumerate the group by breadth-first products of generators.
 
     Returns the element list; each element is retained inside the group with
-    a shortest defining word.  A generator of finite order has a root of
-    unity as determinant, and those of Q(zeta_N) are the lcm(2, N)-th roots:
-    before any product, a zero determinant raises Singular, and a
-    determinant d of least order N with d^lcm(2, N) != 1 NotFiniteOrder."""
+    a shortest defining word.  check_finite_orders runs before any product,
+    so a generator of infinite order fails at once; a group of more than cap
+    elements raises CapExceeded."""
     if group._closure is not None and group._closure_cap == cap:
         return group.elements
-    for label, g in group.generators:
-        d = g.det()
-        if d.is_zero():
-            raise Singular(f"generator {label!r} is singular")
-        d = d.canonical()
-        if not (d ** lcm(2, d.order)).is_one():
-            raise NotFiniteOrder(f"generator {label!r} has determinant {d!r}, not a root of unity: infinite order")
+    check_finite_orders(group)
     ident = Mat.identity(group.dimension)
     found = {ident.key(): (ident, ())}
     frontier = [(ident, ())]

@@ -26,6 +26,7 @@ from .cyclo import euler_phi, power_table, zeta
 from .errors import CapExceeded, DimensionMismatch, NotFiniteOrder, Singular
 
 MAX_POWER_BITS = 12000  # printed in decimal, such an integer stays under Python's 4300-digit limit
+MAX_ORDER = 360  # the largest matrix order operator_order looks for
 
 
 def _rows_of(values):
@@ -485,19 +486,23 @@ class OrderInfo:
     traces: tuple  # tr(M^j) for 0 <= j < order
 
 
-def operator_order(m: Mat, cap: int = 360) -> OrderInfo:
-    """Order data of an invertible matrix, by direct iteration up to cap;
-    NotFiniteOrder when no power up to cap is the identity."""
+def operator_order(m: Mat) -> OrderInfo:
+    """Order data of a matrix, the one test of finite order: NotFiniteOrder
+    at once if its determinant d, of least order N, has d^lcm(2, N) != 1 (the
+    roots of unity of Q(zeta_N)), or if no power up to MAX_ORDER is 1."""
     if m.rows != m.cols:
         raise DimensionMismatch("order of nonsquare matrix")
+    d = m.det().canonical()
+    if not (d ** lcm(2, d.order)).is_one():
+        raise NotFiniteOrder(f"determinant {d!r}, not a root of unity: infinite order")
     power = m
     traces = [CycNum.from_rational(m.rows)]
-    for n in range(1, cap + 1):
+    for n in range(1, MAX_ORDER + 1):
         if power.is_identity():
             return OrderInfo(n, tuple(traces))
         traces.append(power.trace())
         power = power * m
-    raise NotFiniteOrder(f"no power up to {cap} is the identity")
+    raise NotFiniteOrder(f"no power up to {MAX_ORDER} equal to the identity")
 
 
 def _minus_scalar(m: Mat, lam: CycNum) -> Mat:
@@ -512,7 +517,7 @@ def _minus_scalar(m: Mat, lam: CycNum) -> Mat:
     return _mat(order, m.den * lam.den, rows, m.cols, Mat)
 
 
-def eigen_multiplicities(m: Mat, cap: int = 360):
+def eigen_multiplicities(m: Mat):
     """The order n of a finite-order operator and the multiplicity of each
     eigenvalue zeta_n^k, k = 0..n-1, read off the traces of its powers.
 
@@ -521,10 +526,9 @@ def eigen_multiplicities(m: Mat, cap: int = 360):
     operator_order forms.  s_k is rational, so it is its coefficient of 1 in
     the power basis of Q(zeta_L), L = lcm(n, the traces' orders): an int sum
     over the powers of zeta_L.  The result is kept on m, so the powers are
-    formed once per matrix; a cap below n still raises NotFiniteOrder.
-    """
+    formed once per matrix."""
     if getattr(m, "_mults", None) is None:
-        info = operator_order(m, cap)
+        info = operator_order(m)
         n, traces = info.order, info.traces
         big, den = lcm(n, *(t.order for t in traces)), lcm(*(t.den for t in traces))
         const = [dict(row).get(0, 0) for row in power_table(big)[:big]]  # coefficient of 1 in zeta_L^e
@@ -537,15 +541,13 @@ def eigen_multiplicities(m: Mat, cap: int = 360):
         sums = [sum(w * const[(e - s * k) % big] for e, s, w in terms) for k in range(n)]
         assert all(x % (n * den) == 0 for x in sums), "multiplicities must be integers"
         object.__setattr__(m, "_mults", (n, tuple(x // (n * den) for x in sums)))
-    if m._mults[0] > cap:
-        raise NotFiniteOrder(f"no power up to {cap} is the identity")
     return m._mults
 
 
-def eigenspaces_finite_order(m: Mat, cap: int = 360):
+def eigenspaces_finite_order(m: Mat):
     """All nonzero eigenspaces of a finite-order operator as (eigenvalue, space)
     pairs: a kernel where eigen_multiplicities is nonzero, checked against it."""
-    n, mults = eigen_multiplicities(m, cap)
+    n, mults = eigen_multiplicities(m)
     if sum(mults) != m.rows:
         raise NotFiniteOrder(f"eigenvalue multiplicities add up to {sum(mults)}, not {m.rows}")
     spaces = []

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from twoquadrics import groups
+from twoquadrics import cli, groups
 from twoquadrics.cli import _perm_cycles, main, run_report
 from twoquadrics.cyclo import CycNum, zeta
 from twoquadrics.errors import SchemaError
@@ -254,6 +254,25 @@ def test_infinite_order_generator_fails_fast(capsys, tmp_path):
     assert main(["branch", str(job)]) == 0  # it never closes the group
 
 
+def test_lift_refuses_a_generator_of_infinite_order_before_the_closure(capsys, tmp_path):
+    # a shear and a rational rotation have determinant 1 and infinite order: the
+    # closure used to run to its 10000 cap; a finite order above 360 is refused
+    # too, as every command that takes eigenspaces refuses it
+    job = tmp_path / "lift.json"
+
+    def lift(entries):
+        job.write_text(json.dumps({"relations": [{"word": [["s", 1]], "target": "scalar"}], "representations": {
+            "V": {"generators": [{"label": "s", "matrix": {"rows": len(entries), "cols": len(entries), "entries": entries}}]}}}))
+        t0 = time.perf_counter()
+        assert main(["lift", str(job)]) == 3
+        assert capsys.readouterr().err == "error: generator 's' has no power up to 360 equal to the identity\n"
+        return time.perf_counter() - t0
+
+    assert lift([[1, 1], [0, 1]]) < 0.5
+    assert lift([[[3, 5], [-4, 5]], [[4, 5], [3, 5]]]) < 0.5
+    lift([[cycnum_to_json(zeta(361))]])
+
+
 def test_generator_off_the_pencil_fails_before_the_closure(capsys, tmp_path):
     # diag(2, 1/2, 1, 1, 1, 1) has determinant 1 and infinite order: only the symmetry check stops it before the closure cap
     obj = json.loads(fixture_text("example_7_3.json"))
@@ -285,11 +304,111 @@ def test_generator_off_the_pencil_fails_before_the_closure(capsys, tmp_path):
         assert capsys.readouterr().err == "input error: $.pencil: Q1 and Q2 must be linearly independent\n"
 
 
+def _on_x0_x1(label, block):
+    """A generator that is the 2x2 block on x0, x1 and the identity elsewhere."""
+    rows = [[int(i == j) for j in range(6)] for i in range(6)]
+    for a in range(2):
+        rows[a][:2] = block[a]
+    return {"label": label, "matrix": {"rows": 6, "cols": 6, "entries": rows}}
+
+
+def test_pencils_that_are_not_smooth_never_close_the_group(capsys, tmp_path):
+    # on 7.3 with diag2[1] = diag2[0], every orthogonal block on x0, x1 is a
+    # symmetry, so generators of finite order may generate an infinite group;
+    # fixed-points and invariant-lines read only the generators (they used to
+    # run the closure to its cap, for 3-4 s), and report stops at stage 1
+    rotation = _7_3_not_smooth()  # the rotation has determinant 1 and infinite order
+    rotation["generators"].append(_on_x0_x1("rot", [[[3, 5], [-4, 5]], [[4, 5], [3, 5]]]))
+    reflections = dict(_7_3_not_smooth(), generators=[  # of order 2 each, with an infinite dihedral group
+        _on_x0_x1("r1", [[1, 0], [0, -1]]), _on_x0_x1("r2", [[[3, 5], [4, 5]], [[4, 5], [-3, 5]]])])
+    no_branch = (2, "input error: job has no branch data\n")
+    no_power = (3, "error: generator 'rot' has no power up to 360 equal to the identity\n")
+    expected = {
+        "rotation": (rotation, {"fixed-points": no_power, "invariant-lines": no_power}),
+        "reflections": (reflections, {
+            "fixed-points": (0, ""),
+            "invariant-lines": (3, "error: generators 'r1' and 'r2' do not commute\n"),
+        }),
+    }
+    for name, (obj, exits) in expected.items():
+        job = tmp_path / f"{name}.json"
+        job.write_text(json.dumps(obj))
+        for cmd, want in dict({"report": (0, ""), "branch": (0, ""), "theta": no_branch}, **exits).items():
+            t0 = time.perf_counter()
+            got = main([cmd, str(job)])
+            assert time.perf_counter() - t0 < 0.5, (name, cmd)
+            out, err = capsys.readouterr()
+            assert (got, err) == want, (name, cmd)
+            if cmd == "report":
+                assert out.startswith("verdict: INCONCLUSIVE\n  stage 1: {\"smooth\": false}\n")
+    assert main(["fixed-points", str(tmp_path / "reflections.json")]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "points": [], "lines_on_x": [], "higher_dimensional": [{"projective_dim": 3}]}
+
+
+def test_the_group_is_closed_only_where_its_elements_are_read(monkeypatch, capsys):
+    # stage 4 scans the elements; stage 3, fixed-points and invariant-lines
+    # read only the generators, so 7.5, certified at stage 3, closes no group
+    caps = []
+    real = cli.closure
+    monkeypatch.setattr(cli, "closure", lambda group, cap: caps.append(cap) or real(group, cap))
+    for argv, closures in [
+        (["report", "--fixture", "example_7_5.json", "--max-closure", "1"], 0),
+        (["fixed-points", "--fixture", "example_7_5.json"], 0),
+        (["invariant-lines", "--fixture", "example_7_5.json"], 0),
+        (["fixed-points", "--fixture", "example_7_3.json"], 0),
+        (["invariant-lines", "--fixture", "example_7_3.json"], 0),
+        (["report", "--fixture", "example_7_3.json"], 1),
+        (["report", "--fixture", "example_7_5_full.json"], 1),
+    ]:
+        caps.clear()
+        assert main(argv) == 0, argv
+        assert len(caps) == closures, argv
+    assert caps == [groups.MAX_CLOSURE]
+
+
+def test_c5_pencil_needs_a_square_root_outside_q_zeta_24(capsys, tmp_path):
+    # the genus-2 pencil with a C5 symmetry: diag1 = 1^6, diag2 = (1, z5, z5^2,
+    # z5^3, z5^4, 0), c the 5-cycle on x0..x4, and branch curve y^2 = x^6 + x.
+    # Its line search asks for sqrt(-20) = 2 sqrt(-5), which lies in Q(zeta_20)
+    # but not in Q(zeta_24), the one field cyc_sqrt searches.  This pins the
+    # stage-3 `unsupported` item and the `unsupported:` exit of today; square
+    # roots taken in the right field (ROADMAP, "Cyclotomic square roots in the
+    # right field") will change both on purpose.
+    c = [[int(j == (i + 1) % 5) if max(i, j) < 5 else int(i == j) for j in range(6)] for i in range(6)]
+    job = tmp_path / "c5.json"
+    job.write_text(json.dumps({
+        "pencil": {"g": 2, "diag1": [1] * 6, "diag2": [cycnum_to_json(zeta(5, k)) for k in range(5)] + [0]},
+        "generators": [{"label": "c", "matrix": {"rows": 6, "cols": 6, "entries": c}}],
+    }))
+    reason = "quadratic root requires a square root outside Q(zeta_24)"
+    assert main(["report", "--format", "json", str(job)]) == 0
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["status"] == "INCONCLUSIVE"
+    assert verdict["evidence"][2:] == [
+        {"stage": 3, "subgroup": "c", "unsupported": reason},
+        {"stage": 3, "incomplete": "no cyclic subgroup bounded the search"},
+        {"stage": 5, "skipped": "no iota-lift found"},
+    ]
+    for cmd in ("fixed-points", "invariant-lines"):
+        assert main([cmd, str(job)]) == 3
+        assert capsys.readouterr().err == f"unsupported: {reason}\n"
+
+
 def _7_5_full_tau_off_the_roots():
     # t -> t + 1 on the pencil parameter maps branch root 3 off the root list
     obj = json.loads(fixture_text("example_7_5_full.json"))
     obj["generators"][1]["moebius"] = [[1, 1], [0, 1]]
     return obj
+
+
+def _7_5_full_root(k, root):
+    # branch root k + 1 of 7.5 full replaced: root(roots) is the new point
+    def make():
+        obj = json.loads(fixture_text("example_7_5_full.json"))
+        obj["branch"]["roots"][k] = root(obj["branch"]["roots"])
+        return obj
+    return make
 
 
 def _dependent_pencil(generators):
@@ -303,7 +422,11 @@ def _dependent_pencil(generators):
     (_dependent_pencil([{"label": "tau", "moebius": [[1, 1], [1, -1]]}]),
      "$.pencil: Q1 and Q2 must be linearly independent"),
     (_dependent_pencil([]), "$.pencil: Q1 and Q2 must be linearly independent"),
-], ids=["moebius_off_the_roots", "dependent_moebius_only", "dependent_no_generator"])
+    (_7_5_full_root(0, lambda roots: [0, 0]), "$.branch: root 1 is (0, 0)"),
+    (_7_5_full_root(1, lambda roots: roots[0]), "$.branch: roots 1 and 2 coincide"),
+    (_7_5_full_root(0, lambda roots: [7, 3]), "$.branch: point 1 is not a root of the form"),
+], ids=["moebius_off_the_roots", "dependent_moebius_only", "dependent_no_generator",
+        "root_zero", "roots_coincide", "root_off_the_form"])
 def test_every_job_command_refuses_what_parse_job_refuses(make, message, cmd, capsys, tmp_path):
     # a fact of the job is checked once, by parse_job, so no command ignores it or fails it later
     job = tmp_path / "job.json"
@@ -319,6 +442,9 @@ def test_subcommands_refuse_options_they_do_not_read(capsys):
         (["branch", "--fixture", "example_7_5.json", "--max-closure", "5"], unread + "--max-closure\n"),
         (["theta", "--fixture", "example_7_5.json", "--max-closure", "5"], unread + "--max-closure\n"),
         (["dp4", "--fixture", "example_dp4_involutions.json", "--max-closure", "5"], unread + "--max-closure\n"),
+        # fixed-points and invariant-lines read only the generators, and never close the group
+        (["fixed-points", "--fixture", "example_7_3.json", "--max-closure", "5"], unread + "--max-closure\n"),
+        (["invariant-lines", "--fixture", "example_7_3.json", "--max-closure", "5"], unread + "--max-closure\n"),
         (["identities", "--max-closure", "5"], unread + "--max-closure 5\n"),
         (["identities", "--fixture", "example_7_3.json"], unread + "--fixture example_7_3.json\n"),
         (["identities", "job.json"], unread + "job.json\n"),
@@ -532,6 +658,10 @@ def test_theta_needs_branch_data_not_generators(capsys, tmp_path):
     assert main(["theta", str(job)]) == 0
     theta = json.loads(capsys.readouterr().out)
     assert theta["permutations"] == {} and len(theta["fixed_odd_classes"]) == 16 and not theta["empty"]
+    # the commands that act on points need a matrix generator
+    for cmd in ("fixed-points", "invariant-lines"):
+        assert main([cmd, str(job)]) == 2
+        assert capsys.readouterr().err == "input error: no matrix generators\n"
     del obj["branch"]
     job.write_text(json.dumps(obj))
     assert main(["theta", str(job)]) == 2

@@ -29,8 +29,12 @@ def test_inverse_and_det():
 def test_operator_order():
     assert operator_order(Mat.diagonal([zeta(8), 1])).order == 8
     assert operator_order(Mat.diagonal([i, -i])).order == 4
-    with pytest.raises(NotFiniteOrder, match="no power up to 20 is the identity"):
-        operator_order(Mat([[ONE, ONE], [ZERO, ONE]]), cap=20)
+    with pytest.raises(NotFiniteOrder, match="no power up to 360 equal to the identity"):
+        operator_order(Mat([[ONE, ONE], [ZERO, ONE]]))
+    # a determinant that is not a root of unity is refused before any power
+    for d in (2, 0):
+        with pytest.raises(NotFiniteOrder, match=f"determinant {d}, not a root of unity: infinite order"):
+            operator_order(Mat.diagonal([d, 1]))
 
 
 def random_monomial_conjugate(rng, n=4):
@@ -64,7 +68,7 @@ def test_eigenspace_completeness_random():
 
 def test_eigenspaces_rejects_nonsemisimple():
     with pytest.raises(NotFiniteOrder):
-        eigenspaces_finite_order(Mat([[ONE, ONE], [ZERO, ONE]]), cap=20)
+        eigenspaces_finite_order(Mat([[ONE, ONE], [ZERO, ONE]]))
 
 
 def test_eigenspaces_check_the_multiplicities():

@@ -17,7 +17,6 @@ from twoquadrics import cli, matrices
 from twoquadrics.binforms import BinaryForm
 from twoquadrics.cyclo import CycNum, euler_phi, zeta
 from twoquadrics.dp4 import lattice_h1, pic_action, wd5_elements
-from twoquadrics.errors import NotFiniteOrder
 from twoquadrics.groups import MatrixGroup, character_spaces, projective_fixed_locus
 from twoquadrics.jsonio import parse_job
 from twoquadrics.matrices import (
@@ -118,13 +117,6 @@ def test_multiplicities_are_the_eigenspace_dimensions(order):
         assert [(lam, s.dim) for lam, s in eigenspaces_finite_order(m)] == [
             (zeta(n, k), d) for k, d in enumerate(mults) if d
         ]
-        # the multiplicities are kept on m, but a smaller cap still fails
-        with pytest.raises(NotFiniteOrder, match=f"no power up to {n - 1} is the identity"):
-            eigen_multiplicities(m, cap=n - 1)
-        fresh = Mat(m.entries)
-        with pytest.raises(NotFiniteOrder, match=f"no power up to {n - 1} is the identity"):
-            eigen_multiplicities(fresh, cap=n - 1)
-        assert eigen_multiplicities(fresh, cap=n) == (n, mults)
 
 
 def _refined_from_whole_space(group):

@@ -34,13 +34,8 @@ from .jsonio import (
     lift_input_from_json,
     parse_job,
 )
-from .matrices import contragredient, eigen_multiplicities
-from .pencils import (
-    canonical_signs,
-    fixed_points_on_X,
-    invariant_lines_abelian,
-    is_smooth,
-)
+from .matrices import Mat, contragredient, eigen_multiplicities
+from .pencils import fixed_points_on_X, invariant_lines_abelian, is_smooth
 from .torsion import excess_identity, fixed_classes, section_count_identity
 
 
@@ -83,6 +78,19 @@ def _point_group(job):
     g = MatrixGroup([(lab, contragredient(m)) for lab, m in job.group.generators])
     check_finite_orders(g)
     return g
+
+
+def _pencil_actions(element_words, symmetries):
+    """(m, word, M) for each (m, word) of a closure, M the 2x2 pencil action
+    of the word, one product per element: h G h^T = sum M G gives
+    M_AB = M_B M_A, so M is the last generator's action times its prefix's,
+    which comes earlier in breadth-first order."""
+    actions = {lab: Mat(sym.action2x2) for lab, sym in symmetries.items()}
+    acts = {(): Mat.identity(2)}
+    for m, word in element_words:
+        if word:
+            acts[word] = actions[word[-1]] * acts[word[:-1]]
+        yield m, word, acts[word]
 
 
 def _verdict(status, evidence, soundness):
@@ -183,29 +191,28 @@ def run_report(job, max_closure=MAX_CLOSURE):
                 {"stage": 3, "incomplete": "no cyclic subgroup bounded the search"}
             )
 
-    # stage 4: free two-torsion translations: nonscalar diagonal sign
-    # elements up to scalar (signs relative to the first entry) of canonical
-    # minus-count k = 2; the same scan records the first odd-k element, the
-    # iota-lift of stage 5
+    # stage 4: free two-torsion translations, in any coordinates.  A sign
+    # element acts on the pencil by a scalar and is not itself scalar, so it
+    # is lambda*diag(+-1) in the vertex basis, of canonical minus-count k
+    # (from the trace): k = 2 is a translation, the first odd k the iota-lift
+    # of stage 5.  The evidence is the signs relative to the first entry when
+    # both Grams are diagonal (then the vertex basis is the coordinates'), else k
     iota_lift = None
-    if not (pencil.q1.gram.is_diagonal() and pencil.q2.gram.is_diagonal()):
-        evidence.append({"stage": 4, "skipped": "pencil not diagonal"})
-    elif pg is not None:
+    if pg is None:
+        evidence.append({"stage": 4, "skipped": "no matrix generators"})
+    else:
         closure(pg, max_closure)
-        for m, word in pg.element_words:
-            signs = m.diagonal_signs()
-            if signs is None or len(set(signs)) == 1:
+        for m, word, act in _pencil_actions(pg.element_words, job.symmetries):
+            if act.is_scalar() is None:
                 continue
-            k = canonical_signs(signs, pencil.g)[1]
+            k = m.minus_count()  # 0 for a scalar m, which is no sign element
             if k == 2:
-                evidence.append(
-                    {
-                        "stage": 4,
-                        "free_two_torsion": True,
-                        "witness_word": list(word) or ["identity"],
-                        "sign_vector": list(signs),
-                    }
-                )
+                item = {"stage": 4, "free_two_torsion": True, "witness_word": list(word)}
+                if pencil.q1.gram.is_diagonal() and pencil.q2.gram.is_diagonal():
+                    item["sign_vector"] = [1 if row[i] == m.entries[0][0] else -1 for i, row in enumerate(m.entries)]
+                else:
+                    item["minus_count"] = k
+                evidence.append(item)
                 soundness.append(
                     "sign-change elements of translation type act freely on "
                     "the variety of lines"
@@ -220,7 +227,7 @@ def run_report(job, max_closure=MAX_CLOSURE):
         evidence.append(
             {
                 "stage": 5,
-                "iota_lift_word": list(iota_lift) or ["identity"],
+                "iota_lift_word": list(iota_lift),
                 "branch_permutations": {
                     lab: _perm_cycles(p) for lab, p in job.perms.items()
                 },

@@ -18,7 +18,7 @@ skipped.  CycNum values are made only at the API boundary: `entries`,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import floordiv, mul
 
 from .cyclo import CycNum, ZERO, _descend_num, _descent_map, _dot_num, _inverse_num, _make, _map_num
@@ -263,15 +263,17 @@ class Mat:
         c = self.is_scalar()
         return c is not None and c.is_one()
 
-    def diagonal_signs(self):
-        """The diagonal divided by its first entry, when the matrix is
-        diagonal and that quotient is a vector of +-1; else None."""
-        lead = self.data[0][0]
-        if self.rows != self.cols or not lead or not self.is_diagonal():
-            return None
-        signs = {lead: 1, _coefs(self.order, [lead], mul, -1)[0]: -1}
-        out = tuple(signs.get(row[i]) for i, row in enumerate(self.data))
-        return None if None in out else out
+    def minus_count(self) -> int:
+        """min(n+, n-) for a matrix that is lambda * diag(+-1) in some basis,
+        n+ entries lambda and n- entries -lambda, from invariants on the int
+        rows: tr(M)^2 = (n+ - n-)^2 lambda^2, lambda^2 = (M^2)_00 (row 0 times
+        column 0), so (n+ - n-)^2 is a ratio of nonzero coefficients."""
+        o, one = self.order, _int(self.order, 1)
+        tr = _dot(o, [(row[i], one) for i, row in enumerate(self.data)])
+        t2 = _coefficients(o, [[_dot(o, ((tr, tr),))]])
+        lam2 = _coefficients(o, [[_dot(o, zip(self.data[0], [row[0] for row in self.data]))]])
+        i = next(i for i, c in enumerate(lam2) if c)
+        return (self.rows - isqrt(t2[i] // lam2[i] if t2 else 0)) // 2
 
 
 def _times(order, rows, vec):

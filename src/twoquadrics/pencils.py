@@ -327,18 +327,6 @@ def invariant_lines_abelian(pencil: Pencil, group: MatrixGroup) -> LineSearchRep
     return LineSearchReport(tuple(lines), tuple(families))
 
 
-def canonical_signs(signs, g):
-    """A +-1 vector of length 2g+2 up to a global flip, and its minus-count.
-
-    The flip is taken when it lowers the minus-count to at most g+1, so the
-    count k is the class invariant: k = 2 marks translations by two-torsion,
-    odd k the lifts of the hyperelliptic involution."""
-    k = signs.count(-1)
-    if k > g + 1:
-        return tuple(-s for s in signs), len(signs) - k
-    return tuple(signs), k
-
-
 @dataclass(frozen=True)
 class InvolutionClass:
     minus_count: int  # canonical k <= g+1
@@ -364,7 +352,9 @@ def classify_diagonal_involution(signs, pencil: Pencil) -> InvolutionClass:
         raise ValueError("signs must be a vector of +-1 of length 2g+2")
     if signs.count(-1) in (0, n):
         raise ValueError("all signs equal: trivial projective action")
-    signs, k = canonical_signs(signs, pencil.g)
+    k = signs.count(-1)
+    if k > pencil.g + 1:  # the global flip to the class invariant k <= g+1
+        signs, k = [-s for s in signs], n - k
     det = 1 if k % 2 == 0 else -1
     plus = tuple(i for i, s in enumerate(signs) if s == 1)
     minus = tuple(i for i, s in enumerate(signs) if s == -1)

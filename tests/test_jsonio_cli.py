@@ -1,4 +1,5 @@
 import json
+import random
 import time
 
 import pytest
@@ -475,14 +476,16 @@ def test_identities_g_max_is_capped(capsys):
     assert capsys.readouterr().err == "error: --g-max 201 exceeds 200\n"
 
 
-def _moved_7_3():
-    """Fixture 7.3 in the coordinates of an integer change of basis P of
-    determinant 1: Q_i -> P Q_i P^T, h -> P h P^-1."""
-    obj = json.loads(fixture_text("example_7_3.json"))
-    n = 6
-    p = Mat([[int(j in (i, i + 1)) for j in range(n)] for i in range(n)])
+def _moved(name, p):
+    """Fixture `name` in the coordinates of an integer change of basis P of
+    determinant 1: Q_i -> P Q_i P^T, h -> P h P^-1.  Both Grams change by P,
+    so the pencil parameter, the moebius generators and the branch roots
+    stay as they are."""
+    obj = json.loads(fixture_text(name))
+    n = p.rows
     p_inv = p.inverse()
     job = parse_job(obj)
+    mats = dict(job.group.generators)
 
     def mat_json(m):
         return {"rows": n, "cols": n, "entries": [[cycnum_to_json(x) for x in row] for row in m.entries]}
@@ -492,8 +495,50 @@ def _moved_7_3():
         "Q2": mat_json(p * job.pencil.q2.gram * p.transpose()),
         "g": 2,
     }
-    obj["generators"] = [dict(g, matrix=mat_json(p * m * p_inv)) for g, (_, m) in zip(obj["generators"], job.group.generators)]
+    obj["generators"] = [dict(g, matrix=mat_json(p * mats[g["label"]] * p_inv)) if "matrix" in g else g
+                         for g in obj["generators"]]
     return obj
+
+
+def _moved_7_3():
+    return _moved("example_7_3.json", Mat([[int(j in (i, i + 1)) for j in range(6)] for i in range(6)]))
+
+
+def _unimodular(rng, n=6):
+    """A random integer matrix of determinant 1: eight row operations
+    row_i += c * row_j, c in {-2, -1, 1, 2}, on the identity."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(8):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return Mat(rows)
+
+
+def _coordinate_free(verdict):
+    """The evidence with what names coordinates taken out: the stage-3 line
+    bases and the stage-4 sign vector or minus-count."""
+    drop = ("lines", "sign_vector", "minus_count")
+    return [{k: v for k, v in item.items() if k not in drop} for item in verdict["evidence"]]
+
+
+@pytest.mark.parametrize("name", ["example_7_3.json", "example_7_5.json", "example_7_5_full.json"])
+def test_report_does_not_depend_on_the_coordinates(name):
+    # stage 4 reads the pencil action and the trace, so the verdict, the
+    # witness word and the iota-lift word survive any change of basis
+    diagonal = run_report(parse_job(fixture_text(name)))
+    rng = random.Random(name)
+    for _ in range(3):
+        p = _unimodular(rng)
+        job = parse_job(_moved(name, p))
+        assert not job.pencil.q1.gram.is_diagonal(), p
+        verdict = run_report(job)
+        assert verdict["status"] == diagonal["status"], p
+        assert _coordinate_free(verdict) == _coordinate_free(diagonal), p
+        assert verdict["soundness_conditions"] == diagonal["soundness_conditions"], p
+        for item in verdict["evidence"]:
+            if item.get("free_two_torsion"):
+                assert item["minus_count"] == 2
 
 
 def _7_3_not_smooth():
@@ -517,25 +562,37 @@ def _7_5_full_no_branch():
     return obj
 
 
+def _7_5_full_moebius_only():
+    obj = json.loads(fixture_text("example_7_5_full.json"))
+    obj["generators"] = [g for g in obj["generators"] if "moebius" in g]
+    return obj
+
+
 @pytest.mark.parametrize("make, last", [
     (_7_3_not_smooth, {"stage": 1, "smooth": False}),
     (_genus_3, {"stage": 3, "skipped": "full verdict chain needs g = 2"}),
     (_7_5_full_no_branch, {"stage": 5, "skipped": "no branch data"}),
-    (_moved_7_3, {"stage": 5, "skipped": "no iota-lift found"}),
-], ids=["not_smooth", "genus_3", "no_branch", "not_diagonal"])
+    (_7_5_full_moebius_only, {"stage": 5, "skipped": "no iota-lift found"}),
+    (_moved_7_3, {"stage": 4, "free_two_torsion": True, "witness_word": ["eps"], "minus_count": 2}),
+], ids=["not_smooth", "genus_3", "no_branch", "moebius_only", "not_diagonal"])
 def test_report_stops_where_the_job_lacks_what_a_stage_needs(make, last):
     verdict = run_report(parse_job(make()))
-    assert verdict["status"] == "INCONCLUSIVE"
+    assert verdict["status"] == ("OBSTRUCTED" if make is _moved_7_3 else "INCONCLUSIVE")
     assert verdict["evidence"][-1] == last
     if make is _7_5_full_no_branch:
         # stage 2 lists a moebius generator without branch data too
         assert verdict["evidence"][1]["generators"][1] == {"label": "tau", "moebius_only": True}
+    if make is _7_5_full_moebius_only:
+        # stages 3 and 4 each say why they did not run
+        skipped = {"skipped": "no matrix generators"}
+        assert verdict["evidence"][2:4] == [{"stage": 3, **skipped}, {"stage": 4, **skipped}]
     if make is _moved_7_3:
-        # stages 1-3 agree with the diagonal job, but stage 4 reads only diagonal
-        # pencils, so the verdict OBSTRUCTED in diagonal coordinates is lost here
+        # a non-diagonal pencil lacks nothing stage 4 needs: stages 1-3 agree
+        # with the diagonal job, and stage 4 finds its witness, with the
+        # minus-count where the diagonal job prints the sign vector
         diagonal = run_report(parse_job(fixture_text("example_7_3.json")))
         assert verdict["evidence"][:3] == diagonal["evidence"][:3]
-        assert verdict["evidence"][3] == {"stage": 4, "skipped": "pencil not diagonal"}
+        assert diagonal["evidence"][3]["sign_vector"] == [1, 1, 1, 1, -1, -1]
 
 
 def test_dp4_and_lift_input_errors(capsys, tmp_path):

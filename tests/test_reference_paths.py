@@ -1,15 +1,19 @@
 """The degeneracy form, the eigenspaces, the character spaces and the fixed
-locus, H^1 of the Picard lattice and the report's stage 3 against the plainer
-code they replaced, kept here as references: interpolation through the
-generic `solve`, kernels of m - lam * identity built from Mat operations, the
-refinement of the whole space by every generator, the fixed locus filtered to
-maximal, distinct components, image coordinates in the kernel of the norm by
-`solve`, and a stage 3 that searches every generator."""
+locus, H^1 of the Picard lattice and the report's stages 3 and 4 against the
+plainer code they replaced, kept here as references: interpolation through
+the generic `solve`, kernels of m - lam * identity built from Mat operations,
+the refinement of the whole space by every generator, the fixed locus
+filtered to maximal, distinct components, image coordinates in the kernel of
+the norm by `solve`, a stage 3 that searches every generator, and a stage 4
+that reads the signs off the diagonal of diagonal elements.  The pencil
+action of a word is checked against `equivariance` of its element."""
 
 import json
 import random
 from fractions import Fraction
 from importlib import resources
+from itertools import product
+from operator import mul
 
 import pytest
 
@@ -17,11 +21,12 @@ from twoquadrics import cli, matrices
 from twoquadrics.binforms import BinaryForm
 from twoquadrics.cyclo import CycNum, euler_phi, zeta
 from twoquadrics.dp4 import lattice_h1, pic_action, wd5_elements
-from twoquadrics.groups import MatrixGroup, character_spaces, projective_fixed_locus
+from twoquadrics.groups import MatrixGroup, character_spaces, closure, projective_fixed_locus
 from twoquadrics.jsonio import parse_job
 from twoquadrics.matrices import (
     Mat,
     Subspace,
+    _coefs,
     _minus_scalar,
     contragredient,
     eigen_multiplicities,
@@ -29,7 +34,7 @@ from twoquadrics.matrices import (
     kernel,
     solve,
 )
-from twoquadrics.pencils import pencil_det_form
+from twoquadrics.pencils import Pencil, equivariance, pencil_det_form
 from twoquadrics.smith import IntMatrix, invariant_factors, smith_normal_form
 
 
@@ -320,3 +325,94 @@ def test_stage_3_forms_the_powers_of_gamma_once(monkeypatch):
     powered = _counted(monkeypatch, matrices, "operator_order")
     assert cli.run_report(job)["status"] == "LINEARIZABLE_CERTIFIED"
     assert sum(m == point_gamma for m in powered) == 1
+
+
+def _diagonal_signs(m):
+    """The deleted Mat.diagonal_signs: the diagonal divided by its first
+    entry, when m is diagonal and that quotient is a vector of +-1; else None."""
+    lead = m.data[0][0]
+    if m.rows != m.cols or not lead or not m.is_diagonal():
+        return None
+    signs = {lead: 1, _coefs(m.order, [lead], mul, -1)[0]: -1}
+    out = tuple(signs.get(row[i]) for i, row in enumerate(m.data))
+    return None if None in out else out
+
+
+def _canonical_signs(signs, g):
+    """The deleted pencils.canonical_signs: a +-1 vector up to a global flip
+    to minus-count k <= g+1, and k."""
+    k = signs.count(-1)
+    if k > g + 1:
+        return tuple(-s for s in signs), len(signs) - k
+    return tuple(signs), k
+
+
+def _diagonal_scan(element_words, g):
+    """The deleted stage-4 scan of a diagonal pencil: the witness word and
+    sign vector of the first nonscalar diagonal sign element of canonical
+    minus-count 2, and the first odd-count word before it (the iota-lift)."""
+    lift = None
+    for m, word in element_words:
+        signs = _diagonal_signs(m)
+        if signs is None or len(set(signs)) == 1:
+            continue
+        k = _canonical_signs(signs, g)[1]
+        if k == 2:
+            return list(word), list(signs), lift
+        if k % 2 and lift is None:
+            lift = list(word)
+    return None, None, lift
+
+
+def test_sign_scan_matches_the_diagonal_scan():
+    found = set()
+    for name, text in _report_jobs().items():
+        job = parse_job(text)
+        pg = cli._point_group(job)
+        closure(pg)
+        witness, signs, lift = _diagonal_scan(pg.element_words, job.pencil.g)
+        # element by element: the same sign elements, with the same minus-count
+        for m, word, act in cli._pencil_actions(pg.element_words, job.symmetries):
+            old = _diagonal_signs(m)
+            want = None if old is None or len(set(old)) == 1 else _canonical_signs(old, 2)[1]
+            assert (m.minus_count() if act.is_scalar() is not None and m.is_scalar() is None else None) == want
+        verdict = cli.run_report(job)
+        if verdict["status"] == "LINEARIZABLE_CERTIFIED":
+            continue  # 7.5: stage 3 ends the report
+        got = {k: v for item in verdict["evidence"] if item["stage"] >= 4 for k, v in item.items()}
+        assert (got.get("witness_word"), got.get("sign_vector")) == (witness, signs), name
+        if witness is None:
+            assert got.get("iota_lift_word") == lift, name
+        found.add((witness is not None, lift is not None))
+    assert {(True, False), (False, True), (True, True)} <= found
+
+
+def _dihedral_job():
+    """A pencil whose branch points are the sixth roots of unity, with Q1 =
+    sum x_i^2 and Q2 = sum zeta6^i x_i^2, and two symmetries over Q(zeta12):
+    r, x_i -> x_(i+1), acts by t -> zeta6 t, and s, x_i -> zeta12^i x_(-i),
+    swaps Q1 and Q2; so their pencil actions do not commute."""
+    pencil = Pencil.from_diagonals(2, [1] * 6, [zeta(6, i) for i in range(6)])
+    r = Mat([[int(j == (i + 1) % 6) for j in range(6)] for i in range(6)])
+    s = Mat([[zeta(12, i) if j == -i % 6 else 0 for j in range(6)] for i in range(6)])
+    return pencil, {"r": r, "s": s}
+
+
+def test_pencil_action_of_a_word_is_its_generators_last_first():
+    # h G h^T = sum M G gives M_AB = M_B M_A; the closure of this group has
+    # 4608 elements, so the words up to length 4 are checked
+    pencil, gens = _dihedral_job()
+    symmetries = {lab: equivariance(pencil, h) for lab, h in gens.items()}
+    words = [w for n in range(5) for w in product(gens, repeat=n)]  # each word after its prefix
+    elements = {(): Mat.identity(6)}
+    for w in words[1:]:
+        elements[w] = elements[w[:-1]] * contragredient(gens[w[-1]])
+    actions = {lab: Mat(sym.action2x2) for lab, sym in symmetries.items()}
+    first_first = 0
+    for m, word, act in cli._pencil_actions([(elements[w], w) for w in words], symmetries):
+        assert act == Mat(equivariance(pencil, contragredient(m)).action2x2), word
+        reverse = Mat.identity(2)
+        for lab in word:
+            reverse = reverse * actions[lab]
+        first_first += reverse != act
+    assert first_first  # the other product order is wrong on some word

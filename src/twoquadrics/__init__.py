@@ -22,7 +22,6 @@ from .groups import (
 )
 from .pencils import (
     Pencil,
-    PencilSymmetry,
     classify_diagonal_involution,
     degeneracy_form,
     equivariance,

@@ -151,14 +151,15 @@ def checked_roots(f: BinaryForm, roots):
     return roots
 
 
-def root_images(roots, moebius):
-    """The 1-indexed permutation of checked roots induced by the nonsingular
-    Moebius matrix ((a, b), (c, d)), acting by (u, v) -> (a u + b v, c u + d v),
-    which is injective on distinct points; NotClosed if a root leaves the list."""
-    (a, b), (c, d) = [[CycNum._coerce(x) for x in row] for row in moebius]
+def root_images(roots, m: Mat):
+    """The 1-indexed permutation of checked roots induced by a nonsingular 2x2
+    pencil action M = ((a, b), (c, d)), which maps (u, v) by Mᵀ to
+    (a u + c v, b u + d v), injective on distinct points; NotClosed if a root
+    leaves the list."""
+    (a, b), (c, d) = m.entries
     images = []
     for i, (u, v) in enumerate(roots):
-        img = (a * u + b * v, c * u + d * v)
+        img = (a * u + c * v, b * u + d * v)
         j = next((k for k, r in enumerate(roots) if proj_equal(img, r)), None)
         if j is None:
             raise NotClosed(f"image of root {i + 1} is not in the root list")

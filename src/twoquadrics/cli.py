@@ -40,15 +40,18 @@ from .torsion import excess_identity, fixed_classes, section_count_identity
 
 
 def _read_input(args):
-    if args.fixture:
-        base = resources.files("twoquadrics") / "fixtures" / args.fixture
-        if not base.is_file():
-            raise SchemaError(f"no such fixture: {args.fixture}")
-        return base.read_text()
-    if args.jobfile:
+    if not (args.fixture or args.jobfile):
+        raise SchemaError("provide a job file or --fixture")
+    try:
+        if args.fixture:
+            base = resources.files("twoquadrics") / "fixtures" / args.fixture
+            if not base.is_file():
+                raise SchemaError(f"no such fixture: {args.fixture}")
+            return base.read_text(encoding="utf-8")
         with open(args.jobfile, "r", encoding="utf-8") as fh:
             return fh.read()
-    raise SchemaError("provide a job file or --fixture")
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, a name too long, or not UTF-8
+        raise SchemaError(str(exc)) from exc
 
 
 def _perm_cycles(perm):
@@ -80,12 +83,11 @@ def _point_group(job):
     return g
 
 
-def _pencil_actions(element_words, symmetries):
+def _pencil_actions(element_words, actions):
     """(m, word, M) for each (m, word) of a closure, M the 2x2 pencil action
     of the word, one product per element: h G h^T = sum M G gives
     M_AB = M_B M_A, so M is the last generator's action times its prefix's,
     which comes earlier in breadth-first order."""
-    actions = {lab: Mat(sym.action2x2) for lab, sym in symmetries.items()}
     acts = {(): Mat.identity(2)}
     for m, word in element_words:
         if word:
@@ -113,18 +115,20 @@ def run_report(job, max_closure=MAX_CLOSURE):
         )
 
     # stage 2: equivariance, branch permutations and relation scalars
-    gens = {
-        lab: {"label": lab, "action2x2": [[repr(x) for x in row] for row in sym.action2x2]}
-        for lab, sym in job.symmetries.items()
-    }
-    gens.update((lab, {"label": lab, "moebius_only": True}) for lab, _ in job.moebius_generators)
-    for lab, p in job.perms.items():
-        gens[lab]["branch_permutation"] = _perm_cycles(p)
-    stage2 = {"stage": 2, "generators": list(gens.values())}
+    gens = []
+    for lab, m in job.actions.items():
+        if lab in job.moebius_only:
+            item = {"label": lab, "moebius_only": True}
+        else:
+            item = {"label": lab, "action2x2": [[repr(x) for x in row] for row in m.entries]}
+        if lab in job.perms:
+            item["branch_permutation"] = _perm_cycles(job.perms[lab])
+        gens.append(item)
+    stage2 = {"stage": 2, "generators": gens}
     if job.relations:
         stage2["relation_scalars"] = [repr(r.scalar) for r in job.relations]
     evidence.append(stage2)
-    if job.moebius_generators:
+    if job.moebius_only:
         soundness.append(
             "generators given only by their pencil-parameter action cannot "
             "be checked on lines or fixed points"
@@ -169,7 +173,7 @@ def run_report(job, max_closure=MAX_CLOSURE):
                     "invariant_under_all": len(kept),
                 }
             )
-            if kept and job.moebius_generators:
+            if kept and job.moebius_only:
                 soundness.append(
                     "invariant lines found for the matrix generators only; "
                     "certification withheld"
@@ -202,7 +206,7 @@ def run_report(job, max_closure=MAX_CLOSURE):
         evidence.append({"stage": 4, "skipped": "no matrix generators"})
     else:
         closure(pg, max_closure)
-        for m, word, act in _pencil_actions(pg.element_words, job.symmetries):
+        for m, word, act in _pencil_actions(pg.element_words, job.actions):
             if act.is_scalar() is None:
                 continue
             k = m.minus_count()  # 0 for a scalar m, which is no sign element
@@ -440,7 +444,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         out = args.fn(args)
-    except (SchemaError, NotASymmetry, FileNotFoundError) as exc:
+    except (SchemaError, NotASymmetry) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except UnsupportedCase as exc:

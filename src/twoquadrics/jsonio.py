@@ -146,7 +146,7 @@ def _checked(text_or_obj, kind, path):
     if isinstance(obj, (str, bytes)):
         try:
             obj = json.loads(obj)
-        except ValueError as exc:  # malformed, or an integer past Python's digit limit
+        except (ValueError, RecursionError) as exc:  # malformed, an integer past Python's digit limit, or nested too deep
             raise SchemaError(f"invalid JSON: {exc}", path) from exc
     _walk(obj, kind, path)
     return obj
@@ -241,27 +241,29 @@ signedperm_from_json = _reader("signed perm", _signedperm)
 class JobSpec:
     pencil: Pencil
     group: MatrixGroup | None  # generators that have honest matrices
-    symmetries: dict  # label -> PencilSymmetry of each matrix generator
-    moebius_generators: tuple  # (label, 2x2 tuple) acting on (t1, t2) only
+    actions: dict  # label -> 2x2 pencil action M, h·G_i·hᵀ = Σ_j M_ij G_j, matrix generators first
+    moebius_only: tuple  # labels of the generators known only by their action
     relations: tuple  # RelationReport of each relation, which holds up to a scalar
     branch: tuple | None  # checked roots of the degeneracy form, labeled 1..2g+2 by index
-    perms: dict  # label -> 1-indexed images of the branch roots, matrix generators first; {} without branch
+    perms: dict  # label -> 1-indexed images of the branch roots, in the order of actions; {} without branch
 
 
 def parse_job(text_or_obj, path="$"):
     obj = _checked(text_or_obj, "job", path)
     pencil = _pencil(obj["pencil"], path + ".pencil")
     gens = []
-    moebius = []
+    moebius = {}
+    paths = {}  # label -> JSON path of the generator's matrix or map
     for p, g in _labeled(obj.get("generators", ()), path + ".generators"):
         if "matrix" in g:
-            gens.append((g["label"], _invertible(g["matrix"], pencil.size, "the pencil size", p + ".matrix")))
+            paths[g["label"]] = p = p + ".matrix"
+            gens.append((g["label"], _invertible(g["matrix"], pencil.size, "the pencil size", p)))
             continue
-        (a, b), (c, d) = mo = tuple(
-            tuple(_cycnum(x, f"{p}.moebius[{i}][{j}]") for j, x in enumerate(r)) for i, r in enumerate(g["moebius"])
-        )
-        _expect(not (a * d - b * c).is_zero(), "moebius matrix is singular", p + ".moebius")
-        moebius.append((g["label"], mo, p + ".moebius"))
+        paths[g["label"]] = p = p + ".moebius"
+        rows = [[_cycnum(x, f"{p}[{i}][{j}]") for j, x in enumerate(r)] for i, r in enumerate(g["moebius"])]
+        # [[a, b], [c, d]] sends (t1, t2) to (a t1 + b t2, c t1 + d t2): the pencil action is its transpose
+        moebius[g["label"]] = m = Mat(list(zip(*rows)))
+        _expect(not m.det().is_zero(), "moebius matrix is singular", p)
     named = {
         name: _invertible(m, pencil.size, "the pencil size", f"{path}.named.{name}")
         for name, m in obj.get("named", {}).items()
@@ -290,18 +292,16 @@ def parse_job(text_or_obj, path="$"):
         except (ValueError, NotARoot) as exc:
             raise SchemaError(str(exc), p) from exc
     # each generator acts on X and its branch points: checked once, after every other check
-    symmetries = {lab: equivariance(pencil, m) for lab, m in gens}
+    actions = {lab: equivariance(pencil, m) for lab, m in gens} | moebius
     perms = {}
     if branch is not None:
         # a pencil symmetry permutes the roots of the degeneracy form, so only a moebius map can leave them
-        perms = {lab: root_images(branch, sym.moebius()) for lab, sym in symmetries.items()}
-        for lab, mo, p in moebius:
+        for lab, m in actions.items():
             try:
-                perms[lab] = root_images(branch, mo)
+                perms[lab] = root_images(branch, m)
             except NotClosed as exc:
-                raise SchemaError(str(exc), p) from exc
-    moebius = tuple((lab, mo) for lab, mo, _ in moebius)
-    return JobSpec(pencil, group, symmetries, moebius, tuple(relations), branch, perms)
+                raise SchemaError(str(exc), paths[lab]) from exc
+    return JobSpec(pencil, group, actions, tuple(moebius), tuple(relations), branch, perms)
 
 
 def _labeled(generators, path):

@@ -62,24 +62,6 @@ class Pencil:
         return degeneracy_form(self)
 
 
-@dataclass(frozen=True)
-class PencilSymmetry:
-    """The action M of a coordinate symmetry h with h·G_i·hᵀ = Σ_j M_ij G_j.
-
-    The matrix h transforms the forms by substituting hᵀx; points of P^n
-    transform by the contragredient (hᵀ)⁻¹."""
-
-    action2x2: tuple  # ((m11, m12), (m21, m22)) of CycNum
-
-    def moebius(self):
-        """Induced map on the pencil parameter (t1, t2), as a 2x2 matrix.
-
-        The member t1 Q1 + t2 Q2 is carried to t1' Q1 + t2' Q2 with
-        t' = Mᵀ t."""
-        (a, b), (c, d) = self.action2x2
-        return ((a, c), (b, d))
-
-
 @cache
 def _vandermonde_inverse(d: int) -> Mat:
     """The exact inverse of the Vandermonde matrix (x^j) of the nodes
@@ -114,8 +96,10 @@ def is_smooth(pencil: Pencil) -> bool:
     return not bform_discriminant(pencil.det_form).is_zero()
 
 
-def equivariance(pencil: Pencil, h: Mat) -> PencilSymmetry:
-    """Express h·G_i·hᵀ in the basis (Q1, Q2), or fail with NotASymmetry."""
+def equivariance(pencil: Pencil, h: Mat) -> Mat:
+    """The pencil action of h: the 2x2 M with h·G_i·hᵀ = Σ_j M_ij G_j, or
+    NotASymmetry.  h transforms the forms by substituting hᵀx (and points by
+    the contragredient), so t1 Q1 + t2 Q2 goes to the member at Mᵀ(t1, t2)."""
     if h.rows != h.cols or h.rows != pencil.size:
         raise DimensionMismatch("symmetry size mismatch")
     g1, g2 = pencil.q1.gram, pencil.q2.gram
@@ -126,10 +110,10 @@ def equivariance(pencil: Pencil, h: Mat) -> PencilSymmetry:
         if coeffs is None:
             raise NotASymmetry("transformed quadric leaves the pencil span")
         rows.append(coeffs)
-    m = Mat([list(rows[0]), list(rows[1])])
+    m = Mat(rows)
     if m.det().is_zero():
         raise NotASymmetry("induced 2x2 action is singular")
-    return PencilSymmetry((tuple(rows[0]), tuple(rows[1])))
+    return m
 
 
 def membership(pencil: Pencil, v) -> bool:

@@ -11,6 +11,7 @@ from twoquadrics.binforms import (
 )
 from twoquadrics.cyclo import ONE, ZERO, imaginary_unit, zeta
 from twoquadrics.errors import NotARoot, NotClosed, UnsupportedCase
+from twoquadrics.matrices import Mat
 from twoquadrics.pencils import _common_roots
 
 i = imaginary_unit()
@@ -47,17 +48,17 @@ def test_resultant_shared_root():
 def test_root_action_cycle():
     f = bf(ZERO, ONE, ZERO, ZERO, ZERO, -ONE, ZERO)  # t1 t2 (t2^4 - t1^4)
     roots = [(ZERO, ONE), (ONE, ZERO), (ONE, ONE), (ONE, i), (ONE, -ONE), (ONE, -i)]
-    perm = root_images(checked_roots(f, roots), ((ONE, ZERO), (ZERO, i)))
+    perm = root_images(checked_roots(f, roots), Mat([[ONE, ZERO], [ZERO, i]]))
     assert perm == (1, 2, 4, 5, 6, 3)
 
 
 def test_root_action_errors():
     f = bf(ONE, ZERO, -ONE)
     with pytest.raises(NotARoot):
-        root_images(checked_roots(f, [(ONE, 2 * ONE)]), ((ONE, ZERO), (ZERO, ONE)))
+        root_images(checked_roots(f, [(ONE, 2 * ONE)]), Mat([[ONE, ZERO], [ZERO, ONE]]))
     # the map sends a listed root outside the list
     with pytest.raises(NotClosed):
-        root_images(checked_roots(f, [(ONE, ONE)]), ((ONE, ZERO), (ZERO, -ONE)))
+        root_images(checked_roots(f, [(ONE, ONE)]), Mat([[ONE, ZERO], [ZERO, -ONE]]))
 
 
 def test_gcd():

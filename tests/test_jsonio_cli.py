@@ -95,7 +95,7 @@ def test_parse_job_fixture_roundtrip():
     assert job.group is not None
     assert job.branch is not None and len(job.branch) == 6
     full = parse_job(fixture_text("example_7_5_full.json"))
-    assert full.moebius_generators
+    assert full.moebius_only
 
 
 def test_parse_job_errors():
@@ -186,6 +186,19 @@ def test_cli_exit_codes(capsys, tmp_path):
         assert main(["lift", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("input error: $.relations[0]:") and "'R'" in err, err
+
+
+def test_a_moebius_generator_maps_the_pencil_parameter_as_written(capsys, tmp_path):
+    # [[1, i], [1, -i]] sends (t1, t2) to (t1 + i t2, t1 - i t2): t -> (t + i)/(t - i)
+    # permutes the branch points 0, oo, +-1, +-i of 7.5; read transposed, the
+    # map would permute them by (1 4 3)(2 6 5)
+    job = json.loads(fixture_text("example_7_5_full.json"))
+    i, minus_i = ({"order": 4, "coeffs": [[0, 1], [s, 1]]} for s in (1, -1))
+    job["generators"][1]["moebius"] = [[1, i], [1, minus_i]]
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    assert main(["branch", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["permutations"]["tau"] == "(1 3 6)(2 5 4)"
 
 
 def test_report_reads_relations():
@@ -747,6 +760,27 @@ def _python_m(argv, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "twoquadrics", *argv], text=True, env=env, timeout=120, **kwargs
     )
+
+
+def test_unreadable_input_exits_2_without_traceback(tmp_path):
+    # a directory, a file that is not UTF-8 (a UTF-16 byte-order mark), JSON
+    # nested past the decoder's recursion limit and a fixture name too long
+    # for the file system are input errors
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    missing = tmp_path / "missing.json"
+    for argv, message in (
+        ([str(tmp_path)], f"[Errno 21] Is a directory: '{tmp_path}'"),
+        ([str(utf16)], "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        ([str(deep)], "$: invalid JSON: maximum recursion depth exceeded"),
+        ([str(missing)], f"[Errno 2] No such file or directory: '{missing}'\n"),
+        (["--fixture", "a" * 5000], ""),
+    ):
+        proc = _python_m(["report", *argv], capture_output=True)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith(f"input error: {message}") and "Traceback" not in proc.stderr, proc.stderr
 
 
 def test_python_m_runs_the_cli():

@@ -48,10 +48,8 @@ def test_degenerate_pencils():
 
 def test_equivariance_identity_and_signs():
     p = generic_diagonal()
-    sym = equivariance(p, Mat.identity(6))
-    assert sym.action2x2 == ((ONE, ZERO), (ZERO, ONE))
-    sym = equivariance(p, Mat.diagonal([1, -1, 1, -1, 1, -1]))
-    assert sym.action2x2 == ((ONE, ZERO), (ZERO, ONE))
+    assert equivariance(p, Mat.identity(6)) == Mat([[ONE, ZERO], [ZERO, ONE]])
+    assert equivariance(p, Mat.diagonal([1, -1, 1, -1, 1, -1])) == Mat([[ONE, ZERO], [ZERO, ONE]])
 
 
 def test_equivariance_rejects_non_symmetry():
@@ -72,8 +70,7 @@ def test_branch_permutation_identity():
     f = degeneracy_form(p)
     # roots of t1 + k t2: (k, -1) up to scale, and (0, 1) for k = 0
     roots = tuple(((k * ONE, -ONE) if k else (ZERO, ONE)) for k in range(6))
-    sym = equivariance(p, Mat.identity(6))
-    assert root_images(checked_roots(f, roots), sym.moebius()) == (1, 2, 3, 4, 5, 6)
+    assert root_images(checked_roots(f, roots), equivariance(p, Mat.identity(6))) == (1, 2, 3, 4, 5, 6)
 
 
 def test_membership():

@@ -372,7 +372,7 @@ def test_sign_scan_matches_the_diagonal_scan():
         closure(pg)
         witness, signs, lift = _diagonal_scan(pg.element_words, job.pencil.g)
         # element by element: the same sign elements, with the same minus-count
-        for m, word, act in cli._pencil_actions(pg.element_words, job.symmetries):
+        for m, word, act in cli._pencil_actions(pg.element_words, job.actions):
             old = _diagonal_signs(m)
             want = None if old is None or len(set(old)) == 1 else _canonical_signs(old, 2)[1]
             assert (m.minus_count() if act.is_scalar() is not None and m.is_scalar() is None else None) == want
@@ -402,15 +402,14 @@ def test_pencil_action_of_a_word_is_its_generators_last_first():
     # h G h^T = sum M G gives M_AB = M_B M_A; the closure of this group has
     # 4608 elements, so the words up to length 4 are checked
     pencil, gens = _dihedral_job()
-    symmetries = {lab: equivariance(pencil, h) for lab, h in gens.items()}
+    actions = {lab: equivariance(pencil, h) for lab, h in gens.items()}
     words = [w for n in range(5) for w in product(gens, repeat=n)]  # each word after its prefix
     elements = {(): Mat.identity(6)}
     for w in words[1:]:
         elements[w] = elements[w[:-1]] * contragredient(gens[w[-1]])
-    actions = {lab: Mat(sym.action2x2) for lab, sym in symmetries.items()}
     first_first = 0
-    for m, word, act in cli._pencil_actions([(elements[w], w) for w in words], symmetries):
-        assert act == Mat(equivariance(pencil, contragredient(m)).action2x2), word
+    for m, word, act in cli._pencil_actions([(elements[w], w) for w in words], actions):
+        assert act == equivariance(pencil, contragredient(m)), word
         reverse = Mat.identity(2)
         for lab in word:
             reverse = reverse * actions[lab]

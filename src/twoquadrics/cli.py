@@ -27,7 +27,7 @@ from .errors import (
     TwoQuadricsError,
     UnsupportedCase,
 )
-from .groups import MAX_CLOSURE, MatrixGroup, check_finite_orders, closure, scalar_lift_search
+from .groups import MAX_CLOSURE, MatrixGroup, breadth_first, check_finite_orders, closure, scalar_lift_search
 from .jsonio import (
     cycnum_to_json,
     dp4_input_from_json,
@@ -43,11 +43,11 @@ def _read_input(args):
     if not (args.fixture or args.jobfile):
         raise SchemaError("provide a job file or --fixture")
     try:
-        if args.fixture:
-            base = resources.files("twoquadrics") / "fixtures" / args.fixture
-            if not base.is_file():
+        if args.fixture:  # a file name in the fixtures directory, not a path
+            fixtures = resources.files("twoquadrics") / "fixtures"
+            if args.fixture not in {f.name for f in fixtures.iterdir() if f.is_file()}:
                 raise SchemaError(f"no such fixture: {args.fixture}")
-            return base.read_text(encoding="utf-8")
+            return (fixtures / args.fixture).read_text(encoding="utf-8")
         with open(args.jobfile, "r", encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, a name too long, or not UTF-8
@@ -75,7 +75,7 @@ def _perm_cycles(perm):
 
 def _point_group(job):
     """The group acting on points: contragredients of the matrix generators,
-    each of finite order; it is closed only where its elements are read."""
+    each of finite order; its elements are enumerated only where they are read."""
     if job.group is None:
         raise SchemaError("no matrix generators")
     g = MatrixGroup([(lab, contragredient(m)) for lab, m in job.group.generators])
@@ -84,10 +84,10 @@ def _point_group(job):
 
 
 def _pencil_actions(element_words, actions):
-    """(m, word, M) for each (m, word) of a closure, M the 2x2 pencil action
-    of the word, one product per element: h G h^T = sum M G gives
-    M_AB = M_B M_A, so M is the last generator's action times its prefix's,
-    which comes earlier in breadth-first order."""
+    """(m, word, M) for each (m, word) of a breadth-first stream, read one
+    at a time, M the 2x2 pencil action of the word, one product per element:
+    h G h^T = sum M G gives M_AB = M_B M_A, so M is the last generator's
+    action times its prefix's, which comes earlier in breadth-first order."""
     acts = {(): Mat.identity(2)}
     for m, word in element_words:
         if word:
@@ -200,13 +200,14 @@ def run_report(job, max_closure=MAX_CLOSURE):
     # is lambda*diag(+-1) in the vertex basis, of canonical minus-count k
     # (from the trace): k = 2 is a translation, the first odd k the iota-lift
     # of stage 5.  The evidence is the signs relative to the first entry when
-    # both Grams are diagonal (then the vertex basis is the coordinates'), else k
+    # both Grams are diagonal (then the vertex basis is the coordinates'), else k.
+    # The elements are read as a breadth-first stream and the first witness
+    # ends it, so max_closure bounds the elements read, not the group
     iota_lift = None
     if pg is None:
         evidence.append({"stage": 4, "skipped": "no matrix generators"})
     else:
-        closure(pg, max_closure)
-        for m, word, act in _pencil_actions(pg.element_words, job.actions):
+        for m, word, act in _pencil_actions(breadth_first(pg, max_closure), job.actions):
             if act.is_scalar() is None:
                 continue
             k = m.minus_count()  # 0 for a scalar m, which is no sign element

@@ -41,9 +41,10 @@ class MatrixGroup:
     A record of the (label, Mat) generators and the named elements; the
     readers in jsonio check that the labels are distinct and the matrices
     invertible and of one size.  check_finite_orders tests each generator's
-    order, and closure() runs it first.  Closure is computed on demand, only
-    where the elements are read, and cached; elements are stored with one
-    defining word (a tuple of generator labels)."""
+    order, and breadth_first runs it first.  breadth_first streams the
+    elements, each with one shortest defining word (a tuple of generator
+    labels), so a reader may stop early; closure() stores the whole stream
+    and caches it for the readers of elements and element_words."""
 
     def __init__(self, generators, named=None):
         self.generators = tuple(generators)
@@ -99,33 +100,42 @@ def check_finite_orders(group: MatrixGroup):
             raise NotFiniteOrder(f"generator {label!r} has {exc}") from None
 
 
-def closure(group: MatrixGroup, cap: int = MAX_CLOSURE):
-    """Enumerate the group by breadth-first products of generators.
+def breadth_first(group: MatrixGroup, cap: int = MAX_CLOSURE):
+    """Yield (element, word) for each element of the group, breadth first:
+    the identity, then each frontier element times each generator, so every
+    word is a shortest one and comes after its prefix.
 
-    Returns the element list; each element is retained inside the group with
-    a shortest defining word.  check_finite_orders runs before any product,
-    so a generator of infinite order fails at once; a group of more than cap
-    elements raises CapExceeded."""
-    if group._closure is not None and group._closure_cap == cap:
-        return group.elements
+    check_finite_orders runs before any product, so a generator of infinite
+    order fails at once; the element after the cap-th raises CapExceeded."""
     check_finite_orders(group)
     ident = Mat.identity(group.dimension)
-    found = {ident.key(): (ident, ())}
+    seen = {ident.key()}
     frontier = [(ident, ())]
+    yield frontier[0]
     while frontier:
         nxt = []
         for m, word in frontier:
             for label, g in group.generators:
                 prod = m * g
                 k = prod.key()
-                if k not in found:
-                    if len(found) >= cap:
+                if k not in seen:
+                    if len(seen) >= cap:
                         raise CapExceeded(f"closure exceeds cap {cap}")
+                    seen.add(k)
                     entry = (prod, word + (label,))
-                    found[k] = entry
                     nxt.append(entry)
+                    yield entry
         frontier = nxt
-    group._closure = found
+
+
+def closure(group: MatrixGroup, cap: int = MAX_CLOSURE):
+    """The whole breadth_first stream, kept on the group by element key.
+
+    Returns the element list; each element is retained inside the group with
+    a shortest defining word."""
+    if group._closure is not None and group._closure_cap == cap:
+        return group.elements
+    group._closure = {m.key(): (m, word) for m, word in breadth_first(group, cap)}
     group._closure_cap = cap
     return group.elements
 

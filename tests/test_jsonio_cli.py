@@ -361,12 +361,13 @@ def test_pencils_that_are_not_smooth_never_close_the_group(capsys, tmp_path):
 
 
 def test_the_group_is_closed_only_where_its_elements_are_read(monkeypatch, capsys):
-    # stage 4 scans the elements; stage 3, fixed-points and invariant-lines
-    # read only the generators, so 7.5, certified at stage 3, closes no group
+    # stage 4 reads the elements as a breadth-first stream; stage 3,
+    # fixed-points and invariant-lines read only the generators, so 7.5,
+    # certified at stage 3, enumerates no group
     caps = []
-    real = cli.closure
-    monkeypatch.setattr(cli, "closure", lambda group, cap: caps.append(cap) or real(group, cap))
-    for argv, closures in [
+    real = cli.breadth_first
+    monkeypatch.setattr(cli, "breadth_first", lambda group, cap: caps.append(cap) or real(group, cap))
+    for argv, streams in [
         (["report", "--fixture", "example_7_5.json", "--max-closure", "1"], 0),
         (["fixed-points", "--fixture", "example_7_5.json"], 0),
         (["invariant-lines", "--fixture", "example_7_5.json"], 0),
@@ -377,8 +378,68 @@ def test_the_group_is_closed_only_where_its_elements_are_read(monkeypatch, capsy
     ]:
         caps.clear()
         assert main(argv) == 0, argv
-        assert len(caps) == closures, argv
+        assert len(caps) == streams, argv
     assert caps == [groups.MAX_CLOSURE]
+
+
+def _sign_job(tmp_path, masks):
+    """A smooth diagonal genus-2 pencil over Q and the group of the diagonal
+    +-1 matrices with -1 at the bits of each mask, as a job file."""
+    gens = [{"label": f"s{k + 1}", "matrix": {"rows": 6, "cols": 6, "entries": [
+        [(-1 if m >> i & 1 else 1) if i == j else 0 for j in range(6)] for i in range(6)]}}
+        for k, m in enumerate(masks)]
+    path = tmp_path / "signs.json"
+    path.write_text(json.dumps({"pencil": {"g": 2, "diag1": [1] * 6, "diag2": list(range(6))}, "generators": gens}))
+    return str(path)
+
+
+def _five_sign_job(tmp_path):
+    """Generators of minus-counts 1 to 5, spanning a group of order 32: s2,
+    of minus-count 2, is its third element in breadth-first order."""
+    return _sign_job(tmp_path, [0b1, 0b11, 0b111, 0b1111, 0b11111])
+
+
+def test_stage_4_stops_at_its_first_witness(monkeypatch, capsys, tmp_path):
+    job = _five_sign_job(tmp_path)
+    words = []
+    real = cli.breadth_first
+
+    def spy(group, cap):
+        for m, word in real(group, cap):
+            words.append(word)
+            yield m, word
+
+    monkeypatch.setattr(cli, "breadth_first", spy)
+    assert main(["report", "--format", "json", job]) == 0
+    witness = json.loads(capsys.readouterr().out)["evidence"][-1]
+    assert witness["witness_word"] == ["s2"] and witness["sign_vector"] == [1, 1, -1, -1, -1, -1]
+    assert words == [(), ("s1",), ("s2",)]
+
+
+def test_a_witness_within_the_cap_is_reported(capsys, tmp_path):
+    # the cap bounds the elements stage 4 reads, not the order of the group
+    job = _five_sign_job(tmp_path)
+    assert main(["report", "--format", "json", "--max-closure", "3", job]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "OBSTRUCTED"
+    assert main(["report", "--max-closure", "2", job]) == 3
+    assert capsys.readouterr().err == "error: closure exceeds cap 2\n"
+
+
+def test_a_group_without_a_witness_past_the_cap_exits_3(capsys, tmp_path):
+    # diag(-1, -1, -1, 1, 1, 1), diag(1, 1, 1, -1, -1, -1) and their product
+    # -1 have minus-counts 3, 3 and 0: stage 4 reads the whole group
+    job = _sign_job(tmp_path, [0b000111, 0b111000])
+    assert main(["report", "--format", "json", job]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "INCONCLUSIVE"
+    assert main(["report", "--max-closure", "2", job]) == 3
+    assert capsys.readouterr().err == "error: closure exceeds cap 2\n"
+
+
+def test_a_fixture_is_a_file_name_in_the_fixtures_directory(capsys):
+    shipped = resources.files("twoquadrics") / "fixtures" / "example_7_3.json"
+    for name in ("../__init__.py", str(shipped), "sub/../example_7_3.json"):
+        assert main(["report", "--fixture", name]) == 2, name
+        assert capsys.readouterr().err == f"input error: no such fixture: {name}\n"
 
 
 def test_c5_pencil_needs_a_square_root_outside_q_zeta_24(capsys, tmp_path):

@@ -5,8 +5,9 @@ the generic `solve`, kernels of m - lam * identity built from Mat operations,
 the refinement of the whole space by every generator, the fixed locus
 filtered to maximal, distinct components, image coordinates in the kernel of
 the norm by `solve`, a stage 3 that searches every generator, and a stage 4
-that reads the signs off the diagonal of diagonal elements.  The pencil
-action of a word is checked against `equivariance` of its element."""
+that reads the signs off the diagonal of diagonal elements, and the eager
+closure loop that the breadth-first stream replaced.  The pencil action of
+a word is checked against `equivariance` of its element."""
 
 import json
 import random
@@ -21,7 +22,7 @@ from twoquadrics import cli, matrices
 from twoquadrics.binforms import BinaryForm
 from twoquadrics.cyclo import CycNum, euler_phi, zeta
 from twoquadrics.dp4 import lattice_h1, pic_action, wd5_elements
-from twoquadrics.groups import MatrixGroup, character_spaces, closure, projective_fixed_locus
+from twoquadrics.groups import MatrixGroup, breadth_first, character_spaces, closure, projective_fixed_locus
 from twoquadrics.jsonio import parse_job
 from twoquadrics.matrices import (
     Mat,
@@ -282,6 +283,43 @@ def _sign_group_job(rng, gens):
         ],
         "branch": {"roots": [[rat(b), rat(-a)] for a, b in pts]},
     }
+
+
+def _closure_by_frontier(group):
+    """The deleted eager closure: (element, word) pairs in the order they
+    were inserted, each frontier element times each generator."""
+    ident = Mat.identity(group.dimension)
+    found = {ident.key(): (ident, ())}
+    frontier = [(ident, ())]
+    while frontier:
+        nxt = []
+        for m, word in frontier:
+            for label, g in group.generators:
+                prod = m * g
+                if prod.key() not in found:
+                    found[prod.key()] = entry = (prod, word + (label,))
+                    nxt.append(entry)
+        frontier = nxt
+    return list(found.values())
+
+
+def _stream_groups():
+    """The point groups of 7.3, of 7.5 full, of 7.3 conjugated by an
+    integer change of basis, and of sign-group jobs of order 8 to 32."""
+    out = {name: _shipped_point_groups(name)[0] for name in ("example_7_3.json", "example_7_5_full.json")}
+    p = Mat([[int(j in (i, i + 1)) for j in range(6)] for i in range(6)])
+    p_inv = p.inverse()
+    out["7.3 moved"] = MatrixGroup([(lab, p * g * p_inv) for lab, g in out["example_7_3.json"].generators])
+    for seed in range(3):
+        out[f"signs{seed}"] = cli._point_group(parse_job(json.dumps(_sign_group_job(random.Random(seed), 3 + seed))))
+    return out
+
+
+def test_breadth_first_stream_is_the_closure_in_order():
+    for name, group in _stream_groups().items():
+        stream = list(breadth_first(group))
+        closure(group)
+        assert stream == group.element_words == _closure_by_frontier(group), name
 
 
 def _report_jobs():

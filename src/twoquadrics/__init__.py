@@ -22,7 +22,6 @@ from .groups import (
 )
 from .pencils import (
     Pencil,
-    classify_diagonal_involution,
     degeneracy_form,
     equivariance,
     fixed_points_on_X,

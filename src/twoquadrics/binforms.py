@@ -1,11 +1,19 @@
 """Binary forms over cyclotomic fields: discriminants, root permutations,
-and exact root extraction for degree <= 2."""
+and exact root extraction for degree <= 2.
+
+Projective roots (u : v) are compared by key, not pairwise: the key of a
+column of int entries (see matrices) is v/u in lowest terms, or None at
+u = 0.  `checked_roots` keeps the roots as the columns of a 2 x n Mat R with
+a dict from key to label, so distinctness is a dict test, and `root_images`
+maps all roots by one product Mᵀ·R and finds each image by its key."""
 
 from __future__ import annotations
 
-from .cyclo import CycNum, ONE, ZERO, cyc_sqrt, lcm
+from math import gcd
+
+from .cyclo import CycNum, ONE, ZERO, _dot_num, _inverse_num, cyc_sqrt, lcm
 from .errors import NotARoot, NotClosed, UnsupportedCase
-from .matrices import Mat
+from .matrices import Mat, _embed
 
 
 class BinaryForm:
@@ -130,41 +138,69 @@ def bform_discriminant(f: BinaryForm) -> CycNum:
     return resultant(f.partial_t1(), f.partial_t2())
 
 
-def proj_equal(p, q) -> bool:
-    """Equality of projective points given as (u, v) pairs."""
-    (a, b), (c, d) = p, q
-    return (a * d - b * c).is_zero()
+class Roots(tuple):
+    """Checked roots: distinct projective (u, v) CycNum pairs, labeled 1..n
+    by index, with `points`, the 2 x n Mat whose column k is root k + 1, and
+    `labels`, each root's key (see _keys) mapped to its label."""
 
 
-def checked_roots(f: BinaryForm, roots):
-    """`roots`, projective (u, v) pairs, as CycNum pairs once checked to be
-    distinct roots of f (else ValueError, or NotARoot where f is nonzero)."""
-    roots = tuple((CycNum._coerce(u), CycNum._coerce(v)) for u, v in roots)
-    for i, (u, v) in enumerate(roots):
+def _keys(order, data):
+    """The key of each column (u, v) of 2-row int entries at order: v/u in
+    lowest terms as (numerator, positive int denominator), from _inverse_num
+    above order 1, or None for u = 0.  Columns at one order have equal keys
+    exactly when they are the same projective point."""
+    keys = []
+    for u, v in zip(*data):
+        if not u:
+            keys.append(None)
+            continue
+        if order == 1:
+            num, norm = (v,), u
+        else:
+            inv, norm = _inverse_num(order, u)
+            num = _dot_num(order, ((v, inv),)) if v else (0,) * len(u)
+        g = gcd(norm, *num) if norm > 0 else -gcd(norm, *num)
+        keys.append((tuple(x // g for x in num), norm // g))
+    return keys
+
+
+def checked_roots(f: BinaryForm, roots) -> Roots:
+    """`roots`, projective (u, v) pairs, as Roots once checked to be distinct
+    roots of the nonzero form f (else ValueError, or NotARoot)."""
+    if f.is_zero():
+        raise ValueError("the form is zero, so every point is a root")
+    roots = Roots((CycNum._coerce(u), CycNum._coerce(v)) for u, v in roots)
+    roots.points = points = Mat(list(zip(*roots)))
+    roots.labels = labels = {}
+    for i, ((u, v), key) in enumerate(zip(roots, _keys(points.order, points.data))):
         if u.is_zero() and v.is_zero():
             raise ValueError(f"root {i + 1} is (0, 0)")
-        for j in range(i):
-            if proj_equal(roots[j], (u, v)):
-                raise ValueError(f"roots {j + 1} and {i + 1} coincide")
+        if key in labels:
+            raise ValueError(f"roots {labels[key]} and {i + 1} coincide")
         if not f.evaluate(u, v).is_zero():
             raise NotARoot(f"point {i + 1} is not a root of the form")
+        labels[key] = i + 1
     return roots
 
 
-def root_images(roots, m: Mat):
+def root_images(roots: Roots, m: Mat):
     """The 1-indexed permutation of checked roots induced by a nonsingular 2x2
     pencil action M = ((a, b), (c, d)), which maps (u, v) by Mᵀ to
-    (a u + c v, b u + d v), injective on distinct points; NotClosed if a root
-    leaves the list."""
-    (a, b), (c, d) = m.entries
-    images = []
-    for i, (u, v) in enumerate(roots):
-        img = (a * u + c * v, b * u + d * v)
-        j = next((k for k, r in enumerate(roots) if proj_equal(img, r)), None)
-        if j is None:
+    (a u + c v, b u + d v), injective on distinct points: one product Mᵀ·R
+    with the roots' points R, then one key lookup per image, the keys taken
+    in the field of both; NotClosed if a root leaves the list."""
+    r = roots.points
+    images = m.transpose() * r
+    order = lcm(r.order, images.order)
+    labels = roots.labels
+    if order != r.order:
+        labels = dict(zip(_keys(order, _embed(r.order, r.data, order)), range(1, r.cols + 1)))
+    perm = []
+    for i, key in enumerate(_keys(order, _embed(images.order, images.data, order))):
+        if key not in labels:
             raise NotClosed(f"image of root {i + 1} is not in the root list")
-        images.append(j + 1)
-    return tuple(images)
+        perm.append(labels[key])
+    return tuple(perm)
 
 
 def quadratic_roots(a, b, c):

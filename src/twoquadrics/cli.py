@@ -35,7 +35,7 @@ from .jsonio import (
     parse_job,
 )
 from .matrices import Mat, contragredient, eigen_multiplicities
-from .pencils import fixed_points_on_X, invariant_lines_abelian, is_smooth
+from .pencils import fixed_points_on_X, invariant_lines_abelian
 from .torsion import excess_identity, fixed_classes, section_count_identity
 
 
@@ -106,8 +106,8 @@ def run_report(job, max_closure=MAX_CLOSURE):
     evidence = []
     soundness = []
 
-    # stage 1: smoothness
-    smooth = is_smooth(pencil)
+    # stage 1: smoothness, from the branch data where the job has it (JobSpec.smooth)
+    smooth = job.smooth
     evidence.append({"stage": 1, "smooth": smooth})
     if not smooth:
         return _verdict(
@@ -276,7 +276,7 @@ def _branch(args):
     job = parse_job(_read_input(args))
     return {
         "degeneracy_form": repr(job.pencil.det_form),
-        "smooth": is_smooth(job.pencil),
+        "smooth": job.smooth,
         "permutations": {lab: _perm_cycles(p) for lab, p in job.perms.items()},
     }
 

@@ -57,10 +57,6 @@ class NotAbelian(TwoQuadricsError):
     pass
 
 
-class NotDiagonal(TwoQuadricsError):
-    pass
-
-
 class GenusMismatch(TwoQuadricsError):
     pass
 

@@ -27,13 +27,13 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .binforms import checked_roots, root_images
+from .binforms import Roots, checked_roots, root_images
 from .cyclo import CycNum, euler_phi
 from .dp4 import SignedPerm
 from .errors import DimensionMismatch, LabelMismatch, NonScalarDiscrepancy, NotARoot, NotClosed, SchemaError
 from .groups import MatrixGroup, Relation, verify_relations
 from .matrices import Mat, Quadric
-from .pencils import Pencil, equivariance
+from .pencils import Pencil, equivariance, is_smooth
 from .smith import IntMatrix
 
 
@@ -244,8 +244,16 @@ class JobSpec:
     actions: dict  # label -> 2x2 pencil action M, h·G_i·hᵀ = Σ_j M_ij G_j, matrix generators first
     moebius_only: tuple  # labels of the generators known only by their action
     relations: tuple  # RelationReport of each relation, which holds up to a scalar
-    branch: tuple | None  # checked roots of the degeneracy form, labeled 1..2g+2 by index
+    branch: Roots | None  # all 2g+2 roots of the nonzero degeneracy form, each once, labeled 1..2g+2 by index
     perms: dict  # label -> 1-indexed images of the branch roots, in the order of actions; {} without branch
+
+    @property
+    def smooth(self):
+        """Whether the pencil is smooth.  Branch data proves it: its 2g+2
+        roots are distinct roots of the nonzero degeneracy form, of degree
+        2g+2, so the form is square-free and its discriminant nonzero.  Only
+        a job without branch data computes the discriminant."""
+        return self.branch is not None or is_smooth(self.pencil)
 
 
 def parse_job(text_or_obj, path="$"):

@@ -10,7 +10,10 @@ work on these ints and build no CycNum: `_times` (products), `_echelon`/
 `_rref` (the one elimination, fraction-free) and `_clear_column`.  Over Q
 they run Bareiss's elimination (Math. Comp. 22, 1968); over Q(zeta_N) each
 new row is divided by the gcd of its coefficients, and zero entries are
-skipped.  CycNum values are made only at the API boundary: `entries`,
+skipped.  `_solve` takes several right-hand sides to one elimination, so
+`span_coefficients` writes a list of targets in a span at once, as the rows
+of a Mat (both pencil actions of a symmetry, in `pencils.equivariance`).
+CycNum values are made only at the API boundary: `entries`,
 `Subspace.basis`, `det`, `trace`, `is_scalar`, `apply`, `Quadric.polar` and
 `solve`.
 """
@@ -363,22 +366,27 @@ def _clear_column(order, rows, r, c, targets, prev):
     return pm, dm
 
 
-def _solve(order, rows):
-    """The x with sum_j rows[i][j] x[j] == rows[i][-1] for every i, as
-    CycNum, or None; unknowns the system leaves free are set to zero.  The
-    rows are int entries at order, changed in place, and the solution is
-    checked against every equation before it is returned."""
-    n = len(rows[0]) - 1
+def _solve(order, rows, k=1):
+    """(solutions, den): for each of the last k columns b, the x with
+    sum_j rows[i][j] x[j] == b[i] for every i, as int entries over den; or
+    None when some b has no solution.  Unknowns the system leaves free are
+    set to zero.  The rows are int entries at order, changed in place by one
+    elimination, and each solution is checked against every equation before
+    it is returned."""
+    n = len(rows[0]) - k
     eqs = list(rows)
     rows, pivots, den = _rref(order, rows)
-    if n in pivots:
+    if pivots and pivots[-1] >= n:
         return None
-    sol = [0] * n
-    for r, c in enumerate(pivots):
-        sol[c] = rows[r][n]
-    if _times(order, [e[:n] for e in eqs], sol) != _coefs(order, [e[n] for e in eqs], mul, den):
-        return None
-    return tuple(_cyc(order, x, den) for x in sol)
+    sols = []
+    for t in range(n, n + k):
+        sol = [0] * n
+        for r, c in enumerate(pivots):
+            sol[c] = rows[r][t]
+        if _times(order, [e[:n] for e in eqs], sol) != _coefs(order, [e[t] for e in eqs], mul, den):
+            return None
+        sols.append(sol)
+    return sols, den
 
 
 def solve(cols, target):
@@ -386,17 +394,20 @@ def solve(cols, target):
 
     Entries may be CycNum, int or Fraction; the solution is CycNum."""
     m = Mat([[col[i] for col in cols] + [t] for i, t in enumerate(target)])
-    return _solve(m.order, list(m.data))
+    found = _solve(m.order, list(m.data))
+    return None if found is None else tuple(_cyc(m.order, x, found[1]) for x in found[0][0])
 
 
-def span_coefficients(target: Mat, mats):
-    """The c with target == sum_k c[k] * mats[k] entrywise, or None; some
-    matrix of mats must be nonzero."""
-    order = lcm(target.order, *(m.order for m in mats))
-    den = lcm(target.den, *(m.den for m in mats))
-    entries = [[x for row in _embed(m.order, m.data, order) for x in row] for m in (*mats, target)]
-    flat = [_coefs(order, xs, mul, den // m.den) for xs, m in zip(entries, (*mats, target))]
-    return _solve(order, [eq for eq in zip(*flat) if any(eq)])  # 0 = 0 says nothing
+def span_coefficients(targets, mats):
+    """The Mat C with targets[t] == sum_k C[t][k] * mats[k] entrywise for
+    every t, or None when some target leaves the span; some matrix of mats
+    must be nonzero.  All targets are solved for in one elimination."""
+    both = (*mats, *targets)
+    order = lcm(*(m.order for m in both))
+    den = lcm(*(m.den for m in both))
+    flat = [_coefs(order, [x for row in _embed(m.order, m.data, order) for x in row], mul, den // m.den) for m in both]
+    found = _solve(order, [eq for eq in zip(*flat) if any(eq)], len(targets))  # 0 = 0 says nothing
+    return None if found is None else _mat(order, found[1], found[0], len(mats), Mat)
 
 
 class Subspace:

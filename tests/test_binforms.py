@@ -4,7 +4,6 @@ from twoquadrics.binforms import (
     BinaryForm,
     bform_discriminant,
     checked_roots,
-    proj_equal,
     quadratic_roots,
     resultant,
     root_images,
@@ -12,7 +11,7 @@ from twoquadrics.binforms import (
 from twoquadrics.cyclo import ONE, ZERO, imaginary_unit, zeta
 from twoquadrics.errors import NotARoot, NotClosed, UnsupportedCase
 from twoquadrics.matrices import Mat
-from twoquadrics.pencils import _common_roots
+from twoquadrics.pencils import _common_roots, proj_point_equal
 
 i = imaginary_unit()
 
@@ -66,7 +65,7 @@ def test_gcd():
     p = bf(ONE, ZERO, -ONE)
     q = bf(ONE, -2 * ONE, ONE)
     roots = _common_roots(p, q)
-    assert len(roots) == 1 and proj_equal(roots[0], (ONE, ONE))
+    assert len(roots) == 1 and proj_point_equal(roots[0], (ONE, ONE))
     assert p.evaluate(*roots[0]).is_zero() and q.evaluate(*roots[0]).is_zero()
     assert _common_roots(bf(ONE, ZERO, ZERO), bf(ZERO, ZERO, ONE)) == []  # t1², t2²
 
@@ -85,8 +84,8 @@ def test_quadratic_roots():
     with pytest.raises(ValueError):
         quadratic_roots(ZERO, ZERO, ZERO)
     roots = quadratic_roots(ZERO, ONE, ONE)  # v (u + v)
-    assert any(proj_equal(r, (ONE, ZERO)) for r in roots)
-    assert any(proj_equal(r, (ONE, -ONE)) for r in roots)
+    assert any(proj_point_equal(r, (ONE, ZERO)) for r in roots)
+    assert any(proj_point_equal(r, (ONE, -ONE)) for r in roots)
 
 
 def test_quadratic_roots_unsupported():

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from twoquadrics import cli, groups
+from twoquadrics import binforms, cli, groups
 from twoquadrics.cli import _perm_cycles, main, run_report
 from twoquadrics.cyclo import CycNum, zeta
 from twoquadrics.errors import SchemaError
@@ -360,6 +360,33 @@ def test_pencils_that_are_not_smooth_never_close_the_group(capsys, tmp_path):
         "points": [], "lines_on_x": [], "higher_dimensional": [{"projective_dim": 3}]}
 
 
+def test_branch_data_proves_smoothness_without_a_resultant(monkeypatch, capsys, tmp_path):
+    # 2g+2 distinct checked roots of the nonzero degeneracy form give it a
+    # nonzero discriminant, so only a job without branch data computes one;
+    # the sign group skips stage 3's del Pezzo test, the other resultant
+    calls = []
+    real = binforms.resultant
+    monkeypatch.setattr(binforms, "resultant", lambda f, g: calls.append(f) or real(f, g))
+    job = _sign_job(tmp_path, [0b11])
+    obj = json.loads((tmp_path / "signs.json").read_text())
+    obj["branch"] = {"roots": [[k, -1] if k else [0, 1] for k in range(6)]}  # the roots of t1 + k t2
+    with_branch = tmp_path / "branch.json"
+    with_branch.write_text(json.dumps(obj))
+    for path, resultants in ((with_branch, 0), (job, 1)):
+        for cmd in ("report", "branch"):
+            calls.clear()
+            assert main([cmd, "--format", "json", str(path)]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert (out["evidence"][0] if cmd == "report" else out)["smooth"] is True
+            assert len(calls) == resultants, (path, cmd)
+
+
+def _zero_form_with_roots():
+    # det(t1 Q1 + t2 Q2) vanishes identically, so any six points pass as "roots"
+    return {"pencil": {"diag1": [1, 2, 3, 4, 5, 0], "diag2": [5, 4, 3, 2, 1, 0]},
+            "branch": {"roots": [[1, 0], [0, 1], [1, 1], [1, 2], [1, 3], [1, 4]]}}
+
+
 def test_the_group_is_closed_only_where_its_elements_are_read(monkeypatch, capsys):
     # stage 4 reads the elements as a breadth-first stream; stage 3,
     # fixed-points and invariant-lines read only the generators, so 7.5,
@@ -500,8 +527,9 @@ def _dependent_pencil(generators):
     (_7_5_full_root(0, lambda roots: [0, 0]), "$.branch: root 1 is (0, 0)"),
     (_7_5_full_root(1, lambda roots: roots[0]), "$.branch: roots 1 and 2 coincide"),
     (_7_5_full_root(0, lambda roots: [7, 3]), "$.branch: point 1 is not a root of the form"),
+    (_zero_form_with_roots, "$.branch: the form is zero, so every point is a root"),
 ], ids=["moebius_off_the_roots", "dependent_moebius_only", "dependent_no_generator",
-        "root_zero", "roots_coincide", "root_off_the_form"])
+        "root_zero", "roots_coincide", "root_off_the_form", "zero_form"])
 def test_every_job_command_refuses_what_parse_job_refuses(make, message, cmd, capsys, tmp_path):
     # a fact of the job is checked once, by parse_job, so no command ignores it or fails it later
     job = tmp_path / "job.json"

@@ -1,13 +1,12 @@
 import pytest
 
-from twoquadrics.binforms import BinaryForm, checked_roots, proj_equal, quadratic_roots, root_images
+from twoquadrics.binforms import BinaryForm, checked_roots, quadratic_roots, root_images
 from twoquadrics.cyclo import CycNum, ONE, ZERO, imaginary_unit, zeta
-from twoquadrics.errors import NotAbelian, NotASymmetry, NotDiagonal
+from twoquadrics.errors import NotAbelian, NotASymmetry
 from twoquadrics.groups import MatrixGroup
-from twoquadrics.matrices import Mat, Quadric, Subspace
+from twoquadrics.matrices import Mat, Subspace
 from twoquadrics.pencils import (
     Pencil,
-    classify_diagonal_involution,
     degeneracy_form,
     equivariance,
     fixed_points_on_X,
@@ -109,31 +108,16 @@ def test_invariant_lines_trivial_group_family():
     assert rep.families[0]["dimension"] == 6
 
 
-def test_classify_diagonal_involution():
-    p = generic_diagonal()
-    c = classify_diagonal_involution([1, 1, 1, 1, -1, -1], p)
-    assert c.minus_count == 2 and c.determinant == 1
-    assert c.free_on_lines and not c.fixes_hyperplane_section
-    c = classify_diagonal_involution([1, 1, 1, 1, 1, -1], p)
-    assert c.minus_count == 1 and c.determinant == -1
-    assert c.fixes_hyperplane_section and not c.free_on_lines
-    c = classify_diagonal_involution([-1, -1, -1, -1, -1, 1], p)
-    assert c.minus_count == 1 and c.determinant == -1
-    assert c.minus_subspace == (5,)
-    with pytest.raises(ValueError):
-        classify_diagonal_involution([-1] * 6, p)
-    with pytest.raises(ValueError):
-        classify_diagonal_involution([1, 2, 1, 1, 1, 1], p)
-
-
-def test_classify_requires_diagonal():
-    q1 = [[ZERO] * 4 for _ in range(4)]
-    for k in range(4):
-        q1[k][k] = ONE
-    q1[0][1] = q1[1][0] = ONE
-    p = Pencil(1, Quadric(Mat(q1)), Quadric(Mat.diagonal([0, 1, 2, 3])))
-    with pytest.raises(NotDiagonal):
-        classify_diagonal_involution([1, 1, 1, -1], p)
+def test_minus_count_of_sign_vectors():
+    # min(n+, n-), the canonical minus-count k <= g+1, in any coordinates:
+    # k = 2 is the free two-torsion translation, k = 1 fixes a hyperplane section
+    u = Mat([[int(j in (i, i + 1)) for j in range(6)] for i in range(6)])
+    cases = [([1, 1, 1, 1, -1, -1], 2), ([1, 1, 1, 1, 1, -1], 1), ([-1, -1, -1, -1, -1, 1], 1), ([1, -1, 1, -1, 1, -1], 3)]
+    for signs, k in cases:
+        m = Mat.diagonal(signs)
+        assert m.minus_count() == k
+        assert (u * m * u.inverse()).minus_count() == k
+        assert (m * zeta(8)).minus_count() == k
 
 
 def test_free_element_maps_case_ii_lines_without_fixing_points():
@@ -204,7 +188,7 @@ def test_common_roots():
     def common_by_evaluation(f, g):
         roots = []
         for r in quadratic_roots(*f.coeffs):
-            if g.evaluate(*r).is_zero() and not any(proj_equal(r, s) for s in roots):
+            if g.evaluate(*r).is_zero() and not any(proj_point_equal(r, s) for s in roots):
                 roots.append(r)
         return roots
 
@@ -224,7 +208,7 @@ def test_common_roots():
             assert f.evaluate(*r).is_zero() and g.evaluate(*r).is_zero()
         want = common_by_evaluation(f, g)
         assert len(want) == count
-        assert all(any(proj_equal(r, s) for s in got) for r in want)
+        assert all(any(proj_point_equal(r, s) for s in got) for r in want)
     # representatives: the root at (0 : 1) is (0, -1), and proportional forms
     # give the roots of the second form divided by its last coefficient
     assert _common_roots(t1sq, bf(I1, I1, O)) == [(O, -I1)]

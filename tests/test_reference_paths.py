@@ -7,21 +7,27 @@ filtered to maximal, distinct components, image coordinates in the kernel of
 the norm by `solve`, a stage 3 that searches every generator, and a stage 4
 that reads the signs off the diagonal of diagonal elements, and the eager
 closure loop that the breadth-first stream replaced.  The pencil action of
-a word is checked against `equivariance` of its element."""
+a word is checked against `equivariance` of its element.  Equivariance with
+one solve per transformed Gram, and branch roots checked and matched by
+pairwise cross products (the deleted `binforms.proj_equal`), are the
+references of the single solve and of the keyed roots."""
 
 import json
 import random
+import sys
 from fractions import Fraction
 from importlib import resources
 from itertools import product
 from operator import mul
+from pathlib import Path
 
 import pytest
 
 from twoquadrics import cli, matrices
-from twoquadrics.binforms import BinaryForm
+from twoquadrics.binforms import BinaryForm, checked_roots, root_images
 from twoquadrics.cyclo import CycNum, euler_phi, zeta
 from twoquadrics.dp4 import lattice_h1, pic_action, wd5_elements
+from twoquadrics.errors import NotARoot, NotASymmetry, NotClosed
 from twoquadrics.groups import MatrixGroup, breadth_first, character_spaces, closure, projective_fixed_locus
 from twoquadrics.jsonio import parse_job
 from twoquadrics.matrices import (
@@ -453,3 +459,157 @@ def test_pencil_action_of_a_word_is_its_generators_last_first():
             reverse = reverse * actions[lab]
         first_first += reverse != act
     assert first_first  # the other product order is wrong on some word
+
+
+def _proj_equal(p, q):
+    """The deleted binforms.proj_equal: equality of projective points (u, v)."""
+    (a, b), (c, d) = p, q
+    return (a * d - b * c).is_zero()
+
+
+def _checked_roots_by_scan(f, roots):
+    """The deleted checked_roots: each root compared with every earlier one."""
+    roots = tuple((CycNum._coerce(u), CycNum._coerce(v)) for u, v in roots)
+    for i, (u, v) in enumerate(roots):
+        if u.is_zero() and v.is_zero():
+            raise ValueError(f"root {i + 1} is (0, 0)")
+        for j in range(i):
+            if _proj_equal(roots[j], (u, v)):
+                raise ValueError(f"roots {j + 1} and {i + 1} coincide")
+        if not f.evaluate(u, v).is_zero():
+            raise NotARoot(f"point {i + 1} is not a root of the form")
+    return roots
+
+
+def _root_images_by_scan(roots, m):
+    """The deleted root_images: each image (a u + c v, b u + d v) compared
+    with every root by cross products."""
+    (a, b), (c, d) = m.entries
+    images = []
+    for i, (u, v) in enumerate(roots):
+        img = (a * u + c * v, b * u + d * v)
+        j = next((k for k, r in enumerate(roots) if _proj_equal(img, r)), None)
+        if j is None:
+            raise NotClosed(f"image of root {i + 1} is not in the root list")
+        images.append(j + 1)
+    return tuple(images)
+
+
+def _equivariance_by_two_solves(pencil, h):
+    """The deleted equivariance: one `solve` for each transformed Gram."""
+    grams = (pencil.q1.gram, pencil.q2.gram)
+    rows = []
+    for g in grams:
+        t = h * g * h.transpose()
+        coeffs = solve([[x for row in gi.entries for x in row] for gi in grams], [x for row in t.entries for x in row])
+        if coeffs is None:
+            raise NotASymmetry("transformed quadric leaves the pencil span")
+        rows.append(coeffs)
+    m = Mat(rows)
+    if m.det().is_zero():
+        raise NotASymmetry("induced 2x2 action is singular")
+    return m
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, NotARoot, NotClosed, NotASymmetry) as exc:
+        return type(exc), str(exc)
+
+
+def _oracle_cases():
+    """(pencil, matrix generators, pencil actions, branch roots, branch
+    permutations) of the shipped report fixtures, two rounds of the paper
+    fixtures in new coordinates (roots and generators in Q(zeta8)), seeded
+    sign-group jobs, and the Q(zeta12) dihedral pencil with its six roots."""
+    bench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import workloads
+
+    texts = [(resources.files("twoquadrics") / "fixtures" / name).read_text()
+             for name in ("example_7_3.json", "example_7_5.json", "example_7_5_full.json")]
+    for seed in range(2):
+        texts += [text for _, text, _ in workloads.paper_round(workloads.seeded_rng("paper_jobs", seed))]
+    rng = random.Random(700)
+    texts += [json.dumps(_sign_group_job(rng, 1 + k % 4)) for k in range(8)]
+    for job in map(parse_job, texts):
+        gens = job.group.generators if job.group else []
+        yield job.pencil, gens, job.actions, job.branch, job.perms
+    pencil, gens = _dihedral_job()
+    actions = {lab: equivariance(pencil, h) for lab, h in gens.items()}
+    roots = [(zeta(6, i), -1) for i in range(6)]  # t1 + zeta6^i t2 vanishes at (zeta6^i : -1)
+    yield pencil, list(gens.items()), actions, roots, None
+
+
+def test_equivariance_and_root_images_match_the_scans():
+    maps = [Mat([[1, 1], [0, 1]]), Mat([[0, 1], [1, 0]]), Mat([[zeta(8), 0], [0, 1]]), Mat.identity(2) * zeta(8)]
+    closed = set()
+    for pencil, gens, actions, roots, perms in _oracle_cases():
+        for lab, h in gens:
+            assert equivariance(pencil, h) == _equivariance_by_two_solves(pencil, h) == actions[lab]
+        if roots is None:
+            continue
+        branch = checked_roots(pencil.det_form, roots)
+        assert branch == _checked_roots_by_scan(pencil.det_form, roots)
+        for lab, m in [*actions.items(), *((None, m) for m in maps)]:
+            got = _outcome(root_images, branch, m)
+            assert got == _outcome(_root_images_by_scan, branch, m)
+            assert lab is None or perms is None or got == perms[lab]
+            closed.add(got[0] is not NotClosed)
+    assert closed == {True, False}
+
+
+def _form_with_roots(points):
+    """The product of v t1 - u t2 over the distinct points (u, v)."""
+    f, seen = BinaryForm(0, [1]), []
+    for u, v in ((CycNum._coerce(u), CycNum._coerce(v)) for u, v in points):
+        if not any(_proj_equal((u, v), q) for q in seen):
+            seen.append((u, v))
+            f = f * BinaryForm(1, [v, -u])
+    return f
+
+
+def test_root_keys_match_the_scan_at_infinity_on_multiples_and_across_fields():
+    z = zeta(8)
+    swap = Mat([[0, 1], [1, 0]])
+    cases = [
+        # (0 : v) and (u : 0), exchanged by the swap (u, v) -> (v, u)
+        ([(0, 3), (5, 0), (1, 2), (4, 2)], swap, (2, 1, 4, 3)),
+        # (1, 2) beside (2, 4), and (0 : 3) beside (0 : -2)
+        ([(1, 1), (1, 2), (3, 1), (2, 4)], swap, "roots 2 and 4 coincide"),
+        ([(0, 3), (1, 1), (0, -2)], swap, "roots 1 and 3 coincide"),
+        # roots that differ by a zeta8 factor, also between Q and Q(zeta8)
+        ([(1, z), (1, z**3), (z, z**2)], swap, "roots 1 and 3 coincide"),
+        ([(1, 1), (1, -1), (z, z)], swap, "roots 1 and 3 coincide"),
+        ([(z, 0), (0, z**3), (1, z), (z, 1)], swap, (2, 1, 4, 3)),
+        # zeta8 times the identity fixes every rational point, keyed again in Q(zeta8)
+        ([(1, 1), (1, 2), (0, 1)], Mat.identity(2) * z, (1, 2, 3)),
+        ([(1, 0), (1, 1), (0, 1)], Mat([[1, 0], [0, z]]), "image of root 2 is not in the root list"),
+        ([(1, z), (1, z**3), (1, z**5), (1, z**7)], Mat([[1, 0], [0, z**2]]), (2, 3, 4, 1)),
+    ]
+    for points, m, want in cases:
+        f = _form_with_roots(points)
+        roots = _outcome(checked_roots, f, points)
+        assert roots == _outcome(_checked_roots_by_scan, f, points), points
+        if want in ("roots 2 and 4 coincide", "roots 1 and 3 coincide"):
+            assert roots == (ValueError, want)
+            continue
+        images = _outcome(root_images, roots, m)
+        assert images == _outcome(_root_images_by_scan, roots, m) == (want if type(want) is tuple else (NotClosed, want))
+
+
+def test_a_map_off_the_pencil_is_refused_by_both_solves():
+    pencil = Pencil.from_diagonals(2, [1] * 6, list(range(6)))
+    shear = Mat([[int(i == j or (i, j) == (1, 0)) for j in range(6)] for i in range(6)])
+    message = "^transformed quadric leaves the pencil span$"
+    with pytest.raises(NotASymmetry, match=message):
+        equivariance(pencil, shear)
+    with pytest.raises(NotASymmetry, match=message):
+        _equivariance_by_two_solves(pencil, shear)
+    # a symmetry that swaps Q1 and Q2 has an off-diagonal action under both
+    swap = Pencil.from_diagonals(2, [1, 2, 3, 4, 5, 6], [6, 5, 4, 3, 2, 1])
+    rev = Mat([[int(i + j == 5) for j in range(6)] for i in range(6)])
+    assert equivariance(swap, rev) == _equivariance_by_two_solves(swap, rev) == Mat([[0, 1], [1, 0]])

@@ -4,8 +4,10 @@ and exact root extraction for degree <= 2.
 Projective roots (u : v) are compared by key, not pairwise: the key of a
 column of int entries (see matrices) is v/u in lowest terms, or None at
 u = 0.  `checked_roots` keeps the roots as the columns of a 2 x n Mat R with
-a dict from key to label, so distinctness is a dict test, and `root_images`
-maps all roots by one product Mᵀ·R and finds each image by its key."""
+a dict from key to label, so distinctness is a dict test; it evaluates the
+form at each root on the int rows of R and of the coefficients, by Horner's
+rule on `matrices._dot`, with no CycNum arithmetic.  `root_images` maps all
+roots by one product Mᵀ·R and finds each image by its key."""
 
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from math import gcd
 
 from .cyclo import CycNum, ONE, ZERO, _dot_num, _inverse_num, cyc_sqrt, lcm
 from .errors import NotARoot, NotClosed, UnsupportedCase
-from .matrices import Mat, _embed
+from .matrices import Mat, _dot, _embed, _int, _rows_of
 
 
 class BinaryForm:
@@ -166,21 +168,33 @@ def _keys(order, data):
 
 def checked_roots(f: BinaryForm, roots) -> Roots:
     """`roots`, projective (u, v) pairs, as Roots once checked to be distinct
-    roots of the nonzero form f (else ValueError, or NotARoot)."""
+    roots of the nonzero form f (else ValueError, or NotARoot).  The form is
+    evaluated on the int rows of `points` and of f's coefficients, in the
+    field of both, by Horner's rule in u with the powers of v built up."""
     if f.is_zero():
         raise ValueError("the form is zero, so every point is a root")
-    roots = Roots((CycNum._coerce(u), CycNum._coerce(v)) for u, v in roots)
-    roots.points = points = Mat(list(zip(*roots)))
-    roots.labels = labels = {}
-    for i, ((u, v), key) in enumerate(zip(roots, _keys(points.order, points.data))):
-        if u.is_zero() and v.is_zero():
+    roots = list(roots)
+    points = Mat(list(zip(*roots)))
+    forder, _, coeffs = _rows_of([f.coeffs])
+    order = lcm(points.order, forder)
+    ((c0, *coeffs),) = _embed(forder, coeffs, order)
+    us, vs = _embed(points.order, points.data, order)
+    labels = {}
+    for i, (u, v, key) in enumerate(zip(us, vs, _keys(points.order, points.data))):
+        if not u and not v:
             raise ValueError(f"root {i + 1} is (0, 0)")
         if key in labels:
             raise ValueError(f"roots {labels[key]} and {i + 1} coincide")
-        if not f.evaluate(u, v).is_zero():
+        total, power = c0, _int(order, 1)
+        for c in coeffs:
+            power = _dot(order, ((power, v),))
+            total = _dot(order, ((total, u), (c, power)))
+        if total:
             raise NotARoot(f"point {i + 1} is not a root of the form")
         labels[key] = i + 1
-    return roots
+    checked = Roots((CycNum._coerce(u), CycNum._coerce(v)) for u, v in roots)
+    checked.points, checked.labels = points, labels
+    return checked
 
 
 def root_images(roots: Roots, m: Mat):

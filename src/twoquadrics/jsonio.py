@@ -19,6 +19,11 @@ the branch roots). An entry of the table reads as follows:
 - `_OneOf(s1, s2)`: the first alternative of the value's JSON kind; among
   objects, the first alternative whose first key the value has.
 - a string: the table entry of that name.
+
+A rational "cycnum" entry, an integer or [n, d], is read as an int or a
+Fraction, which `Mat` takes as it is, so the matrix, diagonal, moebius and
+root readers make no CycNum for it; only an order entry becomes a CycNum.
+The public `cycnum_from_json` returns a CycNum for every entry.
 """
 
 from __future__ import annotations
@@ -165,11 +170,13 @@ def _fraction(pair, path):
     return Fraction(pair[0], pair[1])
 
 
-def _cycnum(obj, path):
+def _number(obj, path):
+    """The value of a "cycnum" entry: the int or Fraction of a rational one,
+    which Mat reads with no CycNum made, or the CycNum of an order entry."""
     if type(obj) is int:
-        return CycNum.from_rational(obj)
+        return obj
     if type(obj) is list:
-        return CycNum.from_rational(_fraction(obj, path))
+        return _fraction(obj, path)
     order, coeffs = obj["order"], obj["coeffs"]
     _expect(order >= 1, "'order' must be a positive integer", path + ".order")
     # n <= 2 phi(n)^2 for every n >= 1, so this rejects no valid entry and
@@ -194,14 +201,14 @@ def _mat(obj, path):
     _expect(len(entries) == rows, f"'entries' must have {rows} rows", path + ".entries")
     for i, row in enumerate(entries):
         _expect(len(row) == cols, f"row must have {cols} entries", f"{path}.entries[{i}]")
-    return Mat([[_cycnum(x, f"{path}.entries[{i}][{j}]") for j, x in enumerate(row)] for i, row in enumerate(entries)])
+    return Mat([[_number(x, f"{path}.entries[{i}][{j}]") for j, x in enumerate(row)] for i, row in enumerate(entries)])
 
 
 def _pencil(obj, path):
     try:
         if "diag1" in obj:
-            d1 = [_cycnum(x, f"{path}.diag1[{i}]") for i, x in enumerate(obj["diag1"])]
-            d2 = [_cycnum(x, f"{path}.diag2[{i}]") for i, x in enumerate(obj["diag2"])]
+            d1 = [_number(x, f"{path}.diag1[{i}]") for i, x in enumerate(obj["diag1"])]
+            d2 = [_number(x, f"{path}.diag2[{i}]") for i, x in enumerate(obj["diag2"])]
             _expect(len(d1) == len(d2), "diagonals must have equal length", path)
             n = len(d1)
             _expect(n >= 4 and n % 2 == 0, "size must be even and at least 4", path)
@@ -230,7 +237,7 @@ def _signedperm(obj, path):
         raise SchemaError(str(exc), path) from exc
 
 
-cycnum_from_json = _reader("cycnum", _cycnum)
+cycnum_from_json = _reader("cycnum", lambda obj, path: CycNum._coerce(_number(obj, path)))
 mat_from_json = _reader("mat", _mat)
 pencil_from_json = _reader("pencil", _pencil)
 relation_from_json = _reader("relation", _relation)
@@ -268,7 +275,7 @@ def parse_job(text_or_obj, path="$"):
             gens.append((g["label"], _invertible(g["matrix"], pencil.size, "the pencil size", p)))
             continue
         paths[g["label"]] = p = p + ".moebius"
-        rows = [[_cycnum(x, f"{p}[{i}][{j}]") for j, x in enumerate(r)] for i, r in enumerate(g["moebius"])]
+        rows = [[_number(x, f"{p}[{i}][{j}]") for j, x in enumerate(r)] for i, r in enumerate(g["moebius"])]
         # [[a, b], [c, d]] sends (t1, t2) to (a t1 + b t2, c t1 + d t2): the pencil action is its transpose
         moebius[g["label"]] = m = Mat(list(zip(*rows)))
         _expect(not m.det().is_zero(), "moebius matrix is singular", p)
@@ -291,7 +298,7 @@ def parse_job(text_or_obj, path="$"):
     if "branch" in obj:
         p = path + ".branch"
         roots = tuple(
-            (_cycnum(u, f"{p}.roots[{k}][0]"), _cycnum(v, f"{p}.roots[{k}][1]"))
+            (_number(u, f"{p}.roots[{k}][0]"), _number(v, f"{p}.roots[{k}][1]"))
             for k, (u, v) in enumerate(obj["branch"]["roots"])
         )
         _expect(len(roots) == pencil.det_form.degree, "root count must equal the degree", p)

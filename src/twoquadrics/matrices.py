@@ -5,14 +5,19 @@ integer entries: entry (i, j) is data[i][j] / den in Q(zeta_N).  At N = 1
 an entry is an int; above it, a tuple of phi(N) ints (power-basis
 coefficients, see cyclo) or the int 0 for zero.  A matrix is kept at the
 least N holding its entries (a rational matrix stays at 1) and in lowest
-terms, so equal matrices have equal (order, den, data) keys.  The kernels
-work on these ints and build no CycNum: `_times` (products), `_echelon`/
-`_rref` (the one elimination, fraction-free) and `_clear_column`.  Over Q
-they run Bareiss's elimination (Math. Comp. 22, 1968); over Q(zeta_N) each
-new row is divided by the gcd of its coefficients, and zero entries are
-skipped.  `_solve` takes several right-hand sides to one elimination, so
-`span_coefficients` writes a list of targets in a span at once, as the rows
-of a Mat (both pencil actions of a symmetry, in `pencils.equivariance`).
+terms, so equal matrices have equal (order, den, data) keys.  An int or
+Fraction entry is read as it is (`_rows_of`), so a rational matrix is built
+with no CycNum.  The kernels work on these ints and build no CycNum:
+`_times` (products), `_echelon`/`_rref` (the one elimination,
+fraction-free) and `_clear_column`.  Over Q they run Bareiss's elimination
+(Math. Comp. 22, 1968); over Q(zeta_N) each new row is divided by the gcd
+of its coefficients, and zero entries are skipped.  A column with nothing
+to clear, zero in every target row, is skipped whole: no row changes, so a
+diagonal or monomial matrix is reduced without a row operation (why only
+whole columns: `_clear_column`).  `_solve` takes several right-hand sides
+to one elimination, so `span_coefficients` writes a list of targets in a
+span at once, as the rows of a Mat (both pencil actions of a symmetry, in
+`pencils.equivariance`).
 CycNum values are made only at the API boundary: `entries`,
 `Subspace.basis`, `det`, `trace`, `is_scalar`, `apply`, `Quadric.polar` and
 `solve`.
@@ -21,6 +26,7 @@ CycNum values are made only at the API boundary: `entries`,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import floordiv, mul
 
@@ -32,20 +38,31 @@ MAX_POWER_BITS = 12000  # printed in decimal, such an integer stays under Python
 MAX_ORDER = 360  # the largest matrix order operator_order looks for
 
 
-def _rows_of(values):
-    """(order, den, rows of entries) for rows of CycNum, int or Fraction."""
-    rows = [[CycNum._coerce(x) for x in row] for row in values]
-    order = lcm(*(x.order for row in rows for x in row))
-    den = lcm(*(x.den for row in rows for x in row))
+def _value(x):
+    """(order, int coefficients, den) of a CycNum, int or Fraction."""
+    if type(x) is int:
+        return 1, (x,), 1
+    if type(x) is Fraction:
+        return 1, (x.numerator,), x.denominator
+    x = CycNum._coerce(x)
+    return x.order, x.num, x.den
 
-    def entry(x):
-        s = den // x.den
+
+def _rows_of(values):
+    """(order, den, rows of entries) for rows of CycNum, int or Fraction; an
+    int or a Fraction is read as it is, with no CycNum made."""
+    rows = [[_value(x) for x in row] for row in values]
+    order = lcm(*(o for row in rows for o, _, _ in row))
+    den = lcm(*(d for row in rows for _, _, d in row))
+
+    def entry(o, num, d):
+        s = den // d
         if order == 1:
-            return x.num[0] * s
-        num = x.num if x.order == order else _map_num(order, x.num, order // x.order)
+            return num[0] * s
+        num = num if o == order else _map_num(order, num, order // o)
         return tuple(c * s for c in num) if any(num) else 0
 
-    return order, den, [[entry(x) for x in row] for row in rows]
+    return order, den, [[entry(*x) for x in row] for row in rows]
 
 
 def _int(order, k):
@@ -299,7 +316,9 @@ def _echelon(order, rows, reduced=False):
     (Gauss-Jordan), to reduced form up to one factor per row.
 
     The pivot is the first nonzero entry at or below the current row; the
-    other rows change as _clear_column says.  Returns (pivots, (a, b)): for
+    other rows change as _clear_column says, unless the pivot column is zero
+    in every target row: then no row changes, prev stays the previous pivot
+    and only the pivot joins the determinant.  Returns (pivots, (a, b)): for
     square rows of full rank, a / b is their determinant."""
     pivots = []
     a = b = _int(order, 1)
@@ -314,11 +333,13 @@ def _echelon(order, rows, reduced=False):
             a = _coefs(order, [a], mul, -1)[0]
         p = rows[r][c]
         targets = [i for i in range(len(rows)) if i != r] if reduced else range(r + 1, len(rows))
-        pm, d = _clear_column(order, rows, r, c, targets, prev)
-        # the determinant gained the factor pm / d; the pivot joins the diagonal
-        a = _coefs(order, [_dot(order, ((a, p),))], mul, d)[0]
-        b = _dot(order, ((b, pm),))
-        prev = p
+        if any(rows[i][c] for i in targets):  # else no row changes and prev stays: see _clear_column
+            pm, d = _clear_column(order, rows, r, c, targets, prev)
+            # the determinant gained the factor pm / d
+            a = _coefs(order, [a], mul, d)[0]
+            b = _dot(order, ((b, pm),))
+            prev = p
+        a = _dot(order, ((a, p),))  # the pivot joins the diagonal
         pivots.append(c)
     return pivots, (a, b)
 
@@ -341,8 +362,14 @@ def _clear_column(order, rows, r, c, targets, prev):
     p = rows[r][c] the pivot and f = rows[i][c].
 
     Over Q (Bareiss) d = prev, the previous pivot, and every target changes,
-    f = 0 or not, so that every entry is a minor of the input and the
-    division is exact.  Over Q(zeta_N) only targets with f != 0 change and
+    f = 0 or not, so that every entry is a minor of the input over one
+    leading block, the rows and columns of the pivots cleared so far, and the
+    division is exact (Sylvester's identity).  A step with f = 0 in every
+    target may be skipped whole (_echelon does): the entries stay minors over
+    the same block, whose determinant is still prev.  A single row with
+    f = 0 among rows with f != 0 may not: it would stay a minor over a
+    smaller block than its neighbours, and a later division by prev would be
+    inexact.  Over Q(zeta_N) only targets with f != 0 change and
     d is the gcd of the new row's integer coefficients.  Returns (pm, dm),
     the products of the multipliers p and of the divisors d: the
     determinant was multiplied by pm / dm."""

@@ -51,6 +51,15 @@ def test_root_action_cycle():
     assert perm == (1, 2, 4, 5, 6, 3)
 
 
+def test_roots_are_checked_in_the_field_of_form_and_points():
+    # t2^2 - zeta4 t1^2 over Q(zeta4) vanishes at (1 : zeta8) and (1 : -zeta8) in Q(zeta8)
+    z = zeta(8)
+    f = bf(-zeta(4), ZERO, ONE)
+    assert checked_roots(f, [(ONE, z), (z, -z * z)]).labels == {((0, 1, 0, 0), 1): 1, ((0, -1, 0, 0), 1): 2}
+    with pytest.raises(NotARoot, match="^point 2 is not a root of the form$"):
+        checked_roots(f, [(ONE, z), (ONE, z**3), (z, 1)])
+
+
 def test_root_action_errors():
     f = bf(ONE, ZERO, -ONE)
     with pytest.raises(NotARoot):

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from twoquadrics.cyclo import CycNum, ONE, ZERO, euler_phi, zeta
+from twoquadrics import matrices
 from twoquadrics.errors import Singular
 from twoquadrics.matrices import Mat, Quadric, Subspace, kernel, solve
 from twoquadrics.pencils import Pencil, degeneracy_form
@@ -288,6 +289,45 @@ def _height_matrix(rng, order, n, height, zeros, common=1):
     return Mat([[_entry_of_height(rng, order, height, zeros) * common for _ in range(n)] for _ in range(n)])
 
 
+def _nonzero_of_height(rng, order, height):
+    while True:
+        x = _entry_of_height(rng, order, height, 0)
+        if x:
+            return x
+
+
+def _shaped_matrix(rng, shape, order, n, height, zeros, common=1):
+    """_height_matrix with a pattern of zeros: "diagonal", "upper", "lower"
+    and "blocks" (diagonal blocks of sizes 2, 3, 1) keep the entries inside
+    the pattern; "monomial" is a random permutation of nonzero entries;
+    "cleared" makes column 2 the sum of a random combination of the columns
+    before it and a nonzero multiple of e_2, so elimination finds that column
+    already cleared below its pivot, with three columns after it."""
+    if shape == "dense":
+        return _height_matrix(rng, order, n, height, zeros, common)
+    rows = [list(r) for r in _height_matrix(rng, order, n, height, zeros, common).entries]
+    block = [0, 0, 1, 1, 1, 2][:n]
+    keep = {
+        "diagonal": lambda i, j: i == j,
+        "upper": lambda i, j: i <= j,
+        "lower": lambda i, j: i >= j,
+        "blocks": lambda i, j: block[i] == block[j],
+    }
+    if shape in keep:
+        return Mat([[x if keep[shape](i, j) else ZERO for j, x in enumerate(r)] for i, r in enumerate(rows)])
+    if shape == "monomial":
+        perm = rng.sample(range(n), n)
+        return Mat([[_nonzero_of_height(rng, order, height) * common if j == perm[i] else ZERO for j in range(n)]
+                    for i in range(n)])
+    assert shape == "cleared"
+    k = 2
+    x = [_entry_of_height(rng, order, height, zeros) for _ in range(k)]
+    c = _nonzero_of_height(rng, order, height) * common
+    for i, r in enumerate(rows):
+        r[k] = sum((r[j] * x[j] for j in range(k)), c if i == k else ZERO)
+    return Mat(rows)
+
+
 def _check_against_reference(a, b, rng):
     rows = [list(r) for r in a.entries]
     n = a.rows
@@ -319,28 +359,66 @@ def _check_against_reference(a, b, rng):
 
 
 KERNEL_CASES = [
-    # (order, size, coefficient height, share of zeros, common factor)
-    (1, 6, 9, 0.8, 1),
-    (1, 6, 9, 0.2, 1),
-    (1, 5, 10**30, 0.2, 1),
-    (1, 5, 9, 0.2, 10**30 + 3),
-    (8, 6, 9, 0.8, 1),
-    (8, 4, 9, 0.2, 1),
-    (8, 4, 10**30, 0.3, 1),
-    (8, 4, 9, 0.3, 10**30 + 3),
-    (24, 6, 9, 0.8, 1),
-    (24, 3, 9, 0.2, 1),
-    (24, 3, 10**30, 0.3, 1),
+    # (order, size, coefficient height, share of zeros, common factor, shape)
+    (1, 6, 9, 0.8, 1, "dense"),
+    (1, 6, 9, 0.2, 1, "dense"),
+    (1, 5, 10**30, 0.2, 1, "dense"),
+    (1, 5, 9, 0.2, 10**30 + 3, "dense"),
+    (8, 6, 9, 0.8, 1, "dense"),
+    (8, 4, 9, 0.2, 1, "dense"),
+    (8, 4, 10**30, 0.3, 1, "dense"),
+    (8, 4, 9, 0.3, 10**30 + 3, "dense"),
+    (24, 6, 9, 0.8, 1, "dense"),
+    (24, 3, 9, 0.2, 1, "dense"),
+    (24, 3, 10**30, 0.3, 1, "dense"),
+    # columns with nothing to clear, where _echelon skips the whole step
+    (1, 6, 9, 0, 1, "diagonal"),
+    (1, 6, 9, 0.2, 1, "upper"),
+    (1, 6, 9, 0.2, 1, "lower"),
+    (1, 6, 9, 0, 1, "monomial"),
+    (1, 6, 9, 0.2, 1, "blocks"),
+    (1, 6, 9, 0, 1, "cleared"),
 ]
 
 
-@pytest.mark.parametrize("order, n, height, zeros, common", KERNEL_CASES)
-def test_int_kernels_match_entrywise_reference(order, n, height, zeros, common):
-    rng = random.Random(f"{order}-{n}-{height}-{zeros}-{common}")
+def _case_id(case):
+    """The case's name, also its seed: the fields joined, a dense shape left out."""
+    return "-".join(map(str, case[:5] if case[5] == "dense" else case))
+
+
+@pytest.mark.parametrize("order, n, height, zeros, common, shape", KERNEL_CASES, ids=map(_case_id, KERNEL_CASES))
+def test_int_kernels_match_entrywise_reference(order, n, height, zeros, common, shape):
+    rng = random.Random(_case_id((order, n, height, zeros, common, shape)))
     for _ in range(4):
-        a = _height_matrix(rng, order, n, height, zeros, common)
+        a = _shaped_matrix(rng, shape, order, n, height, zeros, common)
         b = _height_matrix(rng, order, n, height, zeros)
         _check_against_reference(a, b, rng)
+
+
+def test_columns_with_nothing_to_clear_skip_clear_column(monkeypatch):
+    # an elimination step whose column is zero in every target row changes
+    # no row, so _echelon skips it without calling _clear_column
+    calls = []
+    real = matrices._clear_column
+
+    def spy(*args):
+        calls.append(args[4])  # the target rows
+        return real(*args)
+
+    signs = Mat.diagonal([1, -1, 1, 1, -1, -1])
+    # a signed permutation times rationals
+    perm, values = (3, 0, 4, 1, 5, 2), (Fraction(-3, 2), 2, -1, Fraction(1, 3), 5, -1)
+    monomial = Mat([[values[i] if j == perm[i] else 0 for j in range(6)] for i in range(6)])
+    # x = 1 makes G1 + x G2 singular among the seven sampled members
+    pencil = Pencil.from_diagonals(2, [1] * 6, [-1, 2, 3, 4, 5, 6])
+    form = degeneracy_form(pencil)  # also builds the cached Vandermonde inverse
+    monkeypatch.setattr(matrices, "_clear_column", spy)
+    assert (signs.det(), signs.rank(), signs.inverse()) == (-1, 6, signs)
+    assert (monomial.det(), monomial.rank(), monomial * monomial.inverse()) == (-5, 6, Mat.identity(6))
+    assert degeneracy_form(pencil) == form
+    assert calls == []  # the parent of this skip made 18 calls for signs and 41 per form
+    dense = Mat([[1, 2], [3, 4]])
+    assert dense.det() == -2 and calls == [range(1, 2)]
 
 
 @pytest.mark.parametrize("order", [1, 8, 24])

@@ -1,10 +1,11 @@
 import json
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
-from twoquadrics import binforms, cli, groups
+from twoquadrics import binforms, cli, groups, matrices
 from twoquadrics.cli import _perm_cycles, main, run_report
 from twoquadrics.cyclo import CycNum, zeta
 from twoquadrics.errors import SchemaError
@@ -33,6 +34,9 @@ def test_cycnum_roundtrip():
         assert cycnum_from_json(cycnum_to_json(x)) == x
     assert cycnum_from_json(5) == CycNum.from_rational(5)
     assert cycnum_from_json([3, 2]) * cycnum_from_json(2) == CycNum.from_rational(3)
+    # the matrix readers take rational entries as int and Fraction; the public reader still makes a CycNum
+    for obj in (5, [3, -2], {"order": 4, "coeffs": [[0, 1], [1, 1]]}):
+        assert type(cycnum_from_json(obj)) is CycNum, obj
 
 
 def test_cycnum_schema_errors():
@@ -51,6 +55,12 @@ def test_cycnum_schema_errors():
 
 
 def test_mat_roundtrip_and_errors():
+    # entries read as int and Fraction key as the same entries read as CycNum
+    obj = {"rows": 2, "cols": 3, "entries": [[1, [3, -2], 0], [[4, 6], -7, {"order": 1, "coeffs": [[5, 3]]}]]}
+    values = [[1, Fraction(-3, 2), 0], [Fraction(2, 3), -7, Fraction(5, 3)]]
+    want = Mat([[CycNum.from_rational(x) for x in row] for row in values])
+    for m in (mat_from_json(obj), Mat(values)):
+        assert m.key() == want.key() == (1, 6, ((6, -9, 0), (4, -42, 10)))
     with pytest.raises(SchemaError):
         mat_from_json({"rows": 2, "cols": 2, "entries": [[1, 2]]})
     with pytest.raises(SchemaError):
@@ -460,6 +470,35 @@ def test_a_group_without_a_witness_past_the_cap_exits_3(capsys, tmp_path):
     assert json.loads(capsys.readouterr().out)["status"] == "INCONCLUSIVE"
     assert main(["report", "--max-closure", "2", job]) == 3
     assert capsys.readouterr().err == "error: closure exceeds cap 2\n"
+
+
+def test_lift_stops_at_its_closure_cap(capsys, monkeypatch):
+    # the first representation of example 7.4 has 24 elements: the stream
+    # refuses the 24th under cap 23, and no product is formed after it
+    products, streamed = [], []
+    real_product, real_stream = matrices._product, groups.breadth_first
+
+    def product_spy(a, b):
+        m = real_product(a, b)
+        products.append(m.key())
+        return m
+
+    def stream_spy(group, cap):
+        for m, word in real_stream(group, cap):
+            streamed.append(m.key())
+            yield m, word
+
+    monkeypatch.setattr(groups, "breadth_first", stream_spy)
+    assert main(["lift", "--fixture", "example_7_4.json", "--max-closure", "24"]) == 0
+    assert json.loads(capsys.readouterr().out)["V"]["closure_order"] == 24
+    group = set(streamed[:24])
+    streamed.clear()
+    monkeypatch.setattr(matrices, "_product", product_spy)
+    assert main(["lift", "--fixture", "example_7_4.json", "--max-closure", "23"]) == 3
+    assert capsys.readouterr().err == "error: closure exceeds cap 23\n"
+    assert len(streamed) == 23 and set(streamed) < group
+    last = products[-1]  # the product that raised: the one element of V past the cap
+    assert last in group - set(streamed) and last not in products[:-1]
 
 
 def test_a_fixture_is_a_file_name_in_the_fixtures_directory(capsys):

@@ -8,8 +8,16 @@ imports the twoquadrics package from TREE/src and runs its ``main`` on
 * every job of one round of each perfbench workload for seeds 0 .. N-1
   (perfbench/workloads.py of this checkout; a report job runs as
   ``report --format json``);
+* for each of those seeds, the report fixtures 7.3, 7.5 and 7.5 full in
+  dense coordinates (``dense_job``): Q1, Q2 = A G A^T and matrix generators
+  A h A^-1 for a seeded unimodular integer A, the roots and Moebius maps
+  unchanged, so the runs reach the elimination of dense matrices over Q and
+  Q(zeta_N) that the diagonal fixtures skip;
 * ``branch``, ``theta``, ``fixed-points`` and ``invariant-lines``, each with
   ``--format json``, on each of those report jobs.
+
+The dense jobs are written with perfbench's own scalar helpers, so the job
+texts do not depend on the tree under test.
 
 Each run contributes its argv, its job text, its exit code (or the exception
 it raised) and its stdout and stderr.  The script prints the number of runs
@@ -41,6 +49,69 @@ def golden_cases():
     return eval(compile(ast.Expression(node.value), "test_golden.py", "eval"), {})
 
 
+def _unimodular(rng, n=6):
+    """A random integer matrix A of determinant 1 and its inverse: eight row
+    operations row_i += c * row_j, c in {-2, -1, 1, 2}, on the identity; the
+    inverse takes col_j -= c * col_i in the same steps."""
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in a]
+    for _ in range(8):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        for row in inv:
+            row[j] -= c * row[i]
+    return a, inv
+
+
+def _scalar_json(x):
+    """A scalar as JSON: an integer or [n, d] when it is rational."""
+    obj = workloads.scalar_to_json(x)
+    if obj["order"] != 1:
+        return obj
+    (n, d), = obj["coeffs"]
+    return n if d == 1 else [n, d]
+
+
+def _int_combination(terms):
+    """sum c * x over (int c, scalar x) pairs."""
+    total = (1, (0,))
+    for c, x in terms:
+        if c:
+            total = workloads.add(total, workloads.scale(x, c))
+    return total
+
+
+def dense_job(name, rng):
+    """The report fixture `name` in the dense coordinates of ``_unimodular``:
+    Q_i = A diag(d_i) A^T and each matrix generator A h A^-1.  A has
+    determinant 1, so the degeneracy form, its roots and every pencil action
+    stay the same."""
+    obj = workloads.load_fixture(name)
+    a, inv = _unimodular(rng)
+    n = len(a)
+    pencil = obj["pencil"]
+
+    def gram(diag):
+        d = [workloads.scalar_from_json(x) for x in diag]
+        entries = [[_scalar_json(_int_combination((a[i][j] * a[k][j], d[j]) for j in range(n))) for k in range(n)]
+                   for i in range(n)]
+        return {"rows": n, "cols": n, "entries": entries}
+
+    def conjugate(mat):
+        h = [[workloads.scalar_from_json(x) for x in row] for row in mat["entries"]]
+        entries = [[_scalar_json(_int_combination((a[i][j] * inv[l][k], h[j][l]) for j in range(n) for l in range(n)))
+                    for k in range(n)] for i in range(n)]
+        return {"rows": n, "cols": n, "entries": entries}
+
+    obj["pencil"] = {"Q1": gram(pencil["diag1"]), "Q2": gram(pencil["diag2"]), "g": pencil.get("g", n // 2 - 1)}
+    obj["generators"] = [dict(g, matrix=conjugate(g["matrix"])) if "matrix" in g else g for g in obj["generators"]]
+    return json.dumps(obj)
+
+
+JOB_COMMANDS = ("branch", "theta", "fixed-points", "invariant-lines")
+
+
 def runs(seeds):
     """(argv, job text or None) of every run, in a fixed order."""
     for _, argv in sorted(golden_cases().items()):
@@ -54,8 +125,13 @@ def runs(seeds):
                     reports.append(text)
                 yield argv, text
             for text in reports:
-                for cmd in ("branch", "theta", "fixed-points", "invariant-lines"):
+                for cmd in JOB_COMMANDS:
                     yield [cmd, "--format", "json"], text
+        rng = workloads.seeded_rng("dense_jobs", seed)
+        for name in workloads.PAPER_FIXTURES:
+            text = dense_job(name, rng)
+            for cmd in ("report", *JOB_COMMANDS):
+                yield [cmd, "--format", "json"], text
 
 
 def run(main, argv, text):

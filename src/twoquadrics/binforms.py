@@ -12,6 +12,7 @@ roots by one product Mᵀ·R and finds each image by its key."""
 from __future__ import annotations
 
 from math import gcd
+from typing import NamedTuple
 
 from .cyclo import CycNum, ONE, ZERO, _dot_num, _inverse_num, cyc_sqrt, lcm
 from .errors import NotARoot, NotClosed, UnsupportedCase
@@ -140,10 +141,13 @@ def bform_discriminant(f: BinaryForm) -> CycNum:
     return resultant(f.partial_t1(), f.partial_t2())
 
 
-class Roots(tuple):
-    """Checked roots: distinct projective (u, v) CycNum pairs, labeled 1..n
-    by index, with `points`, the 2 x n Mat whose column k is root k + 1, and
-    `labels`, each root's key (see _keys) mapped to its label."""
+class Roots(NamedTuple):
+    """Checked roots, distinct projective points labeled 1..n: `points`, the
+    2 x n Mat whose column k is root k + 1, and `labels`, each root's key
+    (see _keys) mapped to its label."""
+
+    points: Mat
+    labels: dict
 
 
 def _keys(order, data):
@@ -173,7 +177,6 @@ def checked_roots(f: BinaryForm, roots) -> Roots:
     field of both, by Horner's rule in u with the powers of v built up."""
     if f.is_zero():
         raise ValueError("the form is zero, so every point is a root")
-    roots = list(roots)
     points = Mat(list(zip(*roots)))
     forder, _, coeffs = _rows_of([f.coeffs])
     order = lcm(points.order, forder)
@@ -192,9 +195,7 @@ def checked_roots(f: BinaryForm, roots) -> Roots:
         if total:
             raise NotARoot(f"point {i + 1} is not a root of the form")
         labels[key] = i + 1
-    checked = Roots((CycNum._coerce(u), CycNum._coerce(v)) for u, v in roots)
-    checked.points, checked.labels = points, labels
-    return checked
+    return Roots(points, labels)
 
 
 def root_images(roots: Roots, m: Mat):
@@ -239,5 +240,5 @@ def quadratic_roots(a, b, c):
             "quadratic root requires a square root outside "
             f"Q(zeta_{lcm(disc.order, 24)})"
         )
-    two_a = 2 * a
+    s, two_a = s.canonical(), 2 * a  # the root in its least field, where the points made from it are cheaper
     return [(-b + s, two_a), (-b - s, two_a)]

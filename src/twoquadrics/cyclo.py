@@ -8,12 +8,14 @@ matrix kernels share without making a CycNum (see matrices): `_dot_num`
 (sums of products: schoolbook int products folded once through a table of
 x^k mod Phi_N built on first use), `_map_num` (embeddings of Q(zeta_d) in
 Q(zeta_N), d | N, and Galois conjugates, from the same table; Cohen, GTM
-138, 4.2), `_inverse_num` (a product of conjugates and the norm) and
-`_descend_num` (descent to a subfield, behind canonical forms and hashing:
-an int product with a cached left inverse of the embedding, checked exactly
-by embedding back).  Each CycNum keeps its own order: a rational (order 1)
-operand scales the other, and only operands of two different orders meet
-in the lcm field.  Values are immutable; all operations are pure.
+138, 4.2), `_inverse_num` (a product of conjugates and the norm),
+`_descend_num` (descent to a subfield: an int product with a cached left
+inverse of the embedding, checked exactly by embedding back) and
+`_least_field` (the least field of a list of vectors, by descents through
+maximal subfields, behind canonical forms, hashing and `Mat`).  Each CycNum
+keeps its own order: a rational (order 1) operand scales the other, and
+only operands of two different orders meet in the lcm field.  Values are
+immutable; all operations are pure.
 """
 
 from __future__ import annotations
@@ -146,13 +148,40 @@ def _descent_map(n, m):
 def _descend_num(n, m, num):
     """The element num of Q(zeta_n) in Q(zeta_m), m | n, as ints c over the
     d of _descent_map(n, m), or None when it does not lie in Q(zeta_m): the
-    candidate is the value iff it embeds back to it."""
+    candidate is the value iff it embeds back to it.  When m has every prime
+    of n, zeta_m^j = zeta_n^(jn/m) needs no reduction: the value is a slice."""
+    step = n // m
+    if euler_phi(n) == step * euler_phi(m):
+        return None if any(num[i] for i in range(len(num)) if i % step) else list(num[::step])
     coords, inv, d = _descent_map(n, m)
     picked = [num[i] for i in coords]
     cand = [sum(a * x for a, x in zip(row, picked)) for row in inv]
     if _map_num(n, cand, n // m) != [d * x for x in num]:
         return None
     return cand
+
+
+def _least_field(n, nums):
+    """(m, low, d): the least order m with every int vector of nums (0 for
+    zero) in Q(zeta_m), and the vectors there, over the int d.  Rational ones
+    go straight to 1; else the order steps from n to n/p, p prime, while all
+    descend: Q(zeta_a) meets Q(zeta_b) in Q(zeta_gcd(a, b)), so it ends at m."""
+    if all(not x or not any(x[1:]) for x in nums):
+        return 1, [x[:1] if x else x for x in nums], 1
+    d = 1
+    while True:
+        for m in (n // p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))):
+            low = []
+            for x in nums:
+                c = _descend_num(n, m, x) if x else x
+                if c is None:
+                    break
+                low.append(c)
+            else:
+                n, nums, d = m, low, d * _descent_map(n, m)[2]
+                break
+        else:
+            return n, nums, d
 
 
 def _inverse_num(n, num):
@@ -336,13 +365,8 @@ class CycNum:
         best = getattr(self, "_canon", None)
         if best is not None:
             return best
-        n = self.order
-        best = self
-        for m in sorted(d for d in range(1, n) if n % d == 0):
-            cand = _descend_num(n, m, self.num)
-            if cand is not None:
-                best = _make(m, cand, _descent_map(n, m)[2] * self.den)
-                break
+        m, (num,), d = _least_field(self.order, [self.num])
+        best = self if m == self.order else _make(m, num, d * self.den)
         _set_canon(self, best)
         if best is not self:
             _set_canon(best, best)

@@ -5,11 +5,13 @@ integer entries: entry (i, j) is data[i][j] / den in Q(zeta_N).  At N = 1
 an entry is an int; above it, a tuple of phi(N) ints (power-basis
 coefficients, see cyclo) or the int 0 for zero.  A matrix is kept at the
 least N holding its entries (a rational matrix stays at 1) and in lowest
-terms, so equal matrices have equal (order, den, data) keys.  An int or
-Fraction entry is read as it is (`_rows_of`), so a rational matrix is built
-with no CycNum.  The kernels work on these ints and build no CycNum:
-`_times` (products), `_echelon`/`_rref` (the one elimination,
-fraction-free) and `_clear_column`.  Over Q they run Bareiss's elimination
+terms, so equal matrices have equal (order, den, data) keys; `_mat` finds
+that order by `cyclo._least_field`, and a transpose or a negation, already
+canonical, skips it.  An int or Fraction entry is read as it is
+(`_rows_of`), so a rational matrix is built with no CycNum.  The kernels
+work on these ints and build no CycNum: `_times` (products),
+`_echelon`/`_rref` (the one elimination, fraction-free) and
+`_clear_column`.  Over Q they run Bareiss's elimination
 (Math. Comp. 22, 1968); over Q(zeta_N) each new row is divided by the gcd
 of its coefficients, and zero entries are skipped.  A column with nothing
 to clear, zero in every target row, is skipped whole: no row changes, so a
@@ -30,7 +32,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import floordiv, mul
 
-from .cyclo import CycNum, ZERO, _descend_num, _descent_map, _dot_num, _inverse_num, _make, _map_num
+from .cyclo import CycNum, ZERO, _dot_num, _inverse_num, _least_field, _make, _map_num
 from .cyclo import euler_phi, power_table, zeta
 from .errors import CapExceeded, DimensionMismatch, NotFiniteOrder, Singular
 
@@ -102,28 +104,26 @@ def _coefficients(order, rows):
 
 def _mat(order, den, data, cols, m):
     """The matrix data / den at order, brought to the least order holding its
-    entries and to lowest terms; m is the class to make (Mat or a subclass)
-    or an instance to set up."""
+    entries (cyclo._least_field) and to lowest terms; m is the class to make
+    (Mat or a subclass) or an instance to set up."""
     data = [tuple(r) for r in data]
-    for d in (d for d in range(1, order) if order % d == 0):
-        low = []  # the entries at order d, over _descent_map(order, d)[2] * den
-        for x in (x for row in data for x in row):
-            c = _descend_num(order, d, x) if x else [0]
-            if c is None:
-                break
-            low.append(c[0] if d == 1 else tuple(c) if x else 0)
-        else:
-            data = [low[i : i + cols] for i in range(0, len(low), cols)]
-            order, den = d, den * _descent_map(order, d)[2]
-            break
+    if order > 1:
+        order, low, d = _least_field(order, [x for row in data for x in row])
+        low = [(c[0] if order == 1 else tuple(c)) if c else 0 for c in low]
+        data, den = [low[i : i + cols] for i in range(0, len(low), cols)], den * d
     g = gcd(den, *_coefficients(order, data))
     if g != 1:
         den //= g
         data = [_coefs(order, row, floordiv, g) for row in data]
+    return _set(m, order, den, data, cols)
+
+
+def _set(m, order, den, data, cols):
+    """m (a class to make, or an instance) holding data / den at order as they are: least order, lowest terms."""
     m = object.__new__(m) if isinstance(m, type) else m
-    for name, value in (("rows", len(data)), ("cols", cols), ("order", order), ("den", den)):
+    data = tuple(map(tuple, data))
+    for name, value in (("rows", len(data)), ("cols", cols), ("order", order), ("den", den), ("data", data)):
         object.__setattr__(m, name, value)
-    object.__setattr__(m, "data", tuple(map(tuple, data)))
     return m
 
 
@@ -145,7 +145,7 @@ class Mat:
 
     @classmethod
     def identity(cls, n):
-        return _mat(1, 1, [[int(i == j) for j in range(n)] for i in range(n)], n, cls)
+        return _set(cls, 1, 1, [[int(i == j) for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def diagonal(cls, values):
@@ -209,7 +209,7 @@ class Mat:
         return self + (-other)
 
     def __neg__(self):
-        return _mat(self.order, self.den, [_coefs(self.order, r, mul, -1) for r in self.data], self.cols, type(self))
+        return _set(type(self), self.order, self.den, [_coefs(self.order, r, mul, -1) for r in self.data], self.cols)
 
     def __pow__(self, k):
         """M^k by repeated squaring.  Raises CapExceeded, instead of running
@@ -234,7 +234,7 @@ class Mat:
         return result
 
     def transpose(self):
-        return _mat(self.order, self.den, zip(*self.data), self.rows, type(self))
+        return _set(type(self), self.order, self.den, zip(*self.data), self.rows)
 
     def apply(self, vec):
         """Matrix times column vector (a sequence of CycNum)."""
@@ -666,14 +666,4 @@ def contragredient(m: Mat) -> Mat:
 
 
 def kronecker(a: Mat, b: Mat) -> Mat:
-    return Mat(
-        [
-            [
-                a.entries[i][j] * b.entries[k][l]
-                for j in range(a.cols)
-                for l in range(b.cols)
-            ]
-            for i in range(a.rows)
-            for k in range(b.rows)
-        ]
-    )
+    return Mat([[x * y for x in ra for y in rb] for ra in a.entries for rb in b.entries])

@@ -4,15 +4,18 @@ Degeneracy binary form, smoothness, equivariance data (the pencil action of
 a symmetry), fixed points on X and invariant lines for abelian actions.
 Fixed points and invariant lines meet X through one routine,
 `_isotropic_points`: the points of a projective point or line that lie on X
-(polar to given points, if any), or None when the whole line does.  Its
-polar conditions and the common roots of two restricted quadratics are
-kernels (`matrices.kernel`).
+(polar to given points, if any), or None when the whole line does, read off
+the restricted Grams.  Its polar conditions and the common roots of two
+restricted quadratics are kernels (`matrices.kernel`).  The line search
+forms E Q_i Eᵀ once, E the stacked bases of the character spaces; every
+restricted Gram, polar condition and plane test is a block of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import accumulate
 
 from .binforms import BinaryForm, bform_discriminant, quadratic_roots
 from .cyclo import ONE, ZERO, CycNum
@@ -116,31 +119,19 @@ def membership(pencil: Pencil, v) -> bool:
     return pencil.q1.evaluate(v).is_zero() and pencil.q2.evaluate(v).is_zero()
 
 
-def _restricted_binary_quadric(q: Quadric, plane: Subspace) -> BinaryForm:
-    """Q restricted to u·b1 + v·b2 as a binary quadratic in (u, v)."""
-    b1, b2 = plane.basis
-    return BinaryForm(
-        2, [q.evaluate(b1), 2 * q.polar(b1, b2), q.evaluate(b2)]
-    )
-
-
-def _isotropic_points(pencil: Pencil, space: Subspace, extra_points=()):
-    """Points of P(space), for dim space <= 2, that lie on X and are polar
-    to each extra point under both quadrics.
-
-    Returns a list of vectors, or None when every point of the projective
-    line P(space) qualifies (with no extra points: the line lies on X)."""
-    quadrics = (pencil.q1, pencil.q2)
-    if space.dim == 1:
-        v = space.basis[0]
-        conds = [q.evaluate(v) for q in quadrics]
-        conds += [q.polar(p, v) for p in extra_points for q in quadrics]
-        return [v] if all(c.is_zero() for c in conds) else []
-    b1, b2 = space.basis
-    quadratics = [f for f in (_restricted_binary_quadric(q, space) for q in quadrics) if not f.is_zero()]
+def _isotropic_points(grams, polars=()):
+    """The points of a projective point or line on X, as coefficient vectors
+    in a basis of it, on which each polar condition (a row of CycNum, one per
+    basis vector) vanishes; grams are both quadrics restricted to the basis,
+    1x1 or 2x2 Mats.  None when every point of the line qualifies (with no
+    polar conditions: the line lies on X)."""
+    if grams[0].rows == 1:
+        conds = [g.entries[0][0] for g in grams] + [row[0] for row in polars]
+        return [(ONE,)] if all(c.is_zero() for c in conds) else []
+    quadratics = [BinaryForm(2, [a, 2 * b, d]) for (a, b), (_, d) in (g.entries for g in grams)]
+    quadratics = [f for f in quadratics if not f.is_zero()]
     # the polar conditions are linear in (u, v): unless all vanish, their kernel holds the candidates
-    conds = [[q.polar(p, b1), q.polar(p, b2)] for p in extra_points for q in quadrics]
-    if conds and (polar := kernel(Mat(conds))).dim < 2:
+    if polars and (polar := kernel(Mat(polars))).dim < 2:
         candidates = polar.basis
     elif not quadratics:
         return None
@@ -149,12 +140,15 @@ def _isotropic_points(pencil: Pencil, space: Subspace, extra_points=()):
     else:
         candidates = _common_roots(*quadratics)
     pts = []
-    for u, v in candidates:
-        if all(f.evaluate(u, v).is_zero() for f in quadratics):
-            pt = tuple(u * x + v * y for x, y in zip(b1, b2))
-            if not any(proj_point_equal(pt, q) for q in pts):
-                pts.append(pt)
+    for pt in candidates:
+        if all(f.evaluate(*pt).is_zero() for f in quadratics) and not any(proj_point_equal(pt, q) for q in pts):
+            pts.append(pt)
     return pts
+
+
+def _point(coefs, basis):
+    """The vector sum_j coefs[j] * basis[j]."""
+    return tuple(sum(c * x for c, x in zip(coefs, col)) for col in zip(*basis))
 
 
 def _common_roots(f: BinaryForm, g: BinaryForm):
@@ -205,11 +199,11 @@ def fixed_points_on_X(pencil: Pencil, group: MatrixGroup) -> FixedOnX:
         if comp.dim > 2:
             curves.append(comp)
             continue
-        pts = _isotropic_points(pencil, comp)
+        pts = _isotropic_points([q.restrict(comp).gram for q in (pencil.q1, pencil.q2)])
         if pts is None:
             lines.append(comp)
         else:
-            points.extend(pts)  # the components meet only in 0
+            points.extend(_point(c, comp.basis) for c in pts)  # the components meet only in 0
     return FixedOnX(tuple(points), tuple(curves), tuple(lines))
 
 
@@ -244,19 +238,28 @@ def invariant_lines_abelian(pencil: Pencil, group: MatrixGroup) -> LineSearchRep
             if a * b != b * a:
                 raise NotAbelian(f"generators {la!r} and {lb!r} do not commute")
     spaces = character_spaces(group)
+    # both quadrics in the basis E of all the spaces' basis vectors, E G Eᵀ,
+    # formed once: space t owns the rows span[t] of E, so each restricted form
+    # and polar condition below is a block
+    e = Mat([v for s, _ in spaces for v in s.basis])
+    grams = [(e * q.gram * e.transpose()).entries for q in (pencil.q1, pencil.q2)]
+    span = [range(k - s.dim, k) for k, (s, _) in zip(accumulate(s.dim for s, _ in spaces), spaces)]
+    restricted = cache(lambda t: [Mat([[a[i][j] for j in span[t]] for i in span[t]]) for a in grams])
+
+    def form(a, p, q):
+        """The polar form of the Gram a at points p, q, each {row of E: coefficient}."""
+        return sum(x * a[i][j] * y for i, x in p.items() for j, y in q.items())
+
     lines = []
     families = []
-
     # a plane spans two points of distinct character spaces, which meet only
     # in 0, or lies in one space: each plane comes up once
-    def add_line(plane):
-        if all(_restricted_binary_quadric(q, plane).is_zero() for q in (pencil.q1, pencil.q2)):
-            lines.append(plane)
 
     # case (i): inside one character space
-    for space, char in spaces:
+    for t, (space, char) in enumerate(spaces):
         if space.dim == 2:
-            add_line(space)
+            if not any(any(map(any, g.data)) for g in restricted(t)):
+                lines.append(space)
         elif space.dim > 2:
             fam = {
                 "character": char,
@@ -265,9 +268,7 @@ def invariant_lines_abelian(pencil: Pencil, group: MatrixGroup) -> LineSearchRep
                 "reason": f"lines inside one character space of dimension {space.dim}",
             }
             if pencil.g == 2 and space.dim == 5:
-                f = pencil_det_form(
-                    pencil.q1.restrict(space).gram, pencil.q2.restrict(space).gram
-                )
+                f = pencil_det_form(*restricted(t))
                 if not bform_discriminant(f).is_zero():
                     fam["count"] = 16
                     fam["reason"] = "smooth quartic del Pezzo section: 16 lines"
@@ -278,25 +279,29 @@ def invariant_lines_abelian(pencil: Pencil, group: MatrixGroup) -> LineSearchRep
         families.append({"characters": (c1, c2), "enumerated": False, "reason": reason})
 
     # each space's points on X, found when the search first meets the space
-    on_x = cache(lambda s: _isotropic_points(pencil, s))
-    for i, (s1, c1) in enumerate(spaces):
-        for s2, c2 in spaces[i + 1 :]:
+    on_x = cache(lambda t: _isotropic_points(restricted(t)))
+    for t1, (s1, c1) in enumerate(spaces):
+        for t2, (s2, c2) in enumerate(spaces[t1 + 1 :], t1 + 1):
             # a 1-dim side whose point is off X contributes nothing,
             # whatever the other side looks like
-            if any(s.dim == 1 and not on_x(s) for s in (s1, s2)):
+            if any(spaces[t][0].dim == 1 and not on_x(t) for t in (t1, t2)):
                 continue
             if s1.dim > 2 or s2.dim > 2:
                 pair_family(c1, c2, "parameter dimension exceeds 2")
                 continue
-            lefts = on_x(s1)
+            lefts = on_x(t1)
             if lefts is None:
                 pair_family(c1, c2, "isotropic directions form a family")
                 continue
-            for p in lefts:
-                rights = _isotropic_points(pencil, s2, extra_points=(p,))
+            for x in lefts:
+                p = dict(zip(span[t1], x))
+                rights = _isotropic_points(restricted(t2), [[form(a, p, {j: ONE}) for j in span[t2]] for a in grams])
                 if rights is None:
                     pair_family(c1, c2, "isotropic directions form a family")
                     continue
-                for q in rights:
-                    add_line(Subspace(pencil.size, [p, q]))
+                for y in rights:
+                    q = dict(zip(span[t2], y))
+                    # p and q are on X and polar: the line pq lies on X, checked again
+                    if all(form(a, u, v).is_zero() for a in grams for u, v in ((p, p), (p, q), (q, q))):
+                        lines.append(Subspace(pencil.size, [_point(x, s1.basis), _point(y, s2.basis)]))
     return LineSearchReport(tuple(lines), tuple(families))

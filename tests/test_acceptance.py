@@ -118,7 +118,7 @@ def test_acceptance_01_pencil_degeneracy():
         assert is_smooth(job.pencil)
         # root set in lambda = t2/t1: {0, oo, 1, i, -1, -i}
         lams = set()
-        for (u, v) in job.branch:
+        for (u, v) in zip(*job.branch.points.entries):
             lams.add("oo" if u.is_zero() else (v * u.inverse()).key())
         assert lams == {"oo"} | {x.key() for x in
                                  (ZERO, ONE, i, -ONE, -i)}

@@ -9,6 +9,10 @@ from twoquadrics.cyclo import (
     CycNum,
     ONE,
     ZERO,
+    _descend_num,
+    _descent_map,
+    _map_num,
+    _power,
     cyc_sqrt,
     cyclotomic_poly,
     euler_phi,
@@ -262,6 +266,20 @@ def test_canonical_matches_fraction_solve():
             c = x.canonical()
             assert (c.order, c.coeffs) == _ref_canonical(x), (d, n)
             assert hash(x) == hash(c) == hash(CycNum(d, coeffs))
+
+
+def test_descent_between_orders_of_the_same_primes_reads_every_step_th_coefficient():
+    # m | n with the primes of n: zeta_m^j = zeta_n^(j n/m) with no reduction,
+    # so the descent is a slice with denominator 1, checked against the
+    # embedding; off the slice an element is outside Q(zeta_m)
+    rng = random.Random(23)
+    pairs = [(n, m) for n in range(2, 121) for m in range(2, n) if n % m == 0 and euler_phi(n) == n // m * euler_phi(m)]
+    assert (8, 4) in pairs and (120, 30) in pairs and (12, 6) in pairs and (24, 12) in pairs
+    for n, m in pairs:
+        num = [rng.randint(-9, 9) for _ in range(euler_phi(m))]
+        assert _descent_map(n, m)[2] == 1
+        assert _descend_num(n, m, _map_num(n, num, n // m)) == num, (n, m)
+        assert _descend_num(n, m, _power(n, 1)) is None, (n, m)
 
 
 def test_element_of_no_proper_subfield_keeps_its_order():

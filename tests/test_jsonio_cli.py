@@ -103,7 +103,7 @@ def test_parse_job_fixture_roundtrip():
     job = parse_job(fixture_text("example_7_5.json"))
     assert job.pencil.g == 2
     assert job.group is not None
-    assert job.branch is not None and len(job.branch) == 6
+    assert job.branch is not None and job.branch.points.cols == 6
     full = parse_job(fixture_text("example_7_5_full.json"))
     assert full.moebius_only
 

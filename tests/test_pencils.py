@@ -16,6 +16,7 @@ from twoquadrics.pencils import (
     proj_point_equal,
     _common_roots,
     _isotropic_points,
+    _point,
 )
 
 i = imaginary_unit()
@@ -162,6 +163,24 @@ def test_fixed_points_of_rotation_pair():
             assert membership(p, v)
 
 
+def test_a_restricted_form_is_read_in_its_own_field():
+    # Q2 has a zeta5 entry, but on the fixed plane span(e0, e1) of g it is
+    # u² + 2v², and Q1 vanishes there: the points (±sqrt(-2) : 1) lie in
+    # Q(zeta8).  Read in the field of Q2 and the plane, lcm(5, 24) = 120, the
+    # square root was refused (phi(120) = 32); read in the field of the
+    # restricted Gram, Q(zeta24) is searched and holds it.
+    p = Pencil.from_diagonals(2, [0, 0, 1, 1, 1, 1], [1, 2, zeta(5), 1, 2, 3])
+    g = MatrixGroup([("g", Mat.diagonal([1, 1, -1, -1, -1, -1]))])
+    fx = fixed_points_on_X(p, g)
+    assert [c.dim for c in fx.curves] == [4] and not fx.lines_on_x
+    root = 2 * (zeta(8) + zeta(8) ** 3)  # 2 sqrt(-2)
+    assert root * root == -8
+    assert len(fx.points) == 2
+    for sign in (ONE, -ONE):
+        assert sum(proj_point_equal((sign * root, 2 * I1, O, O, O, O), pt) for pt in fx.points) == 1
+    assert all(membership(p, pt) for pt in fx.points)
+
+
 def test_invariant_lines_of_rotation_pair():
     p, g = _rotation_pencil_and_group()
     rep = invariant_lines_abelian(p, g)
@@ -217,22 +236,31 @@ def test_common_roots():
     assert _common_roots(f, g) == quadratic_roots(*(c * last for c in g.coeffs))
 
 
+def _isotropic(pencil, space, extra_points=()):
+    """_isotropic_points on a subspace, with the polar conditions of extra
+    points, as vectors."""
+    quadrics = (pencil.q1, pencil.q2)
+    polars = [[q.polar(e, b) for b in space.basis] for e in extra_points for q in quadrics]
+    pts = _isotropic_points([q.restrict(space).gram for q in quadrics], polars)
+    return None if pts is None else [_point(c, space.basis) for c in pts]
+
+
 def test_isotropic_points_with_an_extra_point():
     # X contains the line through e0 + e1 and e2 + e3; on it, the polar
     # conditions of p are (p0 - p1) u + (p2 - p3) v and (p0 - p1) u + 2 (p2 - p3) v
     p = Pencil.from_diagonals(1, [1, -1, 1, -1], [1, -1, 2, -2])
     line = Subspace(4, [[I1, I1, O, O], [O, O, I1, I1]])
-    assert _isotropic_points(p, line) is None
-    assert _isotropic_points(p, line, extra_points=((I1, I1, O, O),)) is None  # all zero
-    pts = _isotropic_points(p, line, extra_points=((I1, O, O, O),))  # proportional
+    assert _isotropic(p, line) is None
+    assert _isotropic(p, line, extra_points=((I1, I1, O, O),)) is None  # all zero
+    pts = _isotropic(p, line, extra_points=((I1, O, O, O),))  # proportional
     assert len(pts) == 1 and proj_point_equal(pts[0], (O, O, I1, I1))
-    assert _isotropic_points(p, line, extra_points=((I1, O, I1, O),)) == []  # contradictory
+    assert _isotropic(p, line, extra_points=((I1, O, I1, O),)) == []  # contradictory
     # off a line on X the extra point picks among the isotropic points:
     # Q1 = Q2 = u² - v² on span(e0, e1), isotropic at e0 ± e1
     plane = Subspace(4, [[I1, O, O, O], [O, I1, O, O]])
-    both = _isotropic_points(p, plane)
+    both = _isotropic(p, plane)
     assert len(both) == 2
-    assert _isotropic_points(p, plane, extra_points=((O, O, I1, O),)) == both  # all zero
-    pts = _isotropic_points(p, plane, extra_points=((I1, I1, O, O),))  # proportional
+    assert _isotropic(p, plane, extra_points=((O, O, I1, O),)) == both  # all zero
+    pts = _isotropic(p, plane, extra_points=((I1, I1, O, O),))  # proportional
     assert len(pts) == 1 and proj_point_equal(pts[0], (I1, I1, O, O))
-    assert _isotropic_points(p, plane, extra_points=((I1, I1, O, O), (I1, -I1, O, O))) == []  # contradictory
+    assert _isotropic(p, plane, extra_points=((I1, I1, O, O), (I1, -I1, O, O))) == []  # contradictory

@@ -10,24 +10,30 @@ closure loop that the breadth-first stream replaced.  The pencil action of
 a word is checked against `equivariance` of its element.  Equivariance with
 one solve per transformed Gram, and branch roots checked and matched by
 pairwise cross products (the deleted `binforms.proj_equal`), are the
-references of the single solve and of the keyed roots."""
+references of the single solve and of the keyed roots.  The divisor scan of
+the old `matrices._mat` is the reference of the least-field walk, and the
+stage 3 and fixed-point search that called `Quadric.polar` on ambient
+vectors is the reference of the one that reads blocks of E G Eᵀ."""
 
+import functools
+import importlib.util
 import json
+import math
 import random
 import sys
 from fractions import Fraction
 from importlib import resources
 from itertools import product
-from operator import mul
+from operator import floordiv, mul
 from pathlib import Path
 
 import pytest
 
-from twoquadrics import cli, matrices
-from twoquadrics.binforms import BinaryForm, checked_roots, root_images
+from twoquadrics import cli, cyclo, matrices
+from twoquadrics.binforms import BinaryForm, Roots, bform_discriminant, checked_roots, quadratic_roots, root_images
 from twoquadrics.cyclo import CycNum, euler_phi, zeta
 from twoquadrics.dp4 import lattice_h1, pic_action, wd5_elements
-from twoquadrics.errors import NotARoot, NotASymmetry, NotClosed
+from twoquadrics.errors import NotAbelian, NotARoot, NotASymmetry, NotClosed, UnsupportedCase
 from twoquadrics.groups import MatrixGroup, breadth_first, character_spaces, closure, projective_fixed_locus
 from twoquadrics.jsonio import parse_job
 from twoquadrics.matrices import (
@@ -41,7 +47,17 @@ from twoquadrics.matrices import (
     kernel,
     solve,
 )
-from twoquadrics.pencils import Pencil, equivariance, pencil_det_form
+from twoquadrics.pencils import (
+    FixedOnX,
+    LineSearchReport,
+    Pencil,
+    _common_roots,
+    equivariance,
+    fixed_points_on_X,
+    invariant_lines_abelian,
+    pencil_det_form,
+    proj_point_equal,
+)
 from twoquadrics.smith import IntMatrix, invariant_factors, smith_normal_form
 
 
@@ -481,10 +497,17 @@ def _checked_roots_by_scan(f, roots):
     return roots
 
 
+def _columns(roots):
+    """The roots of checked Roots as (u, v) CycNum pairs, the columns of
+    `points`; anything else as it is."""
+    return tuple(zip(*roots.points.entries)) if type(roots) is Roots else roots
+
+
 def _root_images_by_scan(roots, m):
     """The deleted root_images: each image (a u + c v, b u + d v) compared
     with every root by cross products."""
     (a, b), (c, d) = m.entries
+    roots = _columns(roots)
     images = []
     for i, (u, v) in enumerate(roots):
         img = (a * u + c * v, b * u + d * v)
@@ -515,7 +538,7 @@ def _outcome(fn, *args):
     """fn(*args), or the type and message of what it raised."""
     try:
         return fn(*args)
-    except (ValueError, NotARoot, NotClosed, NotASymmetry) as exc:
+    except (ValueError, NotARoot, NotClosed, NotASymmetry, NotAbelian, UnsupportedCase) as exc:
         return type(exc), str(exc)
 
 
@@ -537,7 +560,7 @@ def _oracle_cases():
     texts += [json.dumps(_sign_group_job(rng, 1 + k % 4)) for k in range(8)]
     for job in map(parse_job, texts):
         gens = job.group.generators if job.group else []
-        yield job.pencil, gens, job.actions, job.branch, job.perms
+        yield job.pencil, gens, job.actions, _columns(job.branch), job.perms
     pencil, gens = _dihedral_job()
     actions = {lab: equivariance(pencil, h) for lab, h in gens.items()}
     roots = [(zeta(6, i), -1) for i in range(6)]  # t1 + zeta6^i t2 vanishes at (zeta6^i : -1)
@@ -553,7 +576,7 @@ def test_equivariance_and_root_images_match_the_scans():
         if roots is None:
             continue
         branch = checked_roots(pencil.det_form, roots)
-        assert branch == _checked_roots_by_scan(pencil.det_form, roots)
+        assert _columns(branch) == _checked_roots_by_scan(pencil.det_form, roots)
         for lab, m in [*actions.items(), *((None, m) for m in maps)]:
             got = _outcome(root_images, branch, m)
             assert got == _outcome(_root_images_by_scan, branch, m)
@@ -593,7 +616,7 @@ def test_root_keys_match_the_scan_at_infinity_on_multiples_and_across_fields():
     for points, m, want in cases:
         f = _form_with_roots(points)
         roots = _outcome(checked_roots, f, points)
-        assert roots == _outcome(_checked_roots_by_scan, f, points), points
+        assert _columns(roots) == _outcome(_checked_roots_by_scan, f, points), points
         if want in ("roots 2 and 4 coincide", "roots 1 and 3 coincide"):
             assert roots == (ValueError, want)
             continue
@@ -613,3 +636,244 @@ def test_a_map_off_the_pencil_is_refused_by_both_solves():
     swap = Pencil.from_diagonals(2, [1, 2, 3, 4, 5, 6], [6, 5, 4, 3, 2, 1])
     rev = Mat([[int(i + j == 5) for j in range(6)] for i in range(6)])
     assert equivariance(swap, rev) == _equivariance_by_two_solves(swap, rev) == Mat([[0, 1], [1, 0]])
+
+
+def _least_by_scan(order, den, data):
+    """The deleted descent of matrices._mat, and of CycNum.canonical: every
+    divisor d of the order, smallest first, until all entries lie in
+    Q(zeta_d), then lowest terms; returns the (order, den, data) key."""
+    data, cols = [tuple(r) for r in data], len(data[0])
+    for d in (d for d in range(1, order) if order % d == 0):
+        low = []
+        for x in (x for row in data for x in row):
+            c = cyclo._descend_num(order, d, x) if x else [0]
+            if c is None:
+                break
+            low.append(c[0] if d == 1 else tuple(c) if x else 0)
+        else:
+            data = [low[i : i + cols] for i in range(0, len(low), cols)]
+            order, den = d, den * cyclo._descent_map(order, d)[2]
+            break
+    g = math.gcd(den, *matrices._coefficients(order, data))
+    return order, den // g, tuple(tuple(matrices._coefs(order, row, floordiv, g)) for row in data)
+
+
+def _field_cases():
+    """(order N, values): seeded 3 x 4 matrices of CycNum, for N = 8, 12,
+    15, 20, 24, 40, 60 and 120, with entries drawn from Q(zeta_d) for every
+    divisor d of N, and at 24 and 120 also mixed zeta8 / zeta3 entries; each
+    matrix also holds zeros and rational entries (a matrix with only those
+    makes the rational and the zero cases)."""
+    for n in (8, 12, 15, 20, 24, 40, 60, 120):
+        sources = [(d,) for d in range(1, n + 1) if n % d == 0] + ([(8, 3)] if n % 24 == 0 else [])
+        for fields in sources:
+            rng = random.Random(n * 1000 + sum(fields))
+            for _ in range(2):
+                def entry():
+                    kind = rng.random()
+                    if kind < 0.2:
+                        return CycNum.from_rational(0)
+                    if kind < 0.4:
+                        return CycNum.from_rational(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+                    return _entry(rng, rng.choice(fields), zeros=0)
+                yield n, [[CycNum._coerce(entry()) for _ in range(4)] for _ in range(3)]
+        yield n, [[CycNum.from_rational(0)] * 4] * 3
+
+
+def test_least_field_walk_matches_the_divisor_scan():
+    orders = set()
+    for n, values in _field_cases():
+        order, den, data = matrices._rows_of([[x.embed(n) for x in row] for row in values])
+        assert order == n
+        got = matrices._mat(n, den, data, 4, Mat).key()
+        assert got == _least_by_scan(n, den, data) == Mat(values).key(), (n, values)
+        orders.add(got[0])
+    # every least order the walk can end at shows up, two or more primes included
+    assert {1, 3, 4, 5, 8, 12, 15, 20, 24, 40, 60, 120} <= orders
+
+
+def test_transpose_and_negation_make_no_descent_and_the_walk_fewer(monkeypatch):
+    rng = random.Random(24)
+    m = Mat([[_entry(rng, 8) for _ in range(6)] for _ in range(6)])
+    assert m.order == 8
+    calls = _counted(monkeypatch, cyclo, "_descend_num")
+    if hasattr(matrices, "_descend_num"):  # a binding of its own, as before cyclo._least_field
+        monkeypatch.setattr(matrices, "_descend_num", cyclo._descend_num)
+    t, neg = m.transpose(), -m
+    assert len(calls) == 0
+    assert t.key() == Mat(list(zip(*m.entries))).key()
+    assert neg.key() == Mat([[-x for x in row] for row in m.entries]).key()
+    order, den, data = matrices._rows_of([[x.embed(24) for x in row] for row in m.entries])
+    assert order == 24
+    calls.clear()
+    got = matrices._mat(24, den, data, 6, Mat).key()
+    walk = len(calls)
+    calls.clear()
+    want = _least_by_scan(24, den, data)
+    assert got == want == m.key()
+    assert 0 < walk < len(calls)
+
+
+def _restricted_binary_quadric(q, plane):
+    """The deleted pencils._restricted_binary_quadric: Q restricted to
+    u·b1 + v·b2, from Quadric.polar."""
+    b1, b2 = plane.basis
+    return BinaryForm(2, [q.evaluate(b1), 2 * q.polar(b1, b2), q.evaluate(b2)])
+
+
+def _isotropic_points_by_polar(pencil, space, extra_points=()):
+    """The deleted pencils._isotropic_points, on a Subspace with extra
+    points, every condition a Quadric.polar: a list of vectors, or None."""
+    quadrics = (pencil.q1, pencil.q2)
+    if space.dim == 1:
+        v = space.basis[0]
+        conds = [q.evaluate(v) for q in quadrics]
+        conds += [q.polar(p, v) for p in extra_points for q in quadrics]
+        return [v] if all(c.is_zero() for c in conds) else []
+    b1, b2 = space.basis
+    quadratics = [f for f in (_restricted_binary_quadric(q, space) for q in quadrics) if not f.is_zero()]
+    conds = [[q.polar(p, b1), q.polar(p, b2)] for p in extra_points for q in quadrics]
+    if conds and (polar := kernel(Mat(conds))).dim < 2:
+        candidates = polar.basis
+    elif not quadratics:
+        return None
+    elif len(quadratics) == 1:
+        candidates = quadratic_roots(*quadratics[0].coeffs)
+    else:
+        candidates = _common_roots(*quadratics)
+    pts = []
+    for u, v in candidates:
+        if all(f.evaluate(u, v).is_zero() for f in quadratics):
+            pt = tuple(u * x + v * y for x, y in zip(b1, b2))
+            if not any(proj_point_equal(pt, q) for q in pts):
+                pts.append(pt)
+    return pts
+
+
+def _fixed_points_by_polar(pencil, group):
+    """The deleted fixed_points_on_X, on _isotropic_points_by_polar."""
+    points, curves, lines = [], [], []
+    for comp in projective_fixed_locus(group).components:
+        if comp.dim > 2:
+            curves.append(comp)
+            continue
+        pts = _isotropic_points_by_polar(pencil, comp)
+        if pts is None:
+            lines.append(comp)
+        else:
+            points.extend(pts)
+    return FixedOnX(tuple(points), tuple(curves), tuple(lines))
+
+
+def _lines_by_polar(pencil, group):
+    """The deleted invariant_lines_abelian: each restricted form, polar
+    condition and plane test from Quadric.polar on ambient vectors."""
+    for i, (la, a) in enumerate(group.generators):
+        for lb, b in group.generators[i + 1 :]:
+            if a * b != b * a:
+                raise NotAbelian(f"generators {la!r} and {lb!r} do not commute")
+    spaces = character_spaces(group)
+    lines, families = [], []
+
+    def add_line(plane):
+        if all(_restricted_binary_quadric(q, plane).is_zero() for q in (pencil.q1, pencil.q2)):
+            lines.append(plane)
+
+    for space, char in spaces:
+        if space.dim == 2:
+            add_line(space)
+        elif space.dim > 2:
+            fam = {"character": char, "dimension": space.dim, "enumerated": False,
+                   "reason": f"lines inside one character space of dimension {space.dim}"}
+            if pencil.g == 2 and space.dim == 5:
+                f = pencil_det_form(pencil.q1.restrict(space).gram, pencil.q2.restrict(space).gram)
+                if not bform_discriminant(f).is_zero():
+                    fam["count"] = 16
+                    fam["reason"] = "smooth quartic del Pezzo section: 16 lines"
+            families.append(fam)
+
+    def pair_family(c1, c2, reason):
+        families.append({"characters": (c1, c2), "enumerated": False, "reason": reason})
+
+    on_x = functools.cache(lambda s: _isotropic_points_by_polar(pencil, s))
+    for i, (s1, c1) in enumerate(spaces):
+        for s2, c2 in spaces[i + 1 :]:
+            if any(s.dim == 1 and not on_x(s) for s in (s1, s2)):
+                continue
+            if s1.dim > 2 or s2.dim > 2:
+                pair_family(c1, c2, "parameter dimension exceeds 2")
+                continue
+            lefts = on_x(s1)
+            if lefts is None:
+                pair_family(c1, c2, "isotropic directions form a family")
+                continue
+            for p in lefts:
+                rights = _isotropic_points_by_polar(pencil, s2, extra_points=(p,))
+                if rights is None:
+                    pair_family(c1, c2, "isotropic directions form a family")
+                    continue
+                for q in rights:
+                    add_line(Subspace(pencil.size, [p, q]))
+    return LineSearchReport(tuple(lines), tuple(families))
+
+
+def _digest_tool():
+    """tools/output_digest.py as a module, for its dense coordinates and its
+    dihedral and C5 jobs."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
+    spec = importlib.util.spec_from_file_location("output_digest", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def _stage_3_jobs():
+    """(name, job text): two paper_jobs rounds, the report fixtures in dense
+    coordinates, and the Q(zeta12) dihedral and the C5 jobs as they are and
+    in dense coordinates."""
+    tool = _digest_tool()
+    import workloads  # on the path once the tool is loaded
+
+    for seed in range(2):
+        for k, (_, text, _) in enumerate(workloads.paper_round(workloads.seeded_rng("paper_jobs", seed))):
+            yield f"paper{seed}-{k}", text
+    rng = workloads.seeded_rng("dense_jobs", 0)
+    for name in workloads.PAPER_FIXTURES:
+        yield f"dense {name}", tool.dense_job(workloads.load_fixture(name), rng)
+    for name, obj in tool.EXTRA_JOBS:
+        yield name, json.dumps(obj)
+        yield f"dense {name}", tool.dense_job(obj, rng)
+
+
+def test_stage_3_on_the_blocks_matches_the_polar_search():
+    # the two differ only where a restricted form lies in a smaller field than
+    # its quadric and space, whose square roots the blocks search in that
+    # field (tests/test_pencils.py::test_a_restricted_form_is_read_in_its_own_field)
+    seen = set()
+    for name, text in _stage_3_jobs():
+        job = parse_job(text)
+        pg = cli._point_group(job)
+        # the whole point group (invariant-lines, fixed-points) and each
+        # generator's cyclic group (stage 3 of the report)
+        for group in [pg, *(MatrixGroup([g]) for g in pg.generators)]:
+            lines = _outcome(invariant_lines_abelian, job.pencil, group)
+            assert lines == _outcome(_lines_by_polar, job.pencil, group), (name, group.labels)
+            fixed = _outcome(fixed_points_on_X, job.pencil, group)
+            assert fixed == _outcome(_fixed_points_by_polar, job.pencil, group), (name, group.labels)
+            for got in (lines, fixed):
+                seen.add(got[0].__name__ if type(got) is tuple else type(got).__name__)
+            if type(lines) is LineSearchReport:
+                seen.update(("lines",) * bool(lines.lines) + ("families",) * bool(lines.families))
+            if type(fixed) is FixedOnX:
+                seen.update(("points",) * bool(fixed.points) + ("lines_on_x",) * bool(fixed.lines_on_x))
+            if type(lines) is tuple and lines[0] is UnsupportedCase:
+                assert lines[1] == "quadratic root requires a square root outside Q(zeta_24)", name
+    assert {"NotAbelian", "UnsupportedCase", "lines", "families", "points"} <= seen
+
+
+def test_stage_3_makes_no_polar_call(monkeypatch):
+    job = parse_job((resources.files("twoquadrics") / "fixtures" / "example_7_5.json").read_text())
+    polars = _counted(monkeypatch, matrices.Quadric, "polar")
+    assert cli.run_report(job)["status"] == "LINEARIZABLE_CERTIFIED"
+    assert invariant_lines_abelian(job.pencil, cli._point_group(job)).lines
+    assert polars == []

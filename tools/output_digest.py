@@ -14,7 +14,12 @@ imports the twoquadrics package from TREE/src and runs its ``main`` on
   unchanged, so the runs reach the elimination of dense matrices over Q and
   Q(zeta_N) that the diagonal fixtures skip;
 * ``branch``, ``theta``, ``fixed-points`` and ``invariant-lines``, each with
-  ``--format json``, on each of those report jobs.
+  ``--format json``, on each of those report jobs;
+* for each seed, ``report``, ``fixed-points`` and ``invariant-lines`` on two
+  more jobs in the same dense coordinates (``EXTRA_JOBS``): the dihedral
+  pencil over Q(zeta12), whose matrices reach fields of two primes, and the
+  C5 pencil over Q(zeta5), whose line search needs a square root outside
+  Q(zeta24).
 
 The dense jobs are written with perfbench's own scalar helpers, so the job
 texts do not depend on the tree under test.
@@ -35,6 +40,7 @@ import json
 import os
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -82,12 +88,47 @@ def _int_combination(terms):
     return total
 
 
-def dense_job(name, rng):
-    """The report fixture `name` in the dense coordinates of ``_unimodular``:
-    Q_i = A diag(d_i) A^T and each matrix generator A h A^-1.  A has
-    determinant 1, so the degeneracy form, its roots and every pencil action
-    stay the same."""
-    obj = workloads.load_fixture(name)
+def _zeta(n, k):
+    """zeta_n^k as a JSON scalar: x^k reduced modulo Phi_n."""
+    return workloads.scalar_to_json((n, workloads._reduce([Fraction(0)] * k + [Fraction(1)], n)))
+
+
+def _matrix(entries):
+    return {"rows": len(entries), "cols": len(entries[0]), "entries": entries}
+
+
+def _extra_jobs():
+    """(name, job object) of the jobs run in dense coordinates besides the
+    report fixtures.  dihedral: Q1 = sum x_i^2 and Q2 = sum zeta6^i x_i^2,
+    with r: x_i -> x_(i+1) and s: x_i -> zeta12^i x_(-i), whose pencil
+    actions do not commute.  c5: Q1 = sum x_i^2 and Q2 = sum_(i<5) zeta5^i
+    x_i^2, with c the 5-cycle on x0..x4."""
+    dihedral = {
+        "pencil": {"g": 2, "diag1": [1] * 6, "diag2": [_zeta(6, i) for i in range(6)]},
+        "generators": [
+            {"label": "r", "matrix": _matrix([[int(j == (i + 1) % 6) for j in range(6)] for i in range(6)])},
+            {"label": "s", "matrix": _matrix([[_zeta(12, i) if j == -i % 6 else 0 for j in range(6)] for i in range(6)])},
+        ],
+    }
+    cycle = [[int(j == (i + 1) % 5) if max(i, j) < 5 else int(i == j) for j in range(6)] for i in range(6)]
+    c5 = {
+        "pencil": {"g": 2, "diag1": [1] * 6, "diag2": [_zeta(5, i) for i in range(5)] + [0]},
+        "generators": [{"label": "c", "matrix": _matrix(cycle)}],
+    }
+    return (("dihedral", dihedral), ("c5", c5))
+
+
+EXTRA_JOBS = _extra_jobs()
+EXTRA_COMMANDS = ("report", "fixed-points", "invariant-lines")
+
+
+def dense_job(obj, rng):
+    """A job object with a diagonal pencil (a report fixture, or one of
+    ``EXTRA_JOBS``) in the dense coordinates of ``_unimodular``: Q_i = A
+    diag(d_i) A^T and each matrix generator A h A^-1.  A has determinant 1,
+    so the degeneracy form, its roots and every pencil action stay the
+    same."""
+    obj = json.loads(json.dumps(obj))
     a, inv = _unimodular(rng)
     n = len(a)
     pencil = obj["pencil"]
@@ -129,8 +170,12 @@ def runs(seeds):
                     yield [cmd, "--format", "json"], text
         rng = workloads.seeded_rng("dense_jobs", seed)
         for name in workloads.PAPER_FIXTURES:
-            text = dense_job(name, rng)
+            text = dense_job(workloads.load_fixture(name), rng)
             for cmd in ("report", *JOB_COMMANDS):
+                yield [cmd, "--format", "json"], text
+        for _, obj in EXTRA_JOBS:
+            text = dense_job(obj, rng)
+            for cmd in EXTRA_COMMANDS:
                 yield [cmd, "--format", "json"], text
 
 

@@ -19,7 +19,10 @@ diagonal or monomial matrix is reduced without a row operation (why only
 whole columns: `_clear_column`).  `_solve` takes several right-hand sides
 to one elimination, so `span_coefficients` writes a list of targets in a
 span at once, as the rows of a Mat (both pencil actions of a symmetry, in
-`pencils.equivariance`).
+`pencils.equivariance`).  The eigenspaces of a finite-order matrix are
+the images of Serre's projections, summed on the int rows from the powers
+`operator_order` forms and shifted by power_table rows: no kernel and no
+product (`eigenspaces_finite_order`).
 CycNum values are made only at the API boundary: `entries`,
 `Subspace.basis`, `det`, `trace`, `is_scalar`, `apply`, `Quadric.polar` and
 `solve`.
@@ -130,7 +133,7 @@ def _set(m, order, den, data, cols):
 class Mat:
     """Rectangular matrix over Q(zeta_order): int rows over one denominator."""
 
-    __slots__ = ("rows", "cols", "order", "den", "data", "_entries", "_mults")
+    __slots__ = ("rows", "cols", "order", "den", "data", "_entries", "_mults", "_powers")
 
     def __init__(self, entries):
         entries = [list(r) for r in entries]
@@ -506,6 +509,15 @@ def _span(n, order, rows, s=None):
     return s
 
 
+def row_combinations_span(coefs, m: Mat) -> Subspace:
+    """The span of the vectors sum_k c[k] * (row k of m), one for each row c
+    of coefs (CycNum, int or Fraction), formed on the int rows."""
+    corder, _, crows = _rows_of(coefs)
+    order = lcm(corder, m.order)
+    cols = list(zip(*_embed(m.order, m.data, order)))
+    return _span(m.cols, order, [_times(order, cols, c) for c in _embed(corder, crows, order)])
+
+
 def kernel(m: Mat) -> Subspace:
     """Right null space of a matrix."""
     rows, pivots, den = _rref(m.order, list(m.data))
@@ -524,6 +536,7 @@ def kernel(m: Mat) -> Subspace:
 class OrderInfo:
     order: int  # least n with M^n = identity
     traces: tuple  # tr(M^j) for 0 <= j < order
+    powers: tuple  # M^j for 1 <= j < order
 
 
 def operator_order(m: Mat) -> OrderInfo:
@@ -537,24 +550,14 @@ def operator_order(m: Mat) -> OrderInfo:
         raise NotFiniteOrder(f"determinant {d!r}, not a root of unity: infinite order")
     power = m
     traces = [CycNum.from_rational(m.rows)]
+    powers = []
     for n in range(1, MAX_ORDER + 1):
         if power.is_identity():
-            return OrderInfo(n, tuple(traces))
+            return OrderInfo(n, tuple(traces), tuple(powers))
         traces.append(power.trace())
+        powers.append(power)
         power = power * m
     raise NotFiniteOrder(f"no power up to {MAX_ORDER} equal to the identity")
-
-
-def _minus_scalar(m: Mat, lam: CycNum) -> Mat:
-    """m - lam I, made on the int rows at lcm(m.order, lam.order): the rows
-    scaled by lam's denominator, lam times m's taken off the diagonal."""
-    order = lcm(m.order, lam.order)
-    ((c,),) = _embed(lam.order, [[lam.num[0] if lam.order == 1 else lam.num]], order)
-    one, d = _int(order, 1), _int(order, -m.den)
-    rows = [_coefs(order, row, mul, lam.den) for row in _embed(m.order, m.data, order)]
-    for i, row in enumerate(rows):
-        row[i] = _dot(order, ((row[i], one), (c, d)))
-    return _mat(order, m.den * lam.den, rows, m.cols, Mat)
 
 
 def eigen_multiplicities(m: Mat):
@@ -565,8 +568,10 @@ def eigen_multiplicities(m: Mat):
     (Serre, Linear Representations of Finite Groups, 2.6), from the powers
     operator_order forms.  s_k is rational, so it is its coefficient of 1 in
     the power basis of Q(zeta_L), L = lcm(n, the traces' orders): an int sum
-    over the powers of zeta_L.  The result is kept on m, so the powers are
-    formed once per matrix."""
+    over the powers of zeta_L.  The result is kept on m, and the powers
+    M^2..M^(n-1) beside it for eigenspaces_finite_order, so the powers are
+    formed once per matrix (M^1, m itself, is left out: m holding it would
+    be a reference cycle, freed only by the garbage collector)."""
     if getattr(m, "_mults", None) is None:
         info = operator_order(m)
         n, traces = info.order, info.traces
@@ -580,21 +585,51 @@ def eigen_multiplicities(m: Mat):
         ]
         sums = [sum(w * const[(e - s * k) % big] for e, s, w in terms) for k in range(n)]
         assert all(x % (n * den) == 0 for x in sums), "multiplicities must be integers"
+        object.__setattr__(m, "_powers", info.powers[1:])
         object.__setattr__(m, "_mults", (n, tuple(x // (n * den) for x in sums)))
     return m._mults
 
 
 def eigenspaces_finite_order(m: Mat):
     """All nonzero eigenspaces of a finite-order operator as (eigenvalue, space)
-    pairs: a kernel where eigen_multiplicities is nonzero, checked against it."""
+    pairs, checked against eigen_multiplicities.
+
+    The eigenspace of lam = zeta_n^k is the image of n P, P = (1/n) sum_j
+    lam^(-j) M^j the projection onto it (Serre, 2.6), summed from the powers
+    eigen_multiplicities keeps.  Over the int rows at L = lcm(n, the powers'
+    orders), lam^(-j) is zeta_L^e, so each coefficient of M^j only moves to
+    the row of power_table(L) for its exponent plus e.  Every column of n P
+    is projected, so a space larger than its multiplicity shows."""
     n, mults = eigen_multiplicities(m)
     if sum(mults) != m.rows:
         raise NotFiniteOrder(f"eigenvalue multiplicities add up to {sum(mults)}, not {m.rows}")
+    powers = (m, *m._powers)
+    big, den = lcm(n, *(p.order for p in powers)), lcm(*(p.den for p in powers))
+    table, phi = power_table(big), euler_phi(big)
+    # entry (a, b) of sum_j zeta_L^(-js) M^j by columns b, as (exponent, j L / n,
+    # weight) terms, M^0 = I first
+    terms = [[[(0, 0, den)] if a == b else [] for a in range(m.rows)] for b in range(m.cols)]
+    for j, p in enumerate(powers, 1):
+        sub, step, scale = big // p.order, j * (big // n), den // p.den
+        for a, row in enumerate(p.data):
+            for b, x in enumerate(row):
+                for i, c in enumerate((x,) if p.order == 1 else x or ()):
+                    if c:
+                        terms[b][a].append((i * sub, step, c * scale))
     spaces = []
     for k, mult in enumerate(mults):
         if mult:
-            lam = zeta(n, k)
-            space = kernel(_minus_scalar(m, lam))
+            cols = []
+            for col in terms:
+                vec = []
+                for entry in col:
+                    out = [0] * phi
+                    for e, s, w in entry:
+                        for i, t in table[(e - s * k) % big]:
+                            out[i] += w * t
+                    vec.append((out[0] if big == 1 else tuple(out)) if any(out) else 0)
+                cols.append(vec)
+            lam, space = zeta(n, k), _span(m.rows, big, cols)
             if space.dim != mult:
                 raise NotFiniteOrder(f"eigenspace of {lam!r} has dimension {space.dim}, not its multiplicity {mult}")
             spaces.append((lam, space))

@@ -8,7 +8,9 @@ Fixed points and invariant lines meet X through one routine,
 the restricted Grams.  Its polar conditions and the common roots of two
 restricted quadratics are kernels (`matrices.kernel`).  The line search
 forms E Q_i Eᵀ once, E the stacked bases of the character spaces; every
-restricted Gram, polar condition and plane test is a block of it.
+restricted Gram, polar condition and plane test is a block of it, and each
+line found is spanned by its two points' coefficient rows times E's int rows
+(`matrices.row_combinations_span`).
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from .groups import MatrixGroup, character_spaces, projective_fixed_locus
 from .matrices import (
     Mat,
     Quadric,
-    Subspace,
     kernel,
+    row_combinations_span,
     span_coefficients,
 )
 
@@ -303,5 +305,5 @@ def invariant_lines_abelian(pencil: Pencil, group: MatrixGroup) -> LineSearchRep
                     q = dict(zip(span[t2], y))
                     # p and q are on X and polar: the line pq lies on X, checked again
                     if all(form(a, u, v).is_zero() for a in grams for u, v in ((p, p), (p, q), (q, q))):
-                        lines.append(Subspace(pencil.size, [_point(x, s1.basis), _point(y, s2.basis)]))
+                        lines.append(row_combinations_span([[u.get(k, 0) for k in range(e.rows)] for u in (p, q)], e))
     return LineSearchReport(tuple(lines), tuple(families))

@@ -9,6 +9,7 @@ from twoquadrics.matrices import (
     Quadric,
     Subspace,
     contragredient,
+    eigen_multiplicities,
     eigenspaces_finite_order,
     kernel,
     kronecker,
@@ -66,6 +67,28 @@ def test_eigenspace_completeness_random():
                 assert m.apply(v) == tuple(lam * x for x in v)
 
 
+def test_eigenspaces_of_an_order_120_matrix_over_zeta24():
+    # a 5-cycle with zeta24 on one edge (a block of order 5 * 24) and zeta8
+    # beside it, in the coordinates of a random invertible integer matrix:
+    # its eigenvalues are powers of zeta120, outside the field of its entries
+    m = [[0] * 6 for _ in range(6)]
+    for j in range(5):
+        m[(j + 1) % 5][j] = 1
+    m[1][0], m[5][5] = zeta(24), zeta(8)
+    rng = random.Random(1)
+    while (a := Mat([[rng.randint(-2, 2) for _ in range(6)] for _ in range(6)])).det().is_zero():
+        pass
+    big = a * Mat(m) * a.inverse()
+    n, mults = eigen_multiplicities(big)
+    assert n == 120 and big.order == 24
+    spaces = eigenspaces_finite_order(big)
+    assert [s.dim for _, s in spaces] == [d for d in mults if d]
+    assert sum(s.dim for _, s in spaces) == 6
+    for lam, s in spaces:
+        for v in s.basis:
+            assert big.apply(v) == tuple(lam * x for x in v)
+
+
 def test_eigenspaces_rejects_nonsemisimple():
     with pytest.raises(NotFiniteOrder):
         eigenspaces_finite_order(Mat([[ONE, ONE], [ZERO, ONE]]))
@@ -75,6 +98,7 @@ def test_eigenspaces_check_the_multiplicities():
     # forged multiplicities stand in for a wrong trace count, which a
     # finite-order matrix cannot give
     m = Mat.diagonal([1, 1, -1])
+    object.__setattr__(m, "_powers", operator_order(m).powers[1:])
     object.__setattr__(m, "_mults", (2, (1, 1)))
     with pytest.raises(NotFiniteOrder, match="eigenvalue multiplicities add up to 2, not 3"):
         eigenspaces_finite_order(m)

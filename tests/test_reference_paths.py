@@ -29,7 +29,7 @@ from pathlib import Path
 
 import pytest
 
-from twoquadrics import cli, cyclo, matrices
+from twoquadrics import cli, cyclo, groups, matrices
 from twoquadrics.binforms import BinaryForm, Roots, bform_discriminant, checked_roots, quadratic_roots, root_images
 from twoquadrics.cyclo import CycNum, euler_phi, zeta
 from twoquadrics.dp4 import lattice_h1, pic_action, wd5_elements
@@ -40,11 +40,15 @@ from twoquadrics.matrices import (
     Mat,
     Subspace,
     _coefs,
-    _minus_scalar,
+    _dot,
+    _embed,
+    _int,
+    _mat,
     contragredient,
     eigen_multiplicities,
     eigenspaces_finite_order,
     kernel,
+    operator_order,
     solve,
 )
 from twoquadrics.pencils import (
@@ -118,6 +122,26 @@ def _finite_order_matrix(rng, order, n=6):
     return u * mono * u.inverse()
 
 
+def _minus_scalar(m, lam):
+    """The deleted matrices._minus_scalar: m - lam I, made on the int rows at
+    lcm(m.order, lam.order): the rows scaled by lam's denominator, lam times
+    m's taken off the diagonal."""
+    order = math.lcm(m.order, lam.order)
+    ((c,),) = _embed(lam.order, [[lam.num[0] if lam.order == 1 else lam.num]], order)
+    one, d = _int(order, 1), _int(order, -m.den)
+    rows = [_coefs(order, row, mul, lam.den) for row in _embed(m.order, m.data, order)]
+    for i, row in enumerate(rows):
+        row[i] = _dot(order, ((row[i], one), (c, d)))
+    return _mat(order, m.den * lam.den, rows, m.cols, Mat)
+
+
+def _eigenspaces_by_kernel(m):
+    """The deleted eigenspaces_finite_order: the kernel of m - lam I for each
+    eigenvalue lam = zeta_n^k of nonzero multiplicity."""
+    n, mults = eigen_multiplicities(m)
+    return [(zeta(n, k), kernel(_minus_scalar(m, zeta(n, k)))) for k, d in enumerate(mults) if d]
+
+
 @pytest.mark.parametrize("order", [1, 8, 24])
 def test_eigenspaces_match_kernel_of_shifted_matrix(order):
     rng = random.Random(order)
@@ -145,6 +169,60 @@ def test_multiplicities_are_the_eigenspace_dimensions(order):
         assert [(lam, s.dim) for lam, s in eigenspaces_finite_order(m)] == [
             (zeta(n, k), d) for k, d in enumerate(mults) if d
         ]
+
+
+def _searched_paper_generators():
+    """The generators whose eigenspaces stage 3 takes on the paper_jobs
+    rounds of seeds 5000-5009, each the one generator of a searched group."""
+    tool = _digest_tool()
+    import workloads  # on the path once the tool is loaded
+
+    searched = []
+    real = cli.invariant_lines_abelian
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "invariant_lines_abelian", lambda p, g: searched.append(g.generators[0][1]) or real(p, g))
+        for seed in range(5000, 5010):
+            for _, text, _ in workloads.paper_round(workloads.seeded_rng("paper_jobs", seed)):
+                cli.run_report(parse_job(text))
+    return tool, searched
+
+
+def _cycle(n, signs=()):
+    """The permutation matrix of x_i -> x_(i+1 mod n), entry (i+1, i) negated for i in signs."""
+    return Mat([[(-1 if j in signs else 1) if i == (j + 1) % n else 0 for j in range(n)] for i in range(n)])
+
+
+def _zeta12_order_24(rng, n=6):
+    """Coordinates 0 and 1 swapped with factors 1 and zeta12^u, u a unit,
+    whose square is zeta12^u on that plane, and powers of zeta12 on the
+    diagonal after them: of order 24."""
+    u = rng.choice((1, 5, 7, 11))
+    head = {(0, 1): 1, (1, 0): zeta(12, u)}
+    return Mat([[head.get((i, j), 0) if i < 2 else zeta(12, rng.randrange(12)) if i == j else 0
+                 for j in range(n)] for i in range(n)])
+
+
+def test_eigenspaces_by_projection_match_the_kernels():
+    tool, searched = _searched_paper_generators()
+    assert len(searched) == 20
+    rng = random.Random(24)
+    dense = []
+    for g in searched:
+        a, inv = tool._unimodular(rng)
+        dense.append(Mat(a) * g * Mat(inv))
+    rational = [_cycle(5), _cycle(6), _cycle(4, signs=(0,))]
+    signs = [Mat.diagonal(d) for d in ([1, 1, 1, -1, -1, -1], [1, 1, 1, 1, -1, -1], [-1, -1, -1, -1, -1, 1], [-1] * 5)]
+    cyclotomic = [_zeta12_order_24(rng) for _ in range(3)]
+    assert [operator_order(m).order for m in rational] == [5, 6, 8]
+    assert all(operator_order(m).order == 24 for m in cyclotomic)
+    moved = [_invertible(rng, m.rows) for m in rational + signs + cyclotomic]
+    cases = searched + dense + rational + signs + cyclotomic
+    cases += [u * m * u.inverse() for u, m in zip(moved, rational + signs + cyclotomic)]
+    for m in cases:
+        got, want = eigenspaces_finite_order(m), _eigenspaces_by_kernel(m)
+        assert got == want, m
+        assert [(lam.key(), s._rows.key()) for lam, s in got] == [(lam.key(), s._rows.key()) for lam, s in want]
+    assert all(max(eigen_multiplicities(m)[1]) >= 3 for m in signs)
 
 
 def _refined_from_whole_space(group):
@@ -383,8 +461,34 @@ def test_stage_3_forms_the_powers_of_gamma_once(monkeypatch):
     job = parse_job((resources.files("twoquadrics") / "fixtures" / "example_7_5.json").read_text())
     point_gamma = contragredient(job.group.generator("gamma"))
     powered = _counted(monkeypatch, matrices, "operator_order")
+    # the kernels and products made while eigenspaces_finite_order runs: it
+    # projects with the powers eigen_multiplicities kept, so there are none
+    spaced, inside, made = [], [], []
+
+    def recorded(name, real):
+        def call(*args):
+            if inside:
+                made.append(name)
+            return real(*args)
+        return call
+
+    for name in ("kernel", "_product"):
+        monkeypatch.setattr(matrices, name, recorded(name, getattr(matrices, name)))
+    real_eigenspaces = groups.eigenspaces_finite_order
+
+    def eigenspaces(m):
+        spaced.append(m)
+        inside.append(m)
+        try:
+            return real_eigenspaces(m)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(groups, "eigenspaces_finite_order", eigenspaces)
     assert cli.run_report(job)["status"] == "LINEARIZABLE_CERTIFIED"
     assert sum(m == point_gamma for m in powered) == 1
+    assert point_gamma in spaced
+    assert made == []
 
 
 def _diagonal_signs(m):

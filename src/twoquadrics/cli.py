@@ -1,5 +1,7 @@
 """Command line interface: the verdict pipeline, and one function per
 subcommand that returns the value `main`, the one place that prints, shows.
+The argument parser is built once per process, at the first `main` call,
+which binds the subcommand functions to it then.
 
 Exit codes: 0 = report produced (any verdict), 1 = output pipe closed,
 2 = input error, 3 = unsupported case encountered.
@@ -11,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from importlib import resources
 
 from .dp4 import (
@@ -406,6 +409,7 @@ def positive_int(text):
     return value
 
 
+@cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="twoquadrics",

@@ -8,6 +8,7 @@ integral lattice with finite-order automorphism.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, permutations, product
 
 from .errors import NotFiniteOrder, OddParity
@@ -188,25 +189,34 @@ def orbits(elements):
     return parts
 
 
+@cache
 def wd5_elements():
-    """All 1920 elements of W(D5), cached, in a canonical order."""
-    if not hasattr(wd5_elements, "_cache"):
-        out = []
-        for perm in permutations(range(1, 6)):
-            for signs in product((1, -1), repeat=5):
-                if signs.count(-1) % 2 == 0:
-                    out.append(SignedPerm(perm, signs))
-        wd5_elements._cache = out
-    return wd5_elements._cache
+    """All 1920 elements of W(D5), in the order the conjugacy search
+    relies on: the permutations in lexicographic order, and for each one
+    its 16 even sign vectors in ``product((1, -1))`` order."""
+    return [
+        SignedPerm(perm, signs)
+        for perm in permutations(range(1, 6))
+        for signs in product((1, -1), repeat=5)
+        if signs.count(-1) % 2 == 0
+    ]
 
 
 def conjugate_in_WD5(a: SignedPerm, b: SignedPerm):
-    """Exhaustive conjugacy test; returns (True, witness) or (False, None)."""
+    """The first g of `wd5_elements` with g a g^-1 = b, as (True, g), or
+    (False, None).  Then g's permutation p has p a.perm = b.perm p, a test on
+    tuples, so only the 16 elements of a p that passes it are multiplied,
+    as g a = b g."""
     if a.parity or b.parity:
         raise OddParity("both elements must lie in W(D5)")
-    for gmat in wd5_elements():
-        if gmat * a * gmat.inverse() == b:
-            return (True, gmat)
+    pa, pb = a.perm, b.perm
+    elements = wd5_elements()
+    for start in range(0, len(elements), 16):
+        p = elements[start].perm
+        if all(p[pa[j] - 1] == pb[p[j] - 1] for j in range(5)):
+            for g in elements[start:start + 16]:
+                if g * a == b * g:
+                    return (True, g)
     return (False, None)
 
 

@@ -501,6 +501,27 @@ def test_lift_stops_at_its_closure_cap(capsys, monkeypatch):
     assert last in group - set(streamed) and last not in products[:-1]
 
 
+def test_one_parser_keeps_no_state_between_calls(capsys):
+    # the parser is built once per process; each call's options and their
+    # defaults come from that call's argv alone
+    assert cli.build_parser() is cli.build_parser()
+    lift = ["lift", "--fixture", "example_7_4.json"]
+    assert main(lift + ["--max-closure", "23"]) == 3
+    assert main(lift) == 0
+    assert json.loads(capsys.readouterr().out)["V"]["closure_order"] == 24
+    report = ["report", "--fixture", "example_7_3.json"]
+    assert main(report + ["--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "OBSTRUCTED"
+    assert main(report) == 0
+    assert capsys.readouterr().out.startswith("verdict: OBSTRUCTED\n")
+    with pytest.raises(SystemExit) as exc:
+        main(report + ["--max-closure", "0"])
+    assert exc.value.code == 2
+    assert "argument --max-closure:" in capsys.readouterr().err
+    assert main(report) == 0
+    assert capsys.readouterr().out.startswith("verdict: OBSTRUCTED\n")
+
+
 def test_a_fixture_is_a_file_name_in_the_fixtures_directory(capsys):
     shipped = resources.files("twoquadrics") / "fixtures" / "example_7_3.json"
     for name in ("../__init__.py", str(shipped), "sub/../example_7_3.json"):

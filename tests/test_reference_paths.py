@@ -13,7 +13,9 @@ pairwise cross products (the deleted `binforms.proj_equal`), are the
 references of the single solve and of the keyed roots.  The divisor scan of
 the old `matrices._mat` is the reference of the least-field walk, and the
 stage 3 and fixed-point search that called `Quadric.polar` on ambient
-vectors is the reference of the one that reads blocks of E G Eᵀ."""
+vectors is the reference of the one that reads blocks of E G Eᵀ.  The scan
+of all of W(D5) is the reference of the conjugacy search that multiplies
+only where the permutations conjugate."""
 
 import functools
 import importlib.util
@@ -23,7 +25,7 @@ import random
 import sys
 from fractions import Fraction
 from importlib import resources
-from itertools import product
+from itertools import permutations, product
 from operator import floordiv, mul
 from pathlib import Path
 
@@ -32,10 +34,10 @@ import pytest
 from twoquadrics import cli, cyclo, groups, matrices
 from twoquadrics.binforms import BinaryForm, Roots, bform_discriminant, checked_roots, quadratic_roots, root_images
 from twoquadrics.cyclo import CycNum, euler_phi, zeta
-from twoquadrics.dp4 import lattice_h1, pic_action, wd5_elements
+from twoquadrics.dp4 import SignedPerm, conjugate_in_WD5, lattice_h1, pic_action, wd5_elements
 from twoquadrics.errors import NotAbelian, NotARoot, NotASymmetry, NotClosed, UnsupportedCase
 from twoquadrics.groups import MatrixGroup, breadth_first, character_spaces, closure, projective_fixed_locus
-from twoquadrics.jsonio import parse_job
+from twoquadrics.jsonio import dp4_input_from_json, parse_job
 from twoquadrics.matrices import (
     Mat,
     Subspace,
@@ -351,6 +353,63 @@ def test_lattice_h1_matches_solve_in_the_kernel_basis():
             assert lattice_h1(a, n) == _lattice_h1_by_solve(a, n)
     minus = IntMatrix([[-1, 0], [0, -1]])
     assert lattice_h1(minus, 2) == _lattice_h1_by_solve(minus, 2) == (2, 2)
+
+
+@functools.cache
+def _first_witnesses(a):
+    """The full W(D5) scan for a: each g a g^-1 with the first g of
+    `wd5_elements` that gives it."""
+    out = {}
+    for g in wd5_elements():
+        out.setdefault(g * a * g.inverse(), g)
+    return out
+
+
+def _conjugate_by_scan(a, b):
+    g = _first_witnesses(a).get(b)
+    return (g is not None, g)
+
+
+def _dp4_elements():
+    text = (resources.files("twoquadrics") / "fixtures" / "example_dp4_involutions.json").read_text()
+    return dp4_input_from_json(text)[0]
+
+
+def test_conjugacy_matches_the_full_scan():
+    rng = random.Random(2500)
+    elements = wd5_elements()
+    fixture = list(_dp4_elements().values())
+    pairs = [(a, b) for a in fixture for b in fixture]
+    # a is drawn from 20 elements, so the scan of each a serves several b
+    sources = rng.sample(elements, 20)
+    pairs += [(rng.choice(sources), rng.choice(elements)) for _ in range(100)]
+    for _ in range(100):
+        a, g = rng.choice(sources), rng.choice(elements)
+        pairs.append((a, g * a * g.inverse()))
+    outcomes = set()
+    for a, b in pairs:
+        got = conjugate_in_WD5(a, b)
+        assert got == _conjugate_by_scan(a, b), (a, b)
+        assert got[1] is None or got[1] * a * got[1].inverse() == b
+        outcomes.add(got[0])
+    assert outcomes == {True, False}
+
+
+def test_conjugacy_multiplies_only_where_the_permutations_conjugate(monkeypatch):
+    # m1 and m2 share the 4-cycle (2 3 4 5), whose centralizer in S5 has 4
+    # elements: at most those 4 permutations are tried, 2 products for each
+    # of their 16 sign vectors; gamma1's (2 4)(3 5) is another cycle type
+    fixture = _dp4_elements()
+    m1, m2, gamma1 = fixture["m1"], fixture["m2"], fixture["gamma1"]
+    passing = [p for p in permutations(range(1, 6))
+               if all(p[m1.perm[j] - 1] == m2.perm[p[j] - 1] for j in range(5))]
+    products = _counted(monkeypatch, SignedPerm, "__mul__")
+    inverses = _counted(monkeypatch, SignedPerm, "inverse")
+    assert conjugate_in_WD5(m1, m2)[0]
+    assert inverses == [] and 0 < len(products) <= 2 * 16 * len(passing) == 128
+    products.clear()
+    assert conjugate_in_WD5(m1, gamma1) == (False, None)
+    assert products == [] and inverses == []
 
 
 def _sign_group_job(rng, gens):

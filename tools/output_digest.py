@@ -19,7 +19,11 @@ imports the twoquadrics package from TREE/src and runs its ``main`` on
   more jobs in the same dense coordinates (``EXTRA_JOBS``): the dihedral
   pencil over Q(zeta12), whose matrices reach fields of two primes, and the
   C5 pencil over Q(zeta5), whose line search needs a square root outside
-  Q(zeta24).
+  Q(zeta24);
+* for each seed, one ``dp4`` job (``all_pairs_dp4_job``): the workload's
+  seeded conjugates of the dP4 fixture's six elements, with ``conjugacy``
+  listing every ordered pair of them, so the runs see the witness of each
+  class and the pairs that are not conjugate.
 
 The dense jobs are written with perfbench's own scalar helpers, so the job
 texts do not depend on the tree under test.
@@ -150,6 +154,14 @@ def dense_job(obj, rng):
     return json.dumps(obj)
 
 
+def all_pairs_dp4_job(rng):
+    """The dp4 job of the subcommands workload, its conjugacy every ordered
+    pair of its elements."""
+    obj = json.loads(workloads.dp4_job(rng)[0])
+    obj["conjugacy"] = [[a, b] for a in obj["elements"] for b in obj["elements"]]
+    return json.dumps(obj)
+
+
 JOB_COMMANDS = ("branch", "theta", "fixed-points", "invariant-lines")
 
 
@@ -177,6 +189,7 @@ def runs(seeds):
             text = dense_job(obj, rng)
             for cmd in EXTRA_COMMANDS:
                 yield [cmd, "--format", "json"], text
+        yield ["dp4"], all_pairs_dp4_job(workloads.seeded_rng("dp4_pairs", seed))
 
 
 def run(main, argv, text):

@@ -25,7 +25,7 @@ the images of Serre's projections, summed on the int rows from the powers
 product (`eigenspaces_finite_order`).
 CycNum values are made only at the API boundary: `entries`,
 `Subspace.basis`, `det`, `trace`, `is_scalar`, `apply`, `Quadric.polar` and
-`solve`.
+`solve`; `row_combinations_span` takes int rows (stage 3's line spans).
 """
 
 from __future__ import annotations
@@ -509,13 +509,10 @@ def _span(n, order, rows, s=None):
     return s
 
 
-def row_combinations_span(coefs, m: Mat) -> Subspace:
-    """The span of the vectors sum_k c[k] * (row k of m), one for each row c
-    of coefs (CycNum, int or Fraction), formed on the int rows."""
-    corder, _, crows = _rows_of(coefs)
-    order = lcm(corder, m.order)
-    cols = list(zip(*_embed(m.order, m.data, order)))
-    return _span(m.cols, order, [_times(order, cols, c) for c in _embed(corder, crows, order)])
+def row_combinations_span(order, coefs, rows) -> Subspace:
+    """The span of the vectors sum_k c[k] * rows[k], one for each row c of
+    coefs; coefs and rows are int entries at one order."""
+    return _span(len(rows[0]), order, [_times(order, list(zip(*rows)), c) for c in coefs])
 
 
 def kernel(m: Mat) -> Subspace:
@@ -682,17 +679,6 @@ class Quadric:
         order = lcm(g.order, vorder)
         u, v = _embed(vorder, uv, order)
         return _cyc(order, _times(order, [u], _times(order, _embed(g.order, g.data, order), v))[0], g.den * vden**2)
-
-    def restrict(self, s: Subspace) -> "Quadric | None":
-        """Gram matrix of the form restricted to the basis of s.
-
-        Returns None for the zero subspace (empty matrix)."""
-        if s.ambient_dim != self.size:
-            raise DimensionMismatch("subspace ambient dimension mismatch")
-        if s.dim == 0:
-            return None
-        b = s._rows
-        return Quadric(_product(_product(b, self.gram), b.transpose()))
 
 
 def contragredient(m: Mat) -> Mat:

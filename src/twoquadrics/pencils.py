@@ -6,11 +6,12 @@ Fixed points and invariant lines meet X through one routine,
 `_isotropic_points`: the points of a projective point or line that lie on X
 (polar to given points, if any), or None when the whole line does, read off
 the restricted Grams.  Its polar conditions and the common roots of two
-restricted quadratics are kernels (`matrices.kernel`).  The line search
-forms E Q_i Eᵀ once, E the stacked bases of the character spaces; every
-restricted Gram, polar condition and plane test is a block of it, and each
-line found is spanned by its two points' coefficient rows times E's int rows
-(`matrices.row_combinations_span`).
+restricted quadratics are kernels (`matrices.kernel`).  Both searches form
+E Q_i Eᵀ once on the int rows, E the stacked bases of the character spaces
+(`_in_basis`): each restricted Gram is a block, brought to its least field;
+polar rows and line checks are int dot products of the points' coefficient
+rows with it, and a line found is spanned by those rows times E.  CycNum
+arithmetic is left to the roots of the restricted quadratics.
 """
 
 from __future__ import annotations
@@ -18,18 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate
+from math import lcm
+from operator import mul
 
 from .binforms import BinaryForm, bform_discriminant, quadratic_roots
 from .cyclo import ONE, ZERO, CycNum
 from .errors import DimensionMismatch, NotAbelian, NotASymmetry
 from .groups import MatrixGroup, character_spaces, projective_fixed_locus
-from .matrices import (
-    Mat,
-    Quadric,
-    kernel,
-    row_combinations_span,
-    span_coefficients,
-)
+from .matrices import Mat, Quadric, _coefs, _cyc, _dot, _embed, _mat, _rows_of, _times, kernel
+from .matrices import row_combinations_span, span_coefficients
 
 
 @dataclass(frozen=True)
@@ -121,19 +119,23 @@ def membership(pencil: Pencil, v) -> bool:
     return pencil.q1.evaluate(v).is_zero() and pencil.q2.evaluate(v).is_zero()
 
 
-def _isotropic_points(grams, polars=()):
+def _isotropic_points(grams, polars=None):
     """The points of a projective point or line on X, as coefficient vectors
-    in a basis of it, on which each polar condition (a row of CycNum, one per
-    basis vector) vanishes; grams are both quadrics restricted to the basis,
-    1x1 or 2x2 Mats.  None when every point of the line qualifies (with no
-    polar conditions: the line lies on X)."""
+    in a basis of it, on which each polar condition (a row of the Mat polars,
+    one entry per basis vector) vanishes; grams are both quadrics restricted
+    to the basis, 1x1 or 2x2 Mats, each read in its own least field.  None
+    when every point of the line qualifies (with no polar conditions: the
+    line lies on X)."""
     if grams[0].rows == 1:
-        conds = [g.entries[0][0] for g in grams] + [row[0] for row in polars]
-        return [(ONE,)] if all(c.is_zero() for c in conds) else []
-    quadratics = [BinaryForm(2, [a, 2 * b, d]) for (a, b), (_, d) in (g.entries for g in grams)]
+        conds = [g.data[0][0] for g in grams] + ([row[0] for row in polars.data] if polars is not None else [])
+        return [] if any(conds) else [(ONE,)]
+    quadratics = []
+    for g in grams:  # a u² + 2b uv + d v², read off the int rows [[a, b], [b, d]]
+        (a, b), (_, d) = g.data
+        quadratics.append(BinaryForm(2, [_cyc(g.order, x, g.den) for x in (a, _coefs(g.order, [b], mul, 2)[0], d)]))
     quadratics = [f for f in quadratics if not f.is_zero()]
     # the polar conditions are linear in (u, v): unless all vanish, their kernel holds the candidates
-    if polars and (polar := kernel(Mat(polars))).dim < 2:
+    if polars is not None and (polar := kernel(polars)).dim < 2:
         candidates = polar.basis
     elif not quadratics:
         return None
@@ -170,13 +172,35 @@ def _common_roots(f: BinaryForm, g: BinaryForm):
 
 
 def proj_point_equal(p, q) -> bool:
-    """Projective equality of two nonzero vectors of equal length."""
-    n = len(p)
-    i = next(k for k in range(n) if not p[k].is_zero())
-    if q[i].is_zero():
-        return False
-    a, b = q[i], p[i]
-    return all(a * p[k] == b * q[k] for k in range(n))
+    """Projective equality of two nonzero vectors of equal length, on their int rows."""
+    order, _, (p, q) = _rows_of([p, q])
+    a, b = next((y, x) for x, y in zip(p, q) if x)
+    return bool(a) and all(_dot(order, ((a, x),)) == _dot(order, ((b, y),)) for x, y in zip(p, q))
+
+
+def _in_basis(pencil, spaces):
+    """Both quadrics in the basis E of the spaces' stacked bases, on the int
+    rows: (order, E, products, spans, blocks).  E is the spaces' `_rows` at
+    one order over one denominator D, space t owning rows spans[t]; a product
+    is E G Eᵀ over D² G.den, its upper triangle formed and mirrored; blocks(t)
+    are space t's restricted Grams, each brought to its least field."""
+    grams = (pencil.q1.gram, pencil.q2.gram)
+    order = lcm(*(s._rows.order for s in spaces), *(g.order for g in grams))
+    den = lcm(*(s._rows.den for s in spaces))
+    e = [_coefs(order, r, mul, den // s._rows.den) for s in spaces for r in _embed(s._rows.order, s._rows.data, order)]
+    products = []
+    for g in grams:
+        rows = _embed(g.order, g.data, order)
+        upper = [_times(order, e[i:], _times(order, rows, r)) for i, r in enumerate(e)]
+        products.append([[upper[min(i, j)][abs(i - j)] for j in range(len(e))] for i in range(len(e))])
+    spans = [range(k - s.dim, k) for k, s in zip(accumulate(s.dim for s in spaces), spaces)]
+
+    @cache
+    def blocks(t):
+        cut = [[[a[i][j] for j in spans[t]] for i in spans[t]] for a in products]
+        return [_mat(order, g.den * den * den, b, spaces[t].dim, Mat) for g, b in zip(grams, cut)]
+
+    return order, e, products, spans, blocks
 
 
 @dataclass(frozen=True)
@@ -194,19 +218,17 @@ def fixed_points_on_X(pencil: Pencil, group: MatrixGroup) -> FixedOnX:
 
     Points and lines are intersected with X exactly; higher-dimensional
     components are reported as they are."""
-    points = []
-    curves = []
-    lines = []
-    for comp in projective_fixed_locus(group).components:
-        if comp.dim > 2:
-            curves.append(comp)
-            continue
-        pts = _isotropic_points([q.restrict(comp).gram for q in (pencil.q1, pencil.q2)])
+    comps = projective_fixed_locus(group).components
+    small = [comp for comp in comps if comp.dim <= 2]
+    *_, blocks = _in_basis(pencil, small)
+    points, lines = [], []
+    for t, comp in enumerate(small):
+        pts = _isotropic_points(blocks(t))
         if pts is None:
             lines.append(comp)
         else:
             points.extend(_point(c, comp.basis) for c in pts)  # the components meet only in 0
-    return FixedOnX(tuple(points), tuple(curves), tuple(lines))
+    return FixedOnX(tuple(points), tuple(comp for comp in comps if comp.dim > 2), tuple(lines))
 
 
 @dataclass(frozen=True)
@@ -240,40 +262,29 @@ def invariant_lines_abelian(pencil: Pencil, group: MatrixGroup) -> LineSearchRep
             if a * b != b * a:
                 raise NotAbelian(f"generators {la!r} and {lb!r} do not commute")
     spaces = character_spaces(group)
-    # both quadrics in the basis E of all the spaces' basis vectors, E G Eᵀ,
-    # formed once: space t owns the rows span[t] of E, so each restricted form
-    # and polar condition below is a block
-    e = Mat([v for s, _ in spaces for v in s.basis])
-    grams = [(e * q.gram * e.transpose()).entries for q in (pencil.q1, pencil.q2)]
-    span = [range(k - s.dim, k) for k, (s, _) in zip(accumulate(s.dim for s, _ in spaces), spaces)]
-    restricted = cache(lambda t: [Mat([[a[i][j] for j in span[t]] for i in span[t]]) for a in grams])
+    # every restricted form, polar condition and line check below reads these
+    order, e, grams, span, restricted = _in_basis(pencil, [s for s, _ in spaces])
+    at = cache(lambda m: [_embed(order, a, m) for a in grams])  # the products at order m
 
-    def form(a, p, q):
-        """The polar form of the Gram a at points p, q, each {row of E: coefficient}."""
-        return sum(x * a[i][j] * y for i, x in p.items() for j, y in q.items())
+    def row(t, x, m):
+        """The point with coefficients x over space t's rows of E: (L, its int row over E at L = lcm(m, x's order))."""
+        o, _, (r,) = _rows_of([x])
+        m = lcm(m, o)
+        return m, [0] * span[t].start + _embed(o, [r], m)[0] + [0] * (len(e) - span[t].stop)
 
-    lines = []
-    families = []
+    lines, families = [], []
     # a plane spans two points of distinct character spaces, which meet only
     # in 0, or lies in one space: each plane comes up once
 
     # case (i): inside one character space
     for t, (space, char) in enumerate(spaces):
-        if space.dim == 2:
-            if not any(any(map(any, g.data)) for g in restricted(t)):
-                lines.append(space)
+        if space.dim == 2 and not any(any(map(any, g.data)) for g in restricted(t)):
+            lines.append(space)
         elif space.dim > 2:
-            fam = {
-                "character": char,
-                "dimension": space.dim,
-                "enumerated": False,
-                "reason": f"lines inside one character space of dimension {space.dim}",
-            }
-            if pencil.g == 2 and space.dim == 5:
-                f = pencil_det_form(*restricted(t))
-                if not bform_discriminant(f).is_zero():
-                    fam["count"] = 16
-                    fam["reason"] = "smooth quartic del Pezzo section: 16 lines"
+            fam = {"character": char, "dimension": space.dim, "enumerated": False,
+                   "reason": f"lines inside one character space of dimension {space.dim}"}
+            if pencil.g == 2 and space.dim == 5 and not bform_discriminant(pencil_det_form(*restricted(t))).is_zero():
+                fam.update(count=16, reason="smooth quartic del Pezzo section: 16 lines")
             families.append(fam)
 
     # case (ii): one eigenline from each of two characters
@@ -296,14 +307,17 @@ def invariant_lines_abelian(pencil: Pencil, group: MatrixGroup) -> LineSearchRep
                 pair_family(c1, c2, "isotropic directions form a family")
                 continue
             for x in lefts:
-                p = dict(zip(span[t1], x))
-                rights = _isotropic_points(restricted(t2), [[form(a, p, {j: ONE}) for j in span[t2]] for a in grams])
+                m, p = row(t1, x, order)
+                # p's polar conditions on space t2, one row per quadric (the products are symmetric)
+                polars = [[_dot(m, zip(a[j], p)) for j in span[t2]] for a in at(m)]
+                rights = _isotropic_points(restricted(t2), _mat(m, 1, polars, s2.dim, Mat))
                 if rights is None:
                     pair_family(c1, c2, "isotropic directions form a family")
                     continue
                 for y in rights:
-                    q = dict(zip(span[t2], y))
+                    m2, q = row(t2, y, m)
+                    u = _embed(m, [p], m2)[0]
                     # p and q are on X and polar: the line pq lies on X, checked again
-                    if all(form(a, u, v).is_zero() for a in grams for u, v in ((p, p), (p, q), (q, q))):
-                        lines.append(row_combinations_span([[u.get(k, 0) for k in range(e.rows)] for u in (p, q)], e))
+                    if not any(_dot(m2, zip(w, _times(m2, a, z))) for a in at(m2) for w, z in ((u, u), (u, q), (q, q))):
+                        lines.append(row_combinations_span(m2, [u, q], _embed(order, e, m2)))
     return LineSearchReport(tuple(lines), tuple(families))

@@ -4,7 +4,7 @@ from twoquadrics.binforms import BinaryForm, checked_roots, quadratic_roots, roo
 from twoquadrics.cyclo import CycNum, ONE, ZERO, imaginary_unit, zeta
 from twoquadrics.errors import NotAbelian, NotASymmetry
 from twoquadrics.groups import MatrixGroup
-from twoquadrics.matrices import Mat, Subspace
+from twoquadrics.matrices import Mat, Quadric, Subspace
 from twoquadrics.pencils import (
     Pencil,
     degeneracy_form,
@@ -199,6 +199,23 @@ def test_reflection_character_space_is_a_del_pezzo_section():
     assert rep.families[0]["dimension"] == 5
 
 
+def test_polar_conditions_come_from_both_quadrics():
+    # Q1 = x0² - x1² has no term across the eigenspaces span(e0, e1) and
+    # span(e2, e3) of h, Q2 = 2 (x0 x2 + x1 x3) only such terms: at the points
+    # e0 ± e1 on X, Q1's polar conditions on span(e2, e3) vanish and Q2's
+    # pick e2 ∓ e3, while span(e2, e3) lies on X, so the condition of Q1
+    # alone would leave a family
+    q2 = Quadric(Mat([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]))
+    p = Pencil(1, Quadric.from_diagonal([1, -1, 0, 0]), q2)
+    rep = invariant_lines_abelian(p, MatrixGroup([("h", Mat.diagonal([1, 1, -1, -1]))]))
+    assert rep.complete
+    assert set(rep.lines) == {
+        Subspace(4, [[O, O, I1, O], [O, O, O, I1]]),
+        Subspace(4, [[I1, I1, O, O], [O, O, I1, -I1]]),
+        Subspace(4, [[I1, -I1, O, O], [O, O, I1, I1]]),
+    }
+
+
 def bf(*coeffs):
     return BinaryForm(len(coeffs) - 1, coeffs)
 
@@ -239,9 +256,9 @@ def test_common_roots():
 def _isotropic(pencil, space, extra_points=()):
     """_isotropic_points on a subspace, with the polar conditions of extra
     points, as vectors."""
-    quadrics = (pencil.q1, pencil.q2)
-    polars = [[q.polar(e, b) for b in space.basis] for e in extra_points for q in quadrics]
-    pts = _isotropic_points([q.restrict(space).gram for q in quadrics], polars)
+    quadrics, b = (pencil.q1, pencil.q2), Mat(space.basis)
+    polars = [[q.polar(e, v) for v in space.basis] for e in extra_points for q in quadrics]
+    pts = _isotropic_points([b * q.gram * b.transpose() for q in quadrics], Mat(polars) if polars else None)
     return None if pts is None else [_point(c, space.basis) for c in pts]
 
 

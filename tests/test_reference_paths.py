@@ -13,7 +13,9 @@ pairwise cross products (the deleted `binforms.proj_equal`), are the
 references of the single solve and of the keyed roots.  The divisor scan of
 the old `matrices._mat` is the reference of the least-field walk, and the
 stage 3 and fixed-point search that called `Quadric.polar` on ambient
-vectors is the reference of the one that reads blocks of E G Eᵀ.  The scan
+vectors is the reference of the one that reads blocks of E G Eᵀ, and the
+stage 3 and fixed-point search that read those blocks as CycNum entries is
+the reference of the one on the int rows.  The scan
 of all of W(D5) is the reference of the conjugacy search that multiplies
 only where the permutations conjugate."""
 
@@ -25,7 +27,7 @@ import random
 import sys
 from fractions import Fraction
 from importlib import resources
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
 from operator import floordiv, mul
 from pathlib import Path
 
@@ -33,7 +35,7 @@ import pytest
 
 from twoquadrics import cli, cyclo, groups, matrices
 from twoquadrics.binforms import BinaryForm, Roots, bform_discriminant, checked_roots, quadratic_roots, root_images
-from twoquadrics.cyclo import CycNum, euler_phi, zeta
+from twoquadrics.cyclo import ONE, CycNum, euler_phi, zeta
 from twoquadrics.dp4 import SignedPerm, conjugate_in_WD5, lattice_h1, pic_action, wd5_elements
 from twoquadrics.errors import NotAbelian, NotARoot, NotASymmetry, NotClosed, UnsupportedCase
 from twoquadrics.groups import MatrixGroup, breadth_first, character_spaces, closure, projective_fixed_locus
@@ -58,6 +60,7 @@ from twoquadrics.pencils import (
     LineSearchReport,
     Pencil,
     _common_roots,
+    _point,
     equivariance,
     fixed_points_on_X,
     invariant_lines_abelian,
@@ -949,7 +952,7 @@ def _lines_by_polar(pencil, group):
             fam = {"character": char, "dimension": space.dim, "enumerated": False,
                    "reason": f"lines inside one character space of dimension {space.dim}"}
             if pencil.g == 2 and space.dim == 5:
-                f = pencil_det_form(pencil.q1.restrict(space).gram, pencil.q2.restrict(space).gram)
+                f = pencil_det_form(_restricted_gram(pencil.q1, space), _restricted_gram(pencil.q2, space))
                 if not bform_discriminant(f).is_zero():
                     fam["count"] = 16
                     fam["reason"] = "smooth quartic del Pezzo section: 16 lines"
@@ -1032,6 +1035,166 @@ def test_stage_3_on_the_blocks_matches_the_polar_search():
             if type(lines) is tuple and lines[0] is UnsupportedCase:
                 assert lines[1] == "quadratic root requires a square root outside Q(zeta_24)", name
     assert {"NotAbelian", "UnsupportedCase", "lines", "families", "points"} <= seen
+
+
+def _restricted_gram(q, s):
+    """The deleted Quadric.restrict, as its Gram: Q restricted to the basis of s."""
+    b = s._rows
+    return matrices._product(matrices._product(b, q.gram), b.transpose())
+
+
+def _combinations_span(coefs, m):
+    """The row_combinations_span that took CycNum coefficient rows and a Mat."""
+    corder, _, crows = matrices._rows_of(coefs)
+    order = math.lcm(corder, m.order)
+    cols = list(zip(*_embed(m.order, m.data, order)))
+    return matrices._span(m.cols, order, [matrices._times(order, cols, c) for c in _embed(corder, crows, order)])
+
+
+def _isotropic_points_of_entries(grams, polars=()):
+    """The _isotropic_points that read the restricted Grams' CycNum entries
+    and took polar conditions as rows of CycNum."""
+    if grams[0].rows == 1:
+        conds = [g.entries[0][0] for g in grams] + [row[0] for row in polars]
+        return [(ONE,)] if all(c.is_zero() for c in conds) else []
+    quadratics = [BinaryForm(2, [a, 2 * b, d]) for (a, b), (_, d) in (g.entries for g in grams)]
+    quadratics = [f for f in quadratics if not f.is_zero()]
+    if polars and (polar := kernel(Mat(polars))).dim < 2:
+        candidates = polar.basis
+    elif not quadratics:
+        return None
+    elif len(quadratics) == 1:
+        candidates = quadratic_roots(*quadratics[0].coeffs)
+    else:
+        candidates = _common_roots(*quadratics)
+    pts = []
+    for pt in candidates:
+        if all(f.evaluate(*pt).is_zero() for f in quadratics) and not any(_proj_equal(pt, q) for q in pts):
+            pts.append(pt)
+    return pts
+
+
+def _fixed_points_of_entries(pencil, group):
+    """The fixed_points_on_X that restricted each component by Quadric.restrict."""
+    points = []
+    curves = []
+    lines = []
+    for comp in projective_fixed_locus(group).components:
+        if comp.dim > 2:
+            curves.append(comp)
+            continue
+        pts = _isotropic_points_of_entries([_restricted_gram(q, comp) for q in (pencil.q1, pencil.q2)])
+        if pts is None:
+            lines.append(comp)
+        else:
+            points.extend(_point(c, comp.basis) for c in pts)
+    return FixedOnX(tuple(points), tuple(curves), tuple(lines))
+
+
+def _lines_of_entries(pencil, group):
+    """The invariant_lines_abelian that read E Q_i Eᵀ through its CycNum
+    entries: E a Mat of the spaces' basis vectors, each block a Mat of
+    entries (so in its own least field, as the int-row search reads it), and
+    the polar rows and the line check sums of CycNum products."""
+    for i, (la, a) in enumerate(group.generators):
+        for lb, b in group.generators[i + 1 :]:
+            if a * b != b * a:
+                raise NotAbelian(f"generators {la!r} and {lb!r} do not commute")
+    spaces = character_spaces(group)
+    e = Mat([v for s, _ in spaces for v in s.basis])
+    grams = [(e * q.gram * e.transpose()).entries for q in (pencil.q1, pencil.q2)]
+    span = [range(k - s.dim, k) for k, (s, _) in zip(accumulate(s.dim for s, _ in spaces), spaces)]
+    restricted = functools.cache(lambda t: [Mat([[a[i][j] for j in span[t]] for i in span[t]]) for a in grams])
+
+    def form(a, p, q):
+        return sum(x * a[i][j] * y for i, x in p.items() for j, y in q.items())
+
+    lines = []
+    families = []
+    for t, (space, char) in enumerate(spaces):
+        if space.dim == 2:
+            if not any(any(map(any, g.data)) for g in restricted(t)):
+                lines.append(space)
+        elif space.dim > 2:
+            fam = {
+                "character": char,
+                "dimension": space.dim,
+                "enumerated": False,
+                "reason": f"lines inside one character space of dimension {space.dim}",
+            }
+            if pencil.g == 2 and space.dim == 5:
+                f = pencil_det_form(*restricted(t))
+                if not bform_discriminant(f).is_zero():
+                    fam["count"] = 16
+                    fam["reason"] = "smooth quartic del Pezzo section: 16 lines"
+            families.append(fam)
+
+    def pair_family(c1, c2, reason):
+        families.append({"characters": (c1, c2), "enumerated": False, "reason": reason})
+
+    on_x = functools.cache(lambda t: _isotropic_points_of_entries(restricted(t)))
+    for t1, (s1, c1) in enumerate(spaces):
+        for t2, (s2, c2) in enumerate(spaces[t1 + 1 :], t1 + 1):
+            if any(spaces[t][0].dim == 1 and not on_x(t) for t in (t1, t2)):
+                continue
+            if s1.dim > 2 or s2.dim > 2:
+                pair_family(c1, c2, "parameter dimension exceeds 2")
+                continue
+            lefts = on_x(t1)
+            if lefts is None:
+                pair_family(c1, c2, "isotropic directions form a family")
+                continue
+            for x in lefts:
+                p = dict(zip(span[t1], x))
+                polars = [[form(a, p, {j: ONE}) for j in span[t2]] for a in grams]
+                rights = _isotropic_points_of_entries(restricted(t2), polars)
+                if rights is None:
+                    pair_family(c1, c2, "isotropic directions form a family")
+                    continue
+                for y in rights:
+                    q = dict(zip(span[t2], y))
+                    if all(form(a, u, v).is_zero() for a in grams for u, v in ((p, p), (p, q), (q, q))):
+                        lines.append(_combinations_span([[u.get(k, 0) for k in range(e.rows)] for u in (p, q)], e))
+    return LineSearchReport(tuple(lines), tuple(families))
+
+
+def test_stage_3_on_the_int_rows_matches_the_entries():
+    # the same blocks, each in its own least field, read as CycNum entries:
+    # every outcome, the C5 job's UnsupportedCase included, is the same
+    seen = set()
+    for name, text in _stage_3_jobs():
+        job = parse_job(text)
+        pg = cli._point_group(job)
+        for group in [pg, *(MatrixGroup([g]) for g in pg.generators)]:
+            lines = _outcome(invariant_lines_abelian, job.pencil, group)
+            assert lines == _outcome(_lines_of_entries, job.pencil, group), (name, group.labels)
+            fixed = _outcome(fixed_points_on_X, job.pencil, group)
+            assert fixed == _outcome(_fixed_points_of_entries, job.pencil, group), (name, group.labels)
+            for got in (lines, fixed):
+                seen.add(got[0].__name__ if type(got) is tuple else type(got).__name__)
+            if type(lines) is LineSearchReport:
+                seen.update(("lines",) * bool(lines.lines) + ("families",) * bool(lines.families))
+            if type(fixed) is FixedOnX:
+                seen.update(("points",) * bool(fixed.points) + ("lines_on_x",) * bool(fixed.lines_on_x))
+    assert {"NotAbelian", "UnsupportedCase", "lines", "families", "points"} <= seen
+
+
+def test_line_search_multiplies_no_cycnum_in_pencils(monkeypatch):
+    job = parse_job((resources.files("twoquadrics") / "fixtures" / "example_7_5.json").read_text())
+    gamma = MatrixGroup([g for g in cli._point_group(job).generators if g[0] == "gamma"])
+    want = invariant_lines_abelian(job.pencil, gamma)  # warms the caches
+    assert len(want.lines) == 2
+    calls = {}
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        def spy(a, b, real=getattr(CycNum, name), name=name):
+            caller = sys._getframe(1).f_code.co_filename
+            calls.setdefault(Path(caller).name, []).append(name)
+            return real(a, b)
+
+        monkeypatch.setattr(CycNum, name, spy)
+    assert invariant_lines_abelian(job.pencil, gamma) == want
+    assert calls.get("binforms.py")  # the square roots of quadratic_roots still make CycNum
+    assert "pencils.py" not in calls, calls["pencils.py"]
 
 
 def test_stage_3_makes_no_polar_call(monkeypatch):

@@ -13,11 +13,9 @@ from .groups import (
     FixedLocus,
     MatrixGroup,
     Relation,
-    center,
     closure,
     projective_fixed_locus,
     scalar_lift_search,
-    tensor_rep,
     verify_relations,
 )
 from .pencils import (
@@ -27,15 +25,11 @@ from .pencils import (
     fixed_points_on_X,
     invariant_lines_abelian,
     is_smooth,
-    membership,
 )
 from .torsion import (
     TorsionClass,
-    class_add,
     excess_identity,
     fixed_classes,
-    parse_cycles,
-    quotient_group_structure,
     section_count_identity,
     torsion_classes,
 )
@@ -46,7 +40,6 @@ from .dp4 import (
     lattice_h1,
     lines16,
     orbits,
-    order4_scan,
     pic_action,
     wd5_elements,
 )

@@ -74,22 +74,6 @@ class BinaryForm:
                 total = total + c * power
         return total
 
-    def __mul__(self, other):
-        if isinstance(other, BinaryForm):
-            d = self.degree + other.degree
-            out = [ZERO] * (d + 1)
-            for i, a in enumerate(self.coeffs):
-                if a.is_zero():
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if not b.is_zero():
-                        out[i + j] = out[i + j] + a * b
-            return BinaryForm(d, out)
-        c = CycNum._coerce(other)
-        return BinaryForm(self.degree, [c * x for x in self.coeffs])
-
-    __rmul__ = __mul__
-
     def partial_t1(self) -> "BinaryForm":
         d = self.degree
         if d == 0:

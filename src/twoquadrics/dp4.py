@@ -1,8 +1,8 @@
 """Quartic del Pezzo line configurations and W(D5).
 
 The 16 lines as Picard classes paired with spin weight vectors, signed
-permutation actions, orbits, conjugacy, the order-four scan, and H^1 of an
-integral lattice with finite-order automorphism.
+permutation actions, orbits, conjugacy, and H^1 of an integral lattice with
+finite-order automorphism.
 """
 
 from __future__ import annotations
@@ -34,12 +34,6 @@ class SignedPerm:
     @classmethod
     def identity(cls):
         return cls((1, 2, 3, 4, 5), (1, 1, 1, 1, 1))
-
-    def matrix(self):
-        rows = [[0] * 5 for _ in range(5)]
-        for j in range(5):
-            rows[self.perm[j] - 1][j] = self.signs[j]
-        return rows
 
     @property
     def parity(self):
@@ -218,27 +212,6 @@ def conjugate_in_WD5(a: SignedPerm, b: SignedPerm):
                 if g * a == b * g:
                     return (True, g)
     return (False, None)
-
-
-def order4_scan():
-    """All order-4 elements of W(D5) grouped by underlying S5 cycle type.
-
-    For each class reports the element count and whether every member fixes
-    a line."""
-    report = {}
-    for s in wd5_elements():
-        if s.order() != 4:
-            continue
-        ct = s.cycle_type()
-        entry = report.setdefault(
-            ct, {"count": 0, "all_fix_line": True, "fixing": 0}
-        )
-        entry["count"] += 1
-        if invariant_lines(s):
-            entry["fixing"] += 1
-        else:
-            entry["all_fix_line"] = False
-    return report
 
 
 def lattice_h1(a: IntMatrix, n: int):

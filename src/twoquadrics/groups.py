@@ -1,5 +1,5 @@
 """Finite matrix groups: closure, relations up to scalars, projective fixed
-loci, tensor constructions, and the scalar-lift obstruction search."""
+loci, and the scalar-lift obstruction search."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from .errors import (
     NotFiniteOrder,
     RelationsFailProjectively,
 )
-from .matrices import Mat, eigen_multiplicities, eigenspaces_finite_order, kronecker
+from .matrices import Mat, eigen_multiplicities, eigenspaces_finite_order
 
 # tuples scalar_lift_search may try: at about 10 us a tuple, some 10 s
 MAX_LIFT_TUPLES = 10**6
@@ -204,12 +204,6 @@ class FixedLocus:
 
     components: tuple  # of Subspace
 
-    def is_empty(self):
-        return not self.components
-
-    def dims(self):
-        return tuple(s.dim - 1 for s in self.components)  # projective dims
-
 
 def projective_fixed_locus(group: MatrixGroup) -> FixedLocus:
     """Points of P^{n-1} fixed by every generator: the joint eigenspaces,
@@ -271,28 +265,3 @@ def scalar_lift_search(group: MatrixGroup, relations, scalar_order_bound: int):
             lift = {lab: roots[ki] for lab, ki in zip(labels, combo)}
             return {"lift": lift, "tested": tested, "scalar_order": m, "reports": reports}
     return {"obstruction": True, "tested": tested, "scalar_order": m, "reports": reports}
-
-
-def tensor_rep(a: MatrixGroup, b: MatrixGroup) -> MatrixGroup:
-    """Generator-wise Kronecker product; generators are paired by label."""
-    if set(a.labels) != set(b.labels):
-        raise LabelMismatch(
-            f"generator labels differ: {a.labels} vs {b.labels}"
-        )
-    gens = [(lab, kronecker(m, b.generator(lab))) for lab, m in a.generators]
-    named = {
-        name: kronecker(m, b.named[name])
-        for name, m in a.named.items()
-        if name in b.named
-    }
-    return MatrixGroup(gens, named=named)
-
-
-def center(group: MatrixGroup):
-    """Elements of the (computed) closure commuting with every generator;
-    `group.elements` raises ClosureMissing before closure() has run."""
-    out = []
-    for m in group.elements:
-        if all(m * g == g * m for _, g in group.generators):
-            out.append(m)
-    return out

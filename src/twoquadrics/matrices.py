@@ -24,8 +24,8 @@ the images of Serre's projections, summed on the int rows from the powers
 `operator_order` forms and shifted by power_table rows: no kernel and no
 product (`eigenspaces_finite_order`).
 CycNum values are made only at the API boundary: `entries`,
-`Subspace.basis`, `det`, `trace`, `is_scalar`, `apply`, `Quadric.polar` and
-`solve`; `row_combinations_span` takes int rows (stage 3's line spans).
+`Subspace.basis`, `det`, `trace`, `is_scalar`, `apply` and `solve`;
+`row_combinations_span` takes int rows (stage 3's line spans).
 """
 
 from __future__ import annotations
@@ -152,8 +152,12 @@ class Mat:
 
     @classmethod
     def diagonal(cls, values):
-        values = list(values)
-        return cls([[x if i == j else 0 for j in range(len(values))] for i, x in enumerate(values)])
+        """diag(values): the n values are read once, and the zeros off the
+        diagonal are laid out as int entries."""
+        order, den, (row,) = _rows_of([values])
+        if not row:
+            raise ValueError("matrix must be nonempty")
+        return _mat(order, den, [[x if i == j else 0 for j in range(len(row))] for i, x in enumerate(row)], len(row), cls)
 
     @property
     def entries(self):
@@ -474,11 +478,6 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
 
-    def contains_subspace(self, other) -> bool:
-        a, b = self._rows, other._rows
-        order = lcm(a.order, b.order)
-        return len(_echelon(order, [*_embed(a.order, a.data, order), *_embed(b.order, b.data, order)])[0]) == a.rows
-
     def intersect(self, other) -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
@@ -667,24 +666,6 @@ class Quadric:
     def __repr__(self):
         return f"Quadric({self.gram!r})"
 
-    def evaluate(self, v) -> CycNum:
-        return self.polar(v, v)
-
-    def polar(self, u, v) -> CycNum:
-        u, v = list(u), list(v)
-        if len(u) != self.size or len(v) != self.size:
-            raise DimensionMismatch("vector length mismatch")
-        vorder, vden, uv = _rows_of([u, v])
-        g = self.gram
-        order = lcm(g.order, vorder)
-        u, v = _embed(vorder, uv, order)
-        return _cyc(order, _times(order, [u], _times(order, _embed(g.order, g.data, order), v))[0], g.den * vden**2)
-
-
 def contragredient(m: Mat) -> Mat:
     """Inverse transpose: the action on points dual to one on coordinates."""
     return m.inverse().transpose()
-
-
-def kronecker(a: Mat, b: Mat) -> Mat:
-    return Mat([[x * y for x in ra for y in rb] for ra in a.entries for rb in b.entries])

@@ -23,7 +23,7 @@ from math import lcm
 from operator import mul
 
 from .binforms import BinaryForm, bform_discriminant, quadratic_roots
-from .cyclo import ONE, ZERO, CycNum
+from .cyclo import ONE, ZERO
 from .errors import DimensionMismatch, NotAbelian, NotASymmetry
 from .groups import MatrixGroup, character_spaces, projective_fixed_locus
 from .matrices import Mat, Quadric, _coefs, _cyc, _dot, _embed, _mat, _rows_of, _times, kernel
@@ -108,15 +108,6 @@ def equivariance(pencil: Pencil, h: Mat) -> Mat:
     if m.det().is_zero():
         raise NotASymmetry("induced 2x2 action is singular")
     return m
-
-
-def membership(pencil: Pencil, v) -> bool:
-    v = [CycNum._coerce(x) for x in v]
-    if len(v) != pencil.size:
-        raise DimensionMismatch("point has wrong length")
-    if all(x.is_zero() for x in v):
-        raise ValueError("zero vector is not a projective point")
-    return pencil.q1.evaluate(v).is_zero() and pencil.q2.evaluate(v).is_zero()
 
 
 def _isotropic_points(grams, polars=None):

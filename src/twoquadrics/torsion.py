@@ -8,7 +8,6 @@ excess computations.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -41,22 +40,8 @@ class TorsionClass:
     def __post_init__(self):
         object.__setattr__(self, "subset", _canonical(self.g, self.subset))
 
-    @property
-    def parity(self):
-        return len(self.subset) % 2
-
-    def is_identity(self):
-        return not self.subset
-
     def __repr__(self):
         return f"[{{{','.join(map(str, self.subset))}}}]"
-
-
-def class_add(a: TorsionClass, b: TorsionClass) -> TorsionClass:
-    if a.g != b.g:
-        raise GenusMismatch("classes have different genus")
-    sa, sb = set(a.subset), set(b.subset)
-    return TorsionClass(a.g, tuple(sa ^ sb))
 
 
 def torsion_classes(g, parity):
@@ -94,56 +79,6 @@ def fixed_classes(perms, parity, g):
         for c in torsion_classes(g, parity)
         if all(act(p, c) == c for p in perms)
     ]
-
-
-def parse_cycles(text, n):
-    """Permutation of 1..n from cycle notation like '(3 4 5 6)(1 2)'.
-
-    Separators inside a cycle may be spaces or commas; fixed points may be
-    omitted.  Returns the tuple of images."""
-    images = list(range(1, n + 1))
-    for cyc in re.findall(r"\(([^()]*)\)", text):
-        entries = [int(x) for x in re.split(r"[,\s]+", cyc.strip()) if x]
-        if not entries:
-            continue
-        if any(i < 1 or i > n for i in entries) or len(set(entries)) != len(entries):
-            raise ValueError(f"bad cycle {cyc!r} for degree {n}")
-        for a, b in zip(entries, entries[1:] + entries[:1]):
-            images[a - 1] = b
-    if sorted(images) != list(range(1, n + 1)):
-        raise ValueError("cycles overlap: not a permutation")
-    return tuple(images)
-
-
-def quotient_group_structure(g):
-    """Structure of the full subset group <b_1, ..., b_{2g+2}> / <g^1_2>.
-
-    Verifies the group of all classes (both parities) is elementary abelian
-    of order 2^{2g+1}, generated by the singleton classes [{1}], ...,
-    [{2g+1}]."""
-    classes = torsion_classes(g, 0) + torsion_classes(g, 1)
-    order = len(classes)
-    exponent_two = all(class_add(c, c).is_identity() for c in classes)
-    gens = [TorsionClass(g, (i,)) for i in range(1, 2 * g + 2)]
-    span = {TorsionClass(g, ()).subset}
-    frontier = [TorsionClass(g, ())]
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for h in gens:
-                s = class_add(c, h)
-                if s.subset not in span:
-                    span.add(s.subset)
-                    nxt.append(s)
-        frontier = nxt
-    return {
-        "order": order,
-        "exponent": 2 if exponent_two else None,
-        "elementary_abelian": exponent_two and order == 2 ** (2 * g + 1),
-        "generators": gens,
-        "generated_order": len(span),
-        "generates_all": len(span) == order,
-    }
 
 
 def section_count_identity(g):

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 from importlib import resources
 
-from twoquadrics.binforms import BinaryForm, root_images
+from twoquadrics.binforms import root_images
 from twoquadrics.cli import run_report
 from twoquadrics.cyclo import CycNum, ONE, ZERO, imaginary_unit, zeta
 from twoquadrics.dp4 import (
@@ -19,7 +19,6 @@ from twoquadrics.dp4 import (
     lattice_h1,
     line_permutation,
     lines16,
-    order4_scan,
     orbits,
     pic_action,
     wd5_elements,
@@ -30,7 +29,6 @@ from twoquadrics.groups import (
     closure,
     projective_fixed_locus,
     scalar_lift_search,
-    tensor_rep,
     verify_relations,
 )
 from twoquadrics.jsonio import parse_job
@@ -47,7 +45,6 @@ from twoquadrics.pencils import (
     fixed_points_on_X,
     invariant_lines_abelian,
     is_smooth,
-    membership,
     proj_point_equal,
 )
 from twoquadrics.smith import IntMatrix, smith_normal_form
@@ -55,7 +52,6 @@ from twoquadrics.torsion import (
     TorsionClass,
     excess_identity,
     fixed_classes,
-    parse_cycles,
     section_count_identity,
 )
 
@@ -100,21 +96,13 @@ def test_acceptance_01_pencil_degeneracy():
     def body():
         job = _job75()
         f = degeneracy_form(job.pencil)
-        factors = [
-            BinaryForm(1, [ONE, ZERO]),          # t1
-            BinaryForm(1, [ONE, ONE]),           # t1 + t2
-            BinaryForm(1, [i, ONE]),             # i t1 + t2
-            BinaryForm(1, [-ONE, ONE]),          # -t1 + t2
-            BinaryForm(1, [-i, ONE]),            # -i t1 + t2
-            BinaryForm(1, [ZERO, ONE]),          # t2
-        ]
-        prod = BinaryForm(0, [ONE])
-        for fac in factors:
-            prod = prod * fac
+        # the factors t1, t2, t1 + t2, -t1 + t2, i t1 + t2 and -i t1 + t2, where
+        # (t1 + t2)(-t1 + t2)(i t1 + t2)(-i t1 + t2) = t2^4 - t1^4
+        prod = [ZERO, -ONE, ZERO, ZERO, ZERO, ONE, ZERO]  # t1 t2 (t2^4 - t1^4)
         lead = next(c for c in f.coeffs if not c.is_zero())
-        plead = next(c for c in prod.coeffs if not c.is_zero())
+        plead = next(c for c in prod if not c.is_zero())
         scale = plead * lead.inverse()
-        assert [scale * c for c in f.coeffs] == list(prod.coeffs)
+        assert [scale * c for c in f.coeffs] == prod
         assert is_smooth(job.pencil)
         # root set in lambda = t2/t1: {0, oo, 1, i, -1, -i}
         lams = set()
@@ -146,10 +134,11 @@ def test_acceptance_03_eigen_analysis():
         assert {k: s.dim for k, s in spaces.items()} == {
             lam.key(): d for lam, d in expect.items()
         }
+        quadrics = (job.pencil.q1, job.pencil.q2)
         for lam, on_x in ((ONE, False), (ALPHA, True),
                           (ALPHA**3, False), (ALPHA**5, True)):
-            v = spaces[lam.key()].basis[0]
-            assert membership(job.pencil, v) == on_x
+            v = Mat([spaces[lam.key()].basis[0]])
+            assert all(v * q.gram * v.transpose() == Mat([[0]]) for q in quadrics) == on_x
         on_x = [spaces[lam.key()].basis[0] for lam in (ALPHA, ALPHA**5)]
         p1, p2, p3, p4 = [[CycNum._coerce(x) for x in p] for p in pts]
         assert any(proj_point_equal(tuple(v), tuple(p1)) for v in on_x)
@@ -161,8 +150,8 @@ def test_acceptance_03_eigen_analysis():
                for w in plane.basis] for u in plane.basis]
         assert all(x.is_zero() for row in r2 for x in row)
         for p in (p3, p4):
-            assert plane.contains_subspace(Subspace(6, [p]))
-            assert membership(job.pencil, p)
+            assert plane.intersect(Subspace(6, [p])).dim == 1
+            assert all(Mat([p]) * q.gram * Mat([p]).transpose() == Mat([[0]]) for q in quadrics)
         fx = fixed_points_on_X(job.pencil, pg)
         assert len(fx.points) == 4
         for p in (p1, p2, p3, p4):
@@ -199,10 +188,10 @@ def test_acceptance_05_branch_permutation():
 
 def test_acceptance_06_theta_obstruction():
     def body():
-        four = parse_cycles("(3 4 5 6)", 6)
+        four = (1, 2, 4, 5, 6, 3)  # (3 4 5 6)
         fixed = fixed_classes([four], "odd", 2)
         assert fixed == [TorsionClass(2, (1,)), TorsionClass(2, (2,))]
-        swap = parse_cycles("(1 3)(2 5)(4 6)", 6)
+        swap = (3, 5, 1, 6, 2, 4)  # (1 3)(2 5)(4 6)
         assert fixed_classes([four, swap], "odd", 2) == []
         verdict = run_report(parse_job(_fixture("example_7_5_full.json")))
         assert verdict["status"] == "OBSTRUCTED"
@@ -281,10 +270,12 @@ def test_acceptance_09_wd5_order_four():
         expected_orbits = [(0, 9, 14, 15), (1, 4, 5, 8), (2, 3, 6, 7),
                           (10, 11, 12, 13)]
         assert sorted(orbits([gamma1])) == expected_orbits
-        scan = order4_scan()
-        assert scan[(4, 1)]["all_fix_line"]
+        # each order-four element, by cycle type, and whether it fixes a line
+        order4 = [s for s in wd5_elements() if s.order() == 4]
+        fixes = {t: [bool(invariant_lines(s)) for s in order4 if s.cycle_type() == t] for t in ((4, 1), (2, 2, 1))}
+        assert len(fixes[(4, 1)]) == 240 and all(fixes[(4, 1)])
         assert gamma1.order() == 4 and gamma1.cycle_type() == (2, 2, 1)
-        assert scan[(2, 2, 1)]["fixing"] == 0
+        assert fixes[(2, 2, 1)] and not any(fixes[(2, 2, 1)])
 
     _check(9, "W(D5) order-four elements: action table, orbits, conjugacy", body)
 
@@ -326,7 +317,7 @@ def test_acceptance_11_lifting():
         klein = MatrixGroup(
             [("a", Mat.diagonal([1, -1])), ("b", Mat([[ZERO, ONE], [ONE, ZERO]]))]
         )
-        assert projective_fixed_locus(klein).is_empty()
+        assert not projective_fixed_locus(klein).components
         krels = [
             Relation((("a", 2),), "identity"),
             Relation((("b", 2),), "identity"),
@@ -342,8 +333,9 @@ def test_acceptance_11_lifting():
             [("sigma", sw), ("tau", tw)],
             named={"iota": Mat([[ZERO, i], [-i, ZERO]])},
         )
-        vw = tensor_rep(v, w)
-        assert projective_fixed_locus(vw).is_empty()
+        vw = MatrixGroup([(lab, Mat([[x * y for x in ra for y in rb] for ra in m.entries for rb in w.generator(lab).entries]))
+                          for lab, m in v.generators])  # generator-wise Kronecker products
+        assert not projective_fixed_locus(vw).components
 
     _check(11, "order-24 closure, Klein obstruction, no fixed points", body)
 

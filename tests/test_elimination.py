@@ -157,9 +157,6 @@ def test_sparse_product_and_apply_match_dense_sums():
         assert a * b == _dense_product(a, b)
         vec = [_sparse_entry(rng) for _ in range(6)]
         assert list(a.apply(vec)) == _dense_apply(a, vec)
-        q = Quadric(a + a.transpose())
-        w = [_sparse_entry(rng) for _ in range(6)]
-        assert q.polar(vec, w) == sum((x * CycNum._coerce(y) for x, y in zip(vec, _dense_apply(q.gram, w))), ZERO)
 
 
 def test_sparse_det_inverse_rank_kernel_identities():

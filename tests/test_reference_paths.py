@@ -12,12 +12,12 @@ one solve per transformed Gram, and branch roots checked and matched by
 pairwise cross products (the deleted `binforms.proj_equal`), are the
 references of the single solve and of the keyed roots.  The divisor scan of
 the old `matrices._mat` is the reference of the least-field walk, and the
-stage 3 and fixed-point search that called `Quadric.polar` on ambient
-vectors is the reference of the one that reads blocks of E G Eᵀ, and the
-stage 3 and fixed-point search that read those blocks as CycNum entries is
-the reference of the one on the int rows.  The scan
-of all of W(D5) is the reference of the conjugacy search that multiplies
-only where the permutations conjugate."""
+stage 3 and fixed-point search that formed p G vᵀ on ambient vectors (the
+deleted `Quadric.polar`) is the reference of the one that reads blocks of
+E G Eᵀ, and the stage 3 and fixed-point search that read those blocks as
+CycNum entries is the reference of the one on the int rows.  The scan of
+all of W(D5) is the reference of the conjugacy search that multiplies only
+where the permutations conjugate."""
 
 import functools
 import importlib.util
@@ -35,7 +35,7 @@ import pytest
 
 from twoquadrics import cli, cyclo, groups, matrices
 from twoquadrics.binforms import BinaryForm, Roots, bform_discriminant, checked_roots, quadratic_roots, root_images
-from twoquadrics.cyclo import ONE, CycNum, euler_phi, zeta
+from twoquadrics.cyclo import ONE, ZERO, CycNum, euler_phi, zeta
 from twoquadrics.dp4 import SignedPerm, conjugate_in_WD5, lattice_h1, pic_action, wd5_elements
 from twoquadrics.errors import NotAbelian, NotARoot, NotASymmetry, NotClosed, UnsupportedCase
 from twoquadrics.groups import MatrixGroup, breadth_first, character_spaces, closure, projective_fixed_locus
@@ -290,7 +290,7 @@ def _maximal_distinct_components(group):
     spaces = [s for s, _ in character_spaces(group)]
     maximal = []
     for s in spaces:
-        if any(other.dim > s.dim and other.contains_subspace(s) for other in spaces):
+        if any(other.dim > s.dim and other.intersect(s) == s for other in spaces):
             continue
         if s not in maximal:
             maximal.append(s)
@@ -752,13 +752,14 @@ def test_equivariance_and_root_images_match_the_scans():
 
 
 def _form_with_roots(points):
-    """The product of v t1 - u t2 over the distinct points (u, v)."""
-    f, seen = BinaryForm(0, [1]), []
+    """The product of v t1 - u t2 over the distinct points (u, v): each
+    factor takes the coefficient list c to v c_k - u c_(k-1)."""
+    c, seen = [ONE], []
     for u, v in ((CycNum._coerce(u), CycNum._coerce(v)) for u, v in points):
         if not any(_proj_equal((u, v), q) for q in seen):
             seen.append((u, v))
-            f = f * BinaryForm(1, [v, -u])
-    return f
+            c = [v * a - u * b for a, b in zip(c + [ZERO], [ZERO] + c)]
+    return BinaryForm(len(c) - 1, c)
 
 
 def test_root_keys_match_the_scan_at_infinity_on_multiples_and_across_fields():
@@ -882,23 +883,25 @@ def test_transpose_and_negation_make_no_descent_and_the_walk_fewer(monkeypatch):
 
 def _restricted_binary_quadric(q, plane):
     """The deleted pencils._restricted_binary_quadric: Q restricted to
-    u·b1 + v·b2, from Quadric.polar."""
-    b1, b2 = plane.basis
-    return BinaryForm(2, [q.evaluate(b1), 2 * q.polar(b1, b2), q.evaluate(b2)])
+    u·b1 + v·b2, from the products bi·G·bjᵀ."""
+    b = Mat(plane.basis)
+    (g11, g12), (_, g22) = (b * q.gram * b.transpose()).entries
+    return BinaryForm(2, [g11, 2 * g12, g22])
 
 
 def _isotropic_points_by_polar(pencil, space, extra_points=()):
     """The deleted pencils._isotropic_points, on a Subspace with extra
-    points, every condition a Quadric.polar: a list of vectors, or None."""
-    quadrics = (pencil.q1, pencil.q2)
+    points, every condition a product p·G·vᵀ of ambient vectors: a list of
+    vectors, or None."""
+    quadrics, b = (pencil.q1, pencil.q2), Mat(space.basis)
     if space.dim == 1:
         v = space.basis[0]
-        conds = [q.evaluate(v) for q in quadrics]
-        conds += [q.polar(p, v) for p in extra_points for q in quadrics]
+        conds = [(b * q.gram * b.transpose()).entries[0][0] for q in quadrics]
+        conds += [(Mat([p]) * q.gram * b.transpose()).entries[0][0] for p in extra_points for q in quadrics]
         return [v] if all(c.is_zero() for c in conds) else []
     b1, b2 = space.basis
     quadratics = [f for f in (_restricted_binary_quadric(q, space) for q in quadrics) if not f.is_zero()]
-    conds = [[q.polar(p, b1), q.polar(p, b2)] for p in extra_points for q in quadrics]
+    conds = [list((Mat([p]) * q.gram * b.transpose()).entries[0]) for p in extra_points for q in quadrics]
     if conds and (polar := kernel(Mat(conds))).dim < 2:
         candidates = polar.basis
     elif not quadratics:
@@ -933,7 +936,7 @@ def _fixed_points_by_polar(pencil, group):
 
 def _lines_by_polar(pencil, group):
     """The deleted invariant_lines_abelian: each restricted form, polar
-    condition and plane test from Quadric.polar on ambient vectors."""
+    condition and plane test from products of ambient vectors with a Gram."""
     for i, (la, a) in enumerate(group.generators):
         for lb, b in group.generators[i + 1 :]:
             if a * b != b * a:
@@ -1195,11 +1198,3 @@ def test_line_search_multiplies_no_cycnum_in_pencils(monkeypatch):
     assert invariant_lines_abelian(job.pencil, gamma) == want
     assert calls.get("binforms.py")  # the square roots of quadratic_roots still make CycNum
     assert "pencils.py" not in calls, calls["pencils.py"]
-
-
-def test_stage_3_makes_no_polar_call(monkeypatch):
-    job = parse_job((resources.files("twoquadrics") / "fixtures" / "example_7_5.json").read_text())
-    polars = _counted(monkeypatch, matrices.Quadric, "polar")
-    assert cli.run_report(job)["status"] == "LINEARIZABLE_CERTIFIED"
-    assert invariant_lines_abelian(job.pencil, cli._point_group(job)).lines
-    assert polars == []

@@ -6,11 +6,8 @@ from twoquadrics.errors import GenusMismatch
 from twoquadrics.torsion import (
     TorsionClass,
     act,
-    class_add,
     excess_identity,
     fixed_classes,
-    parse_cycles,
-    quotient_group_structure,
     section_count_identity,
     torsion_classes,
 )
@@ -20,19 +17,11 @@ def test_canonicalization():
     assert TorsionClass(2, (1, 2, 3, 4)).subset == (5, 6)
     assert TorsionClass(2, (1, 2, 3)).subset == (1, 2, 3)
     assert TorsionClass(2, (4, 5, 6)).subset == (1, 2, 3)
-    assert TorsionClass(2, ()).is_identity()
+    assert TorsionClass(2, (1, 2, 3, 4, 5, 6)).subset == ()
     with pytest.raises(ValueError):
         TorsionClass(2, (0,))
     with pytest.raises(ValueError):
         TorsionClass(2, (7,))
-
-
-def test_class_add():
-    assert class_add(TorsionClass(2, (1, 2)), TorsionClass(2, (2, 3))) == TorsionClass(2, (1, 3))
-    assert class_add(TorsionClass(2, (1,)), TorsionClass(2, (1,))).is_identity()
-    assert class_add(TorsionClass(2, (1,)), TorsionClass(2, (2, 3, 4))) == TorsionClass(2, (5, 6))
-    with pytest.raises(GenusMismatch):
-        class_add(TorsionClass(1, (1,)), TorsionClass(2, (1,)))
 
 
 def test_counts():
@@ -46,15 +35,6 @@ def test_counts():
         assert len(torsion_classes(g, "even")) * (2 * g + 2) == 4**g * (2 * g + 2)
 
 
-def test_group_axioms_exhaustive_g2():
-    classes = torsion_classes(2, "even")
-    ident = TorsionClass(2, ())
-    for a in classes:
-        assert class_add(a, a) == ident
-        for b in classes:
-            assert class_add(a, b) in classes
-
-
 def test_act_is_action():
     rng = random.Random(1)
     classes = torsion_classes(2, "odd")
@@ -66,12 +46,14 @@ def test_act_is_action():
         pq = tuple(p[q[k] - 1] for k in range(6))
         for c in classes:
             assert act(pq, c) == act(tuple(p), act(tuple(q), c))
-            assert act(tuple(p), c).parity == c.parity
+            assert len(act(tuple(p), c).subset) % 2 == len(c.subset) % 2
+    with pytest.raises(GenusMismatch):
+        act((1, 2, 3, 4), TorsionClass(2, (1,)))
 
 
 def test_fixed_class_count_conjugation_invariant():
     rng = random.Random(2)
-    sigma = parse_cycles("(3 4 5 6)", 6)
+    sigma = (1, 2, 4, 5, 6, 3)  # (3 4 5 6)
     for _ in range(10):
         g = list(range(1, 7))
         rng.shuffle(g)
@@ -82,23 +64,6 @@ def test_fixed_class_count_conjugation_invariant():
         assert len(fixed_classes([conj], "odd", 2)) == len(
             fixed_classes([sigma], "odd", 2)
         )
-
-
-def test_parse_cycles():
-    assert parse_cycles("(3 4 5 6)", 6) == (1, 2, 4, 5, 6, 3)
-    assert parse_cycles("(1 3)(2 5)(4 6)", 6) == (3, 5, 1, 6, 2, 4)
-    assert parse_cycles("", 4) == (1, 2, 3, 4)
-    with pytest.raises(ValueError):
-        parse_cycles("(1 2)(2 3)", 4)
-    with pytest.raises(ValueError):
-        parse_cycles("(0 1)", 4)
-
-
-def test_quotient_group_structure():
-    q = quotient_group_structure(2)
-    assert q["order"] == 32 and q["exponent"] == 2
-    assert q["elementary_abelian"] and q["generates_all"]
-    assert quotient_group_structure(1)["order"] == 8
 
 
 def test_identities():

@@ -7,10 +7,9 @@ chains them into linearizability verdicts.
 
 from .cyclo import CycNum, cyc_sqrt, zeta
 from .binforms import BinaryForm, bform_discriminant
-from .matrices import Mat, Quadric, Subspace, contragredient, eigenspaces_finite_order, kernel, operator_order
+from .matrices import Mat, Quadric, Subspace, eigenspaces_finite_order, kernel, operator_order
 from .smith import IntMatrix, invariant_factors, smith_normal_form
 from .groups import (
-    FixedLocus,
     MatrixGroup,
     Relation,
     closure,

@@ -37,7 +37,7 @@ from .jsonio import (
     lift_input_from_json,
     parse_job,
 )
-from .matrices import Mat, contragredient, eigen_multiplicities
+from .matrices import Mat, eigen_multiplicities, point_action
 from .pencils import fixed_points_on_X, invariant_lines_abelian
 from .torsion import excess_identity, fixed_classes, section_count_identity
 
@@ -77,13 +77,13 @@ def _perm_cycles(perm):
 
 
 def _point_group(job):
-    """The group acting on points: contragredients of the matrix generators,
-    each of finite order; its elements are enumerated only where they are read."""
+    """The group acting on points: the point action (hᵀ)⁻¹ of each matrix
+    generator h, of finite order, read off one walk of h's powers
+    (`matrices.point_action`), so no generator is inverted; its elements are
+    enumerated only where they are read."""
     if job.group is None:
         raise SchemaError("no matrix generators")
-    g = MatrixGroup([(lab, contragredient(m)) for lab, m in job.group.generators])
-    check_finite_orders(g)
-    return g
+    return MatrixGroup(check_finite_orders(job.group, point_action))
 
 
 def _pencil_actions(element_words, actions):

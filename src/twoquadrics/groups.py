@@ -90,14 +90,17 @@ class MatrixGroup:
         return len(self._closure)
 
 
-def check_finite_orders(group: MatrixGroup):
-    """eigen_multiplicities of each generator (kept on its Mat); a
+def check_finite_orders(group: MatrixGroup, walk=eigen_multiplicities):
+    """(label, walk(g)) for each generator g: eigen_multiplicities (kept on
+    its Mat) or point_action, both of which walk g's powers once; a
     NotFiniteOrder from operator_order is raised again naming the generator."""
+    out = []
     for label, g in group.generators:
         try:
-            eigen_multiplicities(g)
+            out.append((label, walk(g)))
         except NotFiniteOrder as exc:
             raise NotFiniteOrder(f"generator {label!r} has {exc}") from None
+    return out
 
 
 def breadth_first(group: MatrixGroup, cap: int = MAX_CLOSURE):
@@ -198,21 +201,14 @@ def character_spaces(group: MatrixGroup):
     return current
 
 
-@dataclass(frozen=True)
-class FixedLocus:
-    """Union of projective linear subspaces, given by maximal components."""
-
-    components: tuple  # of Subspace
-
-
-def projective_fixed_locus(group: MatrixGroup) -> FixedLocus:
-    """Points of P^{n-1} fixed by every generator: the joint eigenspaces,
-    which meet pairwise only in 0, so each is a maximal component."""
-    spaces = sorted(
+def projective_fixed_locus(group: MatrixGroup) -> tuple:
+    """Points of P^{n-1} fixed by every generator, as the tuple of its
+    components, Subspaces: the joint eigenspaces, which meet pairwise only in
+    0, so each is a maximal component."""
+    return tuple(sorted(
         (s for s, _ in character_spaces(group)),
         key=lambda s: (-s.dim, [[x.key() for x in v] for v in s.basis]),
-    )
-    return FixedLocus(tuple(spaces))
+    ))
 
 
 def scalar_lift_search(group: MatrixGroup, relations, scalar_order_bound: int):

@@ -4,7 +4,8 @@ SCHEMA below is the one description of every JSON input. Each reader first
 checks the decoded value against its entry with `_walk`, which raises
 SchemaError at the JSON path of the first mismatch, and only then converts it,
 keeping the checks a type cannot state (coefficient counts, nonzero
-denominators, matrix sizes, invertibility, independent pencil quadrics,
+denominators, matrix sizes, invertibility as a nonzero determinant kept on
+the Mat for `operator_order`, independent pencil quadrics,
 distinct labels, names that refer to elements, and last, in `parse_job`, that
 each matrix generator is a pencil symmetry and each moebius generator permutes
 the branch roots). An entry of the table reads as follows:
@@ -330,10 +331,11 @@ def _labeled(generators, path):
 
 
 def _invertible(obj, n, size_name, path):
-    """The matrix in obj, once it is checked to be n x n and invertible."""
+    """The matrix in obj, once it is checked to be n x n and of nonzero
+    determinant, which stays on it for operator_order."""
     m = _mat(obj, path)
     _expect(m.rows == m.cols == n, f"matrix must be {n}x{n}, {size_name}", path)
-    _expect(m.rank() == n, "matrix is singular", path)
+    _expect(not m.det().is_zero(), "matrix is singular", path)
     return m
 
 

@@ -22,7 +22,11 @@ span at once, as the rows of a Mat (both pencil actions of a symmetry, in
 `pencils.equivariance`).  The eigenspaces of a finite-order matrix are
 the images of Serre's projections, summed on the int rows from the powers
 `operator_order` forms and shifted by power_table rows: no kernel and no
-product (`eigenspaces_finite_order`).
+product (`eigenspaces_finite_order`).  The action (hᵀ)⁻¹ of a generator h
+on points is read off those powers of h, with no inverse: (h^(n-1))ᵀ for h
+of order n, its powers and multiplicities set beside it (`point_action`).
+The determinant is kept on the Mat, as `entries` is, so the invertibility
+check at parse time and `operator_order` share one elimination.
 CycNum values are made only at the API boundary: `entries`,
 `Subspace.basis`, `det`, `trace`, `is_scalar`, `apply` and `solve`;
 `row_combinations_span` takes int rows (stage 3's line spans).
@@ -133,7 +137,7 @@ def _set(m, order, den, data, cols):
 class Mat:
     """Rectangular matrix over Q(zeta_order): int rows over one denominator."""
 
-    __slots__ = ("rows", "cols", "order", "den", "data", "_entries", "_mults", "_powers")
+    __slots__ = ("rows", "cols", "order", "den", "data", "_entries", "_det", "_mults", "_powers")
 
     def __init__(self, entries):
         entries = [list(r) for r in entries]
@@ -250,12 +254,16 @@ class Mat:
         return tuple(row[0] for row in _product(self, Mat([[x] for x in vec])).entries)
 
     def det(self) -> CycNum:
-        if self.rows != self.cols:
-            raise DimensionMismatch("determinant of nonsquare matrix")
-        pivots, (a, b) = _echelon(self.order, list(self.data))
-        if len(pivots) < self.rows:
-            return ZERO
-        return _cyc(self.order, a, self.den**self.rows) / _cyc(self.order, b, 1)
+        """The determinant, computed on first use and kept, like `entries`."""
+        d = getattr(self, "_det", None)
+        if d is None:
+            if self.rows != self.cols:
+                raise DimensionMismatch("determinant of nonsquare matrix")
+            pivots, (a, b) = _echelon(self.order, list(self.data))
+            full = len(pivots) == self.rows
+            d = _cyc(self.order, a, self.den**self.rows) / _cyc(self.order, b, 1) if full else ZERO
+            object.__setattr__(self, "_det", d)
+        return d
 
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
@@ -537,13 +545,11 @@ class OrderInfo:
 
 def operator_order(m: Mat) -> OrderInfo:
     """Order data of a matrix, the one test of finite order: NotFiniteOrder
-    at once if its determinant d, of least order N, has d^lcm(2, N) != 1 (the
-    roots of unity of Q(zeta_N)), or if no power up to MAX_ORDER is 1."""
+    at once if its determinant (kept on m) is not a root of unity, or if no
+    power up to MAX_ORDER is 1."""
     if m.rows != m.cols:
         raise DimensionMismatch("order of nonsquare matrix")
-    d = m.det().canonical()
-    if not (d ** lcm(2, d.order)).is_one():
-        raise NotFiniteOrder(f"determinant {d!r}, not a root of unity: infinite order")
+    _check_root_of_unity(m.det())
     power = m
     traces = [CycNum.from_rational(m.rows)]
     powers = []
@@ -554,6 +560,14 @@ def operator_order(m: Mat) -> OrderInfo:
         powers.append(power)
         power = power * m
     raise NotFiniteOrder(f"no power up to {MAX_ORDER} equal to the identity")
+
+
+def _check_root_of_unity(d):
+    """NotFiniteOrder unless the determinant d, of least order N, has
+    d^lcm(2, N) = 1: the roots of unity of Q(zeta_N)."""
+    d = d.canonical()
+    if not (d ** lcm(2, d.order)).is_one():
+        raise NotFiniteOrder(f"determinant {d!r}, not a root of unity: infinite order")
 
 
 def eigen_multiplicities(m: Mat):
@@ -584,6 +598,28 @@ def eigen_multiplicities(m: Mat):
         object.__setattr__(m, "_powers", info.powers[1:])
         object.__setattr__(m, "_mults", (n, tuple(x // (n * den) for x in sums)))
     return m._mults
+
+
+def point_action(h: Mat) -> Mat:
+    """(hᵀ)⁻¹, the action on points of a finite-order h, read off the powers
+    of h that eigen_multiplicities keeps.  With n the order of h, h⁻¹ =
+    h^(n-1), so the action is c = (h^(n-1))ᵀ (I for n = 1), its powers are
+    c^j = (h^(n-j))ᵀ and the multiplicity of zeta_n^k for c is that of
+    zeta_n^(-k) for h: all are kept on c, so neither eigen_multiplicities(c)
+    nor eigenspaces_finite_order(c) forms a power or takes an inverse.  A
+    NotFiniteOrder names det(c) = 1/det(h) when the determinant is at fault,
+    as operator_order(c) would."""
+    try:
+        n, mults = eigen_multiplicities(h)
+    except NotFiniteOrder:
+        if h.det():
+            _check_root_of_unity(1 / h.det())
+        raise
+    powers = (h, *h._powers)  # h^1 .. h^(n-1)
+    c = powers[-1].transpose()
+    object.__setattr__(c, "_powers", tuple(p.transpose() for p in reversed(powers[:-1])))
+    object.__setattr__(c, "_mults", (n, (mults[0], *reversed(mults[1:]))))
+    return c
 
 
 def eigenspaces_finite_order(m: Mat):
@@ -665,7 +701,3 @@ class Quadric:
 
     def __repr__(self):
         return f"Quadric({self.gram!r})"
-
-def contragredient(m: Mat) -> Mat:
-    """Inverse transpose: the action on points dual to one on coordinates."""
-    return m.inverse().transpose()

@@ -1,7 +1,10 @@
 """Pencils of quadrics with finite group actions.
 
 Degeneracy binary form, smoothness, equivariance data (the pencil action of
-a symmetry), fixed points on X and invariant lines for abelian actions.
+a symmetry), fixed points on X and invariant lines for abelian actions.  The
+degeneracy form of a diagonal pencil is the product of its linear factors,
+multiplied out on the int rows; only a dense pencil's is interpolated from
+sampled determinants.
 Fixed points and invariant lines meet X through one routine,
 `_isotropic_points`: the points of a projective point or line that lie on X
 (polar to given points, if any), or None when the whole line does, read off
@@ -26,7 +29,7 @@ from .binforms import BinaryForm, bform_discriminant, quadratic_roots
 from .cyclo import ONE, ZERO
 from .errors import DimensionMismatch, NotAbelian, NotASymmetry
 from .groups import MatrixGroup, character_spaces, projective_fixed_locus
-from .matrices import Mat, Quadric, _coefs, _cyc, _dot, _embed, _mat, _rows_of, _times, kernel
+from .matrices import Mat, Quadric, _coefs, _cyc, _dot, _embed, _int, _mat, _rows_of, _times, kernel
 from .matrices import row_combinations_span, span_coefficients
 
 
@@ -70,10 +73,28 @@ def _vandermonde_inverse(d: int) -> Mat:
 def pencil_det_form(g1: Mat, g2: Mat) -> BinaryForm:
     """det(t1 G1 + t2 G2) as a binary form of degree n for n x n Grams.
 
-    Computed by interpolation: the dehomogenized determinant det(G1 + x G2)
-    is sampled at x = 0..n, each member G2 plus the one before, and the
-    coefficients are the inverse Vandermonde matrix of those nodes applied
-    to the samples."""
+    For diagonal Grams, a_i / D1 and b_i / D2 on the int rows, it is the
+    product of the linear factors (a_i D2) t1 + (b_i D1) t2 over (D1 D2)^n,
+    multiplied out on those rows at lcm(G1.order, G2.order); its
+    coefficients are brought to their least field together, as the
+    interpolation's are.  Other Grams are interpolated."""
+    n = g1.rows
+    if not (g1.is_diagonal() and g2.is_diagonal()):
+        return _interpolated_det_form(g1, g2)
+    order = lcm(g1.order, g2.order)
+    (a,), (b,) = (_embed(g.order, [[row[i] for i, row in enumerate(g.data)]], order) for g in (g1, g2))
+    coefs = [_int(order, 1)]  # of t1^(k-j) t2^j after k factors
+    for p, q in zip(_coefs(order, a, mul, g2.den), _coefs(order, b, mul, g1.den)):
+        coefs = [_dot(order, ((p, c), (q, prev))) for c, prev in zip(coefs + [0], [0] + coefs)]
+    form = _mat(order, (g1.den * g2.den) ** n, [[c] for c in coefs], 1, Mat)
+    return BinaryForm(n, [row[0] for row in form.entries])
+
+
+def _interpolated_det_form(g1: Mat, g2: Mat) -> BinaryForm:
+    """pencil_det_form of any Grams: the dehomogenized determinant
+    det(G1 + x G2) is sampled at x = 0..n, each member G2 plus the one
+    before, and the coefficients are the inverse Vandermonde matrix of those
+    nodes applied to the samples."""
     n = g1.rows
     member, dets = g1, [g1.det()]
     for _ in range(n):
@@ -97,7 +118,8 @@ def is_smooth(pencil: Pencil) -> bool:
 def equivariance(pencil: Pencil, h: Mat) -> Mat:
     """The pencil action of h: the 2x2 M with h·G_i·hᵀ = Σ_j M_ij G_j, or
     NotASymmetry.  h transforms the forms by substituting hᵀx (and points by
-    the contragredient), so t1 Q1 + t2 Q2 goes to the member at Mᵀ(t1, t2)."""
+    (hᵀ)⁻¹, `matrices.point_action`), so t1 Q1 + t2 Q2 goes to the member at
+    Mᵀ(t1, t2)."""
     if h.rows != h.cols or h.rows != pencil.size:
         raise DimensionMismatch("symmetry size mismatch")
     grams = (pencil.q1.gram, pencil.q2.gram)
@@ -209,7 +231,7 @@ def fixed_points_on_X(pencil: Pencil, group: MatrixGroup) -> FixedOnX:
 
     Points and lines are intersected with X exactly; higher-dimensional
     components are reported as they are."""
-    comps = projective_fixed_locus(group).components
+    comps = projective_fixed_locus(group)
     small = [comp for comp in comps if comp.dim <= 2]
     *_, blocks = _in_basis(pencil, small)
     points, lines = [], []

@@ -13,7 +13,7 @@ from twoquadrics.cyclo import CycNum, ONE, ZERO, euler_phi, zeta
 from twoquadrics import matrices
 from twoquadrics.errors import Singular
 from twoquadrics.matrices import Mat, Quadric, Subspace, kernel, solve
-from twoquadrics.pencils import Pencil, degeneracy_form
+from twoquadrics.pencils import Pencil, _interpolated_det_form, degeneracy_form
 
 
 def _rational(rng):
@@ -214,10 +214,10 @@ def test_det_and_degeneracy_form_against_sympy():
     rng = random.Random(7)
     t = sympy.Symbol("t")
     ring = sympy.QQ[t]
-    for _ in range(3):
+    for dense in (True, True, True, False):  # a diagonal pencil's form is multiplied out
         grams = []
         for _ in range(2):
-            a = [[_rational(rng) for _ in range(6)] for _ in range(6)]
+            a = [[_rational(rng) if dense or i == j else 0 for j in range(6)] for i in range(6)]
             grams.append(Mat([[a[i][j] + a[j][i] for j in range(6)] for i in range(6)]))
         g1, g2 = grams
         assert g1.det().as_rational() == _fraction(_sympy_matrix(sympy, g1).det())
@@ -406,13 +406,15 @@ def test_columns_with_nothing_to_clear_skip_clear_column(monkeypatch):
     # a signed permutation times rationals
     perm, values = (3, 0, 4, 1, 5, 2), (Fraction(-3, 2), 2, -1, Fraction(1, 3), 5, -1)
     monomial = Mat([[values[i] if j == perm[i] else 0 for j in range(6)] for i in range(6)])
-    # x = 1 makes G1 + x G2 singular among the seven sampled members
-    pencil = Pencil.from_diagonals(2, [1] * 6, [-1, 2, 3, 4, 5, 6])
-    form = degeneracy_form(pencil)  # also builds the cached Vandermonde inverse
+    # the interpolation of a diagonal pencil's form (which pencil_det_form
+    # multiplies out instead) samples seven diagonal members, among them the
+    # singular G1 + G2
+    grams = Mat.diagonal([1] * 6), Mat.diagonal([-1, 2, 3, 4, 5, 6])
+    form = _interpolated_det_form(*grams)  # also builds the cached Vandermonde inverse
     monkeypatch.setattr(matrices, "_clear_column", spy)
     assert (signs.det(), signs.rank(), signs.inverse()) == (-1, 6, signs)
     assert (monomial.det(), monomial.rank(), monomial * monomial.inverse()) == (-5, 6, Mat.identity(6))
-    assert degeneracy_form(pencil) == form
+    assert _interpolated_det_form(*grams) == form
     assert calls == []  # the parent of this skip made 18 calls for signs and 41 per form
     dense = Mat([[1, 2], [3, 4]])
     assert dense.det() == -2 and calls == [range(1, 2)]

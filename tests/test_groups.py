@@ -87,11 +87,11 @@ def test_unknown_label():
 
 def test_fixed_locus_examples():
     klein = MatrixGroup([("a", Mat.diagonal([1, -1])), ("b", Mat([[O, I1], [I1, O]]))])
-    assert not projective_fixed_locus(klein).components
+    assert not projective_fixed_locus(klein)
     ident = MatrixGroup([("e", Mat.identity(4))])
-    assert [s.dim for s in projective_fixed_locus(ident).components] == [4]  # all of P^3
+    assert [s.dim for s in projective_fixed_locus(ident)] == [4]  # all of P^3
     single = MatrixGroup([("g", Mat.diagonal([1, 1, -1]))])
-    assert sorted(s.dim for s in projective_fixed_locus(single).components) == [1, 2]  # a point and a line
+    assert sorted(s.dim for s in projective_fixed_locus(single)) == [1, 2]  # a point and a line
 
 
 def test_scalar_lift_search_klein_obstruction():

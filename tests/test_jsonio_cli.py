@@ -198,6 +198,26 @@ def test_cli_exit_codes(capsys, tmp_path):
         assert err.startswith("input error: $.relations[0]:") and "'R'" in err, err
 
 
+def test_singular_matrices_exit_2_with_the_singular_message(capsys, tmp_path):
+    # nonzero and of rank 5: the last row is the sum of the first two
+    rank5 = [[1, 2, 0, 0, 0, 1], [0, 1, 3, 0, 0, 0], [0, 0, 1, 0, 0, 0],
+             [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0], [1, 3, 3, 0, 0, 1]]
+    rank5 = {"rows": 6, "cols": 6, "entries": rank5}
+    full = json.loads(fixture_text("example_7_5_full.json"))
+    rank1 = {"rows": 2, "cols": 2, "entries": [[1, 2], [2, 4]]}
+    cases = [
+        ("report", dict(full, generators=[{"label": "r", "matrix": rank5}]), "$.generators[0].matrix"),
+        ("report", dict(full, named={"iota": rank5}), "$.named.iota"),
+        ("lift", {"representations": {"R": {"generators": [{"label": "s", "matrix": rank1}]}}},
+         "$.representations.R.generators[0].matrix"),
+    ]
+    for cmd, job, where in cases:
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps(job))
+        assert main([cmd, str(path)]) == 2
+        assert capsys.readouterr().err == f"input error: {where}: matrix is singular\n"
+
+
 def test_a_moebius_generator_maps_the_pencil_parameter_as_written(capsys, tmp_path):
     # [[1, i], [1, -i]] sends (t1, t2) to (t1 + i t2, t1 - i t2): t -> (t + i)/(t - i)
     # permutes the branch points 0, oo, +-1, +-i of 7.5; read transposed, the

@@ -10,11 +10,11 @@ from twoquadrics.matrices import (
     Mat,
     Quadric,
     Subspace,
-    contragredient,
     eigen_multiplicities,
     eigenspaces_finite_order,
     kernel,
     operator_order,
+    point_action,
 )
 
 i = imaginary_unit()
@@ -139,10 +139,15 @@ def test_quadric():
         Quadric(Mat([[ZERO, ONE], [ZERO, ZERO]]))
 
 
-def test_contragredient_antihomomorphism():
-    a = Mat([[ONE, i], [ZERO, ONE]])
-    b = Mat([[zeta(8), ZERO], [ONE, ONE]])
-    assert contragredient(a * b) == contragredient(a) * contragredient(b)
+def test_point_action_antihomomorphism():
+    # (ab)^-T = a^-T b^-T, on a monomial group over Q(zeta8) and on the
+    # dihedral group of order 12 in GL2(Z)
+    pairs = [(Mat([[ZERO, ONE], [ONE, ZERO]]), Mat([[zeta(8), ZERO], [ZERO, i]])),
+             (Mat([[0, -1], [1, 1]]), Mat([[0, 1], [1, 0]]))]
+    for a, b in pairs:
+        ab = point_action(a * b)
+        assert ab == point_action(a) * point_action(b) == (a * b).inverse().transpose()
+        assert eigen_multiplicities(ab) == eigen_multiplicities(Mat(ab.entries))  # kept, and as a fresh copy's
 
 
 def test_diagonal_reads_only_its_values(monkeypatch):

@@ -17,7 +17,10 @@ deleted `Quadric.polar`) is the reference of the one that reads blocks of
 E G Eᵀ, and the stage 3 and fixed-point search that read those blocks as
 CycNum entries is the reference of the one on the int rows.  The scan of
 all of W(D5) is the reference of the conjugacy search that multiplies only
-where the permutations conjugate."""
+where the permutations conjugate.  Interpolation from sampled determinants,
+in dense coordinates, is the reference of a diagonal pencil's product of
+linear factors, and the inverse transpose the reference of the point action
+read off a generator's powers."""
 
 import functools
 import importlib.util
@@ -33,7 +36,7 @@ from pathlib import Path
 
 import pytest
 
-from twoquadrics import cli, cyclo, groups, matrices
+from twoquadrics import cli, cyclo, groups, matrices, pencils
 from twoquadrics.binforms import BinaryForm, Roots, bform_discriminant, checked_roots, quadratic_roots, root_images
 from twoquadrics.cyclo import ONE, ZERO, CycNum, euler_phi, zeta
 from twoquadrics.dp4 import SignedPerm, conjugate_in_WD5, lattice_h1, pic_action, wd5_elements
@@ -48,11 +51,11 @@ from twoquadrics.matrices import (
     _embed,
     _int,
     _mat,
-    contragredient,
     eigen_multiplicities,
     eigenspaces_finite_order,
     kernel,
     operator_order,
+    point_action,
     solve,
 )
 from twoquadrics.pencils import (
@@ -99,6 +102,55 @@ def test_pencil_det_form_matches_solve_interpolation(order):
         assert f.degree == want.degree == n
         assert f.coeffs == want.coeffs
         assert [c.key() for c in f.coeffs] == [c.key() for c in want.coeffs]
+
+
+def _diagonal_pencils():
+    """(kind, name, pencil) of the report fixtures, the report jobs of the
+    sign_groups and paper_jobs rounds of seeds 0-1, and the Q(zeta12)
+    dihedral and the C5 jobs: all diagonal."""
+    tool = _digest_tool()
+    import workloads  # on the path once the tool is loaded
+
+    for name in workloads.PAPER_FIXTURES:
+        yield "fixture", name, parse_job(workloads.load_fixture(name)).pencil
+    for workload in ("sign_groups", "paper_jobs"):
+        make = workloads.WORKLOAD_SPECS[workload][0]
+        for seed in range(2):
+            for k, (_, text, _) in enumerate(make(workloads.seeded_rng(workload, seed))):
+                yield workload, f"{workload}{seed}-{k}", parse_job(text).pencil
+    for name, obj in tool.EXTRA_JOBS:
+        yield name, name, parse_job(obj).pencil
+
+
+def _form_key(f):
+    return f.degree, [(c.order, c.num, c.den) for c in f.coeffs]
+
+
+def test_diagonal_form_is_the_interpolation_in_dense_coordinates():
+    # A G Aᵀ with det A = 1 has the same degeneracy form, found by interpolation
+    tool, rng, kinds = _digest_tool(), random.Random(28), set()
+    for kind, name, pencil in _diagonal_pencils():
+        g1, g2 = pencil.q1.gram, pencil.q2.gram
+        assert g1.is_diagonal() and g2.is_diagonal(), name
+        a, _ = tool._unimodular(rng)
+        a = Mat(a)
+        dense = [a * g * a.transpose() for g in (g1, g2)]
+        assert not all(g.is_diagonal() for g in dense), name
+        got, want = pencil_det_form(g1, g2), pencils._interpolated_det_form(*dense)
+        assert _form_key(got) == _form_key(want), name
+        assert repr(got) == repr(want) and got == pencil_det_form(*dense), name
+        kinds.add(kind)
+    assert kinds == {"fixture", "sign_groups", "paper_jobs", "dihedral", "c5"}
+
+
+def test_the_form_of_a_diagonal_pencil_takes_no_determinant(monkeypatch):
+    pencil = parse_job((resources.files("twoquadrics") / "fixtures" / "example_7_5.json").read_text()).pencil
+    g1, g2 = pencil.q1.gram, pencil.q2.gram
+    a = Mat([[int(j in (i, i + 1)) for j in range(6)] for i in range(6)])
+    dense = [a * g * a.transpose() for g in (g1, g2)]
+    dets = _counted(monkeypatch, Mat, "det")
+    assert pencil_det_form(g1, g2) == pencil_det_form(*dense)
+    assert len(dets) == 7  # the dense pencil's seven sampled members, and none for the diagonal one
 
 
 def _invertible(rng, n):
@@ -273,7 +325,7 @@ def test_character_spaces_of_commuting_generators_match_refinement(order):
 def _shipped_point_groups(name):
     """The point group of a shipped report fixture, and each of its generators alone."""
     job = parse_job((resources.files("twoquadrics") / "fixtures" / name).read_text())
-    gens = [(lab, contragredient(m)) for lab, m in job.group.generators]
+    gens = [(lab, m.inverse().transpose()) for lab, m in job.group.generators]
     return [MatrixGroup(gens)] + [MatrixGroup([gen]) for gen in gens]
 
 
@@ -319,7 +371,7 @@ def test_character_spaces_are_independent_so_each_is_a_maximal_fixed_component()
     for group in _groups_for_the_fixed_locus():
         spaces = [s for s, _ in character_spaces(group)]
         assert Subspace(group.dimension, [v for s in spaces for v in s.basis]).dim == sum(s.dim for s in spaces)
-        assert projective_fixed_locus(group).components == _maximal_distinct_components(group)
+        assert projective_fixed_locus(group) == _maximal_distinct_components(group)
 
 
 def _lattice_h1_by_solve(a, n):
@@ -521,7 +573,9 @@ def test_stage_3_skip_matches_searching_every_generator(monkeypatch):
 
 def test_stage_3_forms_the_powers_of_gamma_once(monkeypatch):
     job = parse_job((resources.files("twoquadrics") / "fixtures" / "example_7_5.json").read_text())
-    point_gamma = contragredient(job.group.generator("gamma"))
+    gamma = job.group.generator("gamma")
+    point_gamma = gamma.inverse().transpose()
+    assert point_gamma != gamma
     powered = _counted(monkeypatch, matrices, "operator_order")
     # the kernels and products made while eigenspaces_finite_order runs: it
     # projects with the powers eigen_multiplicities kept, so there are none
@@ -548,9 +602,42 @@ def test_stage_3_forms_the_powers_of_gamma_once(monkeypatch):
 
     monkeypatch.setattr(groups, "eigenspaces_finite_order", eigenspaces)
     assert cli.run_report(job)["status"] == "LINEARIZABLE_CERTIFIED"
-    assert sum(m == point_gamma for m in powered) == 1
+    # the point action's powers are read off gamma's (matrices.point_action)
+    assert powered == [gamma]
     assert point_gamma in spaced
     assert made == []
+
+
+def test_point_action_is_the_inverse_transpose_with_its_powers_and_multiplicities():
+    # the generators of the report jobs (fixtures and sign groups), of two
+    # paper_jobs rounds, of the report fixtures in dense coordinates and of the
+    # dihedral and C5 jobs; the identity and order-24 matrices over Q(zeta12)
+    rng = random.Random(28)
+    gens = [(name, lab, h) for name, text in [*_report_jobs().items(), *_stage_3_jobs()]
+            for lab, h in parse_job(text).group.generators]
+    gens.append(("identity", "e", Mat.identity(6)))
+    for k in range(2):
+        m, u = _zeta12_order_24(rng), _invertible(rng, 6)
+        gens += [("zeta12", k, m), ("zeta12 moved", k, u * m * u.inverse())]
+    orders = set()
+    for name, lab, h in gens:
+        got, want = point_action(h), h.inverse().transpose()
+        info = operator_order(want)
+        assert got.key() == want.key(), (name, lab)
+        assert [p.key() for p in got._powers] == [p.key() for p in info.powers[1:]], (name, lab)
+        assert eigen_multiplicities(got) == eigen_multiplicities(want), (name, lab)
+        assert eigenspaces_finite_order(got) == eigenspaces_finite_order(want), (name, lab)
+        orders.add(info.order)
+    assert {1, 2, 4, 5, 6, 8, 24} <= orders
+
+
+def test_a_report_inverts_and_ranks_no_generator(monkeypatch, capsys):
+    text = (resources.files("twoquadrics") / "fixtures" / "example_7_5.json").read_text()
+    gens = [m for _, m in parse_job(text).group.generators]
+    inverted, ranked = _counted(monkeypatch, Mat, "inverse"), _counted(monkeypatch, Mat, "rank")
+    assert cli.main(["report", "--fixture", "example_7_5.json"]) == 0
+    assert "LINEARIZABLE_CERTIFIED" in capsys.readouterr().out
+    assert not [m for m in inverted + ranked if m in gens]
 
 
 def _diagonal_signs(m):
@@ -632,10 +719,10 @@ def test_pencil_action_of_a_word_is_its_generators_last_first():
     words = [w for n in range(5) for w in product(gens, repeat=n)]  # each word after its prefix
     elements = {(): Mat.identity(6)}
     for w in words[1:]:
-        elements[w] = elements[w[:-1]] * contragredient(gens[w[-1]])
+        elements[w] = elements[w[:-1]] * gens[w[-1]].inverse().transpose()
     first_first = 0
     for m, word, act in cli._pencil_actions([(elements[w], w) for w in words], actions):
-        assert act == equivariance(pencil, contragredient(m)), word
+        assert act == equivariance(pencil, m.inverse().transpose()), word
         reverse = Mat.identity(2)
         for lab in word:
             reverse = reverse * actions[lab]
@@ -922,7 +1009,7 @@ def _isotropic_points_by_polar(pencil, space, extra_points=()):
 def _fixed_points_by_polar(pencil, group):
     """The deleted fixed_points_on_X, on _isotropic_points_by_polar."""
     points, curves, lines = [], [], []
-    for comp in projective_fixed_locus(group).components:
+    for comp in projective_fixed_locus(group):
         if comp.dim > 2:
             curves.append(comp)
             continue
@@ -1082,7 +1169,7 @@ def _fixed_points_of_entries(pencil, group):
     points = []
     curves = []
     lines = []
-    for comp in projective_fixed_locus(group).components:
+    for comp in projective_fixed_locus(group):
         if comp.dim > 2:
             curves.append(comp)
             continue

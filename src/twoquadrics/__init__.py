@@ -7,12 +7,11 @@ chains them into linearizability verdicts.
 
 from .cyclo import CycNum, cyc_sqrt, zeta
 from .binforms import BinaryForm, bform_discriminant
-from .matrices import Mat, Quadric, Subspace, eigenspaces_finite_order, kernel, operator_order
-from .smith import IntMatrix, invariant_factors, smith_normal_form
+from .matrices import Mat, Subspace, eigenspaces_finite_order, kernel, operator_order
+from .smith import invariant_factors, smith_normal_form
 from .groups import (
     MatrixGroup,
     Relation,
-    closure,
     projective_fixed_locus,
     scalar_lift_search,
     verify_relations,

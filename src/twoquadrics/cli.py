@@ -30,7 +30,7 @@ from .errors import (
     TwoQuadricsError,
     UnsupportedCase,
 )
-from .groups import MAX_CLOSURE, MatrixGroup, breadth_first, check_finite_orders, closure, scalar_lift_search
+from .groups import MAX_CLOSURE, MatrixGroup, breadth_first, check_finite_orders, scalar_lift_search
 from .jsonio import (
     cycnum_to_json,
     dp4_input_from_json,
@@ -216,7 +216,7 @@ def run_report(job, max_closure=MAX_CLOSURE):
             k = m.minus_count()  # 0 for a scalar m, which is no sign element
             if k == 2:
                 item = {"stage": 4, "free_two_torsion": True, "witness_word": list(word)}
-                if pencil.q1.gram.is_diagonal() and pencil.q2.gram.is_diagonal():
+                if pencil.q1.is_diagonal() and pencil.q2.is_diagonal():
                     item["sign_vector"] = [1 if row[i] == m.entries[0][0] else -1 for i, row in enumerate(m.entries)]
                 else:
                     item["minus_count"] = k
@@ -330,7 +330,7 @@ def _dp4(args):
         out[name] = {
             "order": s.order(),
             "cycle_type": list(s.cycle_type()),
-            "pic_action": [list(r) for r in a.entries],
+            "pic_action": [list(r) for r in a.data],
             "invariant_lines": [list(l) for l in invariant_lines(s)],
             "orbit_sizes": sorted(len(o) for o in orbits([s])),
             "lattice_h1": list(lattice_h1(a, s.order())),
@@ -349,7 +349,7 @@ def _dp4(args):
         )
     for name, (m, k, expected) in regressions.items():
         power = m ** k
-        diagonal = [power.entries[i][i] for i in range(power.rows)]
+        diagonal = [power.data[i][i] for i in range(power.rows)]
         out.setdefault("regressions", {})[name] = {
             "power_diagonal": diagonal,
             "matches_expected": diagonal == expected,
@@ -382,10 +382,10 @@ def _lift(args):
     rels, groups = lift_input_from_json(_read_input(args))
     out = {}
     for name, group in groups.items():
-        closure(group, args.max_closure)
+        order = sum(1 for _ in breadth_first(group, args.max_closure))
         res = scalar_lift_search(group, rels, args.scalar_order)
         out[name] = {
-            "closure_order": group.order(),
+            "closure_order": order,
             "relation_scalars": [repr(r.scalar) for r in res["reports"]],
             "lift": {k: repr(v) for k, v in res["lift"].items()}
             if "lift" in res

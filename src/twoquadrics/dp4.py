@@ -12,7 +12,8 @@ from functools import cache
 from itertools import combinations, permutations, product
 
 from .errors import NotFiniteOrder, OddParity
-from .smith import IntMatrix, invariant_factors, smith_normal_form
+from .matrices import Mat
+from .smith import invariant_factors, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -129,8 +130,8 @@ def line_permutation(s: SignedPerm):
     return tuple(_WEIGHT_INDEX[s.act_weight(w)] for _, w in _LINES)
 
 
-def pic_action(s: SignedPerm) -> IntMatrix:
-    """The induced action on Pic = Z L + Z E_1 + ... + Z E_5.
+def pic_action(s: SignedPerm) -> Mat:
+    """The induced action on Pic = Z L + Z E_1 + ... + Z E_5, an integer Mat.
 
     Determined by the images of the E_i under the line permutation together
     with L = (L - E_1 - E_2) + E_1 + E_2."""
@@ -142,16 +143,16 @@ def pic_action(s: SignedPerm) -> IntMatrix:
     l_img = tuple(
         _LINES[lp[idx12]][0][k] + cols[0][k] + cols[1][k] for k in range(6)
     )
-    mat = IntMatrix(
+    mat = Mat(
         [[l_img[r]] + [cols[i][r] for i in range(5)] for r in range(6)]
     )
     # sanity: fixes K and preserves the intersection form
     k_img = tuple(
-        sum(mat.entries[r][c] * CANONICAL_CLASS[c] for c in range(6))
+        sum(mat.data[r][c] * CANONICAL_CLASS[c] for c in range(6))
         for r in range(6)
     )
     assert k_img == CANONICAL_CLASS, "canonical class not fixed"
-    j = IntMatrix([[1 if r == c == 0 else (-1 if r == c else 0) for c in range(6)] for r in range(6)])
+    j = Mat([[1 if r == c == 0 else (-1 if r == c else 0) for c in range(6)] for r in range(6)])
     assert mat.transpose() * j * mat == j, "intersection form not preserved"
     return mat
 
@@ -214,14 +215,14 @@ def conjugate_in_WD5(a: SignedPerm, b: SignedPerm):
     return (False, None)
 
 
-def lattice_h1(a: IntMatrix, n: int):
+def lattice_h1(a: Mat, n: int):
     """Invariant factors of H^1 = ker(Norm) / im(A - I) for A of order
     dividing n, with Norm = I + A + ... + A^{n-1}.
 
     Returns the invariant factor tuple of the quotient with entries 1
     dropped; a 0 entry marks a free summand (rank not exhausted by the
     image)."""
-    ident = IntMatrix.identity(a.rows)
+    ident = Mat.identity(a.rows)
     if a**n != ident:
         raise NotFiniteOrder(f"A^{n} is not the identity")
     norm = ident
@@ -230,13 +231,13 @@ def lattice_h1(a: IntMatrix, n: int):
         power = power * a
         norm = norm + power
     dn, _, v = smith_normal_form(norm)
-    r = sum(1 for i in range(a.rows) if dn.entries[i][i])
+    r = sum(1 for i in range(a.rows) if dn.data[i][i])
     k = a.rows - r  # columns r.. of V are a basis of ker(Norm)
     if not k:
         return ()
     # by U Norm V = D, rows r.. of V^-1 x are the coordinates of x in ker(Norm)
     # in that basis; Norm (A - I) = A^n - I = 0 puts the image of A - I there
-    rel = IntMatrix((v.inverse() * (a - ident)).data[r:])
+    rel = Mat((v.inverse() * (a - ident)).data[r:])
     facts = list(invariant_factors(rel))
     rank = sum(1 for d in facts if d != 0)
     quotient = [d for d in facts if d not in (0, 1)]

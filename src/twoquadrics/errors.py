@@ -45,10 +45,6 @@ class LabelMismatch(TwoQuadricsError):
     pass
 
 
-class ClosureMissing(TwoQuadricsError):
-    pass
-
-
 class NotASymmetry(TwoQuadricsError):
     pass
 

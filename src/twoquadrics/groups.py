@@ -1,5 +1,5 @@
-"""Finite matrix groups: closure, relations up to scalars, projective fixed
-loci, and the scalar-lift obstruction search."""
+"""Finite matrix groups: the breadth-first stream of elements, relations up
+to scalars, projective fixed loci, and the scalar-lift obstruction search."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from itertools import product
 from .cyclo import CycNum, zeta
 from .errors import (
     CapExceeded,
-    ClosureMissing,
     LabelMismatch,
     NonScalarDiscrepancy,
     NotFiniteOrder,
@@ -19,7 +18,7 @@ from .matrices import Mat, eigen_multiplicities, eigenspaces_finite_order
 
 # tuples scalar_lift_search may try: at about 10 us a tuple, some 10 s
 MAX_LIFT_TUPLES = 10**6
-MAX_CLOSURE = 10000  # elements closure may enumerate before it raises CapExceeded
+MAX_CLOSURE = 10000  # elements breadth_first may yield before it raises CapExceeded
 
 
 @dataclass(frozen=True)
@@ -43,15 +42,12 @@ class MatrixGroup:
     invertible and of one size.  check_finite_orders tests each generator's
     order, and breadth_first runs it first.  breadth_first streams the
     elements, each with one shortest defining word (a tuple of generator
-    labels), so a reader may stop early; closure() stores the whole stream
-    and caches it for the readers of elements and element_words."""
+    labels), so a reader may stop early."""
 
     def __init__(self, generators, named=None):
         self.generators = tuple(generators)
         self.dimension = self.generators[0][1].rows
         self.named = dict(named or {})
-        self._closure = None  # dict key -> (Mat, word)
-        self._closure_cap = None
 
     def generator(self, label) -> Mat:
         for lab, m in self.generators:
@@ -71,23 +67,6 @@ class MatrixGroup:
         for label, exp in word:
             result = result * (self.generator(label) ** exp)
         return result
-
-    @property
-    def elements(self):
-        if self._closure is None:
-            raise ClosureMissing("call closure() first")
-        return [m for m, _ in self._closure.values()]
-
-    @property
-    def element_words(self):
-        if self._closure is None:
-            raise ClosureMissing("call closure() first")
-        return list(self._closure.values())
-
-    def order(self):
-        if self._closure is None:
-            raise ClosureMissing("call closure() first")
-        return len(self._closure)
 
 
 def check_finite_orders(group: MatrixGroup, walk=eigen_multiplicities):
@@ -129,18 +108,6 @@ def breadth_first(group: MatrixGroup, cap: int = MAX_CLOSURE):
                     nxt.append(entry)
                     yield entry
         frontier = nxt
-
-
-def closure(group: MatrixGroup, cap: int = MAX_CLOSURE):
-    """The whole breadth_first stream, kept on the group by element key.
-
-    Returns the element list; each element is retained inside the group with
-    a shortest defining word."""
-    if group._closure is not None and group._closure_cap == cap:
-        return group.elements
-    group._closure = {m.key(): (m, word) for m, word in breadth_first(group, cap)}
-    group._closure_cap = cap
-    return group.elements
 
 
 @dataclass(frozen=True)

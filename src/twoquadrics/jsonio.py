@@ -24,7 +24,6 @@ the branch roots). An entry of the table reads as follows:
 A rational "cycnum" entry, an integer or [n, d], is read as an int or a
 Fraction, which `Mat` takes as it is, so the matrix, diagonal, moebius and
 root readers make no CycNum for it; only an order entry becomes a CycNum.
-The public `cycnum_from_json` returns a CycNum for every entry.
 """
 
 from __future__ import annotations
@@ -38,9 +37,8 @@ from .cyclo import CycNum, euler_phi
 from .dp4 import SignedPerm
 from .errors import DimensionMismatch, LabelMismatch, NonScalarDiscrepancy, NotARoot, NotClosed, SchemaError
 from .groups import MatrixGroup, Relation, verify_relations
-from .matrices import Mat, Quadric
+from .matrices import Mat
 from .pencils import Pencil, equivariance, is_smooth
-from .smith import IntMatrix
 
 
 class _OneOf:
@@ -158,14 +156,6 @@ def _checked(text_or_obj, kind, path):
     return obj
 
 
-def _reader(kind, convert):
-    """The public reader of one kind: check against the table, then convert."""
-    def from_json(obj, path="$"):
-        _walk(obj, kind, path)
-        return convert(obj, path)
-    return from_json
-
-
 def _fraction(pair, path):
     _expect(pair[1] != 0, "zero denominator", path)
     return Fraction(pair[0], pair[1])
@@ -218,8 +208,8 @@ def _pencil(obj, path):
             return Pencil.from_diagonals(g, d1, d2)
         q1 = _mat(obj["Q1"], path + ".Q1")
         q2 = _mat(obj["Q2"], path + ".Q2")
-        return Pencil(obj["g"], Quadric(q1), Quadric(q2))
-    except (ValueError, DimensionMismatch) as exc:  # Pencil's own checks: sizes, and Q1, Q2 independent
+        return Pencil(obj["g"], q1, q2)
+    except (ValueError, DimensionMismatch) as exc:  # Pencil's own checks: square symmetric Grams, sizes, and Q1, Q2 independent
         raise SchemaError(str(exc), path) from exc
 
 
@@ -236,13 +226,6 @@ def _signedperm(obj, path):
         return SignedPerm(tuple(obj["perm"]), tuple(obj["signs"]))
     except ValueError as exc:
         raise SchemaError(str(exc), path) from exc
-
-
-cycnum_from_json = _reader("cycnum", lambda obj, path: CycNum._coerce(_number(obj, path)))
-mat_from_json = _reader("mat", _mat)
-pencil_from_json = _reader("pencil", _pencil)
-relation_from_json = _reader("relation", _relation)
-signedperm_from_json = _reader("signed perm", _signedperm)
 
 
 @dataclass
@@ -341,7 +324,7 @@ def _invertible(obj, n, size_name, path):
 
 def dp4_input_from_json(text_or_obj, path="$"):
     """The dp4 subcommand's input as (elements by name, conjugacy pairs of
-    element names, regressions by name as (IntMatrix, power, expected
+    element names, regressions by name as (integer Mat, power, expected
     diagonal))."""
     obj = _checked(text_or_obj, "dp4 input", path)
     elements = {name: _signedperm(sp, f"{path}.elements.{name}") for name, sp in obj.get("elements", {}).items()}
@@ -355,7 +338,7 @@ def dp4_input_from_json(text_or_obj, path="$"):
         _expect(rows and all(len(r) == len(rows) for r in rows), "'matrix' must be nonempty and square", p + ".matrix")
         power = reg.get("power", 4)
         _expect(power >= 0, "'power' must be a nonnegative integer", p + ".power")
-        regressions[name] = (IntMatrix(rows), power, reg.get("expected_diagonal"))
+        regressions[name] = (Mat(rows), power, reg.get("expected_diagonal"))
     return elements, pairs, regressions
 
 

@@ -109,10 +109,10 @@ def _coefficients(order, rows):
     return [c for row in rows for x in row for c in ((x,) if order == 1 else x or ())]
 
 
-def _mat(order, den, data, cols, m):
+def _mat(order, den, data, cols, m=None):
     """The matrix data / den at order, brought to the least order holding its
-    entries (cyclo._least_field) and to lowest terms; m is the class to make
-    (Mat or a subclass) or an instance to set up."""
+    entries (cyclo._least_field) and to lowest terms; m is an instance to set
+    up, or None for a new Mat."""
     data = [tuple(r) for r in data]
     if order > 1:
         order, low, d = _least_field(order, [x for row in data for x in row])
@@ -122,12 +122,12 @@ def _mat(order, den, data, cols, m):
     if g != 1:
         den //= g
         data = [_coefs(order, row, floordiv, g) for row in data]
-    return _set(m, order, den, data, cols)
+    return _set(order, den, data, cols, m)
 
 
-def _set(m, order, den, data, cols):
-    """m (a class to make, or an instance) holding data / den at order as they are: least order, lowest terms."""
-    m = object.__new__(m) if isinstance(m, type) else m
+def _set(order, den, data, cols, m=None):
+    """m (an instance, or None for a new Mat) holding data / den at order as they are: least order, lowest terms."""
+    m = object.__new__(Mat) if m is None else m
     data = tuple(map(tuple, data))
     for name, value in (("rows", len(data)), ("cols", cols), ("order", order), ("den", den), ("data", data)):
         object.__setattr__(m, name, value)
@@ -135,7 +135,9 @@ def _set(m, order, den, data, cols):
 
 
 class Mat:
-    """Rectangular matrix over Q(zeta_order): int rows over one denominator."""
+    """Rectangular matrix over Q(zeta_order): int rows over one denominator.
+    An integer matrix is a Mat at order 1 over denominator 1, whose `data`
+    are its ints (smith, dp4)."""
 
     __slots__ = ("rows", "cols", "order", "den", "data", "_entries", "_det", "_mults", "_powers")
 
@@ -150,18 +152,18 @@ class Mat:
     def __setattr__(self, *a):
         raise AttributeError("Mat is immutable")
 
-    @classmethod
-    def identity(cls, n):
-        return _set(cls, 1, 1, [[int(i == j) for j in range(n)] for i in range(n)], n)
+    @staticmethod
+    def identity(n):
+        return _set(1, 1, [[int(i == j) for j in range(n)] for i in range(n)], n)
 
-    @classmethod
-    def diagonal(cls, values):
+    @staticmethod
+    def diagonal(values):
         """diag(values): the n values are read once, and the zeros off the
         diagonal are laid out as int entries."""
         order, den, (row,) = _rows_of([values])
         if not row:
             raise ValueError("matrix must be nonempty")
-        return _mat(order, den, [[x if i == j else 0 for j in range(len(row))] for i, x in enumerate(row)], len(row), cls)
+        return _mat(order, den, [[x if i == j else 0 for j in range(len(row))] for i, x in enumerate(row)], len(row))
 
     @property
     def entries(self):
@@ -199,7 +201,7 @@ class Mat:
         c = _embed(corder, [[c]], order)[0][0]
         rows = _embed(self.order, self.data, order)
         data = [[x * c for x in r] for r in rows] if order == 1 else [[_dot(order, ((x, c),)) for x in r] for r in rows]
-        return _mat(order, self.den * cden, data, self.cols, type(self))
+        return _mat(order, self.den * cden, data, self.cols)
 
     def __rmul__(self, other):
         return self * other
@@ -214,13 +216,13 @@ class Mat:
             data = [[x * db + y * da for x, y in zip(r1, r2)] for r1, r2 in rows]
         else:
             data = [[_dot(order, ((x, db), (y, da))) for x, y in zip(r1, r2)] for r1, r2 in rows]
-        return _mat(order, self.den * other.den, data, self.cols, type(self))
+        return _mat(order, self.den * other.den, data, self.cols)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return _set(type(self), self.order, self.den, [_coefs(self.order, r, mul, -1) for r in self.data], self.cols)
+        return _set(self.order, self.den, [_coefs(self.order, r, mul, -1) for r in self.data], self.cols)
 
     def __pow__(self, k):
         """M^k by repeated squaring.  Raises CapExceeded, instead of running
@@ -245,7 +247,7 @@ class Mat:
         return result
 
     def transpose(self):
-        return _set(type(self), self.order, self.den, zip(*self.data), self.rows)
+        return _set(self.order, self.den, zip(*self.data), self.rows)
 
     def apply(self, vec):
         """Matrix times column vector (a sequence of CycNum)."""
@@ -274,7 +276,7 @@ class Mat:
         rows, pivots, den = _rref(self.order, rows)
         if pivots != list(range(n)):
             raise Singular("matrix is singular")
-        return _mat(self.order, den, [row[n:] for row in rows], n, Mat)
+        return _mat(self.order, den, [row[n:] for row in rows], n)
 
     def rank(self) -> int:
         return len(_echelon(self.order, list(self.data))[0])
@@ -322,7 +324,7 @@ def _product(a, b):
     order = lcm(a.order, b.order)
     rows = _embed(a.order, a.data, order)
     cols = [_times(order, rows, col) for col in zip(*_embed(b.order, b.data, order))]
-    return _mat(order, a.den * b.den, zip(*cols), b.cols, type(a))
+    return _mat(order, a.den * b.den, zip(*cols), b.cols)
 
 
 def _echelon(order, rows, reduced=False):
@@ -449,7 +451,7 @@ def span_coefficients(targets, mats):
     den = lcm(*(m.den for m in both))
     flat = [_coefs(order, [x for row in _embed(m.order, m.data, order) for x in row], mul, den // m.den) for m in both]
     found = _solve(order, [eq for eq in zip(*flat) if any(eq)], len(targets))  # 0 = 0 says nothing
-    return None if found is None else _mat(order, found[1], found[0], len(mats), Mat)
+    return None if found is None else _mat(order, found[1], found[0], len(mats))
 
 
 class Subspace:
@@ -496,7 +498,7 @@ class Subspace:
         order = lcm(a.order, b.order)
         at = list(zip(*_embed(a.order, a.data, order)))
         bt = [tuple(_coefs(order, w, mul, -1)) for w in zip(*_embed(b.order, b.data, order))]
-        ker = kernel(_mat(order, 1, [x + w for x, w in zip(at, bt)], a.rows + b.rows, Mat))._rows
+        ker = kernel(_mat(order, 1, [x + w for x, w in zip(at, bt)], a.rows + b.rows))._rows
         vecs = [_times(order, at, u[: a.rows]) for u in _embed(ker.order, ker.data, order)]
         return _span(self.ambient_dim, order, vecs)
 
@@ -512,7 +514,7 @@ def _span(n, order, rows, s=None):
     rows, pivots, den = _rref(order, list(rows))
     s = object.__new__(Subspace) if s is None else s
     object.__setattr__(s, "ambient_dim", n)
-    object.__setattr__(s, "_rows", _mat(order, den, rows[: len(pivots)], n, Mat))
+    object.__setattr__(s, "_rows", _mat(order, den, rows[: len(pivots)], n))
     return s
 
 
@@ -667,37 +669,3 @@ def eigenspaces_finite_order(m: Mat):
             spaces.append((lam, space))
     return spaces
 
-
-class Quadric:
-    """Quadratic form stored by its symmetric Gram matrix."""
-
-    __slots__ = ("gram",)
-
-    def __init__(self, gram: Mat):
-        if not isinstance(gram, Mat):
-            gram = Mat(gram)
-        if gram.rows != gram.cols:
-            raise DimensionMismatch("Gram matrix must be square")
-        if gram != gram.transpose():
-            raise ValueError("Gram matrix must be symmetric")
-        object.__setattr__(self, "gram", gram)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Quadric is immutable")
-
-    @classmethod
-    def from_diagonal(cls, values):
-        return cls(Mat.diagonal(values))
-
-    @property
-    def size(self):
-        return self.gram.rows
-
-    def __eq__(self, other):
-        return isinstance(other, Quadric) and self.gram == other.gram
-
-    def __hash__(self):
-        return hash(self.gram)
-
-    def __repr__(self):
-        return f"Quadric({self.gram!r})"

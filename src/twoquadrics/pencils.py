@@ -29,23 +29,28 @@ from .binforms import BinaryForm, bform_discriminant, quadratic_roots
 from .cyclo import ONE, ZERO
 from .errors import DimensionMismatch, NotAbelian, NotASymmetry
 from .groups import MatrixGroup, character_spaces, projective_fixed_locus
-from .matrices import Mat, Quadric, _coefs, _cyc, _dot, _embed, _int, _mat, _rows_of, _times, kernel
+from .matrices import Mat, _coefs, _cyc, _dot, _embed, _int, _mat, _rows_of, _times, kernel
 from .matrices import row_combinations_span, span_coefficients
 
 
 @dataclass(frozen=True)
 class Pencil:
     g: int
-    q1: Quadric
-    q2: Quadric
+    q1: Mat  # the Gram matrices of the two quadrics
+    q2: Mat
 
     def __post_init__(self):
+        g1, g2 = self.q1, self.q2
+        for q in (g1, g2):
+            if q.rows != q.cols:
+                raise DimensionMismatch("Gram matrix must be square")
+            if q != q.transpose():
+                raise ValueError("Gram matrix must be symmetric")
         n = 2 * self.g + 2
         if n < 4:
             raise ValueError("need g >= 1")
-        if self.q1.size != n or self.q2.size != n:
+        if g1.rows != n or g2.rows != n:
             raise DimensionMismatch("Gram size must be 2g+2")
-        g1, g2 = self.q1.gram, self.q2.gram
         if not any(map(any, g1.data)) or span_coefficients([g2], (g1,)) is not None:
             raise ValueError("Q1 and Q2 must be linearly independent")
 
@@ -55,7 +60,7 @@ class Pencil:
 
     @classmethod
     def from_diagonals(cls, g, d1, d2):
-        return cls(g, Quadric.from_diagonal(d1), Quadric.from_diagonal(d2))
+        return cls(g, Mat.diagonal(d1), Mat.diagonal(d2))
 
     @cached_property
     def det_form(self) -> BinaryForm:
@@ -86,7 +91,7 @@ def pencil_det_form(g1: Mat, g2: Mat) -> BinaryForm:
     coefs = [_int(order, 1)]  # of t1^(k-j) t2^j after k factors
     for p, q in zip(_coefs(order, a, mul, g2.den), _coefs(order, b, mul, g1.den)):
         coefs = [_dot(order, ((p, c), (q, prev))) for c, prev in zip(coefs + [0], [0] + coefs)]
-    form = _mat(order, (g1.den * g2.den) ** n, [[c] for c in coefs], 1, Mat)
+    form = _mat(order, (g1.den * g2.den) ** n, [[c] for c in coefs], 1)
     return BinaryForm(n, [row[0] for row in form.entries])
 
 
@@ -106,7 +111,7 @@ def _interpolated_det_form(g1: Mat, g2: Mat) -> BinaryForm:
 
 def degeneracy_form(pencil: Pencil) -> BinaryForm:
     """det(t1 Q1 + t2 Q2) as a binary form of degree 2g+2."""
-    return pencil_det_form(pencil.q1.gram, pencil.q2.gram)
+    return pencil_det_form(pencil.q1, pencil.q2)
 
 
 def is_smooth(pencil: Pencil) -> bool:
@@ -122,7 +127,7 @@ def equivariance(pencil: Pencil, h: Mat) -> Mat:
     Mᵀ(t1, t2)."""
     if h.rows != h.cols or h.rows != pencil.size:
         raise DimensionMismatch("symmetry size mismatch")
-    grams = (pencil.q1.gram, pencil.q2.gram)
+    grams = (pencil.q1, pencil.q2)
     ht = h.transpose()
     m = span_coefficients([h * g * ht for g in grams], grams)
     if m is None:
@@ -197,7 +202,7 @@ def _in_basis(pencil, spaces):
     one order over one denominator D, space t owning rows spans[t]; a product
     is E G Eᵀ over D² G.den, its upper triangle formed and mirrored; blocks(t)
     are space t's restricted Grams, each brought to its least field."""
-    grams = (pencil.q1.gram, pencil.q2.gram)
+    grams = (pencil.q1, pencil.q2)
     order = lcm(*(s._rows.order for s in spaces), *(g.order for g in grams))
     den = lcm(*(s._rows.den for s in spaces))
     e = [_coefs(order, r, mul, den // s._rows.den) for s in spaces for r in _embed(s._rows.order, s._rows.data, order)]
@@ -211,7 +216,7 @@ def _in_basis(pencil, spaces):
     @cache
     def blocks(t):
         cut = [[[a[i][j] for j in spans[t]] for i in spans[t]] for a in products]
-        return [_mat(order, g.den * den * den, b, spaces[t].dim, Mat) for g, b in zip(grams, cut)]
+        return [_mat(order, g.den * den * den, b, spaces[t].dim) for g, b in zip(grams, cut)]
 
     return order, e, products, spans, blocks
 
@@ -323,7 +328,7 @@ def invariant_lines_abelian(pencil: Pencil, group: MatrixGroup) -> LineSearchRep
                 m, p = row(t1, x, order)
                 # p's polar conditions on space t2, one row per quadric (the products are symmetric)
                 polars = [[_dot(m, zip(a[j], p)) for j in span[t2]] for a in at(m)]
-                rights = _isotropic_points(restricted(t2), _mat(m, 1, polars, s2.dim, Mat))
+                rights = _isotropic_points(restricted(t2), _mat(m, 1, polars, s2.dim))
                 if rights is None:
                     pair_family(c1, c2, "isotropic directions form a family")
                     continue

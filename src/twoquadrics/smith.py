@@ -1,29 +1,13 @@
-"""Integer matrices, Smith normal form, and lattice quotients."""
+"""Smith normal form of integer matrices, Mats at order 1 over denominator 1."""
 
 from __future__ import annotations
 
 from .matrices import Mat
 
 
-class IntMatrix(Mat):
-    """Integer matrix: a Mat of integers (order 1, denominator 1), whose
-    entries are its ints."""
-
-    __slots__ = ()
-
-    def __init__(self, entries):
-        super().__init__([[int(x) for x in row] for row in entries])
-
-    @property
-    def entries(self):
-        return self.data
-
-    def __repr__(self):
-        return f"IntMatrix({[list(r) for r in self.data]!r})"
-
-
-def smith_normal_form(a: IntMatrix):
-    """Return (D, U, V) with U*A*V = D, U and V unimodular, D diagonal with
+def smith_normal_form(a: Mat):
+    """Return (D, U, V) with U*A*V = D for an integer Mat A (order 1,
+    denominator 1, its ints in `data`), U and V unimodular, D diagonal with
     each invariant factor dividing the next.  Diagonal entries are
     nonnegative."""
     m, n = a.rows, a.cols
@@ -51,17 +35,17 @@ def smith_normal_form(a: IntMatrix):
     for i in range(min(m, n)):
         if d[i][i] < 0:
             r.negate_row(i)
-    return IntMatrix(d), IntMatrix(r.u), IntMatrix(r.v)
+    return Mat(d), Mat(r.u), Mat(r.v)
 
 
 class _Reduction:
     """Working copy d of a matrix A with unimodular u, v, kept so that
     u * A * v = d after every row and column operation."""
 
-    def __init__(self, a: IntMatrix):
-        self.d = [list(r) for r in a.entries]
-        self.u = [list(r) for r in IntMatrix.identity(a.rows).entries]
-        self.v = [list(r) for r in IntMatrix.identity(a.cols).entries]
+    def __init__(self, a: Mat):
+        self.d = [list(r) for r in a.data]
+        self.u = [list(r) for r in Mat.identity(a.rows).data]
+        self.v = [list(r) for r in Mat.identity(a.cols).data]
 
     def swap_rows(self, i, j):
         for w in (self.d, self.u):
@@ -122,6 +106,6 @@ def _clear(r: _Reduction, t):
             return
 
 
-def invariant_factors(a: IntMatrix):
+def invariant_factors(a: Mat):
     d, _, _ = smith_normal_form(a)
-    return tuple(d.entries[i][i] for i in range(min(a.rows, a.cols)))
+    return tuple(d.data[i][i] for i in range(min(a.rows, a.cols)))

@@ -16,7 +16,8 @@ from twoquadrics.dp4 import (
     wd5_elements,
 )
 from twoquadrics.errors import OddParity
-from twoquadrics.smith import IntMatrix, smith_normal_form
+from twoquadrics.matrices import Mat
+from twoquadrics.smith import smith_normal_form
 
 M1 = SignedPerm((1, 3, 4, 5, 2), (1, 1, 1, -1, -1))
 GAMMA1 = SignedPerm((1, 4, 5, 2, 3), (1, 1, 1, -1, -1))
@@ -99,15 +100,15 @@ def test_conjugacy():
 
 
 def test_lattice_h1_examples():
-    swap = IntMatrix([[0, 1], [1, 0]])
+    swap = Mat([[0, 1], [1, 0]])
     assert lattice_h1(swap, 2) == ()
-    minus = IntMatrix([[-1, 0], [0, -1]])
+    minus = Mat([[-1, 0], [0, -1]])
     assert lattice_h1(minus, 2) == (2, 2)
     pair = pic_action(SignedPerm((1, 2, 3, 4, 5), (-1, -1, -1, -1, 1)))
     assert lattice_h1(pair, 2) == (2, 2)
     disjoint = pic_action(SignedPerm((1, 2, 3, 4, 5), (1, 1, 1, -1, -1)))
     assert lattice_h1(disjoint, 2) == ()
-    assert lattice_h1(IntMatrix.identity(3), 1) == ()
+    assert lattice_h1(Mat.identity(3), 1) == ()
 
 
 def test_lattice_h1_conjugation_invariant():
@@ -117,17 +118,17 @@ def test_lattice_h1_conjugation_invariant():
     base = lattice_h1(a, n)
     m = a.rows
     for _ in range(10):
-        u = IntMatrix.identity(m)
+        u = Mat.identity(m)
         for _ in range(4):
             r, c = rng.sample(range(m), 2)
             elem = [
                 [1 if x == y else 0 for y in range(m)] for x in range(m)
             ]
             elem[r][c] = rng.choice([1, -1])
-            u = u * IntMatrix(elem)
+            u = u * Mat(elem)
         # u is unimodular: P u Q = I gives u^-1 = Q P
         d, p, q = smith_normal_form(u)
-        assert d == IntMatrix.identity(m)
+        assert d == Mat.identity(m)
         uinv = q * p
-        assert u * uinv == IntMatrix.identity(m)
+        assert u * uinv == Mat.identity(m)
         assert lattice_h1(u * a * uinv, n) == base

@@ -12,7 +12,7 @@ import pytest
 from twoquadrics.cyclo import CycNum, ONE, ZERO, euler_phi, zeta
 from twoquadrics import matrices
 from twoquadrics.errors import Singular
-from twoquadrics.matrices import Mat, Quadric, Subspace, kernel, solve
+from twoquadrics.matrices import Mat, Subspace, kernel, solve
 from twoquadrics.pencils import Pencil, _interpolated_det_form, degeneracy_form
 
 
@@ -221,7 +221,7 @@ def test_det_and_degeneracy_form_against_sympy():
             grams.append(Mat([[a[i][j] + a[j][i] for j in range(6)] for i in range(6)]))
         g1, g2 = grams
         assert g1.det().as_rational() == _fraction(_sympy_matrix(sympy, g1).det())
-        f = degeneracy_form(Pencil(2, Quadric(g1), Quadric(g2)))
+        f = degeneracy_form(Pencil(2, g1, g2))
         pencil = _sympy_matrix(sympy, g1) + t * _sympy_matrix(sympy, g2)
         det = sympy.Poly(ring.to_sympy(DomainMatrix.from_Matrix(pencil).convert_to(ring).det()), t)
         want = [_fraction(det.coeff_monomial(t**k)) for k in range(7)]

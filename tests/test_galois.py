@@ -16,6 +16,7 @@ import importlib.util
 import json
 import math
 from collections import Counter
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from twoquadrics import cli, cyclo
 from twoquadrics.cyclo import CycNum, zeta
 from twoquadrics.errors import NotAbelian, UnsupportedCase
 from twoquadrics.groups import MatrixGroup
-from twoquadrics.jsonio import cycnum_from_json, cycnum_to_json, parse_job
+from twoquadrics.jsonio import cycnum_to_json, parse_job
 from twoquadrics.matrices import Mat, Subspace
 from twoquadrics.pencils import fixed_points_on_X, invariant_lines_abelian
 
@@ -35,6 +36,14 @@ def _sigma(x: CycNum, k):
 
 def _is_number(obj):
     return isinstance(obj, dict) and set(obj) == {"order", "coeffs"}
+
+
+def _number(obj):
+    """The CycNum of a JSON number: an int, a rational [n, d] or an
+    order/coeffs object."""
+    if _is_number(obj):
+        return CycNum(obj["order"], [Fraction(*c) for c in obj["coeffs"]])
+    return CycNum.from_rational(Fraction(*obj) if isinstance(obj, list) else obj)
 
 
 def _orders(obj):
@@ -49,7 +58,7 @@ def _conjugated(obj, k):
     """The job object with sigma_k applied to every number; an int or a
     rational [n, d] is its own image."""
     if _is_number(obj):
-        return cycnum_to_json(_sigma(cycnum_from_json(obj), k))
+        return cycnum_to_json(_sigma(_number(obj), k))
     if isinstance(obj, dict):
         return {key: _conjugated(v, k) for key, v in obj.items()}
     if isinstance(obj, list):
@@ -62,7 +71,7 @@ def _jobs():
              for name in ("example_7_3.json", "example_7_5.json", "example_7_5_full.json")}
     scaled = json.loads(json.dumps(texts["example_7_3.json"]))
     m = scaled["generators"][0]["matrix"]
-    m["entries"] = [[cycnum_to_json(zeta(8) * cycnum_from_json(x)) for x in row] for row in m["entries"]]
+    m["entries"] = [[cycnum_to_json(zeta(8) * _number(x)) for x in row] for row in m["entries"]]
     scaled["relations"] = [{"word": [["eps", 2]], "target": "scalar"}]
     texts["zeta8 eps"] = scaled
     path = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
@@ -90,7 +99,7 @@ def _lines(verdict, k=None):
     out = set()
     for item in verdict["evidence"]:
         for line in item.get("lines", ()):
-            vecs = [[cycnum_from_json(x) for x in v] for v in line]
+            vecs = [[_number(x) for x in v] for v in line]
             out.add(Subspace(len(vecs[0]), [[_sigma(x, k) if k else x for x in v] for v in vecs]))
     return out
 

@@ -3,7 +3,6 @@ import pytest
 from twoquadrics.cyclo import ONE, ZERO, imaginary_unit, zeta
 from twoquadrics.errors import (
     CapExceeded,
-    ClosureMissing,
     LabelMismatch,
     NonScalarDiscrepancy,
     RelationsFailProjectively,
@@ -11,7 +10,7 @@ from twoquadrics.errors import (
 from twoquadrics.groups import (
     MatrixGroup,
     Relation,
-    closure,
+    breadth_first,
     projective_fixed_locus,
     scalar_lift_search,
     verify_relations,
@@ -41,21 +40,19 @@ def test_closure_examples():
     g = MatrixGroup(
         [("a", Mat.diagonal([1, 1, 1, 1, -1, -1])), ("b", Mat.diagonal([1, 1, 1, -1, -1, 1]))]
     )
-    assert len(closure(g, 100)) == 4
-    assert len(closure(dihedral24(), 100)) == 24
-    assert len(closure(MatrixGroup([("e", Mat.identity(3))]), 10)) == 1
+    assert len(list(breadth_first(g, 100))) == 4
+    assert len(list(breadth_first(dihedral24(), 100))) == 24
+    assert len(list(breadth_first(MatrixGroup([("e", Mat.identity(3))]), 10))) == 1
 
 
 def test_closure_cap():
-    with pytest.raises(ClosureMissing):
-        dihedral24().elements
-    with pytest.raises(CapExceeded):
-        closure(dihedral24(), 10)
+    with pytest.raises(CapExceeded, match="closure exceeds cap 10"):
+        list(breadth_first(dihedral24(), 10))
 
 
 def test_cyclic_subgroup_order_matches_operator_order():
     g = MatrixGroup([("g", Mat.diagonal([zeta(8), 1]))])
-    assert len(closure(g, 100)) == operator_order(g.generator("g")).order
+    assert len(list(breadth_first(g, 100))) == operator_order(g.generator("g")).order
 
 
 def test_verify_relations_exact():

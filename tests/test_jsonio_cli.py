@@ -10,15 +10,7 @@ from twoquadrics.cli import _perm_cycles, main, run_report
 from twoquadrics.cyclo import CycNum, zeta
 from twoquadrics.errors import SchemaError
 from twoquadrics.matrices import Mat
-from twoquadrics.jsonio import (
-    cycnum_from_json,
-    cycnum_to_json,
-    mat_from_json,
-    parse_job,
-    pencil_from_json,
-    relation_from_json,
-    signedperm_from_json,
-)
+from twoquadrics.jsonio import cycnum_to_json, dp4_input_from_json, lift_input_from_json, parse_job
 
 try:
     from importlib import resources
@@ -29,74 +21,75 @@ except ImportError:  # pragma: no cover
     fixture_text = None
 
 
+def _diagonal_job(diag1, diag2=(0, 1, 2, 3, 4, 5)):
+    return {"pencil": {"diag1": list(diag1), "diag2": list(diag2)}}
+
+
 def test_cycnum_roundtrip():
-    for x in (zeta(8) + zeta(8, 3), CycNum.from_rational(7), -zeta(12)):
-        assert cycnum_from_json(cycnum_to_json(x)) == x
-    assert cycnum_from_json(5) == CycNum.from_rational(5)
-    assert cycnum_from_json([3, 2]) * cycnum_from_json(2) == CycNum.from_rational(3)
-    # the matrix readers take rational entries as int and Fraction; the public reader still makes a CycNum
-    for obj in (5, [3, -2], {"order": 4, "coeffs": [[0, 1], [1, 1]]}):
-        assert type(cycnum_from_json(obj)) is CycNum, obj
+    # numbers written by cycnum_to_json, as an int, as [n, d] or at order 4 read back as themselves
+    values = [zeta(8) + zeta(8, 3), CycNum.from_rational(7), -zeta(12), 5, Fraction(3, 2), 1]
+    entries = [cycnum_to_json(x) for x in values[:3]] + [5, [3, 2], {"order": 4, "coeffs": [[1, 1], [0, 1]]}]
+    assert parse_job(_diagonal_job(entries)).pencil.q1 == Mat.diagonal(values)
 
 
 def test_cycnum_schema_errors():
-    with pytest.raises(SchemaError):
-        cycnum_from_json(True)
-    with pytest.raises(SchemaError):
-        cycnum_from_json([1, 0])
-    with pytest.raises(SchemaError):
-        cycnum_from_json({"order": 8})
+    for bad in (True, [1, 0], {"order": 8}, {"order": 8, "coeffs": [[1, 1], [0, 1], [0, 1], "no"]}):
+        with pytest.raises(SchemaError):
+            parse_job(_diagonal_job([bad] + [1] * 5))
     # phi(8) = 4, so three coefficients is malformed
     with pytest.raises(SchemaError) as exc:
-        cycnum_from_json({"order": 8, "coeffs": [[1, 1], [0, 1], [0, 1]]}, "$.x")
-    assert "$.x" in str(exc.value)
-    with pytest.raises(SchemaError):
-        cycnum_from_json({"order": 8, "coeffs": [[1, 1], [0, 1], [0, 1], "no"]})
+        parse_job(_diagonal_job([{"order": 8, "coeffs": [[1, 1], [0, 1], [0, 1]]}] + [1] * 5))
+    assert "$.pencil.diag1[0]" in str(exc.value)
+
+
+def _lift_generator(matrix):
+    return {"representations": {"r": {"generators": [{"label": "a", "matrix": matrix}]}}}
 
 
 def test_mat_roundtrip_and_errors():
     # entries read as int and Fraction key as the same entries read as CycNum
-    obj = {"rows": 2, "cols": 3, "entries": [[1, [3, -2], 0], [[4, 6], -7, {"order": 1, "coeffs": [[5, 3]]}]]}
-    values = [[1, Fraction(-3, 2), 0], [Fraction(2, 3), -7, Fraction(5, 3)]]
+    obj = {"rows": 2, "cols": 2, "entries": [[1, [3, -2]], [[4, 6], {"order": 1, "coeffs": [[5, 3]]}]]}
+    values = [[1, Fraction(-3, 2)], [Fraction(2, 3), Fraction(5, 3)]]
     want = Mat([[CycNum.from_rational(x) for x in row] for row in values])
-    for m in (mat_from_json(obj), Mat(values)):
-        assert m.key() == want.key() == (1, 6, ((6, -9, 0), (4, -42, 10)))
+    (_, read), = lift_input_from_json(_lift_generator(obj))[1]["r"].generators
+    for m in (read, Mat(values)):
+        assert m.key() == want.key() == (1, 6, ((6, -9), (4, 10)))
     with pytest.raises(SchemaError):
-        mat_from_json({"rows": 2, "cols": 2, "entries": [[1, 2]]})
+        lift_input_from_json(_lift_generator({"rows": 2, "cols": 2, "entries": [[1, 2]]}))
     with pytest.raises(SchemaError):
-        mat_from_json([1, 2])
+        lift_input_from_json(_lift_generator([1, 2]))
 
 
 def test_pencil_json():
     obj = {"diag1": [1, 1, 1, 1, 1, 1], "diag2": [0, 1, 2, 3, 4, 5]}
-    p = pencil_from_json(obj)
+    p = parse_job({"pencil": obj}).pencil
     assert p.g == 2 and p.size == 6
     with pytest.raises(SchemaError):
-        pencil_from_json({"diag1": [1, 1], "diag2": [1, 1]})
+        parse_job({"pencil": {"diag1": [1, 1], "diag2": [1, 1]}})
     with pytest.raises(SchemaError):
-        pencil_from_json({"diag1": [1] * 6, "diag2": [1] * 5})
+        parse_job({"pencil": {"diag1": [1] * 6, "diag2": [1] * 5}})
     with pytest.raises(SchemaError):
-        pencil_from_json({"g": 2, "diag1": [1] * 4, "diag2": [0, 1, 2, 3]})
+        parse_job({"pencil": {"g": 2, "diag1": [1] * 4, "diag2": [0, 1, 2, 3]}})
 
 
 def test_relation_json():
-    r = relation_from_json({"word": [["sigma", 6]]})
+    (r,), _ = lift_input_from_json({"relations": [{"word": [["sigma", 6]]}]})
     assert r.target == "identity"
-    r = relation_from_json({"word": [["t", 1], ["s", -1]], "target": {"central": "iota"}})
+    (r,), _ = lift_input_from_json({"relations": [{"word": [["t", 1], ["s", -1]], "target": {"central": "iota"}}]})
     assert r.target == ("central", "iota")
     with pytest.raises(SchemaError):
-        relation_from_json({"word": []})
+        lift_input_from_json({"relations": [{"word": []}]})
     with pytest.raises(SchemaError):
-        relation_from_json({"word": [["a", 1]], "target": "nonsense"})
+        lift_input_from_json({"relations": [{"word": [["a", 1]], "target": "nonsense"}]})
 
 
 def test_signedperm_json():
-    s = signedperm_from_json({"perm": [1, 3, 4, 5, 2], "signs": [1, 1, 1, -1, -1]})
+    s = dp4_input_from_json({"elements": {"s": {"perm": [1, 3, 4, 5, 2], "signs": [1, 1, 1, -1, -1]}}})[0]["s"]
     assert s.order() == 4
     with pytest.raises(SchemaError):
-        signedperm_from_json({"perm": [1, 1, 3, 4, 5], "signs": [1] * 5})
+        dp4_input_from_json({"elements": {"s": {"perm": [1, 1, 3, 4, 5], "signs": [1] * 5}}})
     with pytest.raises(SchemaError):
-        signedperm_from_json({"perm": [1, 2, 3, 4, 5]})
+        dp4_input_from_json({"elements": {"s": {"perm": [1, 2, 3, 4, 5]}}})
 
 
 def test_parse_job_fixture_roundtrip():
@@ -317,6 +310,27 @@ def test_lift_refuses_a_generator_of_infinite_order_before_the_closure(capsys, t
     lift([[cycnum_to_json(zeta(361))]])
 
 
+def test_gram_matrices_must_be_square_and_symmetric(capsys, tmp_path):
+    # the Gram checks come before the genus and size checks: a job that is
+    # nonsymmetric and has the wrong g names the symmetric check
+    def gram(rows):
+        return {"rows": len(rows), "cols": len(rows[0]), "entries": rows}
+
+    diag = [[int(i == j) * (i + 1) for j in range(6)] for i in range(6)]
+    skew = [row[:] for row in diag]
+    skew[0][1] = 1
+    job = tmp_path / "job.json"
+    cases = [
+        ({"Q1": gram(skew), "Q2": gram(diag), "g": 2}, "symmetric"),
+        ({"Q1": gram(diag), "Q2": gram([[int(i == j) for j in range(3)] for i in range(4)]), "g": 2}, "square"),
+        ({"Q1": gram(skew), "Q2": gram(diag), "g": 3}, "symmetric"),
+    ]
+    for pencil, check in cases:
+        job.write_text(json.dumps({"pencil": pencil}))
+        assert main(["report", str(job)]) == 2
+        assert capsys.readouterr().err == f"input error: $.pencil: Gram matrix must be {check}\n"
+
+
 def test_generator_off_the_pencil_fails_before_the_closure(capsys, tmp_path):
     # diag(2, 1/2, 1, 1, 1, 1) has determinant 1 and infinite order: only the symmetry check stops it before the closure cap
     obj = json.loads(fixture_text("example_7_3.json"))
@@ -496,7 +510,7 @@ def test_lift_stops_at_its_closure_cap(capsys, monkeypatch):
     # the first representation of example 7.4 has 24 elements: the stream
     # refuses the 24th under cap 23, and no product is formed after it
     products, streamed = [], []
-    real_product, real_stream = matrices._product, groups.breadth_first
+    real_product, real_stream = matrices._product, cli.breadth_first
 
     def product_spy(a, b):
         m = real_product(a, b)
@@ -508,7 +522,7 @@ def test_lift_stops_at_its_closure_cap(capsys, monkeypatch):
             streamed.append(m.key())
             yield m, word
 
-    monkeypatch.setattr(groups, "breadth_first", stream_spy)
+    monkeypatch.setattr(cli, "breadth_first", stream_spy)
     assert main(["lift", "--fixture", "example_7_4.json", "--max-closure", "24"]) == 0
     assert json.loads(capsys.readouterr().out)["V"]["closure_order"] == 24
     group = set(streamed[:24])
@@ -673,8 +687,8 @@ def _moved(name, p):
         return {"rows": n, "cols": n, "entries": [[cycnum_to_json(x) for x in row] for row in m.entries]}
 
     obj["pencil"] = {
-        "Q1": mat_json(p * job.pencil.q1.gram * p.transpose()),
-        "Q2": mat_json(p * job.pencil.q2.gram * p.transpose()),
+        "Q1": mat_json(p * job.pencil.q1 * p.transpose()),
+        "Q2": mat_json(p * job.pencil.q2 * p.transpose()),
         "g": 2,
     }
     obj["generators"] = [dict(g, matrix=mat_json(p * mats[g["label"]] * p_inv)) if "matrix" in g else g
@@ -713,7 +727,7 @@ def test_report_does_not_depend_on_the_coordinates(name):
     for _ in range(3):
         p = _unimodular(rng)
         job = parse_job(_moved(name, p))
-        assert not job.pencil.q1.gram.is_diagonal(), p
+        assert not job.pencil.q1.is_diagonal(), p
         verdict = run_report(job)
         assert verdict["status"] == diagonal["status"], p
         assert _coordinate_free(verdict) == _coordinate_free(diagonal), p

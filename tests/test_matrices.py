@@ -8,7 +8,6 @@ from twoquadrics.cyclo import ONE, ZERO, imaginary_unit, zeta
 from twoquadrics.errors import NotFiniteOrder, Singular
 from twoquadrics.matrices import (
     Mat,
-    Quadric,
     Subspace,
     eigen_multiplicities,
     eigenspaces_finite_order,
@@ -16,6 +15,7 @@ from twoquadrics.matrices import (
     operator_order,
     point_action,
 )
+from twoquadrics.pencils import Pencil
 
 i = imaginary_unit()
 
@@ -131,12 +131,13 @@ def test_subspace_canonical_equality():
 
 
 def test_quadric():
-    q = Quadric.from_diagonal([1, 1, -1])
+    q = Mat.diagonal([1, 1, -1])
     plane = Subspace(3, [[ONE, ZERO, ONE], [ZERO, ONE, ZERO]])
     b = Mat(plane.basis)
-    assert (b * q.gram * b.transpose()).entries[0][0].is_zero()  # Q restricted to the plane
-    with pytest.raises(ValueError):
-        Quadric(Mat([[ZERO, ONE], [ZERO, ZERO]]))
+    assert (b * q * b.transpose()).entries[0][0].is_zero()  # Q restricted to the plane
+    nonsymmetric = Mat([[1 if i == j or (i, j) == (0, 1) else 0 for j in range(4)] for i in range(4)])
+    with pytest.raises(ValueError, match="Gram matrix must be symmetric"):
+        Pencil(1, Mat.diagonal([1, 2, 3, 4]), nonsymmetric)
 
 
 def test_point_action_antihomomorphism():

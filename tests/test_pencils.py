@@ -4,7 +4,7 @@ from twoquadrics.binforms import BinaryForm, checked_roots, quadratic_roots, roo
 from twoquadrics.cyclo import CycNum, ONE, ZERO, imaginary_unit, zeta
 from twoquadrics.errors import NotAbelian, NotASymmetry
 from twoquadrics.groups import MatrixGroup
-from twoquadrics.matrices import Mat, Quadric, Subspace
+from twoquadrics.matrices import Mat, Subspace
 from twoquadrics.pencils import (
     Pencil,
     degeneracy_form,
@@ -150,7 +150,7 @@ def test_fixed_points_of_rotation_pair():
         assert sum(proj_point_equal(e, pt) for pt in fx.points) == 1
     for line in fx.lines_on_x:
         b = Mat(line.basis)
-        assert all(b * q.gram * b.transpose() == Mat([[0, 0], [0, 0]]) for q in (p.q1, p.q2))
+        assert all(b * q * b.transpose() == Mat([[0, 0], [0, 0]]) for q in (p.q1, p.q2))
 
 
 def test_a_restricted_form_is_read_in_its_own_field():
@@ -168,7 +168,7 @@ def test_a_restricted_form_is_read_in_its_own_field():
     assert len(fx.points) == 2
     for sign in (ONE, -ONE):
         assert sum(proj_point_equal((sign * root, 2 * I1, O, O, O, O), pt) for pt in fx.points) == 1
-    assert all(Mat([pt]) * q.gram * Mat([pt]).transpose() == Mat([[0]]) for pt in fx.points for q in (p.q1, p.q2))
+    assert all(Mat([pt]) * q * Mat([pt]).transpose() == Mat([[0]]) for pt in fx.points for q in (p.q1, p.q2))
 
 
 def test_invariant_lines_of_rotation_pair():
@@ -195,8 +195,8 @@ def test_polar_conditions_come_from_both_quadrics():
     # e0 ± e1 on X, Q1's polar conditions on span(e2, e3) vanish and Q2's
     # pick e2 ∓ e3, while span(e2, e3) lies on X, so the condition of Q1
     # alone would leave a family
-    q2 = Quadric(Mat([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]))
-    p = Pencil(1, Quadric.from_diagonal([1, -1, 0, 0]), q2)
+    q2 = Mat([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
+    p = Pencil(1, Mat.diagonal([1, -1, 0, 0]), q2)
     rep = invariant_lines_abelian(p, MatrixGroup([("h", Mat.diagonal([1, 1, -1, -1]))]))
     assert rep.complete
     assert set(rep.lines) == {
@@ -247,8 +247,8 @@ def _isotropic(pencil, space, extra_points=()):
     """_isotropic_points on a subspace, with the polar conditions of extra
     points, as vectors."""
     quadrics, b = (pencil.q1, pencil.q2), Mat(space.basis)
-    polars = [(Mat([e]) * q.gram * b.transpose()).entries[0] for e in extra_points for q in quadrics]
-    pts = _isotropic_points([b * q.gram * b.transpose() for q in quadrics], Mat(polars) if polars else None)
+    polars = [(Mat([e]) * q * b.transpose()).entries[0] for e in extra_points for q in quadrics]
+    pts = _isotropic_points([b * q * b.transpose() for q in quadrics], Mat(polars) if polars else None)
     return None if pts is None else [_point(c, space.basis) for c in pts]
 
 

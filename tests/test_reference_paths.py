@@ -41,7 +41,7 @@ from twoquadrics.binforms import BinaryForm, Roots, bform_discriminant, checked_
 from twoquadrics.cyclo import ONE, ZERO, CycNum, euler_phi, zeta
 from twoquadrics.dp4 import SignedPerm, conjugate_in_WD5, lattice_h1, pic_action, wd5_elements
 from twoquadrics.errors import NotAbelian, NotARoot, NotASymmetry, NotClosed, UnsupportedCase
-from twoquadrics.groups import MatrixGroup, breadth_first, character_spaces, closure, projective_fixed_locus
+from twoquadrics.groups import MatrixGroup, breadth_first, character_spaces, projective_fixed_locus
 from twoquadrics.jsonio import dp4_input_from_json, parse_job
 from twoquadrics.matrices import (
     Mat,
@@ -70,7 +70,7 @@ from twoquadrics.pencils import (
     pencil_det_form,
     proj_point_equal,
 )
-from twoquadrics.smith import IntMatrix, invariant_factors, smith_normal_form
+from twoquadrics.smith import invariant_factors, smith_normal_form
 
 
 def _entry(rng, order, zeros=0.3):
@@ -130,7 +130,7 @@ def test_diagonal_form_is_the_interpolation_in_dense_coordinates():
     # A G Aᵀ with det A = 1 has the same degeneracy form, found by interpolation
     tool, rng, kinds = _digest_tool(), random.Random(28), set()
     for kind, name, pencil in _diagonal_pencils():
-        g1, g2 = pencil.q1.gram, pencil.q2.gram
+        g1, g2 = pencil.q1, pencil.q2
         assert g1.is_diagonal() and g2.is_diagonal(), name
         a, _ = tool._unimodular(rng)
         a = Mat(a)
@@ -145,7 +145,7 @@ def test_diagonal_form_is_the_interpolation_in_dense_coordinates():
 
 def test_the_form_of_a_diagonal_pencil_takes_no_determinant(monkeypatch):
     pencil = parse_job((resources.files("twoquadrics") / "fixtures" / "example_7_5.json").read_text()).pencil
-    g1, g2 = pencil.q1.gram, pencil.q2.gram
+    g1, g2 = pencil.q1, pencil.q2
     a = Mat([[int(j in (i, i + 1)) for j in range(6)] for i in range(6)])
     dense = [a * g * a.transpose() for g in (g1, g2)]
     dets = _counted(monkeypatch, Mat, "det")
@@ -189,7 +189,7 @@ def _minus_scalar(m, lam):
     rows = [_coefs(order, row, mul, lam.den) for row in _embed(m.order, m.data, order)]
     for i, row in enumerate(rows):
         row[i] = _dot(order, ((row[i], one), (c, d)))
-    return _mat(order, m.den * lam.den, rows, m.cols, Mat)
+    return _mat(order, m.den * lam.den, rows, m.cols)
 
 
 def _eigenspaces_by_kernel(m):
@@ -377,22 +377,22 @@ def test_character_spaces_are_independent_so_each_is_a_maximal_fixed_component()
 def _lattice_h1_by_solve(a, n):
     """lattice_h1 as first written: a basis of ker(Norm) from its Smith form,
     then each column of A - I solved for in that basis with `solve`."""
-    ident = norm = power = IntMatrix.identity(a.rows)
+    ident = norm = power = Mat.identity(a.rows)
     for _ in range(n - 1):
         power = power * a
         norm = norm + power
     d, _, v = smith_normal_form(norm)
-    r = sum(1 for i in range(a.rows) if d.entries[i][i])
-    basis = [[v.entries[i][j] for i in range(a.rows)] for j in range(r, a.cols)]
+    r = sum(1 for i in range(a.rows) if d.data[i][i])
+    basis = [[v.data[i][j] for i in range(a.rows)] for j in range(r, a.cols)]
     if not basis:
         return ()
     diff = a - ident
     cols = []
     for j in range(a.cols):
-        sol = solve(basis, [diff.entries[i][j] for i in range(a.rows)])
+        sol = solve(basis, [diff.data[i][j] for i in range(a.rows)])
         assert sol is not None and all(x.den == 1 and x.is_rational() for x in sol)
         cols.append([x.num[0] for x in sol])
-    facts = invariant_factors(IntMatrix(list(zip(*cols))))
+    facts = invariant_factors(Mat(list(zip(*cols))))
     free = len(basis) - sum(1 for f in facts if f)
     return tuple(f for f in facts if f not in (0, 1)) + (0,) * free
 
@@ -406,7 +406,7 @@ def test_lattice_h1_matches_solve_in_the_kernel_basis():
         a = pic_action(s)
         for n in (s.order(), 2 * s.order()):
             assert lattice_h1(a, n) == _lattice_h1_by_solve(a, n)
-    minus = IntMatrix([[-1, 0], [0, -1]])
+    minus = Mat([[-1, 0], [0, -1]])
     assert lattice_h1(minus, 2) == _lattice_h1_by_solve(minus, 2) == (2, 2)
 
 
@@ -532,8 +532,7 @@ def _stream_groups():
 def test_breadth_first_stream_is_the_closure_in_order():
     for name, group in _stream_groups().items():
         stream = list(breadth_first(group))
-        closure(group)
-        assert stream == group.element_words == _closure_by_frontier(group), name
+        assert stream == _closure_by_frontier(group), name
 
 
 def _report_jobs():
@@ -682,10 +681,10 @@ def test_sign_scan_matches_the_diagonal_scan():
     for name, text in _report_jobs().items():
         job = parse_job(text)
         pg = cli._point_group(job)
-        closure(pg)
-        witness, signs, lift = _diagonal_scan(pg.element_words, job.pencil.g)
+        element_words = list(breadth_first(pg))
+        witness, signs, lift = _diagonal_scan(element_words, job.pencil.g)
         # element by element: the same sign elements, with the same minus-count
-        for m, word, act in cli._pencil_actions(pg.element_words, job.actions):
+        for m, word, act in cli._pencil_actions(element_words, job.actions):
             old = _diagonal_signs(m)
             want = None if old is None or len(set(old)) == 1 else _canonical_signs(old, 2)[1]
             assert (m.minus_count() if act.is_scalar() is not None and m.is_scalar() is None else None) == want
@@ -773,7 +772,7 @@ def _root_images_by_scan(roots, m):
 
 def _equivariance_by_two_solves(pencil, h):
     """The deleted equivariance: one `solve` for each transformed Gram."""
-    grams = (pencil.q1.gram, pencil.q2.gram)
+    grams = (pencil.q1, pencil.q2)
     rows = []
     for g in grams:
         t = h * g * h.transpose()
@@ -939,7 +938,7 @@ def test_least_field_walk_matches_the_divisor_scan():
     for n, values in _field_cases():
         order, den, data = matrices._rows_of([[x.embed(n) for x in row] for row in values])
         assert order == n
-        got = matrices._mat(n, den, data, 4, Mat).key()
+        got = matrices._mat(n, den, data, 4).key()
         assert got == _least_by_scan(n, den, data) == Mat(values).key(), (n, values)
         orders.add(got[0])
     # every least order the walk can end at shows up, two or more primes included
@@ -960,7 +959,7 @@ def test_transpose_and_negation_make_no_descent_and_the_walk_fewer(monkeypatch):
     order, den, data = matrices._rows_of([[x.embed(24) for x in row] for row in m.entries])
     assert order == 24
     calls.clear()
-    got = matrices._mat(24, den, data, 6, Mat).key()
+    got = matrices._mat(24, den, data, 6).key()
     walk = len(calls)
     calls.clear()
     want = _least_by_scan(24, den, data)
@@ -972,7 +971,7 @@ def _restricted_binary_quadric(q, plane):
     """The deleted pencils._restricted_binary_quadric: Q restricted to
     u·b1 + v·b2, from the products bi·G·bjᵀ."""
     b = Mat(plane.basis)
-    (g11, g12), (_, g22) = (b * q.gram * b.transpose()).entries
+    (g11, g12), (_, g22) = (b * q * b.transpose()).entries
     return BinaryForm(2, [g11, 2 * g12, g22])
 
 
@@ -983,12 +982,12 @@ def _isotropic_points_by_polar(pencil, space, extra_points=()):
     quadrics, b = (pencil.q1, pencil.q2), Mat(space.basis)
     if space.dim == 1:
         v = space.basis[0]
-        conds = [(b * q.gram * b.transpose()).entries[0][0] for q in quadrics]
-        conds += [(Mat([p]) * q.gram * b.transpose()).entries[0][0] for p in extra_points for q in quadrics]
+        conds = [(b * q * b.transpose()).entries[0][0] for q in quadrics]
+        conds += [(Mat([p]) * q * b.transpose()).entries[0][0] for p in extra_points for q in quadrics]
         return [v] if all(c.is_zero() for c in conds) else []
     b1, b2 = space.basis
     quadratics = [f for f in (_restricted_binary_quadric(q, space) for q in quadrics) if not f.is_zero()]
-    conds = [list((Mat([p]) * q.gram * b.transpose()).entries[0]) for p in extra_points for q in quadrics]
+    conds = [list((Mat([p]) * q * b.transpose()).entries[0]) for p in extra_points for q in quadrics]
     if conds and (polar := kernel(Mat(conds))).dim < 2:
         candidates = polar.basis
     elif not quadratics:
@@ -1130,7 +1129,7 @@ def test_stage_3_on_the_blocks_matches_the_polar_search():
 def _restricted_gram(q, s):
     """The deleted Quadric.restrict, as its Gram: Q restricted to the basis of s."""
     b = s._rows
-    return matrices._product(matrices._product(b, q.gram), b.transpose())
+    return matrices._product(matrices._product(b, q), b.transpose())
 
 
 def _combinations_span(coefs, m):
@@ -1192,7 +1191,7 @@ def _lines_of_entries(pencil, group):
                 raise NotAbelian(f"generators {la!r} and {lb!r} do not commute")
     spaces = character_spaces(group)
     e = Mat([v for s, _ in spaces for v in s.basis])
-    grams = [(e * q.gram * e.transpose()).entries for q in (pencil.q1, pencil.q2)]
+    grams = [(e * q * e.transpose()).entries for q in (pencil.q1, pencil.q2)]
     span = [range(k - s.dim, k) for k, (s, _) in zip(accumulate(s.dim for s, _ in spaces), spaces)]
     restricted = functools.cache(lambda t: [Mat([[a[i][j] for j in span[t]] for i in span[t]]) for a in grams])
 

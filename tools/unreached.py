@@ -23,10 +23,7 @@ KEEP = {
     "matrices.solve": "the elimination oracle of tests/test_cyclo.py and tests/test_elimination.py",
     "matrices.Mat.rank": "the rank oracle of tests/test_elimination.py",
     "dp4.SignedPerm.inverse": "used by the conjugacy oracle in tests/test_reference_paths.py",
-    "groups.MatrixGroup.element_words": "read by the closure and stage-4 oracles of the tests",
     "dp4.intersection": "the Picard form in which acceptance 8 and 12 are stated",
-    "jsonio._reader.from_json": "the per-kind readers `_reader` makes at import, such as cycnum_from_json, "
-    "which tests/test_jsonio_cli.py and tests/test_galois.py read JSON through",
 }
 
 

@@ -16,13 +16,12 @@ work on these ints and build no CycNum: `_times` (products),
 of its coefficients, and zero entries are skipped.  A column with nothing
 to clear, zero in every target row, is skipped whole: no row changes, so a
 diagonal or monomial matrix is reduced without a row operation (why only
-whole columns: `_clear_column`).  `_solve` takes several right-hand sides
-to one elimination, so `span_coefficients` writes a list of targets in a
-span at once, as the rows of a Mat (both pencil actions of a symmetry, in
-`pencils.equivariance`).  The eigenspaces of a finite-order matrix are
-the images of Serre's projections, summed on the int rows from the powers
-`operator_order` forms and shifted by power_table rows: no kernel and no
-product (`eigenspaces_finite_order`).  The action (hᵀ)⁻¹ of a generator h
+whole columns: `_clear_column`).  `solve`, one right-hand side, is the
+tests' oracle: a symmetry's pencil action takes no elimination
+(`pencils.equivariance` reads it off a 2x2 minor).  The eigenspaces of a
+finite-order matrix are the images of Serre's projections, summed on the
+int rows from the powers `operator_order` forms and shifted by power_table
+rows: no kernel and no product (`eigenspaces_finite_order`).  The action (hᵀ)⁻¹ of a generator h
 on points is read off those powers of h, with no inverse: (h^(n-1))ᵀ for h
 of order n, its powers and multiplicities set beside it (`point_action`).
 The determinant is kept on the Mat, as `entries` is, so the invertibility
@@ -410,48 +409,23 @@ def _clear_column(order, rows, r, c, targets, prev):
     return pm, dm
 
 
-def _solve(order, rows, k=1):
-    """(solutions, den): for each of the last k columns b, the x with
-    sum_j rows[i][j] x[j] == b[i] for every i, as int entries over den; or
-    None when some b has no solution.  Unknowns the system leaves free are
-    set to zero.  The rows are int entries at order, changed in place by one
-    elimination, and each solution is checked against every equation before
-    it is returned."""
-    n = len(rows[0]) - k
-    eqs = list(rows)
-    rows, pivots, den = _rref(order, rows)
-    if pivots and pivots[-1] >= n:
-        return None
-    sols = []
-    for t in range(n, n + k):
-        sol = [0] * n
-        for r, c in enumerate(pivots):
-            sol[c] = rows[r][t]
-        if _times(order, [e[:n] for e in eqs], sol) != _coefs(order, [e[t] for e in eqs], mul, den):
-            return None
-        sols.append(sol)
-    return sols, den
-
-
 def solve(cols, target):
     """The coefficients x with sum_j x[j] * cols[j] == target, or None.
 
-    Entries may be CycNum, int or Fraction; the solution is CycNum."""
+    Entries may be CycNum, int or Fraction; the solution is CycNum.  Unknowns
+    the system leaves free are set to zero, and the solution is checked
+    against every equation before it is returned."""
     m = Mat([[col[i] for col in cols] + [t] for i, t in enumerate(target)])
-    found = _solve(m.order, list(m.data))
-    return None if found is None else tuple(_cyc(m.order, x, found[1]) for x in found[0][0])
-
-
-def span_coefficients(targets, mats):
-    """The Mat C with targets[t] == sum_k C[t][k] * mats[k] entrywise for
-    every t, or None when some target leaves the span; some matrix of mats
-    must be nonzero.  All targets are solved for in one elimination."""
-    both = (*mats, *targets)
-    order = lcm(*(m.order for m in both))
-    den = lcm(*(m.den for m in both))
-    flat = [_coefs(order, [x for row in _embed(m.order, m.data, order) for x in row], mul, den // m.den) for m in both]
-    found = _solve(order, [eq for eq in zip(*flat) if any(eq)], len(targets))  # 0 = 0 says nothing
-    return None if found is None else _mat(order, found[1], found[0], len(mats))
+    n, order, eqs = len(cols), m.order, m.data
+    rows, pivots, den = _rref(order, list(eqs))
+    if pivots and pivots[-1] >= n:
+        return None
+    sol = [0] * n
+    for r, c in enumerate(pivots):
+        sol[c] = rows[r][n]
+    if _times(order, [e[:n] for e in eqs], sol) != _coefs(order, [e[n] for e in eqs], mul, den):
+        return None
+    return tuple(_cyc(order, x, den) for x in sol)
 
 
 class Subspace:

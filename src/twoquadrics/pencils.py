@@ -4,14 +4,18 @@ Degeneracy binary form, smoothness, equivariance data (the pencil action of
 a symmetry), fixed points on X and invariant lines for abelian actions.  The
 degeneracy form of a diagonal pencil is the product of its linear factors,
 multiplied out on the int rows; only a dense pencil's is interpolated from
-sampled determinants.
+sampled determinants.  A pencil keeps its first nonzero 2x2 minor of the
+Grams' int entries (`Pencil.minor`), which is its independence check; a
+symmetry's pencil action is read off that minor and checked at every other
+entry of h G_i hᵀ, formed on the int rows, with no product and no
+elimination (`equivariance`).
 Fixed points and invariant lines meet X through one routine,
 `_isotropic_points`: the points of a projective point or line that lie on X
 (polar to given points, if any), or None when the whole line does, read off
 the restricted Grams.  Its polar conditions and the common roots of two
 restricted quadratics are kernels (`matrices.kernel`).  Both searches form
 E Q_i Eᵀ once on the int rows, E the stacked bases of the character spaces
-(`_in_basis`): each restricted Gram is a block, brought to its least field;
+(`_in_basis`, by the congruence `equivariance` uses): each restricted Gram is a block, brought to its least field;
 polar rows and line checks are int dot products of the points' coefficient
 rows with it, and a line found is spanned by those rows times E.  CycNum
 arithmetic is left to the roots of the restricted quadratics.
@@ -26,11 +30,10 @@ from math import lcm
 from operator import mul
 
 from .binforms import BinaryForm, bform_discriminant, quadratic_roots
-from .cyclo import ONE, ZERO
+from .cyclo import ONE, ZERO, _inverse_num
 from .errors import DimensionMismatch, NotAbelian, NotASymmetry
 from .groups import MatrixGroup, character_spaces, projective_fixed_locus
-from .matrices import Mat, _coefs, _cyc, _dot, _embed, _int, _mat, _rows_of, _times, kernel
-from .matrices import row_combinations_span, span_coefficients
+from .matrices import Mat, _coefs, _cyc, _dot, _embed, _int, _mat, _rows_of, _times, kernel, row_combinations_span
 
 
 @dataclass(frozen=True)
@@ -51,7 +54,7 @@ class Pencil:
             raise ValueError("need g >= 1")
         if g1.rows != n or g2.rows != n:
             raise DimensionMismatch("Gram size must be 2g+2")
-        if not any(map(any, g1.data)) or span_coefficients([g2], (g1,)) is not None:
+        if self.minor is None:
             raise ValueError("Q1 and Q2 must be linearly independent")
 
     @property
@@ -66,6 +69,28 @@ class Pencil:
     def det_form(self) -> BinaryForm:
         """The degeneracy form, computed on first use and then kept."""
         return degeneracy_form(self)
+
+    @cached_property
+    def minor(self):
+        """The first nonzero 2x2 minor of the Grams, which fixes the pencil
+        action of a symmetry (`equivariance`), or None when Q1 and Q2 are
+        dependent: (order, grams, a, b, p, q, delta, inv, norm).  grams are
+        the int rows of Q1 and Q2 at order = lcm of theirs over one
+        denominator, a and b their upper triangles read row by row, p < q the
+        first pair of positions in that order with delta = a_p b_q - a_q b_p
+        nonzero, and delta * inv = norm a positive int (`cyclo._inverse_num`,
+        or ±1 at order 1)."""
+        order, den = lcm(self.q1.order, self.q2.order), lcm(self.q1.den, self.q2.den)
+        grams = [[_coefs(order, row, mul, den // g.den) for row in _embed(g.order, g.data, order)] for g in (self.q1, self.q2)]
+        a, b = ([x for i, row in enumerate(g) for x in row[i:]] for g in grams)
+        nonzero = [e for e, pair in enumerate(zip(a, b)) if any(pair)]
+        for p, q in ((p, q) for k, p in enumerate(nonzero) for q in nonzero[k + 1 :]):
+            delta = _dot(order, ((a[p], b[q]), (_coefs(order, [a[q]], mul, -1)[0], b[p])))
+            if delta:
+                inv, norm = (1, delta) if order == 1 else _inverse_num(order, delta)
+                sign = 1 if norm > 0 else -1
+                return order, grams, a, b, p, q, delta, _coefs(order, [inv], mul, sign)[0], norm * sign
+        return None
 
 
 @cache
@@ -124,17 +149,32 @@ def equivariance(pencil: Pencil, h: Mat) -> Mat:
     """The pencil action of h: the 2x2 M with h·G_i·hᵀ = Σ_j M_ij G_j, or
     NotASymmetry.  h transforms the forms by substituting hᵀx (and points by
     (hᵀ)⁻¹, `matrices.point_action`), so t1 Q1 + t2 Q2 goes to the member at
-    Mᵀ(t1, t2)."""
+    Mᵀ(t1, t2).
+
+    On the int rows of `Pencil.minor`, Q_i = G_i / D, the upper triangle c
+    of h G_i hᵀ is formed over E = D h.den².  Cramer's rule at the minor's
+    positions p, q gives u = b_q c_p - b_p c_q and v = a_p c_q - a_q c_p,
+    with u a + v b = delta c at every position when h G_i hᵀ lies in the
+    span; then row i of M is (u, v) inv / (norm h.den²)."""
     if h.rows != h.cols or h.rows != pencil.size:
         raise DimensionMismatch("symmetry size mismatch")
-    grams = (pencil.q1, pencil.q2)
-    ht = h.transpose()
-    m = span_coefficients([h * g * ht for g in grams], grams)
-    if m is None:
-        raise NotASymmetry("transformed quadric leaves the pencil span")
-    if m.det().is_zero():
+    order, grams, a, b, p, q, delta, inv, norm = pencil.minor
+    big = lcm(order, h.order)
+    a, b, (delta, inv) = _embed(order, [a, b, [delta, inv]], big)
+    nd = _coefs(big, [delta], mul, -1)[0]
+    adjugate = [(b[q], _coefs(big, [b[p]], mul, -1)[0]), (_coefs(big, [a[q]], mul, -1)[0], a[p])]
+    rows = _embed(h.order, h.data, big)
+    action = []
+    for g in grams:
+        c = [x for row in _upper_congruence(big, rows, _embed(order, g, big)) for x in row]
+        u, v = _times(big, adjugate, (c[p], c[q]))
+        if any(_times(big, zip(a, b, c), (u, v, nd))):
+            raise NotASymmetry("transformed quadric leaves the pencil span")
+        action.append((u, v))
+    (u1, v1), (u2, v2) = action
+    if not _dot(big, ((u1, v2), (_coefs(big, [u2], mul, -1)[0], v1))):
         raise NotASymmetry("induced 2x2 action is singular")
-    return m
+    return _mat(big, norm * h.den**2, [[_dot(big, ((x, inv),)) for x in row] for row in action], 2)
 
 
 def _isotropic_points(grams, polars=None):
@@ -196,6 +236,12 @@ def proj_point_equal(p, q) -> bool:
     return bool(a) and all(_dot(order, ((a, x),)) == _dot(order, ((b, y),)) for x, y in zip(p, q))
 
 
+def _upper_congruence(order, rows, g):
+    """The upper triangle of R G Rᵀ for int rows R and G at one order: row i
+    lists the entries (i, i), (i, i + 1), ..."""
+    return [_times(order, rows[i:], _times(order, g, r)) for i, r in enumerate(rows)]
+
+
 def _in_basis(pencil, spaces):
     """Both quadrics in the basis E of the spaces' stacked bases, on the int
     rows: (order, E, products, spans, blocks).  E is the spaces' `_rows` at
@@ -208,8 +254,7 @@ def _in_basis(pencil, spaces):
     e = [_coefs(order, r, mul, den // s._rows.den) for s in spaces for r in _embed(s._rows.order, s._rows.data, order)]
     products = []
     for g in grams:
-        rows = _embed(g.order, g.data, order)
-        upper = [_times(order, e[i:], _times(order, rows, r)) for i, r in enumerate(e)]
+        upper = _upper_congruence(order, e, _embed(g.order, g.data, order))
         products.append([[upper[min(i, j)][abs(i - j)] for j in range(len(e))] for i in range(len(e))])
     spans = [range(k - s.dim, k) for k, s in zip(accumulate(s.dim for s in spaces), spaces)]
 

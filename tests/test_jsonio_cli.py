@@ -362,6 +362,22 @@ def test_generator_off_the_pencil_fails_before_the_closure(capsys, tmp_path):
         assert capsys.readouterr().err == "input error: $.pencil: Q1 and Q2 must be linearly independent\n"
 
 
+def test_a_pencil_dependent_over_a_cyclotomic_field_or_in_dense_coordinates_exits_2(capsys, tmp_path):
+    # Q2 = zeta8 Q1 is dependent over Q(zeta8) only; Q2 = 3 Q1 with no zero entry
+    diag = [1, 2, 3, 4, 5, 6]
+    dense = [[(i + 1) * (j + 1) + 3 * (i == j) for j in range(6)] for i in range(6)]
+    gram = lambda rows: {"rows": 6, "cols": 6, "entries": rows}
+    pencils = [
+        {"diag1": diag, "diag2": [cycnum_to_json(zeta(8) * x) for x in diag]},
+        {"g": 2, "Q1": gram(dense), "Q2": gram([[3 * x for x in row] for row in dense])},
+    ]
+    job = tmp_path / "job.json"
+    for pencil in pencils:
+        job.write_text(json.dumps({"pencil": pencil}))
+        assert main(["report", str(job)]) == 2
+        assert capsys.readouterr().err == "input error: $.pencil: Q1 and Q2 must be linearly independent\n"
+
+
 def _on_x0_x1(label, block):
     """A generator that is the 2x2 block on x0, x1 and the identity elsewhere."""
     rows = [[int(i == j) for j in range(6)] for i in range(6)]

@@ -10,7 +10,8 @@ closure loop that the breadth-first stream replaced.  The pencil action of
 a word is checked against `equivariance` of its element.  Equivariance with
 one solve per transformed Gram, and branch roots checked and matched by
 pairwise cross products (the deleted `binforms.proj_equal`), are the
-references of the single solve and of the keyed roots.  The divisor scan of
+references of the action read off the pencil's 2x2 minor, also in dense
+coordinates, and of the keyed roots.  The divisor scan of
 the old `matrices._mat` is the reference of the least-field walk, and the
 stage 3 and fixed-point search that formed p G vᵀ on ambient vectors (the
 deleted `Quadric.polar`) is the reference of the one that reads blocks of
@@ -891,6 +892,59 @@ def test_a_map_off_the_pencil_is_refused_by_both_solves():
     assert equivariance(swap, rev) == _equivariance_by_two_solves(swap, rev) == Mat([[0, 1], [1, 0]])
 
 
+def _moved(pencil, gens, a):
+    """The pencil and its (label, matrix) generators in the coordinates of
+    an invertible a: Q_i -> a Q_i aᵀ and h -> a h a⁻¹, which keeps every
+    pencil action."""
+    at, inv = a.transpose(), a.inverse()
+    return Pencil(pencil.g, a * pencil.q1 * at, a * pencil.q2 * at), [(lab, a * h * inv) for lab, h in gens]
+
+
+def test_equivariance_matches_the_two_solves_in_dense_coordinates_past_the_first_minor_and_off_the_pencil():
+    rng = random.Random(31)
+    swap = lambda i, j: Mat([[int(c == {i: j, j: i}.get(r, r)) for c in range(6)] for r in range(6)])
+    # Q1 = I, Q2 = diag(1, 1, 2, 3, 4, 5): positions (0, 0) and (1, 1) give a
+    # zero minor, and (0, 0) with (2, 2), position 11, the first nonzero one
+    late = Pencil.from_diagonals(2, [1] * 6, [1, 1, 2, 3, 4, 5])
+    assert late.minor[4:6] == (0, 11)
+    cases = [(pencil, gens) for pencil, gens, *_ in _oracle_cases()]
+    cases.append((late, [("swap01", swap(0, 1)), ("signs", Mat.diagonal([1, -1, 1, 1, -1, 1])), ("swap23", swap(2, 3))]))
+    # a generator times a shear, twice a generator and the zero matrix: off
+    # the span, a symmetry over a larger denominator, a singular action
+    shear = Mat.identity(6) + Mat([[int((i, j) == (1, 0)) for j in range(6)] for i in range(6)])
+    kinds = set()
+    for pencil, gens in cases:
+        gens = [*gens, ("sheared", gens[0][1] * shear), ("twice", gens[0][1] * 2), ("zero", Mat([[0] * 6] * 6))]
+        moved, moved_gens = _moved(pencil, gens, _invertible(rng, 6).inverse())
+        assert not moved.q1.is_diagonal()
+        for (lab, h), (_, moved_h) in zip(gens, moved_gens):
+            got = _outcome(equivariance, pencil, h)
+            assert got == _outcome(_equivariance_by_two_solves, pencil, h), lab
+            assert _outcome(equivariance, moved, moved_h) == _outcome(_equivariance_by_two_solves, moved, moved_h) == got
+            kinds.add(got[1] if type(got) is tuple else "action")
+    assert kinds == {"action", "transformed quadric leaves the pencil span", "induced 2x2 action is singular"}
+
+
+def test_equivariance_multiplies_no_mat_and_eliminates_nothing(monkeypatch):
+    # the action is read off the minor the pencil keeps: no Mat product, no
+    # elimination, no determinant, and Δ inverted once per pencil above order 1
+    fixture = parse_job((resources.files("twoquadrics") / "fixtures" / "example_7_5.json").read_text())
+    signs = parse_job(json.dumps(_sign_group_job(random.Random(31), 3)))
+    cases = [(fixture.pencil, fixture.group.generator("gamma"), fixture.actions["gamma"])]
+    cases += [(signs.pencil, h, signs.actions[lab]) for lab, h in signs.group.generators[:1]]
+    made = []
+    for owner, name in ((matrices, "_echelon"), (matrices, "_rref"), (Mat, "__mul__"), (Mat, "det")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, _name=name, _real=real, **k: made.append(_name) or _real(*a, **k))
+    inverses = _counted(monkeypatch, pencils, "_inverse_num")
+    for pencil, h, want in cases:
+        fresh = Pencil(pencil.g, pencil.q1, pencil.q2)  # the minor is found here, once
+        assert [equivariance(fresh, h) for _ in range(2)] == [want] * 2
+        assert len(inverses) == (fresh.minor[0] > 1), fresh.minor[0]
+        inverses.clear()
+    assert made == []
+
+
 def _least_by_scan(order, den, data):
     """The deleted descent of matrices._mat, and of CycNum.canonical: every
     divisor d of the order, smallest first, until all entries lie in
@@ -1098,6 +1152,17 @@ def _stage_3_jobs():
     for name, obj in tool.EXTRA_JOBS:
         yield name, json.dumps(obj)
         yield f"dense {name}", tool.dense_job(obj, rng)
+
+
+def test_the_dihedral_report_keeps_no_line_and_is_obstructed():
+    # r bounds the search with 3 candidate lines, and s moves every one of
+    # them: a stage-3 filter that checked r alone would certify linearizability
+    job = parse_job(json.dumps(dict(_digest_tool().EXTRA_JOBS)["dihedral"]))
+    verdict = cli.run_report(job)
+    stages = {k: v for item in verdict["evidence"] if item["stage"] in (3, 4) for k, v in item.items()}
+    assert verdict["status"] == "OBSTRUCTED"
+    assert (stages["bounding_subgroup"], stages["candidates"], stages["invariant_under_all"]) == ("r", 3, 0)
+    assert stages["witness_word"] == ["r", "s", "r", "s"]
 
 
 def test_stage_3_on_the_blocks_matches_the_polar_search():

@@ -1,14 +1,14 @@
 """JSON (de)serialization for jobs, fixtures, and reports.
 
 SCHEMA below is the one description of every JSON input. Each reader first
-checks the decoded value against its entry with `_walk`, which raises
-SchemaError at the JSON path of the first mismatch, and only then converts it,
-keeping the checks a type cannot state (coefficient counts, nonzero
-denominators, matrix sizes, invertibility as a nonzero determinant kept on
-the Mat for `operator_order`, independent pencil quadrics,
-distinct labels, names that refer to elements, and last, in `parse_job`, that
-each matrix generator is a pencil symmetry and each moebius generator permutes
-the branch roots). An entry of the table reads as follows:
+checks the decoded value with the checker `_compile` makes of its entry once,
+which raises SchemaError at the JSON path of the first mismatch (and forms no
+path for a node that passes), then converts it, keeping the checks a type cannot
+state (coefficient counts, nonzero denominators, matrix sizes, invertibility as
+a nonzero determinant kept on the Mat for `operator_order`, independent pencil
+quadrics, distinct labels, names that refer to elements, and last, in
+`parse_job`, that each matrix generator is a pencil symmetry and each moebius
+generator permutes the branch roots). An entry of the table reads as follows:
 
 - `int`: a JSON integer; `true`, `false` and floats are not integers.
 - `str`: a string; a set of strings: one of those strings.
@@ -22,12 +22,12 @@ the branch roots). An entry of the table reads as follows:
 - a string: the table entry of that name.
 
 A rational "cycnum" entry, an integer or [n, d], is read as an int or a
-Fraction, which `Mat` takes as it is, so the matrix, diagonal, moebius and
-root readers make no CycNum for it; only an order entry becomes a CycNum.
+Fraction, which `Mat` takes as it is; only an order entry becomes a CycNum.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,7 +42,7 @@ from .pencils import Pencil, equivariance, is_smooth
 
 
 class _OneOf:
-    """Alternative schemas for one value; `_choose` picks the one it is checked against."""
+    """Alternative schemas for one value; its checker picks the one that applies."""
 
     def __init__(self, *options):
         self.options = options
@@ -95,53 +95,89 @@ def _expect(cond, message, path):
         raise SchemaError(message, path)
 
 
+class _Refused(Exception):
+    """A refused node, and its path below the node that catches it, which each enclosing array or object extends."""
+
+    def __init__(self, message, node=None, below=""):
+        self.message, self.node, self.below = message, node, below
+
+
 def _kind(schema):
     """The Python type of the JSON values that schema describes."""
     return schema if schema in (int, str) else _JSON_KIND[type(schema)]
 
 
-def _walk(value, schema, path):
-    """Check value against a schema of the table, down to its leaves."""
+@functools.cache  # compiled on its first use
+def _checker(name):
+    return _compile(SCHEMA[name])
+
+
+def _compile(schema):
+    """A table entry's checker: it raises _Refused at the first mismatch (kind, missing keys in table order, values)."""
     if type(schema) is str:
-        schema = SCHEMA[schema]
+        return _checker(schema)
     if type(schema) is _OneOf:
-        schema = _choose(value, schema.options, path)
-    kind = _kind(schema)
-    if type(value) is not kind:
-        raise SchemaError(f"expected {_NAMES[kind]}", path)
-    shape = type(schema)
-    if shape is set:
-        _expect(value in schema, "expected one of " + ", ".join(map(repr, sorted(schema))), path)
-    elif shape is list:
-        for k, x in enumerate(value):
-            _walk(x, schema[0], f"{path}[{k}]")
-    elif shape is tuple:
-        _expect(len(value) == len(schema), f"expected an array of {len(schema)} entries", path)
-        for k, x in enumerate(value):
-            _walk(x, schema[k], f"{path}[{k}]")
-    elif shape is dict and str in schema:
-        for key, x in value.items():
-            _walk(x, schema[str], f"{path}.{key}")
+        options = [(_kind(o), next(iter(o)) if type(o) is dict else None, _compile(o)) for o in schema.options]
+        expected = "expected " + " or ".join(f"an object with '{key}'" if key else _NAMES[k] for k, key, _ in options)
+
+        def check(value):
+            for kind, key, sub in options:
+                if type(value) is kind and (key is None or key in value):
+                    return kind is int or sub(value)  # an int is checked by its kind alone
+            raise _Refused(expected)
+
+        return check
+    kind, shape = _kind(schema), type(schema)
+    expected = "expected " + _NAMES[kind]
+    if shape is list or shape is tuple:
+        entries = [_compile(s) for s in schema]  # a tuple's, or a list's one
+        count = f"expected an array of {len(schema)} entries" if shape is tuple else None
+
+        def check(value):
+            if type(value) is not list:
+                raise _Refused(expected)
+            if count and len(value) != len(entries):
+                raise _Refused(count)
+            try:
+                for k, x in enumerate(value):
+                    entries[k if count else 0](x)
+            except _Refused as refused:
+                refused.below = f"[{k}]{refused.below}"
+                raise
+
     elif shape is dict:
-        for key in schema:
-            _expect(key[-1] == "?" or key in value, f"missing '{key}'", path)
-        for key, x in value.items():
-            # '?' marks an optional key of the table, never of the input
-            sub = None if key[-1:] == "?" else schema.get(key) or schema.get(key + "?")
-            if sub is None:
-                allowed = ", ".join(k.rstrip("?") for k in schema)
-                raise SchemaError(f"unknown key; allowed: {allowed}", f"{path}.{key}")
-            _walk(x, sub, f"{path}.{key}")
+        # {str: s} takes every key; otherwise '?' marks an optional key of the table, never of the input
+        values = {key.removesuffix("?"): _compile(s) for key, s in schema.items() if key is not str}
+        every = _compile(schema[str]) if str in schema else None
+        required = [key for key in values if key + "?" not in schema]
+        unknown = "unknown key; allowed: " + ", ".join(values)
 
+        def check(value):
+            if type(value) is not dict:
+                raise _Refused(expected)
+            for key in required:
+                if key not in value:
+                    raise _Refused(f"missing '{key}'")
+            try:
+                for key, x in value.items():
+                    sub = every or values.get(key)
+                    if sub is None:
+                        raise _Refused(unknown)
+                    sub(x)
+            except _Refused as refused:
+                refused.below = f".{key}{refused.below}"
+                raise
 
-def _choose(value, options, path):
-    """The alternative that value is checked against (see the module docstring)."""
-    for option in options:
-        kind = _kind(option)
-        if type(value) is kind and (kind is not dict or next(iter(option)) in value):
-            return option
-    what = [f"an object with '{next(iter(o))}'" if type(o) is dict else _NAMES[_kind(o)] for o in options]
-    raise SchemaError("expected " + " or ".join(what), path)
+    else:
+        allowed = "expected one of " + ", ".join(map(repr, sorted(schema))) if shape is set else None
+
+        def check(value):
+            if type(value) is not kind:
+                raise _Refused(expected)
+            if allowed and value not in schema:
+                raise _Refused(allowed)
+
+    return check
 
 
 def _checked(text_or_obj, kind, path):
@@ -152,30 +188,45 @@ def _checked(text_or_obj, kind, path):
             obj = json.loads(obj)
         except (ValueError, RecursionError) as exc:  # malformed, an integer past Python's digit limit, or nested too deep
             raise SchemaError(f"invalid JSON: {exc}", path) from exc
-    _walk(obj, kind, path)
+    try:
+        _checker(kind)(obj)
+    except _Refused as refused:
+        raise SchemaError(refused.message, path + refused.below) from None
     return obj
 
 
-def _fraction(pair, path):
-    _expect(pair[1] != 0, "zero denominator", path)
-    return Fraction(pair[0], pair[1])
-
-
-def _number(obj, path):
-    """The value of a "cycnum" entry: the int or Fraction of a rational one,
-    which Mat reads with no CycNum made, or the CycNum of an order entry."""
+def _number(obj):
+    """The value of a checked "cycnum" entry: the int or Fraction of a rational
+    one, which Mat reads with no CycNum made, or the CycNum of an order entry."""
     if type(obj) is int:
         return obj
     if type(obj) is list:
-        return _fraction(obj, path)
+        if obj[1] == 0:
+            raise _Refused("zero denominator", obj)
+        return Fraction(*obj)
     order, coeffs = obj["order"], obj["coeffs"]
-    _expect(order >= 1, "'order' must be a positive integer", path + ".order")
+    if order < 1:
+        raise _Refused("'order' must be a positive integer", obj, ".order")
     # n <= 2 phi(n)^2 for every n >= 1, so this rejects no valid entry and
     # spares euler_phi's trial division an order far too large for the coefficients
-    _expect(order <= 2 * len(coeffs) ** 2, f"too few coefficients for order {order}", path + ".coeffs")
+    if order > 2 * len(coeffs) ** 2:
+        raise _Refused(f"too few coefficients for order {order}", obj, ".coeffs")
     phi = euler_phi(order)
-    _expect(len(coeffs) == phi, f"'coeffs' must be an array of {phi} entries for order {order}", path + ".coeffs")
-    return CycNum(order, [_fraction(c, f"{path}.coeffs[{k}]") for k, c in enumerate(coeffs)])
+    if len(coeffs) != phi:
+        raise _Refused(f"'coeffs' must be an array of {phi} entries for order {order}", obj, ".coeffs")
+    for k, (_, d) in enumerate(coeffs):
+        if d == 0:
+            raise _Refused("zero denominator", obj, f".coeffs[{k}]")
+    return CycNum(order, [Fraction(n, d) for n, d in coeffs])
+
+
+def _values(rows, where):
+    """The values of rows of checked "cycnum" entries; where(i, j) forms the path of entry (i, j) if it is refused."""
+    try:
+        return [[_number(x) for x in row] for row in rows]
+    except _Refused as refused:
+        i, j = next((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x is refused.node)
+        raise SchemaError(refused.message, where(i, j) + refused.below) from None
 
 
 def cycnum_to_json(x: CycNum):
@@ -191,15 +242,15 @@ def _mat(obj, path):
     _expect(rows > 0 and cols > 0, "'rows' and 'cols' must be positive integers", path)
     _expect(len(entries) == rows, f"'entries' must have {rows} rows", path + ".entries")
     for i, row in enumerate(entries):
-        _expect(len(row) == cols, f"row must have {cols} entries", f"{path}.entries[{i}]")
-    return Mat([[_number(x, f"{path}.entries[{i}][{j}]") for j, x in enumerate(row)] for i, row in enumerate(entries)])
+        if len(row) != cols:
+            raise SchemaError(f"row must have {cols} entries", f"{path}.entries[{i}]")
+    return Mat(_values(entries, lambda i, j: f"{path}.entries[{i}][{j}]"))
 
 
 def _pencil(obj, path):
     try:
         if "diag1" in obj:
-            d1 = [_number(x, f"{path}.diag1[{i}]") for i, x in enumerate(obj["diag1"])]
-            d2 = [_number(x, f"{path}.diag2[{i}]") for i, x in enumerate(obj["diag2"])]
+            d1, d2 = (_values([obj[key]], lambda _, i: f"{path}.{key}[{i}]")[0] for key in ("diag1", "diag2"))
             _expect(len(d1) == len(d2), "diagonals must have equal length", path)
             n = len(d1)
             _expect(n >= 4 and n % 2 == 0, "size must be even and at least 4", path)
@@ -259,7 +310,7 @@ def parse_job(text_or_obj, path="$"):
             gens.append((g["label"], _invertible(g["matrix"], pencil.size, "the pencil size", p)))
             continue
         paths[g["label"]] = p = p + ".moebius"
-        rows = [[_number(x, f"{p}[{i}][{j}]") for j, x in enumerate(r)] for i, r in enumerate(g["moebius"])]
+        rows = _values(g["moebius"], lambda i, j: f"{p}[{i}][{j}]")
         # [[a, b], [c, d]] sends (t1, t2) to (a t1 + b t2, c t1 + d t2): the pencil action is its transpose
         moebius[g["label"]] = m = Mat(list(zip(*rows)))
         _expect(not m.det().is_zero(), "moebius matrix is singular", p)
@@ -281,10 +332,7 @@ def parse_job(text_or_obj, path="$"):
     branch = None
     if "branch" in obj:
         p = path + ".branch"
-        roots = tuple(
-            (_number(u, f"{p}.roots[{k}][0]"), _number(v, f"{p}.roots[{k}][1]"))
-            for k, (u, v) in enumerate(obj["branch"]["roots"])
-        )
+        roots = tuple(map(tuple, _values(obj["branch"]["roots"], lambda k, j: f"{p}.roots[{k}][{j}]")))
         _expect(len(roots) == pencil.det_form.degree, "root count must equal the degree", p)
         try:
             branch = checked_roots(pencil.det_form, roots)

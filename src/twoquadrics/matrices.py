@@ -7,8 +7,8 @@ coefficients, see cyclo) or the int 0 for zero.  A matrix is kept at the
 least N holding its entries (a rational matrix stays at 1) and in lowest
 terms, so equal matrices have equal (order, den, data) keys; `_mat` finds
 that order by `cyclo._least_field`, and a transpose or a negation, already
-canonical, skips it.  An int or Fraction entry is read as it is
-(`_rows_of`), so a rational matrix is built with no CycNum.  The kernels
+canonical, skips it.  An int or Fraction entry is read as it is, rows of
+ints whole (`_rows_of`), so a rational matrix is built with no CycNum.  The kernels
 work on these ints and build no CycNum: `_times` (products),
 `_echelon`/`_rref` (the one elimination, fraction-free) and
 `_clear_column`.  Over Q they run Bareiss's elimination
@@ -57,8 +57,10 @@ def _value(x):
 
 
 def _rows_of(values):
-    """(order, den, rows of entries) for rows of CycNum, int or Fraction; an
-    int or a Fraction is read as it is, with no CycNum made."""
+    """(order, den, rows of entries) for rows of CycNum, int or Fraction: an int
+    or a Fraction is read as it is, and rows of ints are their own entries."""
+    if {type(x) for row in values for x in row} == {int}:
+        return 1, 1, [list(row) for row in values]
     rows = [[_value(x) for x in row] for row in values]
     order = lcm(*(o for row in rows for o, _, _ in row))
     den = lcm(*(d for row in rows for _, _, d in row))
@@ -159,7 +161,7 @@ class Mat:
     def diagonal(values):
         """diag(values): the n values are read once, and the zeros off the
         diagonal are laid out as int entries."""
-        order, den, (row,) = _rows_of([values])
+        order, den, (row,) = _rows_of([list(values)])
         if not row:
             raise ValueError("matrix must be nonempty")
         return _mat(order, den, [[x if i == j else 0 for j in range(len(row))] for i, x in enumerate(row)], len(row))

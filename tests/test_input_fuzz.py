@@ -8,58 +8,41 @@ at the cap, not hang.
 """
 
 import contextlib
+import importlib.util
 import io
 import json
 from importlib import resources
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from twoquadrics.cli import main
 
-INPUTS = {
-    "report": "example_7_3.json",
-    "dp4": "example_dp4_involutions.json",
-    "lift": "example_7_4.json",
-}
-REPLACEMENTS = (None, True, 1.5, "x", 10**30, -(10**30), [], {})
-
-
-def _nodes(obj, at=()):
-    """The path (keys and indices from the root) of every node of obj that is
-    no deeper than the second entry of any array: later entries repeat the
-    shape of the first two, and skipping them leaves more examples for the
-    nodes that differ."""
-    yield at
-    children = obj.items() if isinstance(obj, dict) else enumerate(obj[:2]) if isinstance(obj, list) else ()
-    for key, child in children:
-        yield from _nodes(child, at + (key,))
-
-
-def _node(obj, at):
-    for key in at:
-        obj = obj[key]
-    return obj
+# tools/output_digest.py, whose refused-input runs draw from the same inputs, replacements and nodes
+_spec = importlib.util.spec_from_file_location("output_digest", Path(__file__).resolve().parent.parent / "tools" / "output_digest.py")
+_tool = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_tool)
 
 
 @st.composite
 def mutated_inputs(draw):
-    cmd = draw(st.sampled_from(sorted(INPUTS)))
-    obj = json.loads((resources.files("twoquadrics") / "fixtures" / INPUTS[cmd]).read_text())
-    nodes = list(_nodes(obj))
+    cmd = draw(st.sampled_from(sorted(_tool.MUTATED_INPUTS)))
+    obj = json.loads((resources.files("twoquadrics") / "fixtures" / _tool.MUTATED_INPUTS[cmd]).read_text())
+    nodes = list(_tool.nodes(obj))
     how = draw(st.sampled_from(("replace", "delete", "add")))
     if how == "replace":
         at = draw(st.sampled_from(nodes))
-        value = draw(st.sampled_from(REPLACEMENTS))
+        value = draw(st.sampled_from(_tool.REPLACEMENTS))
         if not at:
             return cmd, value
-        _node(obj, at[:-1])[at[-1]] = value
+        _tool.node_at(obj, at[:-1])[at[-1]] = value
     elif how == "delete":
-        at = draw(st.sampled_from([p for p in nodes if p and isinstance(_node(obj, p[:-1]), dict)]))
-        del _node(obj, at[:-1])[at[-1]]
+        at = draw(st.sampled_from([p for p in nodes if p and isinstance(_tool.node_at(obj, p[:-1]), dict)]))
+        del _tool.node_at(obj, at[:-1])[at[-1]]
     else:
-        at = draw(st.sampled_from([p for p in nodes if isinstance(_node(obj, p), dict)]))
-        _node(obj, at)["unexpected"] = 1
+        at = draw(st.sampled_from([p for p in nodes if isinstance(_tool.node_at(obj, p), dict)]))
+        _tool.node_at(obj, at)["unexpected"] = 1
     return cmd, obj
 
 

@@ -211,6 +211,51 @@ def test_singular_matrices_exit_2_with_the_singular_message(capsys, tmp_path):
         assert capsys.readouterr().err == f"input error: {where}: matrix is singular\n"
 
 
+def _refused_entries():
+    """(command, input, JSON path, message) of one refused number in each
+    reader: matrix, named matrix, moebius map, branch root, diagonal and
+    lift matrix entries, and the entry-level checks of an order entry."""
+    full = json.loads(fixture_text("example_7_5_full.json"))
+    lift = json.loads(fixture_text("example_7_4.json"))
+
+    def edited(obj, keys, value):
+        obj = json.loads(json.dumps(obj))
+        node = obj
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        return obj
+
+    identity = {"rows": 6, "cols": 6, "entries": [[int(i == j) for j in range(6)] for i in range(6)]}
+    zero = "zero denominator"
+    return [
+        ("report", edited(full, ("generators", 0, "matrix", "entries", 2, 3), [1, 0]),
+         "$.generators[0].matrix.entries[2][3]", zero),
+        ("report", dict(full, named={"z": edited(identity, ("entries", 0, 1), [3, 0])}), "$.named.z.entries[0][1]", zero),
+        ("report", edited(full, ("generators", 1, "moebius", 1, 0), [2, 0]), "$.generators[1].moebius[1][0]", zero),
+        ("report", edited(full, ("branch", "roots", 4, 1), [1, 0]), "$.branch.roots[4][1]", zero),
+        ("report", edited(full, ("pencil", "diag2", 5), [1, 0]), "$.pencil.diag2[5]", zero),
+        ("report", edited(full, ("pencil", "diag1", 0), {"order": 4, "coeffs": [[1, 1], [1, 0]]}),
+         "$.pencil.diag1[0].coeffs[1]", zero),
+        ("lift", edited(lift, ("representations", "W", "generators", 0, "matrix", "entries", 1, 0), [5, 0]),
+         "$.representations.W.generators[0].matrix.entries[1][0]", zero),
+        ("report", edited(full, ("pencil", "diag1", 0), {"order": 100, "coeffs": [[1, 1]]}),
+         "$.pencil.diag1[0].coeffs", "too few coefficients for order 100"),
+        ("report", edited(full, ("generators", 0, "matrix", "entries", 0, 0), {"order": 3, "coeffs": [[1, 1]] * 3}),
+         "$.generators[0].matrix.entries[0][0].coeffs", "'coeffs' must be an array of 2 entries for order 3"),
+        ("report", edited(full, ("branch", "roots", 0, 0), {"order": 0, "coeffs": [[1, 1]]}),
+         "$.branch.roots[0][0].order", "'order' must be a positive integer"),
+    ]
+
+
+@pytest.mark.parametrize("cmd, job, where, message", _refused_entries())
+def test_a_refused_entry_exits_2_at_its_path(cmd, job, where, message, capsys, tmp_path):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    assert main([cmd, str(path)]) == 2
+    assert capsys.readouterr().err == f"input error: {where}: {message}\n"
+
+
 def test_a_moebius_generator_maps_the_pencil_parameter_as_written(capsys, tmp_path):
     # [[1, i], [1, -i]] sends (t1, t2) to (t1 + i t2, t1 - i t2): t -> (t + i)/(t - i)
     # permutes the branch points 0, oo, +-1, +-i of 7.5; read transposed, the

@@ -21,7 +21,9 @@ all of W(D5) is the reference of the conjugacy search that multiplies only
 where the permutations conjugate.  Interpolation from sampled determinants,
 in dense coordinates, is the reference of a diagonal pencil's product of
 linear factors, and the inverse transpose the reference of the point action
-read off a generator's powers."""
+read off a generator's powers.  The recursive schema walk (`_walk`, `_choose`)
+is the reference of the compiled checkers, on one-node mutations of the
+shipped inputs and a sign-group job."""
 
 import functools
 import importlib.util
@@ -37,13 +39,13 @@ from pathlib import Path
 
 import pytest
 
-from twoquadrics import cli, cyclo, groups, matrices, pencils
+from twoquadrics import cli, cyclo, groups, jsonio, matrices, pencils
 from twoquadrics.binforms import BinaryForm, Roots, bform_discriminant, checked_roots, quadratic_roots, root_images
 from twoquadrics.cyclo import ONE, ZERO, CycNum, euler_phi, zeta
 from twoquadrics.dp4 import SignedPerm, conjugate_in_WD5, lattice_h1, pic_action, wd5_elements
-from twoquadrics.errors import NotAbelian, NotARoot, NotASymmetry, NotClosed, UnsupportedCase
+from twoquadrics.errors import NotAbelian, NotARoot, NotASymmetry, NotClosed, SchemaError, UnsupportedCase
 from twoquadrics.groups import MatrixGroup, breadth_first, character_spaces, projective_fixed_locus
-from twoquadrics.jsonio import dp4_input_from_json, parse_job
+from twoquadrics.jsonio import _NAMES, SCHEMA, _expect, _kind, _OneOf, dp4_input_from_json, parse_job
 from twoquadrics.matrices import (
     Mat,
     Subspace,
@@ -52,6 +54,7 @@ from twoquadrics.matrices import (
     _embed,
     _int,
     _mat,
+    _rows_of,
     eigen_multiplicities,
     eigenspaces_finite_order,
     kernel,
@@ -1349,3 +1352,129 @@ def test_line_search_multiplies_no_cycnum_in_pencils(monkeypatch):
     assert invariant_lines_abelian(job.pencil, gamma) == want
     assert calls.get("binforms.py")  # the square roots of quadratic_roots still make CycNum
     assert "pencils.py" not in calls, calls["pencils.py"]
+
+
+def _walk(value, schema, path):
+    """Check value against a schema of the table, down to its leaves."""
+    if type(schema) is str:
+        schema = SCHEMA[schema]
+    if type(schema) is _OneOf:
+        schema = _choose(value, schema.options, path)
+    kind = _kind(schema)
+    if type(value) is not kind:
+        raise SchemaError(f"expected {_NAMES[kind]}", path)
+    shape = type(schema)
+    if shape is set:
+        _expect(value in schema, "expected one of " + ", ".join(map(repr, sorted(schema))), path)
+    elif shape is list:
+        for k, x in enumerate(value):
+            _walk(x, schema[0], f"{path}[{k}]")
+    elif shape is tuple:
+        _expect(len(value) == len(schema), f"expected an array of {len(schema)} entries", path)
+        for k, x in enumerate(value):
+            _walk(x, schema[k], f"{path}[{k}]")
+    elif shape is dict and str in schema:
+        for key, x in value.items():
+            _walk(x, schema[str], f"{path}.{key}")
+    elif shape is dict:
+        for key in schema:
+            _expect(key[-1] == "?" or key in value, f"missing '{key}'", path)
+        for key, x in value.items():
+            # '?' marks an optional key of the table, never of the input
+            sub = None if key[-1:] == "?" else schema.get(key) or schema.get(key + "?")
+            if sub is None:
+                allowed = ", ".join(k.rstrip("?") for k in schema)
+                raise SchemaError(f"unknown key; allowed: {allowed}", f"{path}.{key}")
+            _walk(x, sub, f"{path}.{key}")
+
+
+def _choose(value, options, path):
+    """The alternative that value is checked against (see the module docstring)."""
+    for option in options:
+        kind = _kind(option)
+        if type(value) is kind and (kind is not dict or next(iter(option)) in value):
+            return option
+    what = [f"an object with '{next(iter(o))}'" if type(o) is dict else _NAMES[_kind(o)] for o in options]
+    raise SchemaError("expected " + " or ".join(what), path)
+
+
+def _schema_outcome(check, obj, kind):
+    try:
+        check(obj, kind, "$")
+    except SchemaError as exc:
+        return str(exc)
+    return None
+
+
+def _schema_inputs():
+    """(SCHEMA kind, input) of the report fixtures 7.3 and 7.5, one
+    sign_groups job, the dP4 fixture and the 7.4 lift input."""
+    fixture = _digest_tool().workloads.load_fixture
+    import workloads  # on the path once the tool is loaded
+
+    (_, sign_job, _), *_ = workloads.sign_round(workloads.seeded_rng("sign_groups", 0))
+    return [("job", fixture("example_7_3.json")), ("job", fixture("example_7_5.json")), ("job", json.loads(sign_job)),
+            ("dp4 input", fixture("example_dp4_involutions.json")), ("lift input", fixture("example_7_4.json"))]
+
+
+def test_compiled_checkers_refuse_as_the_schema_walk_did():
+    tool = _digest_tool()
+    inputs = _schema_inputs()
+    # a value of each JSON kind, a short and a long array, a rational pair
+    # with a zero denominator, a table key and keys that only the table may end in '?'
+    replacements = tool.REPLACEMENTS + (0, -1, "identity", [1], [1, 0], [1, 2, 3], ["a", 1], [[1]], {"order": 1})
+    keys = ("unexpected", "g?", "label?", "", "g", "target", "matrix")
+    rng = random.Random("compiled checkers")
+    refused = 0
+    for _ in range(4000):
+        kind, obj = rng.choice(inputs)
+        obj = tool.mutated(obj, rng, replacements, keys)
+        want = _schema_outcome(_walk, obj, kind)
+        assert _schema_outcome(jsonio._checked, json.dumps(obj), kind) == want, obj
+        refused += want is not None
+    assert refused > 3000
+    full = json.loads((resources.files("twoquadrics") / "fixtures" / "example_7_5_full.json").read_text())
+    pencil = full["pencil"]
+    hand = [
+        (dict(full, pencil=dict(pencil, g=True)), "$.pencil.g: expected an integer"),
+        (dict(full, pencil=dict(pencil, **{"g?": 2})), "$.pencil.g?: unknown key; allowed: diag1, diag2, g"),
+        (dict(full, generators=[{"label": "h"}]), "$.generators[0]: expected an object with 'matrix' or an object with 'moebius'"),
+        (dict(full, pencil=dict(pencil, diag1=[True] * 6)), "$.pencil.diag1[0]: expected an integer or an array or an object with 'order'"),
+        (dict(full, branch={"roots": [[1, 0, 1]]}), "$.branch.roots[0]: expected an array of 2 entries"),
+        (dict(full, relations=[{"word": [["gamma", 8]], "target": "central"}]),
+         "$.relations[0].target: expected one of 'identity', 'scalar'"),
+        # every missing key, in table order, before an unknown one
+        ({"generators": [], "unexpected": 1}, "$: missing 'pencil'"),
+        ({"pencil": {"diag1": [1], "g?": 1}}, "$.pencil: missing 'diag2'"),
+    ]
+    for obj, want in hand:
+        assert _schema_outcome(_walk, obj, "job") == want
+        assert _schema_outcome(jsonio._checked, json.dumps(obj), "job") == want
+
+
+def test_integer_rows_are_their_own_entries(monkeypatch):
+    rows = [[(-1) ** (i + j) * (i == j or j == 5) for j in range(6)] for i in range(6)]
+    general = _rows_of([[Fraction(x, 1) if (i, j) == (0, 0) else x for j, x in enumerate(row)] for i, row in enumerate(rows)])
+    assert _rows_of(rows) == general == (1, 1, rows)
+    want = Mat([[Fraction(x) for x in row] for row in rows])
+    calls = []
+    monkeypatch.setattr(matrices, "_value", lambda x: calls.append(x))
+    assert Mat(rows).key() == want.key()
+    assert calls == []
+
+
+def test_a_second_job_compiles_no_checker(monkeypatch):
+    text = (resources.files("twoquadrics") / "fixtures" / "example_7_5_full.json").read_text()
+    compiled = []
+
+    def spy(schema, real=jsonio._compile):
+        compiled.append(schema)
+        return real(schema)
+
+    monkeypatch.setattr(jsonio, "_compile", spy)
+    jsonio._checker.cache_clear()
+    parse_job(text)
+    assert "cycnum" in compiled and SCHEMA["cycnum"] in compiled
+    compiled.clear()
+    parse_job(text)
+    assert compiled == []

@@ -23,7 +23,11 @@ imports the twoquadrics package from TREE/src and runs its ``main`` on
 * for each seed, one ``dp4`` job (``all_pairs_dp4_job``): the workload's
   seeded conjugates of the dP4 fixture's six elements, with ``conjugacy``
   listing every ordered pair of them, so the runs see the witness of each
-  class and the pairs that are not conjugate.
+  class and the pairs that are not conjugate;
+* for each seed, ``MUTATIONS`` runs of ``report``, ``dp4`` or ``lift`` on
+  the 7.3 report job, the dP4 fixture or the 7.4 lift input with one node
+  changed as tests/test_input_fuzz.py changes it (``mutated``), so the
+  digest holds the message and JSON path of each input refused.
 
 The dense jobs are written with perfbench's own scalar helpers, so the job
 texts do not depend on the tree under test.
@@ -162,6 +166,49 @@ def all_pairs_dp4_job(rng):
     return json.dumps(obj)
 
 
+# the inputs and replacement values that tests/test_input_fuzz.py also draws from
+MUTATED_INPUTS = {"report": "example_7_3.json", "dp4": "example_dp4_involutions.json", "lift": "example_7_4.json"}
+REPLACEMENTS = (None, True, 1.5, "x", 10**30, -(10**30), [], {})
+MUTATIONS = 40  # per seed
+
+
+def nodes(obj, at=()):
+    """The path (keys and indices from the root) of every node of obj that is
+    no deeper than the second entry of any array: later entries repeat the
+    shape of the first two, and skipping them leaves more draws for the
+    nodes that differ."""
+    yield at
+    children = obj.items() if isinstance(obj, dict) else enumerate(obj[:2]) if isinstance(obj, list) else ()
+    for key, child in children:
+        yield from nodes(child, at + (key,))
+
+
+def node_at(obj, at):
+    for key in at:
+        obj = obj[key]
+    return obj
+
+
+def mutated(obj, rng, replacements=REPLACEMENTS, keys=("unexpected",)):
+    """A copy of obj with one node changed: replaced by one of replacements,
+    its key deleted, or one of keys added to it (an object) with the value 1."""
+    obj = json.loads(json.dumps(obj))
+    paths = list(nodes(obj))
+    how = rng.choice(("replace", "delete", "add"))
+    if how == "replace":
+        at, value = rng.choice(paths), rng.choice(replacements)
+        if not at:
+            return value
+        node_at(obj, at[:-1])[at[-1]] = value
+    elif how == "delete":
+        at = rng.choice([p for p in paths if p and isinstance(node_at(obj, p[:-1]), dict)])
+        del node_at(obj, at[:-1])[at[-1]]
+    else:
+        at = rng.choice([p for p in paths if isinstance(node_at(obj, p), dict)])
+        node_at(obj, at)[rng.choice(keys)] = 1
+    return obj
+
+
 JOB_COMMANDS = ("branch", "theta", "fixed-points", "invariant-lines")
 
 
@@ -190,6 +237,10 @@ def runs(seeds):
             for cmd in EXTRA_COMMANDS:
                 yield [cmd, "--format", "json"], text
         yield ["dp4"], all_pairs_dp4_job(workloads.seeded_rng("dp4_pairs", seed))
+        rng = workloads.seeded_rng("mutated_inputs", seed)
+        for _ in range(MUTATIONS):
+            cmd = rng.choice(sorted(MUTATED_INPUTS))
+            yield [cmd], json.dumps(mutated(workloads.load_fixture(MUTATED_INPUTS[cmd]), rng))
 
 
 def run(main, argv, text):

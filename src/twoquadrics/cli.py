@@ -164,9 +164,10 @@ def run_report(job, max_closure=MAX_CLOSURE):
                 continue
             if not rep.complete:
                 continue
+            # a maps each candidate, in one of its character spaces or spanned from two, to itself
             kept = [
                 line for line in rep.lines
-                if all(line.image_under(b) == line for _, b in pg.generators)
+                if all(line.image_under(b) == line for other, b in pg.generators if other != lab)
             ]
             evidence.append(
                 {

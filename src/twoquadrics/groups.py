@@ -1,5 +1,6 @@
-"""Finite matrix groups: the breadth-first stream of elements, relations up
-to scalars, projective fixed loci, and the scalar-lift obstruction search."""
+"""Finite matrix groups: the breadth-first stream of elements, which reads
+each generator's powers off the walk that tested its order, relations up to
+scalars, projective fixed loci, and the scalar-lift obstruction search."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from .errors import (
     NotFiniteOrder,
     RelationsFailProjectively,
 )
-from .matrices import Mat, eigen_multiplicities, eigenspaces_finite_order
+from .matrices import Mat, eigen_multiplicities, eigenspaces_finite_order, powers
 
 # tuples scalar_lift_search may try: at about 10 us a tuple, some 10 s
 MAX_LIFT_TUPLES = 10**6
@@ -88,17 +89,21 @@ def breadth_first(group: MatrixGroup, cap: int = MAX_CLOSURE):
     word is a shortest one and comes after its prefix.
 
     check_finite_orders runs before any product, so a generator of infinite
-    order fails at once; the element after the cap-th raises CapExceeded."""
+    order fails at once, and it leaves g, g^2, .., g^(n-1) on each generator
+    g of order n (`matrices.powers`): an element whose word is empty or only
+    g's label is g^k, so its product with g is read off them, g^n = I being
+    seen.  The element after the cap-th raises CapExceeded."""
     check_finite_orders(group)
     ident = Mat.identity(group.dimension)
+    gens = [(label, g, (*powers(g), ident)) for label, g in group.generators]
     seen = {ident.key()}
     frontier = [(ident, ())]
     yield frontier[0]
     while frontier:
         nxt = []
         for m, word in frontier:
-            for label, g in group.generators:
-                prod = m * g
+            for label, g, pw in gens:
+                prod = pw[len(word)] if word.count(label) == len(word) else m * g
                 k = prod.key()
                 if k not in seen:
                     if len(seen) >= cap:

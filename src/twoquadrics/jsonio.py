@@ -21,8 +21,9 @@ generator permutes the branch roots). An entry of the table reads as follows:
   objects, the first alternative whose first key the value has.
 - a string: the table entry of that name.
 
-A rational "cycnum" entry, an integer or [n, d], is read as an int or a
-Fraction, which `Mat` takes as it is; only an order entry becomes a CycNum.
+A rational "cycnum" entry, an integer, [n, d] or an order-1 entry, is read as
+an int or a Fraction, which `Mat` takes as it is; only an entry of higher order
+becomes a CycNum, its numerators put over one denominator as ints.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .binforms import Roots, checked_roots, root_images
-from .cyclo import CycNum, euler_phi
+from .cyclo import CycNum, _make, euler_phi
 from .dp4 import SignedPerm
 from .errors import DimensionMismatch, LabelMismatch, NonScalarDiscrepancy, NotARoot, NotClosed, SchemaError
 from .groups import MatrixGroup, Relation, verify_relations
@@ -197,7 +199,8 @@ def _checked(text_or_obj, kind, path):
 
 def _number(obj):
     """The value of a checked "cycnum" entry: the int or Fraction of a rational
-    one, which Mat reads with no CycNum made, or the CycNum of an order entry."""
+    or order-1 one, which Mat reads with no CycNum made, or the CycNum of a higher
+    order entry, its int numerators over the lcm of its denominators (no Fraction)."""
     if type(obj) is int:
         return obj
     if type(obj) is list:
@@ -217,7 +220,11 @@ def _number(obj):
     for k, (_, d) in enumerate(coeffs):
         if d == 0:
             raise _Refused("zero denominator", obj, f".coeffs[{k}]")
-    return CycNum(order, [Fraction(n, d) for n, d in coeffs])
+    den = lcm(*(d for _, d in coeffs))
+    num = [n * (den // d) for n, d in coeffs]
+    if order == 1:
+        return num[0] if den == 1 else Fraction(num[0], den)
+    return _make(order, num, den)
 
 
 def _values(rows, where):

@@ -556,10 +556,10 @@ def eigen_multiplicities(m: Mat):
     (Serre, Linear Representations of Finite Groups, 2.6), from the powers
     operator_order forms.  s_k is rational, so it is its coefficient of 1 in
     the power basis of Q(zeta_L), L = lcm(n, the traces' orders): an int sum
-    over the powers of zeta_L.  The result is kept on m, and the powers
-    M^2..M^(n-1) beside it for eigenspaces_finite_order, so the powers are
-    formed once per matrix (M^1, m itself, is left out: m holding it would
-    be a reference cycle, freed only by the garbage collector)."""
+    over the powers of zeta_L.  The result is kept on m, and M^2..M^(n-1)
+    beside it for eigenspaces_finite_order and `groups.breadth_first` (read by
+    `powers`), so the powers are formed once per matrix (M^1, m itself, is left
+    out: m holding it would be a reference cycle, freed only by the gc)."""
     if getattr(m, "_mults", None) is None:
         info = operator_order(m)
         n, traces = info.order, info.traces
@@ -578,6 +578,12 @@ def eigen_multiplicities(m: Mat):
     return m._mults
 
 
+def powers(m: Mat) -> tuple:
+    """m, m^2, .., m^(n-1) for m of finite order n (m alone at n = 1), as kept by eigen_multiplicities or point_action."""
+    eigen_multiplicities(m)
+    return (m, *m._powers)
+
+
 def point_action(h: Mat) -> Mat:
     """(hᵀ)⁻¹, the action on points of a finite-order h, read off the powers
     of h that eigen_multiplicities keeps.  With n the order of h, h⁻¹ =
@@ -593,9 +599,9 @@ def point_action(h: Mat) -> Mat:
         if h.det():
             _check_root_of_unity(1 / h.det())
         raise
-    powers = (h, *h._powers)  # h^1 .. h^(n-1)
-    c = powers[-1].transpose()
-    object.__setattr__(c, "_powers", tuple(p.transpose() for p in reversed(powers[:-1])))
+    kept = powers(h)  # h^1 .. h^(n-1)
+    c = kept[-1].transpose()
+    object.__setattr__(c, "_powers", tuple(p.transpose() for p in reversed(kept[:-1])))
     object.__setattr__(c, "_mults", (n, (mults[0], *reversed(mults[1:]))))
     return c
 
@@ -613,13 +619,13 @@ def eigenspaces_finite_order(m: Mat):
     n, mults = eigen_multiplicities(m)
     if sum(mults) != m.rows:
         raise NotFiniteOrder(f"eigenvalue multiplicities add up to {sum(mults)}, not {m.rows}")
-    powers = (m, *m._powers)
-    big, den = lcm(n, *(p.order for p in powers)), lcm(*(p.den for p in powers))
+    kept = powers(m)
+    big, den = lcm(n, *(p.order for p in kept)), lcm(*(p.den for p in kept))
     table, phi = power_table(big), euler_phi(big)
     # entry (a, b) of sum_j zeta_L^(-js) M^j by columns b, as (exponent, j L / n,
     # weight) terms, M^0 = I first
     terms = [[[(0, 0, den)] if a == b else [] for a in range(m.rows)] for b in range(m.cols)]
-    for j, p in enumerate(powers, 1):
+    for j, p in enumerate(kept, 1):
         sub, step, scale = big // p.order, j * (big // n), den // p.den
         for a, row in enumerate(p.data):
             for b, x in enumerate(row):

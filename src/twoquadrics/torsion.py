@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 from .errors import GenusMismatch
@@ -46,9 +47,17 @@ class TorsionClass:
 
 def torsion_classes(g, parity):
     """All 2^{2g} classes of the given parity ('even'/'odd' or 0/1),
-    sorted canonically."""
+    sorted canonically: a new list, from a table built once per (g, parity).
+    Any other parity raises ValueError."""
     if parity in ("even", "odd"):
         parity = 0 if parity == "even" else 1
+    if parity not in (0, 1):
+        raise ValueError(f"parity must be 'even', 'odd', 0 or 1, not {parity!r}")
+    return list(_classes(g, parity))
+
+
+@cache
+def _classes(g, parity):
     n = 2 * g + 2
     seen = set()
     out = []
@@ -61,7 +70,7 @@ def torsion_classes(g, parity):
             seen.add(c.subset)
             out.append(c)
     out.sort(key=lambda c: (len(c.subset), c.subset))
-    return out
+    return tuple(out)
 
 
 def act(perm, c: TorsionClass) -> TorsionClass:
@@ -73,7 +82,8 @@ def act(perm, c: TorsionClass) -> TorsionClass:
 
 
 def fixed_classes(perms, parity, g):
-    """Classes of the given parity fixed by every listed permutation."""
+    """Classes of the given parity fixed by every listed permutation, from the
+    table torsion_classes builds once per (g, parity); a bad parity raises ValueError."""
     return [
         c
         for c in torsion_classes(g, parity)

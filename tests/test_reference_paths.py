@@ -23,7 +23,8 @@ in dense coordinates, is the reference of a diagonal pencil's product of
 linear factors, and the inverse transpose the reference of the point action
 read off a generator's powers.  The recursive schema walk (`_walk`, `_choose`)
 is the reference of the compiled checkers, on one-node mutations of the
-shipped inputs and a sign-group job."""
+shipped inputs and a sign-group job, and the CycNum of an order entry's
+Fractions the reference of the one made from its ints."""
 
 import functools
 import importlib.util
@@ -45,7 +46,7 @@ from twoquadrics.cyclo import ONE, ZERO, CycNum, euler_phi, zeta
 from twoquadrics.dp4 import SignedPerm, conjugate_in_WD5, lattice_h1, pic_action, wd5_elements
 from twoquadrics.errors import NotAbelian, NotARoot, NotASymmetry, NotClosed, SchemaError, UnsupportedCase
 from twoquadrics.groups import MatrixGroup, breadth_first, character_spaces, projective_fixed_locus
-from twoquadrics.jsonio import _NAMES, SCHEMA, _expect, _kind, _OneOf, dp4_input_from_json, parse_job
+from twoquadrics.jsonio import _NAMES, SCHEMA, _expect, _kind, _OneOf, dp4_input_from_json, lift_input_from_json, parse_job
 from twoquadrics.matrices import (
     Mat,
     Subspace,
@@ -523,20 +524,42 @@ def _closure_by_frontier(group):
 
 def _stream_groups():
     """The point groups of 7.3, of 7.5 full, of 7.3 conjugated by an
-    integer change of basis, and of sign-group jobs of order 8 to 32."""
+    integer change of basis, of sign-group jobs of order 8 to 32 and of the
+    dihedral job over Q(zeta12) (order 4608); lift's V and W of 7.4; 7.3's
+    group with an identity generator first and its moved copy with one last;
+    and V's sigma, of order 6, under two labels, so each power of the first
+    label is also met times the second."""
     out = {name: _shipped_point_groups(name)[0] for name in ("example_7_3.json", "example_7_5_full.json")}
     p = Mat([[int(j in (i, i + 1)) for j in range(6)] for i in range(6)])
     p_inv = p.inverse()
     out["7.3 moved"] = MatrixGroup([(lab, p * g * p_inv) for lab, g in out["example_7_3.json"].generators])
     for seed in range(3):
         out[f"signs{seed}"] = cli._point_group(parse_job(json.dumps(_sign_group_job(random.Random(seed), 3 + seed))))
+    out["dihedral"] = cli._point_group(parse_job(json.dumps(dict(_digest_tool().EXTRA_JOBS)["dihedral"])))
+    _, lifted = lift_input_from_json((resources.files("twoquadrics") / "fixtures" / "example_7_4.json").read_text())
+    out.update((f"7.4 {name}", group) for name, group in lifted.items())
+    out["identity first"] = MatrixGroup([("e", Mat.identity(6)), *out["example_7_3.json"].generators])
+    out["identity last"] = MatrixGroup([*out["7.3 moved"].generators, ("e", Mat.identity(6))])
+    sigma = lifted["V"].generator("sigma")
+    out["sigma twice"] = MatrixGroup([("a", sigma), ("b", sigma)])
     return out
 
 
 def test_breadth_first_stream_is_the_closure_in_order():
-    for name, group in _stream_groups().items():
+    groups = _stream_groups()
+    for name, group in groups.items():
         stream = list(breadth_first(group))
         assert stream == _closure_by_frontier(group), name
+    assert [word for _, word in breadth_first(groups["sigma twice"])] == [("a",) * k for k in range(6)]
+
+
+def test_the_walk_of_gamma_reads_its_kept_powers(monkeypatch):
+    # g^(k+1) for a word of k g's is read off the powers check_finite_orders
+    # leaves on g (8 products I*gamma .. gamma^7*gamma before them)
+    pg = cli._point_group(parse_job((resources.files("twoquadrics") / "fixtures" / "example_7_5_full.json").read_text()))
+    products = _counted(monkeypatch, matrices, "_product")
+    assert [word for _, word in breadth_first(pg)] == [("gamma",) * k for k in range(8)]
+    assert products == []
 
 
 def _report_jobs():
@@ -1168,6 +1191,51 @@ def test_the_dihedral_report_keeps_no_line_and_is_obstructed():
     assert stages["witness_word"] == ["r", "s", "r", "s"]
 
 
+def _dihedral_reversed():
+    """The dihedral job with its generators listed s, r: r, the one that
+    bounds the stage-3 search, is then not the first."""
+    obj = dict(_digest_tool().EXTRA_JOBS)["dihedral"]
+    return json.dumps(dict(obj, generators=obj["generators"][::-1]))
+
+
+def test_each_candidate_line_is_fixed_by_the_generator_that_bounds_it():
+    # stage 3 tests its candidates only under the other generators: each is
+    # a plane in one character space of a, or spanned by points of two
+    counts = {}
+    texts = [*_report_jobs().items(), *_stage_3_jobs(), ("dihedral reversed", _dihedral_reversed())]
+    for name, text in texts:
+        job = parse_job(text)
+        for lab, a in cli._point_group(job).generators:
+            try:
+                lines = invariant_lines_abelian(job.pencil, MatrixGroup([(lab, a)])).lines
+            except UnsupportedCase:
+                continue
+            assert all(line.image_under(a) == line for line in lines), (name, lab)
+            counts[name, lab] = len(lines)
+    # gamma's 2 lines in 7.5 and 7.5 full, as given, moved and dense; r's 3
+    assert {key: n for key, n in counts.items() if n} == {
+        **{(name, "gamma"): 2 for name in ("example_7_5.json", "example_7_5_full.json", "paper0-1", "paper0-2",
+                                           "paper1-1", "paper1-2", "dense example_7_5.json", "dense example_7_5_full.json")},
+        **{(name, "r"): 3 for name in ("dihedral", "dense dihedral", "dihedral reversed")},
+    }
+
+
+def test_stage_3_moves_its_candidates_only_by_the_other_generators(monkeypatch):
+    moved_by = []
+    real = Subspace.image_under
+    monkeypatch.setattr(Subspace, "image_under", lambda line, m: moved_by.append(m) or real(line, m))
+    text = (resources.files("twoquadrics") / "fixtures" / "example_7_5.json").read_text()
+    assert cli.run_report(parse_job(text))["status"] == "LINEARIZABLE_CERTIFIED"
+    assert moved_by == []  # gamma is the one generator
+    job = parse_job(_dihedral_reversed())
+    s = dict(cli._point_group(job).generators)["s"]
+    verdict = cli.run_report(job)
+    stages = {k: v for item in verdict["evidence"] if item["stage"] in (3, 4) for k, v in item.items()}
+    assert verdict["status"] == "OBSTRUCTED"
+    assert (stages["bounding_subgroup"], stages["candidates"], stages["invariant_under_all"]) == ("r", 3, 0)
+    assert moved_by == [s] * 3
+
+
 def test_stage_3_on_the_blocks_matches_the_polar_search():
     # the two differ only where a restricted form lies in a smaller field than
     # its quadric and space, whose square roots the blocks search in that
@@ -1478,3 +1546,29 @@ def test_a_second_job_compiles_no_checker(monkeypatch):
     compiled.clear()
     parse_job(text)
     assert compiled == []
+
+
+def test_an_order_entry_is_the_cycnum_of_its_fractions():
+    # the reference is the old reading, CycNum(order, [Fraction(n, d), ...]):
+    # the same (order, num, den), an order-1 entry as an int or a Fraction;
+    # each numerator is any int, a multiple of its denominator, or 0
+    rng = random.Random(33)
+    dens = (-12, -7, -2, -1, 1, 2, 3, 4, 6, 9, 12, 35)
+    rational = set()
+    for order in (1, 3, 4, 8, 24, 60):
+        for _ in range(60):
+            coeffs = [[rng.choice((rng.randint(-40, 40), d * rng.randint(-5, 5), 0)), d]
+                      for d in (rng.choice(dens) for _ in range(euler_phi(order)))]
+            got = jsonio._number({"order": order, "coeffs": coeffs})
+            want = CycNum(order, [Fraction(n, d) for n, d in coeffs])
+            assert type(got) in ((int, Fraction) if order == 1 else (CycNum,)), coeffs
+            assert matrices._value(got) == (want.order, want.num, want.den), (order, coeffs)
+            if order == 1:
+                rational.add((type(got), coeffs[0][1] < 0, want.den == 1))
+    assert {(int, False, True), (Fraction, True, False), (Fraction, True, True)} <= rational
+
+
+def test_parsing_a_job_makes_no_cycnum_from_fractions(monkeypatch):
+    made = _counted(monkeypatch, CycNum, "__new__")
+    parse_job((resources.files("twoquadrics") / "fixtures" / "example_7_5.json").read_text())
+    assert made == []

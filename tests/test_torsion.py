@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from twoquadrics import torsion
 from twoquadrics.errors import GenusMismatch
 from twoquadrics.torsion import (
     TorsionClass,
@@ -33,6 +34,29 @@ def test_counts():
     # distinguished point count 2^{2g} (2g+2)
     for g in range(1, 5):
         assert len(torsion_classes(g, "even")) * (2 * g + 2) == 4**g * (2 * g + 2)
+
+
+def test_a_bad_parity_is_refused():
+    for parity in ("foo", "Odd", 2, -1, None):
+        with pytest.raises(ValueError, match="parity must be"):
+            torsion_classes(2, parity)
+    with pytest.raises(ValueError, match="parity must be"):
+        fixed_classes([], "Odd", 2)
+    assert torsion_classes(2, 1) == torsion_classes(2, "odd") == fixed_classes([], "odd", 2)
+    assert torsion_classes(2, 0) == torsion_classes(2, "even")
+
+
+def test_the_class_table_is_built_once_and_each_call_gets_its_own_list():
+    torsion._classes.cache_clear()
+    first = torsion_classes(2, "odd")
+    want = list(first)
+    first.clear()
+    second = torsion_classes(2, "odd")
+    assert second == want and second is not first
+    second.append(TorsionClass(2, ()))
+    assert torsion_classes(2, 1) == want
+    assert fixed_classes([(2, 1, 3, 4, 5, 6)], "odd", 2) == [c for c in want if act((2, 1, 3, 4, 5, 6), c) == c]
+    assert torsion._classes.cache_info().misses == 1
 
 
 def test_act_is_action():
